@@ -23,7 +23,7 @@ from .fundamental_diagram import (
     greenshields,
     triangular,
 )
-from .supply_demand import Criticality, TrafficState, classify, local_flux, state_of
+from .supply_demand import Criticality, TrafficState, classify, state_of
 from .riemann import (
     DivergeModel,
     DivergeModelKind,
@@ -38,6 +38,7 @@ from .riemann import (
     local_discrete_flux,
     partial_evacuation,
     priority_based,
+    riemann_rule,
     solve,
     solve_fluxes,
     supply_proportional,
@@ -71,7 +72,6 @@ __all__ = [
     "Criticality",
     "TrafficState",
     "classify",
-    "local_flux",
     "state_of",
     "DivergeModel",
     "DivergeModelKind",
@@ -86,6 +86,7 @@ __all__ = [
     "local_discrete_flux",
     "partial_evacuation",
     "priority_based",
+    "riemann_rule",
     "solve",
     "solve_fluxes",
     "supply_proportional",

@@ -71,7 +71,8 @@ class BoundaryCondition:
     """Ghost-cell demand (upstream end) or supply (downstream ends).
 
     TIME_VARYING evaluates offset + amplitude * sin(pi * t / period) and
-    clamps to [0, capacity].
+    clamps to [0, capacity].  Every parameter must be finite and the period
+    positive.
     """
 
     kind: BoundaryKind
@@ -79,6 +80,12 @@ class BoundaryCondition:
     offset: float = 0.0
     amplitude: float = 0.0
     period: float = 60.0
+
+    def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.value, self.offset, self.amplitude, self.period)):
+            raise ValueError(f"boundary parameters must be finite, got {self}")
+        if not self.period > 0.0:
+            raise ValueError(f"sinusoid period must be positive, got {self.period}")
 
     @classmethod
     def neumann(cls):
@@ -155,7 +162,7 @@ class SimConfig:
             raise ValueError("exactly three fundamental diagrams are required")
         if self.cells_per_link < 1 or self.time_steps < 1:
             raise ValueError("cells_per_link and time_steps must be positive")
-        if self.link_length <= 0.0 or self.horizon <= 0.0:
+        if not (self.link_length > 0.0 and self.horizon > 0.0):
             raise ValueError("link_length and horizon must be positive")
         if self.snapshot_every < 1:
             raise ValueError("snapshot_every must be positive")
@@ -174,6 +181,14 @@ class SimConfig:
                 0.0 <= bc.value <= self.diagrams[1 + i].capacity
             ):
                 raise ValueError("constant boundary supply outside [0, capacity]")
+        densities, props = self._initial_arrays()
+        for fd, arr in zip(self.diagrams, densities):
+            if not (arr.min() >= 0.0 and arr.max() <= fd.jam_density):
+                raise ValueError("initial density outside [0, jam_density]")
+        inflow = self._inflow_mix()
+        if not (props.min() >= 0.0 and props.sum(axis=0).max() <= 1.0 + 1e-12
+                and min(inflow) >= 0.0 and sum(inflow) <= 1.0 + 1e-12):
+            raise ValueError("proportions must lie in [0, 1] with sum at most 1")
 
     @property
     def dt(self):
@@ -192,14 +207,9 @@ class SimConfig:
             return self.model.xi if self.tracked_commodities == 2 else self.model.xi[0]
         return 1.0
 
-    def initial_state(self):
+    def _initial_arrays(self):
         m = self.cells_per_link
-        densities = []
-        for fd, rho in zip(self.diagrams, self.initial_densities):
-            arr = _as_cell_array(rho, m)
-            if np.any(arr < 0.0) or np.any(arr > fd.jam_density):
-                raise ValueError("initial density outside [0, jam_density]")
-            densities.append(arr)
+        densities = tuple(_as_cell_array(rho, m) for _, rho in zip(self.diagrams, self.initial_densities))
         raw = self.initial_proportions
         if raw is None:
             raw = self._default_proportions()
@@ -212,9 +222,12 @@ class SimConfig:
             if isinstance(raw, (tuple, list)) and len(raw) == 2:
                 raw = raw[0]  # commodity 2 is the complement
             props = _as_cell_array(raw, m)[None, :]
-        if np.any(props < 0.0) or np.any(props.sum(axis=0) > 1.0 + 1e-12):
-            raise ValueError("proportions must lie in [0, 1] with sum at most 1")
-        return SimState(tuple(densities), props, 0)
+        return densities, props
+
+    def initial_state(self):
+        """The state at step 0; its data were validated at construction."""
+        densities, props = self._initial_arrays()
+        return SimState(densities, props, 0)
 
     def _inflow_mix(self):
         raw = self.inflow_proportions
@@ -473,7 +486,7 @@ def run(config):
         final_state=state,
     )
     drift = trajectory.conservation_drift()
-    if drift > 1e-8:
+    if not drift <= 1e-8:  # NaN drift fails too
         raise NumericalStabilityError(
             f"vehicle count drifted {drift:.3e} relative to the boundary fluxes"
         )

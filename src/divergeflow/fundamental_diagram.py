@@ -149,15 +149,16 @@ class FundamentalDiagram:
             return np.minimum(self.free_flow_speed * rho, w * (self.jam_density - rho))
         return self.free_flow_speed * rho * (1.0 - rho / self.jam_density)
 
+    # Both checks are written so that NaN fails them.
     def _check_scalar_density(self, rho):
         rho = float(rho)
-        if rho < 0.0 or rho > self.jam_density:
+        if not (0.0 <= rho <= self.jam_density):
             raise ValueError(f"density out of range [0, {self.jam_density}]: {rho!r}")
         return rho
 
     def _check_density(self, rho):
         rho = np.asarray(rho, dtype=float)
-        if np.any(rho < 0.0) or np.any(rho > self.jam_density):
+        if rho.size and not (rho.min() >= 0.0 and rho.max() <= self.jam_density):
             raise ValueError(
                 f"density out of range [0, {self.jam_density}]: {rho!r}"
             )
@@ -165,7 +166,7 @@ class FundamentalDiagram:
 
     def flow(self, rho):
         """Flux Q(rho).  Accepts scalars or arrays; raises ValueError outside
-        [0, jam_density]."""
+        [0, jam_density] and on NaN."""
         if np.isscalar(rho):
             return self._flow_scalar(self._check_scalar_density(rho))
         rho = self._check_density(rho)

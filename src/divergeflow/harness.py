@@ -21,10 +21,12 @@ from .riemann import (
     check_interior_admissible,
     check_stationary_admissible,
     daganzo_fifo,
+    junction_fluxes,
     lebacque,
     local_discrete_flux,
     partial_evacuation,
     priority_based,
+    riemann_rule,
     solve,
     solve_fluxes,
     supply_proportional,
@@ -62,6 +64,12 @@ class SweepSpec:
     demand_upstream: tuple[float, float, int]
     supply_1: tuple[float, float, int]
     supply_2: tuple[float, float, int]
+
+    def __post_init__(self):
+        axes = (self.demand_upstream, self.supply_1, self.supply_2)
+        ends = [v for start, stop, _ in axes for v in (start, stop)]
+        if not all(0.0 <= v < np.inf for v in ends):
+            raise ValueError(f"sweep ends must be finite and nonnegative, got {ends}")
 
     def axes(self):
         return tuple(
@@ -363,13 +371,11 @@ def _fifo_region_by_inequalities(model, d0, s1, s2, tol=1e-12):
     return "/".join(labels)
 
 
-def _evacuation_region(model, inp, tol=1e-12):
+def _evacuation_region(model, d0, s1, s2, capacities, tol=1e-12):
     """Per-link letters for which terms of the evacuation rule bind:
     S = the link supply, R = the residual D0 - Sj, P = the proportional or
     priority share, F = the routed-remainder cap."""
-    d0 = inp.demand_upstream
-    s1, s2 = inp.supplies
-    _, c1, c2 = inp.capacities
+    _, c1, c2 = capacities
     letters = []
     for i, (si, sj) in enumerate(((s1, s2), (s2, s1))):
         if model.kind is DivergeModelKind.SUPPLY_PROPORTIONAL:
@@ -391,38 +397,28 @@ def _evacuation_region(model, inp, tol=1e-12):
 
 
 def flux_map(spec):
-    """Evaluate the closed-form fluxes over a sweep grid and label each point
-    by its binding constraints."""
-    sim = spec.sim
-    model = sim.model
-    diagrams = sim.diagrams
+    """Evaluate the closed-form fluxes over a sweep grid in one kernel call
+    and label each point by its binding constraints."""
+    model = spec.sim.model
+    caps = tuple(fd.capacity for fd in spec.sim.diagrams)
     report = Report("flux-map", spec.config_hash, spec.seed)
-    d_axis, s1_axis, s2_axis = spec.sweep.axes()
-    caps = tuple(fd.capacity for fd in diagrams)
+    axes = [np.minimum(axis, cap) for axis, cap in zip(spec.sweep.axes(), caps)]
+    d0, s1, s2 = (grid.ravel() for grid in np.meshgrid(*axes, indexing="ij"))
+    rule = riemann_rule(model, caps)
+    _, q1, q2 = junction_fluxes(rule, d0, (s1, s2), rule.xi)
+    routed = model.kind in (DivergeModelKind.DAGANZO_FIFO, DivergeModelKind.LEBACQUE)
     rows = []
     mismatches = 0
-    for d0 in d_axis:
-        for s1 in s1_axis:
-            for s2 in s2_axis:
-                inp = RiemannInput(
-                    diagrams[0],
-                    TrafficState(min(d0, caps[0]), caps[0]),
-                    (diagrams[1], diagrams[2]),
-                    (
-                        TrafficState(caps[1], min(s1, caps[1])),
-                        TrafficState(caps[2], min(s2, caps[2])),
-                    ),
-                )
-                q0, q1, q2 = solve_fluxes(model, inp)
-                if model.kind in (DivergeModelKind.DAGANZO_FIFO, DivergeModelKind.LEBACQUE):
-                    region = _fifo_region(model, inp.demand_upstream, *inp.supplies)
-                    if region != _fifo_region_by_inequalities(model, inp.demand_upstream, *inp.supplies):
-                        mismatches += 1
-                else:
-                    region = _evacuation_region(model, inp)
-                rows.append((inp.demand_upstream, *inp.supplies, q0, q1, q2, region))
+    for point in zip(d0.tolist(), s1.tolist(), s2.tolist(), (q1 + q2).tolist(), q1.tolist(), q2.tolist()):
+        if routed:
+            region = _fifo_region(model, *point[:3])
+            if region != _fifo_region_by_inequalities(model, *point[:3]):
+                mismatches += 1
+        else:
+            region = _evacuation_region(model, *point[:3], caps)
+        rows.append((*point, region))
     report.add("grid-evaluated", True, f"{len(rows)} points")
-    if model.kind in (DivergeModelKind.DAGANZO_FIFO, DivergeModelKind.LEBACQUE):
+    if routed:
         report.add(
             "region-labels-consistent",
             mismatches == 0,

@@ -23,10 +23,16 @@ quantities.  Five rules are implemented:
     PRIORITY_BASED      qi = min(Si, max(D - Sj, ai * D))
     PARTIAL_EVACUATION  qi = min(Si, Sj (1 - xj) / xj, max(D - Sj, ai * D))
 
-where x are turning proportions of routed traffic and a are priority weights.
-The closed-form flux solutions of each rule are in solve_fluxes; solve adds
-stationary states, canonical interior states, interior turning proportions,
-and per-link uniqueness flags.
+where x are turning proportions of routed traffic and a are priority weights;
+Sj/xj and Sj (1 - xj) / xj read as +inf when xj = 0.  junction_fluxes is the
+one kernel of all five rules and takes scalars or arrays.
+
+Each Riemann flux is a local rule evaluated at the initial (D0, S1, S2):
+Lebacque's rule gives the fluxes of Daganzo's with the same xi, and the
+supply-proportional rule those of the priority rule with weights
+ci / (c1 + c2).  riemann_rule names that counterpart rule and solve_fluxes
+evaluates it; solve adds stationary states, canonical interior states,
+interior turning proportions, and per-link uniqueness flags.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ __all__ = [
     "Side",
     "RiemannInput",
     "RiemannSolution",
+    "riemann_rule",
     "solve_fluxes",
     "solve",
     "junction_fluxes",
@@ -230,11 +237,12 @@ class RiemannSolution:
         return self.fluxes[2]
 
 
-def _fifo_cap(s_other, x_other):
-    """Routed-traffic cap Sj * (1 - xj) / xj; unbounded as xj -> 0."""
-    if x_other <= 0.0:
-        return math.inf
-    return s_other * (1.0 - x_other) / x_other
+def _per_share(s, x):
+    """s / x, read as +inf where the share x is 0 (the x -> 0 limit)."""
+    if np.ndim(x) == 0:
+        return s / x if x > 0.0 else math.inf
+    shape = np.broadcast_shapes(np.shape(s), np.shape(x))
+    return np.divide(s, x, out=np.full(shape, math.inf), where=x > 0.0)
 
 
 def junction_fluxes(model, demand_upstream, supplies, proportions):
@@ -250,9 +258,7 @@ def junction_fluxes(model, demand_upstream, supplies, proportions):
     kind = model.kind
     if kind is DivergeModelKind.DAGANZO_FIFO:
         x1, x2 = proportions
-        if np.any(np.asarray(x1) <= 0.0) or np.any(np.asarray(x2) <= 0.0):
-            raise ValueError("Daganzo rule needs strictly positive junction proportions")
-        q0 = np.minimum(d0, np.minimum(s1 / x1, s2 / x2))
+        q0 = np.minimum(d0, np.minimum(_per_share(s1, x1), _per_share(s2, x2)))
         return (q0, x1 * q0, x2 * q0)
     if kind is DivergeModelKind.LEBACQUE:
         x1, x2 = proportions
@@ -272,8 +278,8 @@ def junction_fluxes(model, demand_upstream, supplies, proportions):
         return (q1 + q2, q1, q2)
     x1, x2 = model.xi
     a1, a2 = model.alpha
-    q1 = np.minimum(s1, np.minimum(_fifo_cap(s2, x2), np.maximum(d0 - s2, a1 * d0)))
-    q2 = np.minimum(s2, np.minimum(_fifo_cap(s1, x1), np.maximum(d0 - s1, a2 * d0)))
+    q1 = np.minimum(s1, np.minimum(_per_share(s2 * (1.0 - x2), x2), np.maximum(d0 - s2, a1 * d0)))
+    q2 = np.minimum(s2, np.minimum(_per_share(s1 * (1.0 - x1), x1), np.maximum(d0 - s1, a2 * d0)))
     return (q1 + q2, q1, q2)
 
 
@@ -288,34 +294,28 @@ def local_discrete_flux(model, interior_upstream, interior_downstream, interior_
     return (float(q0), float(q1), float(q2))
 
 
+def riemann_rule(model, capacities):
+    """The local rule whose value at the initial (D0, S1, S2) is the Riemann
+    flux of `model`: Daganzo's rule with the same xi for LEBACQUE, the
+    priority rule with weights ci / (c1 + c2) for SUPPLY_PROPORTIONAL, and the
+    model itself otherwise.  `capacities` is (c0, c1, c2)."""
+    if model.kind is DivergeModelKind.LEBACQUE:
+        return daganzo_fifo(model.xi)
+    if model.kind is DivergeModelKind.SUPPLY_PROPORTIONAL:
+        _, c1, c2 = capacities
+        return priority_based((c1 / (c1 + c2), c2 / (c1 + c2)))
+    return model
+
+
 def solve_fluxes(model, inp):
     """Closed-form boundary fluxes (q0, q1, q2) of the Riemann problem.
 
     q0 = q1 + q2 holds exactly.  The result depends only on the upstream
     demand and the downstream supplies.
     """
-    d0 = inp.demand_upstream
-    s1, s2 = inp.supplies
-    kind = model.kind
-    if kind in _FIFO_KINDS:
-        x1, x2 = model.xi
-        if x1 <= 0.0 or x2 <= 0.0:
-            raise ValueError("turning proportions must be strictly positive")
-        q = min(d0, s1 / x1, s2 / x2)
-        q1, q2 = x1 * q, x2 * q
-    elif kind is DivergeModelKind.SUPPLY_PROPORTIONAL:
-        c0, c1, c2 = inp.capacities
-        q1 = min(s1, max(d0 - s2, d0 * c1 / (c1 + c2)))
-        q2 = min(s2, max(d0 - s1, d0 * c2 / (c1 + c2)))
-    elif kind is DivergeModelKind.PRIORITY_BASED:
-        a1, a2 = model.alpha
-        q1 = min(s1, max(d0 - s2, a1 * d0))
-        q2 = min(s2, max(d0 - s1, a2 * d0))
-    else:
-        x1, x2 = model.xi
-        a1, a2 = model.alpha
-        q1 = min(s1, _fifo_cap(s2, x2), max(d0 - s2, a1 * d0))
-        q2 = min(s2, _fifo_cap(s1, x1), max(d0 - s1, a2 * d0))
+    rule = riemann_rule(model, inp.capacities)
+    _, q1, q2 = junction_fluxes(rule, inp.demand_upstream, inp.supplies, rule.xi)
+    q1, q2 = float(q1), float(q2)
     return (q1 + q2, q1, q2)
 
 
@@ -462,11 +462,7 @@ def _entropy_feasible(model, d0, s1, s2, fluxes):
     interior supplies (s1, s2), for some admissible interior proportions?"""
     if model.kind is DivergeModelKind.LEBACQUE:
         return _lebacque_proportions_exist(d0, s1, s2, fluxes[1], fluxes[2])
-    proportions = model.xi if model.kind is DivergeModelKind.DAGANZO_FIFO else (0.0, 0.0)
-    try:
-        local = junction_fluxes(model, d0, (s1, s2), proportions)
-    except ValueError:
-        return False
+    local = junction_fluxes(model, d0, (s1, s2), model.xi)
     return all(abs(float(local[k]) - fluxes[k]) <= _ENTROPY_TOL for k in range(3))
 
 

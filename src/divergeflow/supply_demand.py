@@ -21,18 +21,19 @@ from dataclasses import dataclass
 
 from .fundamental_diagram import FLUX_TOL, FundamentalDiagram, InvalidStateError
 
-__all__ = ["TrafficState", "Criticality", "state_of", "local_flux", "classify"]
+__all__ = ["TrafficState", "Criticality", "state_of", "classify"]
 
 
 @dataclass(frozen=True)
 class TrafficState:
-    """An immutable supply-demand point U = (D, S), both components >= 0."""
+    """An immutable supply-demand point U = (D, S), both components >= 0
+    (NaN is rejected)."""
 
     demand: float
     supply: float
 
     def __post_init__(self):
-        if self.demand < 0.0 or self.supply < 0.0:
+        if not (self.demand >= 0.0 and self.supply >= 0.0):
             raise InvalidStateError(
                 f"demand and supply must be nonnegative, got ({self.demand}, {self.supply})"
             )
@@ -46,39 +47,24 @@ class TrafficState:
 
 
 class Criticality(enum.Enum):
-    UNDER_CRITICAL = "UC"
     STRICTLY_UNDER_CRITICAL = "SUC"
-    OVER_CRITICAL = "OC"
     STRICTLY_OVER_CRITICAL = "SOC"
     CRITICAL = "C"
 
     @property
     def is_under_critical(self):
         """S = C holds (includes the critical state)."""
-        return self in (
-            Criticality.UNDER_CRITICAL,
-            Criticality.STRICTLY_UNDER_CRITICAL,
-            Criticality.CRITICAL,
-        )
+        return self in (Criticality.STRICTLY_UNDER_CRITICAL, Criticality.CRITICAL)
 
     @property
     def is_over_critical(self):
         """D = C holds (includes the critical state)."""
-        return self in (
-            Criticality.OVER_CRITICAL,
-            Criticality.STRICTLY_OVER_CRITICAL,
-            Criticality.CRITICAL,
-        )
+        return self in (Criticality.STRICTLY_OVER_CRITICAL, Criticality.CRITICAL)
 
 
 def state_of(fd: FundamentalDiagram, rho: float) -> TrafficState:
     """Map a density to its supply-demand point (D(rho), S(rho))."""
     return TrafficState(fd.demand(rho), fd.supply(rho))
-
-
-def local_flux(u: TrafficState) -> float:
-    """Flow rate q(U) = min(D, S)."""
-    return u.flux()
 
 
 def classify(u: TrafficState, capacity: float, tol: float = FLUX_TOL) -> Criticality:

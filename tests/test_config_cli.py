@@ -1,8 +1,12 @@
+from pathlib import Path
+
 import pytest
 
 from divergeflow.cli import main
 from divergeflow.config import ConfigError, build_spec, config_hash, load_config
 from divergeflow.harness import ExperimentKind
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 SMALL_VERIFY = """\
 model:
@@ -106,6 +110,39 @@ class TestCli:
         assert main(["riemann-verify", "--config", str(tmp_path / "missing.yaml"),
                      "--out", str(tmp_path / "o")]) == 2
         assert main(["no-such-command"]) == 2
+
+    def test_nan_initial_density_exits_two(self, tmp_path):
+        cfg = tmp_path / "nan.yaml"
+        cfg.write_text(
+            SMALL_VERIFY.replace("initial_densities: [1.0, 1.0, 0.1]", "initial_densities: [.nan, 1.0, 0.1]"),
+            encoding="utf-8",
+        )
+        assert main(["riemann-verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+    def test_zero_sinusoid_period_exits_two(self, tmp_path):
+        cfg = tmp_path / "period.yaml"
+        text = (CONFIGS / "convergence.yaml").read_text(encoding="utf-8")
+        assert "period: 60.0" in text
+        cfg.write_text(text.replace("period: 60.0", "period: 0.0"), encoding="utf-8")
+        assert main(["converge", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+    def test_daganzo_with_all_traffic_on_one_route_runs(self, tmp_path):
+        # the last upstream cell starts with junction proportions (1, 0):
+        # Daganzo's S2/x2 term reads as +inf instead of aborting the run;
+        # run() itself rejects a vehicle-count drift above 1e-8
+        cfg = tmp_path / "routed.yaml"
+        text = (CONFIGS / "convergence.yaml").read_text(encoding="utf-8")
+        for old, new in (
+            ("kind: lebacque", "kind: daganzo_fifo"),
+            ("initial_proportions: 0.7", "initial_proportions: 1.0\n  inflow_proportions: 0.7"),
+            ("resolutions: [40, 80, 160]", "resolutions: [10, 20]"),
+        ):
+            assert old in text
+            text = text.replace(old, new)
+        cfg.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["converge", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "verdict: PASS" in (out / "report.txt").read_text(encoding="utf-8")
 
     def test_flux_map_run(self, tmp_path):
         cfg = tmp_path / "map.yaml"

@@ -4,7 +4,9 @@ import pytest
 from divergeflow import (
     BoundaryCondition,
     BoundarySpec,
+    NumericalStabilityError,
     SimConfig,
+    Trajectory,
     daganzo_fifo,
     greenshields,
     lebacque,
@@ -46,14 +48,36 @@ class TestConfigValidation:
             )
 
     def test_initial_density_range_checked(self, trio):
-        cfg = diverge_config(trio, lebacque((0.7, 0.3)), initial_densities=(3.0, 0.0, 0.0))
         with pytest.raises(ValueError):
-            cfg.initial_state()
+            diverge_config(trio, lebacque((0.7, 0.3)), initial_densities=(3.0, 0.0, 0.0))
 
     def test_proportion_range_checked(self, trio):
-        cfg = diverge_config(trio, lebacque((0.7, 0.3)), initial_proportions=1.4)
         with pytest.raises(ValueError):
-            cfg.initial_state()
+            diverge_config(trio, lebacque((0.7, 0.3)), initial_proportions=1.4)
+
+    def test_nan_initial_data_rejected_at_construction(self, trio):
+        nan = float("nan")
+        with pytest.raises(ValueError, match="initial density"):
+            diverge_config(trio, lebacque((0.7, 0.3)), initial_densities=(nan, 1.0, 0.1))
+        with pytest.raises(ValueError, match="initial density"):
+            diverge_config(
+                trio, lebacque((0.7, 0.3)), initial_densities=(np.array([1.0] * 39 + [nan]), 1.0, 0.1)
+            )
+        with pytest.raises(ValueError, match="proportions"):
+            diverge_config(trio, lebacque((0.7, 0.3)), initial_proportions=nan)
+        with pytest.raises(ValueError, match="proportions"):
+            diverge_config(trio, lebacque((0.7, 0.3)), inflow_proportions=nan)
+
+    @pytest.mark.parametrize("period", [0.0, -60.0, float("inf"), float("nan")])
+    def test_sinusoid_period_validated(self, period):
+        with pytest.raises(ValueError):
+            BoundaryCondition.sinusoid(0.05, 0.03, period)
+
+    def test_nonfinite_boundary_values_rejected(self):
+        with pytest.raises(ValueError):
+            BoundaryCondition.sinusoid(float("nan"), 0.03, 60.0)
+        with pytest.raises(ValueError):
+            BoundaryCondition.constant(float("inf"))
 
     def test_constant_boundary_range_checked(self, trio):
         with pytest.raises(ValueError):
@@ -261,6 +285,20 @@ class TestConservation:
         cfg = diverge_config(trio, lebacque((0.7, 0.3)), cells=40, boundaries=bounds)
         traj = run(cfg)
         assert traj.conservation_drift() < 1e-8
+
+    def test_nan_drift_is_rejected(self, trio, monkeypatch):
+        monkeypatch.setattr(Trajectory, "conservation_drift", lambda self: float("nan"))
+        cfg = diverge_config(trio, lebacque((0.7, 0.3)), cells=10)
+        with pytest.raises(NumericalStabilityError, match="drifted"):
+            run(cfg)
+
+    def test_daganzo_with_all_traffic_routed_to_one_link(self, trio):
+        cfg = diverge_config(trio, daganzo_fifo((0.7, 0.3)), cells=20, initial_proportions=1.0)
+        traj = run(cfg)
+        assert traj.conservation_drift() < 1e-8
+        assert np.all(traj.junction.q2 == 0.0)
+        assert np.array_equal(traj.junction.q0, traj.junction.q1)
+        assert traj.junction.q0[0] > 0.0
 
     def test_per_step_link_balance(self, trio):
         cfg = diverge_config(trio, daganzo_fifo((0.7, 0.3)), cells=20, time_steps=800)

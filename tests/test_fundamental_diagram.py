@@ -63,6 +63,13 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             mainline.demand(np.array([0.5, 2.5]))
 
+    def test_nan_density_rejected(self, mainline):
+        for method in (mainline.flow, mainline.demand, mainline.supply):
+            with pytest.raises(ValueError):
+                method(float("nan"))
+            with pytest.raises(ValueError):
+                method(np.array([0.5, np.nan]))
+
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValueError):
             greenshields(0.0, 1.0)

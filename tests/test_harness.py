@@ -7,9 +7,14 @@ import divergeflow.harness as harness
 from divergeflow import (
     BoundaryCondition,
     BoundarySpec,
+    RiemannInput,
     SimConfig,
+    TrafficState,
     daganzo_fifo,
     lebacque,
+    partial_evacuation,
+    priority_based,
+    solve_fluxes,
     supply_proportional,
 )
 from divergeflow.harness import (
@@ -179,6 +184,45 @@ class TestFluxMap:
         (row,) = artifacts["rows"]
         assert row[4] == pytest.approx(d0 * c1 / (c1 + c2), abs=1e-12)
         assert row[5] == pytest.approx(d0 * c2 / (c1 + c2), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            daganzo_fifo((0.7, 0.3)),
+            lebacque((0.7, 0.3)),
+            supply_proportional(),
+            priority_based((0.6, 0.4)),
+            partial_evacuation((0.3, 0.2), (0.55, 0.45)),
+        ],
+        ids=lambda m: m.kind.value,
+    )
+    def test_rows_equal_solve_fluxes(self, trio, model):
+        caps = tuple(fd.capacity for fd in trio)
+        sweep = SweepSpec(
+            demand_upstream=(0.0, 1.1 * caps[0], 6),  # the top end is clipped to C0
+            supply_1=(0.0, caps[1], 7),
+            supply_2=(0.0, caps[2], 5),
+        )
+        sim = SimConfig(
+            model=model, diagrams=trio, cells_per_link=1,
+            time_steps=1, link_length=1.0, horizon=0.5,
+        )
+        spec = ExperimentSpec(kind=ExperimentKind.FLUX_MAP, sim=sim, sweep=sweep)
+        _, artifacts = flux_map(spec)
+        rows = artifacts["rows"]
+        assert len(rows) == 6 * 7 * 5
+        for d0, s1, s2, q0, q1, q2, _ in rows:
+            inp = RiemannInput(
+                trio[0], TrafficState(d0, caps[0]),
+                (trio[1], trio[2]), (TrafficState(caps[1], s1), TrafficState(caps[2], s2)),
+            )
+            assert (q0, q1, q2) == solve_fluxes(model, inp)
+
+    def test_negative_sweep_rejected(self):
+        with pytest.raises(ValueError):
+            SweepSpec(demand_upstream=(-0.1, 0.2, 3), supply_1=(0.0, 0.1, 2), supply_2=(0.0, 0.1, 2))
+        with pytest.raises(ValueError):
+            SweepSpec(demand_upstream=(0.2, 0.2, 1), supply_1=(0.0, float("nan"), 2), supply_2=(0.0, 0.1, 2))
 
     def test_empty_corner(self, trio):
         sweep = SweepSpec(

@@ -8,10 +8,12 @@ from divergeflow import (
     check_interior_admissible,
     check_stationary_admissible,
     daganzo_fifo,
+    junction_fluxes,
     lebacque,
     local_discrete_flux,
     partial_evacuation,
     priority_based,
+    riemann_rule,
     solve,
     solve_fluxes,
     state_of,
@@ -266,14 +268,50 @@ class TestLocalDiscreteFlux:
         q = local_discrete_flux(supply_proportional(), up, down, (0.5, 0.5))
         assert q == (0.0, 0.0, 0.0)
 
-    def test_daganzo_rejects_zero_junction_proportion(self, congested_diverge_input):
-        with pytest.raises(ValueError):
-            local_discrete_flux(
-                daganzo_fifo((0.7, 0.3)),
-                congested_diverge_input.upstream_state,
-                congested_diverge_input.downstream_states,
-                (0.0, 1.0),
-            )
+    def test_daganzo_zero_junction_proportion_limit(self, congested_diverge_input):
+        inp = congested_diverge_input
+        q0, q1, q2 = local_discrete_flux(
+            daganzo_fifo((0.7, 0.3)), inp.upstream_state, inp.downstream_states, (0.0, 1.0)
+        )
+        want = min(inp.demand_upstream, inp.supplies[1])
+        assert q1 == 0.0
+        assert q0 == q2 == want
+
+    def test_daganzo_zero_share_in_arrays(self):
+        # S/x reads as +inf where x = 0, also for a zero supply
+        d0 = np.array([0.3, 0.3, 0.3])
+        s1 = np.array([0.0, 0.1, 0.2])
+        s2 = np.array([0.05, 0.0, 0.0])
+        x1 = np.array([0.0, 1.0, 0.5])
+        q0, q1, q2 = junction_fluxes(daganzo_fifo((0.7, 0.3)), d0, (s1, s2), (x1, 1.0 - x1))
+        np.testing.assert_array_equal(q0, [0.05, 0.1, 0.0])
+        np.testing.assert_array_equal(q1, [0.0, 0.1, 0.0])
+        np.testing.assert_array_equal(q2, [0.05, 0.0, 0.0])
+
+
+class TestRiemannRule:
+    def test_counterparts(self, congested_diverge_input):
+        caps = congested_diverge_input.capacities
+        xi = (0.7, 0.3)
+        assert riemann_rule(lebacque(xi), caps) == daganzo_fifo(xi)
+        c1, c2 = caps[1], caps[2]
+        capacity_priority = priority_based((c1 / (c1 + c2), c2 / (c1 + c2)))
+        assert riemann_rule(supply_proportional(), caps) == capacity_priority
+        for model in (daganzo_fifo(xi), priority_based((0.6, 0.4)), partial_evacuation((0.3, 0.2), (0.55, 0.45))):
+            assert riemann_rule(model, caps) is model
+
+    def test_solve_fluxes_evaluates_the_rule_at_the_initial_states(self, congested_diverge_input):
+        inp = congested_diverge_input
+        for model in (
+            daganzo_fifo((0.7, 0.3)),
+            lebacque((0.7, 0.3)),
+            supply_proportional(),
+            priority_based((0.6, 0.4)),
+            partial_evacuation((0.3, 0.2), (0.55, 0.45)),
+        ):
+            rule = riemann_rule(model, inp.capacities)
+            _, q1, q2 = junction_fluxes(rule, inp.demand_upstream, inp.supplies, rule.xi)
+            assert solve_fluxes(model, inp) == (q1 + q2, q1, q2)
 
 
 class TestAdmissibilityChecks:

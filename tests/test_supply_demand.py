@@ -6,7 +6,6 @@ from divergeflow import (
     InvalidStateError,
     TrafficState,
     classify,
-    local_flux,
     state_of,
 )
 
@@ -33,18 +32,24 @@ class TestStateOf:
 class TestLocalFlux:
     def test_congested_state_flows_at_supply(self, mainline):
         u = state_of(mainline, 1.0)
-        assert local_flux(u) == u.supply
+        assert u.flux() == u.supply
 
     def test_free_state_flows_at_demand(self, ramp):
         u = state_of(ramp, 0.1)
-        assert local_flux(u) == u.demand
+        assert u.flux() == u.demand
 
     def test_empty(self):
-        assert local_flux(TrafficState(0.0, 0.25)) == 0.0
+        assert TrafficState(0.0, 0.25).flux() == 0.0
 
     def test_negative_components_rejected(self):
         with pytest.raises(InvalidStateError):
             TrafficState(-0.1, 0.2)
+
+    def test_nan_components_rejected(self):
+        with pytest.raises(InvalidStateError):
+            TrafficState(float("nan"), 1.0)
+        with pytest.raises(InvalidStateError):
+            TrafficState(1.0, float("nan"))
 
 
 class TestClassify:
@@ -88,6 +93,6 @@ class TestClassify:
     def test_flux_through_states_matches_flow(self, all_diagrams):
         for fd in all_diagrams:
             for rho in np.linspace(0.0, fd.jam_density, 201):
-                assert local_flux(state_of(fd, float(rho))) == pytest.approx(
+                assert state_of(fd, float(rho)).flux() == pytest.approx(
                     fd.flow(float(rho)), abs=1e-12
                 )

@@ -103,6 +103,8 @@ def _build_boundary(section):
     if kind is BoundaryKind.NEUMANN:
         return BoundaryCondition.neumann()
     if kind is BoundaryKind.CONSTANT:
+        if "value" not in section:
+            raise ConfigError(f"constant boundary condition needs a value: {section!r}")
         return BoundaryCondition.constant(section["value"])
     return BoundaryCondition.sinusoid(
         section.get("offset", 0.0), section.get("amplitude", 0.0), section.get("period", 60.0)
@@ -169,11 +171,11 @@ def build_spec(doc, kind, seed=0):
         fsec = doc.get("flux_map")
         if fsec is None:
             raise ConfigError("flux-map needs a flux_map section")
-        sweep = SweepSpec(
-            demand_upstream=_build_axis(fsec["demand_upstream"], "demand_upstream"),
-            supply_1=_build_axis(fsec["supply_1"], "supply_1"),
-            supply_2=_build_axis(fsec["supply_2"], "supply_2"),
-        )
+        names = ("demand_upstream", "supply_1", "supply_2")
+        missing = [name for name in names if name not in fsec]
+        if missing:
+            raise ConfigError(f"flux_map section is missing {', '.join(missing)}")
+        sweep = SweepSpec(*(_build_axis(fsec[name], name) for name in names))
         if sim is None:
             # flux maps evaluate closed forms only; the placeholder grid is
             # never stepped

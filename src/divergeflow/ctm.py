@@ -166,10 +166,10 @@ class SimConfig:
             raise ValueError("link_length and horizon must be positive")
         if self.snapshot_every < 1:
             raise ValueError("snapshot_every must be positive")
-        vmax = max(fd.free_flow_speed for fd in self.diagrams)
+        vmax = max(fd.max_wave_speed for fd in self.diagrams)
         if vmax * self.dt / self.dx > 1.0 + 1e-12:
             raise ValueError(
-                f"CFL violated: v_f * dt/dx = {vmax * self.dt / self.dx:.6f} > 1"
+                f"CFL violated: max|Q'| * dt/dx = {vmax * self.dt / self.dx:.6f} > 1"
             )
         bc = self.boundaries.upstream_demand
         if bc.kind is BoundaryKind.CONSTANT and not (

@@ -191,6 +191,17 @@ class FundamentalDiagram:
         out = np.where(rho >= self.critical_density, self._flow_unchecked(rho), self.capacity)
         return float(out) if out.ndim == 0 else out
 
+    @property
+    def max_wave_speed(self):
+        """max |Q'(rho)| on [0, rho_jam], the speed a CFL condition must use.
+
+        Every shipped law is concave, so |Q'| peaks at an end of the domain,
+        and the free-flow end never loses: Q'(0) = v_f for all four laws,
+        while |Q'(rho_jam)| is v_f for Greenshields and v_f / 4 for the
+        triangular and exponential laws.
+        """
+        return self.free_flow_speed
+
     def flow_derivative(self, rho, step=1e-6):
         """Q'(rho) by central finite difference, one-sided at the domain ends."""
         rho = float(rho)
@@ -203,8 +214,10 @@ class FundamentalDiagram:
 
         Under-critical states (supply equal to capacity) map to the density
         with Q(rho) = demand on the rising branch; over-critical states map to
-        Q(rho) = supply on the falling branch.  Raises InvalidStateError when
-        max(demand, supply) differs from the capacity beyond FLUX_TOL.
+        Q(rho) = supply on the falling branch.  The triangular and Greenshields
+        laws invert in closed form, the exponential laws by safeguarded Newton
+        to within tol.  Raises InvalidStateError when max(demand, supply)
+        differs from the capacity beyond FLUX_TOL.
         """
         d, s = state.demand, state.supply
         if abs(max(d, s) - self.capacity) > FLUX_TOL:
@@ -214,22 +227,52 @@ class FundamentalDiagram:
         critical = abs(d - s) <= FLUX_TOL
         if critical:
             return self.critical_density
-        if s > d:  # under-critical: rising branch
-            return self._bisect_flow(d, 0.0, self.critical_density, increasing=True, tol=tol)
-        return self._bisect_flow(s, self.critical_density, self.jam_density, increasing=False, tol=tol)
+        rising = s > d  # under-critical: rising branch
+        target = d if rising else s
+        v_f, rho_c, rho_jam = self.free_flow_speed, self.critical_density, self.jam_density
+        if self.kind is DiagramKind.TRIANGULAR:
+            return target / v_f if rising else rho_jam - target / (_TRIANGULAR_WAVE_RATIO * v_f)
+        if self.kind is DiagramKind.GREENSHIELDS:
+            # Q = C (1 - (rho / rho_c - 1)^2) with C = v_f * rho_jam / 4
+            root = math.sqrt(max(0.0, 1.0 - target / self.capacity))
+            return rho_c * (target / self.capacity) / (1.0 + root) if rising else rho_c * (1.0 + root)
+        # Both exponential laws are concave with slope v_f at 0 and
+        # -v_f / 4 at jam, so these starts sit on the far side of the root
+        # from the peak and Newton approaches it monotonically.
+        if rising:
+            return self._newton_flow(target, 0.0, rho_c, target / v_f, rising, tol)
+        start = rho_jam - target / (_TRIANGULAR_WAVE_RATIO * v_f)
+        return self._newton_flow(target, rho_c, rho_jam, start, rising, tol)
 
-    def _bisect_flow(self, target, a, b, increasing, tol):
-        # Q - target changes sign once on [a, b] by monotonicity.
+    def _exp_flow_and_slope(self, rho):
+        """Q(rho) and Q'(rho) of an exponential law."""
+        v_f, rho_jam = self.free_flow_speed, self.jam_density
+        if rho < rho_jam / 1000.0:
+            return v_f * rho, v_f
+        grow = math.exp(0.25 * (rho_jam / rho - 1.0))
+        decay = math.exp(1.0 - grow)
+        return (
+            v_f * rho * (1.0 - decay),
+            v_f * (1.0 - decay - 0.25 * (rho_jam / rho) * decay * grow),
+        )
+
+    def _newton_flow(self, target, a, b, rho, increasing, tol):
+        # Q - target changes sign once on [a, b]; a Newton step that leaves
+        # the shrinking bracket (or meets a zero slope) becomes a bisection.
+        rho = min(max(rho, a), b)
         for _ in range(200):
-            mid = 0.5 * (a + b)
-            below = float(self._flow_unchecked(mid)) < target
-            if below == increasing:
-                a = mid
+            flow, slope = self._exp_flow_and_slope(rho)
+            if (flow < target) == increasing:
+                a = rho
             else:
-                b = mid
-            if b - a <= tol:
-                break
-        return 0.5 * (a + b)
+                b = rho
+            step = rho - (flow - target) / slope if slope else math.nan
+            if not a <= step <= b:
+                step = 0.5 * (a + b)
+            if abs(step - rho) <= tol or b - a <= tol:
+                return step
+            rho = step
+        return rho
 
 
 def del_castillo_mainline():

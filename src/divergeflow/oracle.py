@@ -24,6 +24,10 @@ The surviving triples, deduplicated, should be exactly one point: the flux
 solution.  Everything here is deliberately decoupled from the closed forms
 under test; only the local entropy rules themselves are (independently)
 re-evaluated.
+
+`probe_interior_unique` cross-checks the closed-form interior uniqueness
+flags of `riemann.solve` the same way: it scans each tight link's interior
+coordinate over its whole range for a second state the entropy rule accepts.
 """
 
 from __future__ import annotations
@@ -34,11 +38,17 @@ import numpy as np
 
 from .riemann import DivergeModelKind, RiemannInput
 
-__all__ = ["OracleResult", "brute_force_fluxes"]
+__all__ = ["OracleResult", "brute_force_fluxes", "probe_interior_unique"]
 
 _BOUND_TOL = 1e-9  # tight-versus-strict decision for candidate bounds
 _FEAS_TOL = 5e-8  # residual below which an entropy equality counts as met
 _DEDUP_TOL = 1e-7
+# interior uniqueness probe: scan points per link, the flux residual accepted
+# as a match, and the distance below which a point is the canonical interior
+_PROBE_POINTS = 33
+_PROBE_TOL = 1e-10
+_PROBE_EXCLUDE = 1e-9
+_PROBE_TIGHT_TOL = 1e-12  # the solver's tight-bound decision
 
 
 @dataclass(frozen=True)
@@ -307,3 +317,55 @@ def brute_force_fluxes(model, inp: RiemannInput, flux_grid=41, scan_grid=21):
         if not any(max(abs(a - b) for a, b in zip(trip, kept)) <= _DEDUP_TOL for kept in deduped):
             deduped.append(trip)
     return OracleResult(tuple(deduped))
+
+
+# ---------------------------------------------------------------------------
+# interior uniqueness: scan each tight link's interior coordinate
+
+def _reproduces(model, d, s1, s2, fluxes):
+    """Does the local rule reproduce `fluxes` at interior demand d and
+    interior supplies (s1, s2), for some admissible interior split?"""
+    q0, q1, q2 = fluxes
+    if model.kind is DivergeModelKind.LEBACQUE:
+        return _lebacque_feasible(q0, q1, q2, (d, d), (s1, s1), (s2, s2), tol=_PROBE_TOL)
+    if model.kind is DivergeModelKind.DAGANZO_FIFO:
+        t1, t2 = s1 / model.xi[0], s2 / model.xi[1]
+        return _min_equation_feasible(q0, [(d, d), (t1, t1), (t2, t2)], tol=_PROBE_TOL)
+    r1, r2 = (float(q) for q in _rule_pair(model, d, s1, s2))
+    return all(abs(a - b) <= _PROBE_TOL for a, b in zip((r1 + r2, r1, r2), fluxes))
+
+
+def probe_interior_unique(model, inp: RiemannInput, solution):
+    """Interior uniqueness flags (upstream, down 1, down 2) by scanning.
+
+    A strict bound (q0 < D0, qi < Si) pins the link's interior.  For a tight
+    one, _PROBE_POINTS evenly spaced values of the interior demand (upstream)
+    or supply (downstream) over [0, capacity], plus the initial value, the
+    flux and the capacity, are tried with the other links at the solution's
+    interiors; the link is unique when no value away from its canonical
+    interior reproduces the fluxes.
+    """
+    fluxes = solution.fluxes
+    d0 = inp.demand_upstream
+    supplies = inp.supplies
+    caps = inp.capacities
+    point = (
+        solution.interior_upstream.demand,
+        solution.interior_downstream[0].supply,
+        solution.interior_downstream[1].supply,
+    )
+    bounds = (d0,) + tuple(supplies)
+    flags = []
+    for k in range(3):
+        if fluxes[k] < bounds[k] - _PROBE_TIGHT_TOL:
+            flags.append(True)
+            continue
+        values = list(np.linspace(0.0, caps[k], _PROBE_POINTS))
+        values += [v for v in (bounds[k], fluxes[k], caps[k]) if 0.0 <= v <= caps[k]]
+        found = any(
+            _reproduces(model, *point[:k], x, *point[k + 1:], fluxes)
+            for x in values
+            if abs(x - point[k]) > _PROBE_EXCLUDE
+        )
+        flags.append(not found)
+    return tuple(flags)

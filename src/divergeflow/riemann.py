@@ -33,6 +33,19 @@ supply-proportional rule those of the priority rule with weights
 ci / (c1 + c2).  riemann_rule names that counterpart rule and solve_fluxes
 evaluates it; solve adds stationary states, canonical interior states,
 interior turning proportions, and per-link uniqueness flags.
+
+The uniqueness flags follow from which bounds are tight.  A strict bound
+(q0 < D0, qi < Si) pins the link's interior state to its stationary state.
+A tight bound leaves the interior demand (upstream) or supply (downstream)
+free exactly when the link has room to raise it (more than 1e-9 below
+capacity) and the fluxes do not move as it rises from its canonical value:
+
+    DAGANZO_FIFO, LEBACQUE   a second bound is tight too (it fixes q0)
+    evacuation rules         q1 and q2 have zero right-hand slope in that
+                             coordinate at the canonical interiors
+
+The slopes come from the binding min/max terms, a tie counting every tied
+term.  oracle.probe_interior_unique checks these flags by scanning.
 """
 
 from __future__ import annotations
@@ -69,9 +82,11 @@ __all__ = [
 # Regime branches (is q0 equal to D0, is qi equal to Si) are decided with this
 # absolute tolerance; ties resolve to the equality branch.
 TIE_TOL = 1e-12
-# Entropy equalities in the uniqueness probe are accepted at this tolerance.
-_ENTROPY_TOL = 1e-10
-_PROBE_POINTS = 33
+# A tight link's interior is free only where it has more than _ROOM of its
+# range left to rise in, and the fluxes count as not moving below _SLOPE_TOL:
+# the supply-proportional slope at s2 = 0, S1 = D0 is -1 + 1 up to rounding.
+_ROOM = 1e-9
+_SLOPE_TOL = 1e-9
 
 
 class DivergeModelKind(enum.Enum):
@@ -167,12 +182,14 @@ def partial_evacuation(xi, alpha):
 
 @dataclass(frozen=True)
 class RiemannInput:
-    """Initial states of the three links, each bound to its diagram."""
+    """Initial states of the three links, each bound to its diagram, and the
+    initial densities when the states were built from them."""
 
     upstream_diagram: FundamentalDiagram
     upstream_state: TrafficState
     downstream_diagrams: tuple[FundamentalDiagram, FundamentalDiagram]
     downstream_states: tuple[TrafficState, TrafficState]
+    densities: tuple[float, float, float] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "downstream_diagrams", tuple(self.downstream_diagrams))
@@ -190,8 +207,19 @@ class RiemannInput:
     def from_densities(cls, diagrams, densities):
         """Build the input from three diagrams and three initial densities."""
         fd0, fd1, fd2 = diagrams
-        r0, r1, r2 = densities
-        return cls(fd0, state_of(fd0, r0), (fd1, fd2), (state_of(fd1, r1), state_of(fd2, r2)))
+        r0, r1, r2 = (float(r) for r in densities)
+        return cls(
+            fd0, state_of(fd0, r0), (fd1, fd2), (state_of(fd1, r1), state_of(fd2, r2)), (r0, r1, r2)
+        )
+
+    def initial_density(self, link):
+        """Initial density of link 0 (upstream), 1 or 2: the one the input
+        was built from, else the inverse of the link's state."""
+        if self.densities is not None:
+            return self.densities[link]
+        if link == 0:
+            return self.upstream_diagram.density_from_state(self.upstream_state)
+        return self.downstream_diagrams[link - 1].density_from_state(self.downstream_states[link - 1])
 
     @property
     def demand_upstream(self):
@@ -432,84 +460,103 @@ def _canonical_interiors(model, inp, fluxes, stationary_up, stationary_down):
     return interior_up, tuple(interior_down)
 
 
-def _lebacque_proportions_exist(d0, s1, s2, q1, q2, tol=_ENTROPY_TOL):
-    """Is there a proportion pair (p1, p2), p1 + p2 = 1, with
-    min(pi * d0, si) = qi for both links?"""
-    if d0 <= tol:
-        return q1 <= tol and q2 <= tol
-    options = []
-    for si, qi in ((s1, q1), (s2, q2)):
-        intervals = []
-        x = qi / d0
-        if x <= 1.0 + tol:
-            x = min(max(x, 0.0), 1.0)
-            if si >= qi - tol:
-                intervals.append((x, x))  # demand share binds
-            if abs(si - qi) <= tol:
-                intervals.append((x, 1.0))  # supply binds, share is slack
-        if not intervals:
-            return False
-        options.append(intervals)
-    for lo1, hi1 in options[0]:
-        for lo2, hi2 in options[1]:
-            if lo1 + lo2 <= 1.0 + tol and hi1 + hi2 >= 1.0 - tol:
-                return True
-    return False
+class _Sided:
+    """A value with its right-hand slope as one interior coordinate grows
+    from its canonical value (that coordinate carries slope 1)."""
+
+    __slots__ = ("value", "slope")
+
+    def __init__(self, value, slope=0.0):
+        self.value = value
+        self.slope = slope
+
+    def __add__(self, other):
+        return _Sided(self.value + other.value, self.slope + other.slope)
+
+    def __sub__(self, other):
+        return _Sided(self.value - other.value, self.slope - other.slope)
+
+    def __mul__(self, other):
+        if isinstance(other, _Sided):
+            return _Sided(
+                self.value * other.value, self.slope * other.value + self.value * other.slope
+            )
+        return _Sided(self.value * other, self.slope * other)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, _Sided):
+            ratio = self.value / other.value
+            return _Sided(ratio, (self.slope - ratio * other.slope) / other.value)
+        return _Sided(self.value / other, self.slope / other)
 
 
-def _entropy_feasible(model, d0, s1, s2, fluxes):
-    """Can the local rule reproduce `fluxes` at interior demand d0 and
-    interior supplies (s1, s2), for some admissible interior proportions?"""
-    if model.kind is DivergeModelKind.LEBACQUE:
-        return _lebacque_proportions_exist(d0, s1, s2, fluxes[1], fluxes[2])
-    local = junction_fluxes(model, d0, (s1, s2), model.xi)
-    return all(abs(float(local[k]) - fluxes[k]) <= _ENTROPY_TOL for k in range(3))
+def _sided_min(*terms):
+    """min of the terms; of the tied ones, the slowest-growing one leads."""
+    low = min(t.value for t in terms)
+    return _Sided(low, min(t.slope for t in terms if t.value <= low + TIE_TOL))
 
 
-def _probe_values(lo, hi, extras):
-    values = list(np.linspace(lo, hi, _PROBE_POINTS))
-    values.extend(v for v in extras if lo <= v <= hi)
-    return values
+def _sided_max(*terms):
+    """max of the terms; of the tied ones, the fastest-growing one leads."""
+    high = max(t.value for t in terms)
+    return _Sided(high, max(t.slope for t in terms if t.value >= high - TIE_TOL))
+
+
+def _sided_evacuation_fluxes(model, d0, s1, s2):
+    """(q1, q2) of an evacuation rule on _Sided quantities: the values are
+    junction_fluxes', the slopes its right-hand derivatives."""
+    if model.kind is DivergeModelKind.SUPPLY_PROPORTIONAL:
+        total = s1 + s2
+        if total.value <= 0.0:
+            return _sided_min(s1, d0), _sided_min(s2, d0)
+        scale = _sided_min(_Sided(1.0), d0 / total)
+        return scale * s1, scale * s2
+    a1, a2 = model.alpha
+    caps1 = [s1, _sided_max(d0 - s2, a1 * d0)]
+    caps2 = [s2, _sided_max(d0 - s1, a2 * d0)]
+    if model.kind is DivergeModelKind.PARTIAL_EVACUATION:
+        x1, x2 = model.xi
+        if x2 > 0.0:
+            caps1.append(s2 * (1.0 - x2) / x2)
+        if x1 > 0.0:
+            caps2.append(s1 * (1.0 - x1) / x1)
+    return _sided_min(*caps1), _sided_min(*caps2)
 
 
 def _interior_unique_flags(model, inp, fluxes, interiors):
-    """For each link, scan the admissible interior range for a state other
-    than the canonical one that still satisfies the entropy rule (holding the
-    other links at their canonical interiors)."""
+    """Per link (upstream, down 1, down 2): is its interior state the only one
+    the entropy rule accepts?  The rule is stated in the module docstring.
+
+    Only raising a tight link's coordinate above its canonical value can
+    leave the fluxes in place: lowering it lowers q0 <= D or qi <= Si, which
+    bind there, or, at a distinct supply-proportional interior, the strictly
+    rising qi = D Si / (S1 + S2).
+    """
     q0, q1, q2 = fluxes
     d0 = inp.demand_upstream
     s1, s2 = inp.supplies
-    c0, c1, c2 = inp.capacities
+    caps = inp.capacities
+    tight = (q0 >= d0 - TIE_TOL, q1 >= s1 - TIE_TOL, q2 >= s2 - TIE_TOL)
     interior_up, interior_down = interiors
-    d0c = interior_up.demand
-    s1c = interior_down[0].supply
-    s2c = interior_down[1].supply
-    exclude = 1e-9
-
+    point = (interior_up.demand, interior_down[0].supply, interior_down[1].supply)
     flags = []
-    if q0 < d0 - TIE_TOL:
-        flags.append(True)  # over-critical stationary pins the interior
-    else:
-        found = any(
-            abs(x - d0c) > exclude and _entropy_feasible(model, x, s1c, s2c, fluxes)
-            for x in _probe_values(0.0, c0, (d0, q0, c0))
-        )
-        flags.append(not found)
-    downstream = ((q1, s1, c1, s1c), (q2, s2, c2, s2c))
-    for i, (qi, si, ci, sic) in enumerate(downstream):
-        if qi < si - TIE_TOL:
-            flags.append(True)  # under-critical stationary pins the interior
-            continue
-        found = False
-        for x in _probe_values(0.0, ci, (si, qi, ci, sic)):
-            if abs(x - sic) <= exclude:
-                continue
-            trial = (x, s2c) if i == 0 else (s1c, x)
-            if _entropy_feasible(model, d0c, trial[0], trial[1], fluxes):
-                found = True
-                break
-        flags.append(not found)
+    for k in range(3):
+        free = tight[k] and caps[k] - point[k] > _ROOM
+        if free and model.kind in _FIFO_KINDS:
+            free = any(tight[m] for m in range(3) if m != k)
+        elif free:
+            free = _fluxes_flat(model, point, k)
+        flags.append(not free)
     return tuple(flags)
+
+
+def _fluxes_flat(model, point, k):
+    """Do both fluxes have zero slope as coordinate k of the interior point
+    (d0, s1, s2) grows?"""
+    args = [_Sided(v, 1.0 if m == k else 0.0) for m, v in enumerate(point)]
+    return all(abs(q.slope) <= _SLOPE_TOL for q in _sided_evacuation_fluxes(model, *args))
 
 
 def solve(model, inp):

@@ -104,9 +104,8 @@ def link_waves(solution: RiemannSolution, inp: RiemannInput, speed_tol=SPEED_TOL
     indicate a solver defect rather than bad input.
     """
     fd0 = inp.upstream_diagram
-    rho_init = fd0.density_from_state(inp.upstream_state)
     rho_stat = fd0.density_from_state(solution.stationary_upstream)
-    up = classify_wave(fd0, rho_init, rho_stat)
+    up = classify_wave(fd0, inp.initial_density(0), rho_stat)
     if up.max_speed > speed_tol:
         raise WaveConsistencyError(
             f"upstream wave speed {up.max_speed} > 0 for {up.kind.value}"
@@ -115,8 +114,7 @@ def link_waves(solution: RiemannSolution, inp: RiemannInput, speed_tol=SPEED_TOL
     for i in range(2):
         fd = inp.downstream_diagrams[i]
         rho_stat_i = fd.density_from_state(solution.stationary_downstream[i])
-        rho_init_i = fd.density_from_state(inp.downstream_states[i])
-        w = classify_wave(fd, rho_stat_i, rho_init_i)
+        w = classify_wave(fd, rho_stat_i, inp.initial_density(i + 1))
         if w.min_speed < -speed_tol:
             raise WaveConsistencyError(
                 f"downstream wave speed {w.min_speed} < 0 for {w.kind.value} on link {i + 1}"

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import settings
 
 from divergeflow import (
     RiemannInput,
@@ -36,3 +37,8 @@ def congested_diverge_input(trio):
     """Congested mainline feeding a free-flowing ramp: both upstream links at
     density 1, the ramp at 0.1 (the worked example reproduced throughout)."""
     return RiemannInput.from_densities(trio, (1.0, 1.0, 0.1))
+
+
+# Property tests draw the same examples on every run and have no time limit.
+settings.register_profile("divergeflow", derandomize=True, deadline=None, database=None)
+settings.load_profile("divergeflow")

@@ -126,6 +126,24 @@ class TestCli:
         cfg.write_text(text.replace("period: 60.0", "period: 0.0"), encoding="utf-8")
         assert main(["converge", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
+    def test_constant_boundary_without_value_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "constant.yaml"
+        text = (CONFIGS / "convergence.yaml").read_text(encoding="utf-8")
+        assert "      - {kind: neumann}\n" in text
+        cfg.write_text(text.replace("      - {kind: neumann}\n", "      - {kind: constant}\n"), encoding="utf-8")
+        assert main(["converge", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("axis", ["demand_upstream", "supply_1", "supply_2"])
+    def test_flux_map_section_missing_an_axis_exits_two(self, tmp_path, capsys, axis):
+        cfg = tmp_path / "map.yaml"
+        lines = (CONFIGS / "flux_map.yaml").read_text(encoding="utf-8").splitlines(keepends=True)
+        kept = [line for line in lines if not line.lstrip().startswith(f"{axis}:")]
+        assert len(kept) == len(lines) - 1
+        cfg.write_text("".join(kept), encoding="utf-8")
+        assert main(["flux-map", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert axis in capsys.readouterr().err
+
     def test_daganzo_with_all_traffic_on_one_route_runs(self, tmp_path):
         # the last upstream cell starts with junction proportions (1, 0):
         # Daganzo's S2/x2 term reads as +inf instead of aborting the run;

@@ -47,6 +47,17 @@ class TestConfigValidation:
                 time_steps=10,  # dt = 36, dx = 1
             )
 
+    def test_cfl_limit_is_the_largest_wave_speed(self, all_diagrams):
+        # max |Q'| equals v_f for every shipped law, so the check accepts and
+        # rejects the same grids as a v_f-based one
+        for fd in all_diagrams:
+            assert fd.max_wave_speed == fd.free_flow_speed
+            grid = dict(model=lebacque((0.7, 0.3)), diagrams=(fd, fd, fd), cells_per_link=10)
+            horizon = 10.0 / fd.max_wave_speed  # dx = 1, so 10 steps sit on the limit
+            SimConfig(**grid, time_steps=10, horizon=horizon)
+            with pytest.raises(ValueError, match="CFL"):
+                SimConfig(**grid, time_steps=9, horizon=horizon)
+
     def test_initial_density_range_checked(self, trio):
         with pytest.raises(ValueError):
             diverge_config(trio, lebacque((0.7, 0.3)), initial_densities=(3.0, 0.0, 0.0))

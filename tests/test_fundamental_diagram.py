@@ -1,12 +1,28 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from divergeflow import (
     InvalidStateError,
     TrafficState,
+    del_castillo_mainline,
+    del_castillo_ramp,
     greenshields,
     state_of,
     triangular,
+)
+from divergeflow.fundamental_diagram import DENSITY_TOL, FLUX_TOL
+
+# the four laws, two of them off their default parameters, for tests
+# parametrized per law
+LAWS = (
+    del_castillo_mainline(),
+    del_castillo_ramp(),
+    triangular(1.0, 1.0),
+    greenshields(1.0, 1.0),
+    triangular(2.0, 3.0),
+    greenshields(0.5, 2.0),
 )
 
 # Reported values are quoted to four decimals; assert to half a unit in the
@@ -148,3 +164,46 @@ class TestDensityInversion:
     def test_inconsistent_state_rejected(self, mainline):
         with pytest.raises(InvalidStateError):
             mainline.density_from_state(TrafficState(0.1, 0.1))
+
+    def test_closed_form_inverses(self):
+        tri = triangular(2.0, 3.0)  # v_f = 2, w = 0.5
+        assert tri.density_from_state(TrafficState(0.5, tri.capacity)) == 0.25
+        assert tri.density_from_state(TrafficState(tri.capacity, 0.5)) == 2.0
+        gs = greenshields(1.0, 1.0)  # Q = rho (1 - rho), C = 1/4
+        assert gs.density_from_state(TrafficState(0.16, 0.25)) == pytest.approx(0.2, abs=1e-15)
+        assert gs.density_from_state(TrafficState(0.25, 0.16)) == pytest.approx(0.8, abs=1e-15)
+
+    @pytest.mark.parametrize("fd", LAWS[:2], ids=lambda fd: fd.kind.value)
+    def test_newton_inverse_meets_the_density_tolerance(self, fd):
+        # the root brackets Q(rho) = q by one DENSITY_TOL on either side
+        for rho in np.linspace(0.0, fd.jam_density, 203)[1:-1]:
+            u = state_of(fd, float(rho))
+            if abs(u.demand - u.supply) <= FLUX_TOL:
+                continue
+            back = fd.density_from_state(u)
+            q, lo, hi = u.flux(), fd.flow(back - DENSITY_TOL), fd.flow(back + DENSITY_TOL)
+            assert min(lo, hi) <= q <= max(lo, hi)
+
+
+@pytest.mark.parametrize("fd", LAWS, ids=lambda fd: fd.kind.value)
+@given(fraction=st.floats(0.0, 1.0))
+def test_density_round_trip_property(fd, fraction):
+    """density_from_state inverts state_of to 1e-8, except that a state
+    within FLUX_TOL of critical is the critical state by definition."""
+    rho = fraction * fd.jam_density
+    u = state_of(fd, rho)
+    back = fd.density_from_state(u)
+    if abs(u.demand - u.supply) <= FLUX_TOL:
+        assert back == fd.critical_density
+    else:
+        assert back == pytest.approx(rho, abs=1e-8)
+
+
+@pytest.mark.parametrize("fd", LAWS, ids=lambda fd: fd.kind.value)
+def test_max_wave_speed_is_the_largest_flux_slope(fd):
+    rho = np.linspace(0.0, fd.jam_density, 200001)
+    slopes = np.abs(np.diff(fd.flow(rho)) / np.diff(rho))
+    # chord slopes are averages of Q', so they never exceed max |Q'|, and on
+    # this grid they come within 1e-4 of it
+    assert slopes.max() <= fd.max_wave_speed * (1.0 + 1e-12)
+    assert slopes.max() >= fd.max_wave_speed * (1.0 - 1e-4)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from divergeflow import (
+    FundamentalDiagram,
     RiemannInput,
     WaveKind,
     classify_wave,
@@ -82,6 +83,29 @@ class TestLinkWaves:
         )
         for w in link_waves(solve(model, consistent), consistent):
             assert w.kind is WaveKind.NONE
+
+    def test_initial_densities_are_kept_not_inverted(self, trio, monkeypatch):
+        densities = (1.0, 1.0, 0.1)
+        inp = RiemannInput.from_densities(trio, densities)
+        assert inp.densities == densities
+        sol = solve(lebacque((0.7, 0.3)), inp)
+        inverted = []
+        real = FundamentalDiagram.density_from_state
+
+        def counting(fd, state, *args, **kwargs):
+            inverted.append(state)
+            return real(fd, state, *args, **kwargs)
+
+        monkeypatch.setattr(FundamentalDiagram, "density_from_state", counting)
+        kept = link_waves(sol, inp)
+        assert inverted == [sol.stationary_upstream, *sol.stationary_downstream]
+        # an input given as states alone inverts them and finds the same waves
+        bare = RiemannInput(inp.upstream_diagram, inp.upstream_state,
+                            inp.downstream_diagrams, inp.downstream_states)
+        assert bare.densities is None
+        for a, b in zip(kept, link_waves(sol, bare)):
+            assert a.kind is b.kind
+            assert a.speed_range == pytest.approx(b.speed_range, abs=1e-8)
 
     def test_randomized_sign_admissibility(self, trio):
         rng = np.random.default_rng(11)

@@ -65,6 +65,17 @@ def config_hash(doc):
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def _section(parent, key, kind, default=None):
+    """parent[key], or default when it is absent or null, checked to be a
+    mapping (kind dict) or a list (kind list) before anything reads it."""
+    section = parent.get(key)
+    if section is None:
+        return default
+    if not isinstance(section, (list, tuple) if kind is list else dict):
+        raise ConfigError(f"{key} must be a {'list' if kind is list else 'mapping'}, got {section!r}")
+    return section
+
+
 def _build_model(section):
     if not isinstance(section, dict) or "kind" not in section:
         raise ConfigError("model section needs a kind")
@@ -96,6 +107,8 @@ def _build_diagram(section):
 def _build_boundary(section):
     if section is None:
         return BoundaryCondition.neumann()
+    if not isinstance(section, dict):
+        raise ConfigError(f"a boundary condition must be a mapping, got {section!r}")
     try:
         kind = BoundaryKind(section["kind"])
     except (KeyError, ValueError) as exc:
@@ -112,11 +125,11 @@ def _build_boundary(section):
 
 
 def _build_sim(doc, model, diagrams):
-    section = doc.get("simulation")
+    section = _section(doc, "simulation", dict)
     if section is None:
         return None
-    bsec = section.get("boundaries", {})
-    down = bsec.get("downstream_supplies", [None, None])
+    bsec = _section(section, "boundaries", dict, {})
+    down = _section(bsec, "downstream_supplies", list, [None, None])
     if len(down) != 2:
         raise ConfigError("downstream_supplies needs exactly two entries")
     boundaries = BoundarySpec(
@@ -157,7 +170,7 @@ def build_spec(doc, kind, seed=0):
     """Assemble the ExperimentSpec a CLI subcommand needs from a parsed
     config document."""
     model = _build_model(doc.get("model"))
-    dsec = doc.get("diagrams")
+    dsec = _section(doc, "diagrams", list)
     if dsec is None:
         diagrams = (del_castillo_mainline(), del_castillo_mainline(), del_castillo_ramp())
     else:
@@ -168,7 +181,7 @@ def build_spec(doc, kind, seed=0):
 
     sweep = None
     if kind is ExperimentKind.FLUX_MAP:
-        fsec = doc.get("flux_map")
+        fsec = _section(doc, "flux_map", dict)
         if fsec is None:
             raise ConfigError("flux-map needs a flux_map section")
         names = ("demand_upstream", "supply_1", "supply_2")
@@ -184,9 +197,9 @@ def build_spec(doc, kind, seed=0):
                 link_length=1.0, horizon=1e-9,
             )
 
-    vsec = doc.get("verify", {})
-    csec = doc.get("convergence", {})
-    psec = doc.get("properties", {})
+    vsec = _section(doc, "verify", dict, {})
+    csec = _section(doc, "convergence", dict, {})
+    psec = _section(doc, "properties", dict, {})
     try:
         return ExperimentSpec(
             kind=kind,

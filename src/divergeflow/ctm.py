@@ -313,8 +313,7 @@ def _advance(state, config):
     time = state.step_index * config.dt
     cells = config.cells_per_link
 
-    demands = [fd.demand(rho) for fd, rho in zip(fds, state.densities)]
-    supplies = [fd.supply(rho) for fd, rho in zip(fds, state.densities)]
+    demands, supplies = zip(*(fd.demand_supply(rho) for fd, rho in zip(fds, state.densities)))
 
     if config.tracked_commodities == 1:
         x1_last = state.proportions[0, -1]

@@ -11,14 +11,20 @@ critical density rho_c.  Four closed forms are provided:
 * triangular law  Q(rho) = min(v_f * rho, w * (rho_jam - rho)), w = v_f / 4
 * parabolic law   Q(rho) = v_f * rho * (1 - rho / rho_jam)
 
-The exponential laws have an essential singularity at rho = 0; the physical
-limit Q -> v_f * rho is substituted there.  Capacity and critical density have
-no closed form for the exponential family and are computed once at
-construction by golden-section search.
+Each law is written once, in one unchecked evaluation that takes a float or
+a numpy array and picks math or numpy primitives from the input type; the
+public methods range-check their input once and then call it.  The
+exponential laws have an essential singularity at rho = 0; the physical limit
+Q -> v_f * rho is reached exactly by flooring rho at rho_jam / 1000 inside
+the congested factor.  Capacity and critical density have no closed form for
+the exponential family and are computed once at construction by
+golden-section search.
 
 The demand transform D(rho) = Q(min(rho, rho_c)) is the maximum sending flow
 of a cell; the supply transform S(rho) = Q(max(rho, rho_c)) is the maximum
-receiving flow.  Both accept scalars or numpy arrays.
+receiving flow.  demand_supply returns both from one check and one
+evaluation of Q; demand and supply are views of it.  All three accept
+scalars or numpy arrays.
 """
 
 from __future__ import annotations
@@ -60,16 +66,9 @@ class DiagramKind(enum.Enum):
     GREENSHIELDS = "greenshields"
 
 
-def _exp_family_flow(rho, v_f, rho_jam):
-    """Exponential flux law; the rho -> 0 limit v_f * rho is used below
-    rho_jam / 1000, where the congested factor is 1 to machine precision."""
-    rho = np.asarray(rho, dtype=float)
-    out = np.empty_like(rho)
-    small = rho < rho_jam / 1000.0
-    out[small] = v_f * rho[small]
-    r = rho[~small]
-    out[~small] = v_f * r * (1.0 - np.exp(1.0 - np.exp(0.25 * (rho_jam / r - 1.0))))
-    return out
+def _plain(out):
+    """An array result as a float when it is 0-dimensional."""
+    return out if isinstance(out, np.ndarray) and out.ndim else float(out)
 
 
 def _golden_section_argmax(f, a, b, tol=1e-12):
@@ -112,11 +111,9 @@ class FundamentalDiagram:
         if self.kind in (DiagramKind.TRIANGULAR, DiagramKind.GREENSHIELDS):
             rho_c = self._closed_form_critical_density()
         else:
-            rho_c = _golden_section_argmax(
-                lambda r: float(self._flow_unchecked(r)), 0.0, self.jam_density
-            )
+            rho_c = _golden_section_argmax(self._flow, 0.0, self.jam_density)
         object.__setattr__(self, "critical_density", rho_c)
-        object.__setattr__(self, "capacity", float(self._flow_unchecked(rho_c)))
+        object.__setattr__(self, "capacity", float(self._flow(rho_c)))
 
     def _closed_form_critical_density(self):
         if self.kind is DiagramKind.GREENSHIELDS:
@@ -125,71 +122,59 @@ class FundamentalDiagram:
         w = _TRIANGULAR_WAVE_RATIO * self.free_flow_speed
         return self.jam_density * w / (self.free_flow_speed + w)
 
-    def _flow_scalar(self, rho):
-        if self.kind in (DiagramKind.DEL_CASTILLO_MAINLINE, DiagramKind.DEL_CASTILLO_RAMP):
-            if rho < self.jam_density / 1000.0:
-                return self.free_flow_speed * rho
-            return (
-                self.free_flow_speed
-                * rho
-                * (1.0 - math.exp(1.0 - math.exp(0.25 * (self.jam_density / rho - 1.0))))
-            )
+    def _flow(self, rho):
+        """Q(rho) without a range check; the input type (float or float
+        array) picks math or numpy primitives."""
+        if isinstance(rho, np.ndarray):
+            exp, lower, upper = np.exp, np.minimum, np.maximum
+        else:
+            exp, lower, upper = math.exp, min, max
+        v_f, rho_jam = self.free_flow_speed, self.jam_density
         if self.kind is DiagramKind.TRIANGULAR:
-            w = _TRIANGULAR_WAVE_RATIO * self.free_flow_speed
-            return min(self.free_flow_speed * rho, w * (self.jam_density - rho))
-        return self.free_flow_speed * rho * (1.0 - rho / self.jam_density)
+            w = _TRIANGULAR_WAVE_RATIO * v_f
+            return lower(v_f * rho, w * (rho_jam - rho))
+        if self.kind is DiagramKind.GREENSHIELDS:
+            return v_f * rho * (1.0 - rho / rho_jam)
+        # exp(1 - exp(249.75)) is exactly 0, so Q = v_f * rho below the floor
+        floored = upper(rho, rho_jam / 1000.0)
+        return v_f * rho * (1.0 - exp(1.0 - exp(0.25 * (rho_jam / floored - 1.0))))
 
-    def _flow_unchecked(self, rho):
-        if not isinstance(rho, np.ndarray):
-            return self._flow_scalar(float(rho))
-        if self.kind in (DiagramKind.DEL_CASTILLO_MAINLINE, DiagramKind.DEL_CASTILLO_RAMP):
-            return _exp_family_flow(rho, self.free_flow_speed, self.jam_density)
-        if self.kind is DiagramKind.TRIANGULAR:
-            w = _TRIANGULAR_WAVE_RATIO * self.free_flow_speed
-            return np.minimum(self.free_flow_speed * rho, w * (self.jam_density - rho))
-        return self.free_flow_speed * rho * (1.0 - rho / self.jam_density)
-
-    # Both checks are written so that NaN fails them.
-    def _check_scalar_density(self, rho):
-        rho = float(rho)
-        if not (0.0 <= rho <= self.jam_density):
+    def _checked(self, rho):
+        """rho as a float or a float array; raises ValueError outside
+        [0, jam_density], written so that NaN fails too."""
+        if np.isscalar(rho):
+            rho = lo = hi = float(rho)
+        else:
+            rho = np.asarray(rho, dtype=float)
+            if not rho.size:
+                return rho
+            lo, hi = rho.min(), rho.max()
+        if not (lo >= 0.0 and hi <= self.jam_density):
             raise ValueError(f"density out of range [0, {self.jam_density}]: {rho!r}")
-        return rho
-
-    def _check_density(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        if rho.size and not (rho.min() >= 0.0 and rho.max() <= self.jam_density):
-            raise ValueError(
-                f"density out of range [0, {self.jam_density}]: {rho!r}"
-            )
         return rho
 
     def flow(self, rho):
         """Flux Q(rho).  Accepts scalars or arrays; raises ValueError outside
         [0, jam_density] and on NaN."""
-        if np.isscalar(rho):
-            return self._flow_scalar(self._check_scalar_density(rho))
-        rho = self._check_density(rho)
-        out = self._flow_unchecked(rho)
-        return float(out) if out.ndim == 0 else out
+        return _plain(self._flow(self._checked(rho)))
+
+    def demand_supply(self, rho):
+        """(D(rho), S(rho)) from one range check and one evaluation of Q:
+        the maximum sending flow D = Q(min(rho, rho_c)), nondecreasing, and
+        the maximum receiving flow S = Q(max(rho, rho_c)), nonincreasing."""
+        rho = self._checked(rho)
+        q, rho_c, cap = self._flow(rho), self.critical_density, self.capacity
+        if isinstance(rho, float):
+            return (q if rho <= rho_c else cap, q if rho >= rho_c else cap)
+        return _plain(np.where(rho <= rho_c, q, cap)), _plain(np.where(rho >= rho_c, q, cap))
 
     def demand(self, rho):
-        """Maximum sending flow D(rho) = Q(min(rho, rho_c)); nondecreasing."""
-        if np.isscalar(rho):
-            rho = self._check_scalar_density(rho)
-            return self._flow_scalar(rho) if rho <= self.critical_density else self.capacity
-        rho = self._check_density(rho)
-        out = np.where(rho <= self.critical_density, self._flow_unchecked(rho), self.capacity)
-        return float(out) if out.ndim == 0 else out
+        """Maximum sending flow D(rho); see demand_supply."""
+        return self.demand_supply(rho)[0]
 
     def supply(self, rho):
-        """Maximum receiving flow S(rho) = Q(max(rho, rho_c)); nonincreasing."""
-        if np.isscalar(rho):
-            rho = self._check_scalar_density(rho)
-            return self._flow_scalar(rho) if rho >= self.critical_density else self.capacity
-        rho = self._check_density(rho)
-        out = np.where(rho >= self.critical_density, self._flow_unchecked(rho), self.capacity)
-        return float(out) if out.ndim == 0 else out
+        """Maximum receiving flow S(rho); see demand_supply."""
+        return self.demand_supply(rho)[1]
 
     @property
     def max_wave_speed(self):
@@ -244,24 +229,21 @@ class FundamentalDiagram:
         start = rho_jam - target / (_TRIANGULAR_WAVE_RATIO * v_f)
         return self._newton_flow(target, rho_c, rho_jam, start, rising, tol)
 
-    def _exp_flow_and_slope(self, rho):
-        """Q(rho) and Q'(rho) of an exponential law."""
+    def _exp_slope(self, rho):
+        """Q'(rho) of an exponential law, floored as in _flow: v_f below
+        rho_jam / 1000."""
         v_f, rho_jam = self.free_flow_speed, self.jam_density
-        if rho < rho_jam / 1000.0:
-            return v_f * rho, v_f
-        grow = math.exp(0.25 * (rho_jam / rho - 1.0))
+        ratio = rho_jam / max(rho, rho_jam / 1000.0)
+        grow = math.exp(0.25 * (ratio - 1.0))
         decay = math.exp(1.0 - grow)
-        return (
-            v_f * rho * (1.0 - decay),
-            v_f * (1.0 - decay - 0.25 * (rho_jam / rho) * decay * grow),
-        )
+        return v_f * (1.0 - decay - 0.25 * ratio * decay * grow)
 
     def _newton_flow(self, target, a, b, rho, increasing, tol):
         # Q - target changes sign once on [a, b]; a Newton step that leaves
         # the shrinking bracket (or meets a zero slope) becomes a bisection.
         rho = min(max(rho, a), b)
         for _ in range(200):
-            flow, slope = self._exp_flow_and_slope(rho)
+            flow, slope = self._flow(rho), self._exp_slope(rho)
             if (flow < target) == increasing:
                 a = rho
             else:

@@ -661,9 +661,10 @@ def property_suite(spec):
         "wave-speed-signs",
         "oracle-agreement",
     ]
+    extents = {"wave-speed-signs": f"{spec.wave_samples} samples", "oracle-agreement": f"{grid}^3 grid"}
     for name in names:
         if name in failures:
             report.add(name, False, f"counterexample: {failures[name]}")
         else:
-            report.add(name, True, f"{n} samples" if name != "oracle-agreement" else f"{grid}^3 grid")
+            report.add(name, True, extents.get(name, f"{n} samples"))
     return report, {}

@@ -72,8 +72,10 @@ def _rule_pair(model, d0, s1, s2):
     kind = model.kind
     if kind is DivergeModelKind.SUPPLY_PROPORTIONAL:
         total = np.asarray(s1 + s2, dtype=float)
-        safe = np.where(total > 0.0, total, 1.0)
-        scale = np.where(total > 0.0, np.minimum(1.0, d0 / safe), 0.0)
+        # min(1, D0 / total), divided only where total exceeds D0: a quotient
+        # above 1 overflows for a subnormal total
+        room = total > d0
+        scale = np.where(room, d0 / np.where(room, total, 1.0), 1.0)
         return scale * s1, scale * s2
     if kind is DivergeModelKind.PRIORITY_BASED:
         a1, a2 = model.alpha

@@ -294,8 +294,12 @@ def junction_fluxes(model, demand_upstream, supplies, proportions):
         q2 = np.minimum(x2 * d0, s2)
         return (q1 + q2, q1, q2)
     if kind is DivergeModelKind.SUPPLY_PROPORTIONAL:
+        # min(1, D0 / (S1 + S2)), dividing only where the quotient is below 1
+        # so that a subnormal total cannot overflow (a zero total has zero
+        # supplies, so its scale of 1 still gives zero fluxes)
         total = s1 + s2
-        scale = np.where(total > 0.0, np.minimum(1.0, d0 / np.where(total > 0.0, total, 1.0)), 0.0)
+        room = total > d0
+        scale = np.where(room, d0 / np.where(room, total, 1.0), 1.0)
         q1 = scale * s1
         q2 = scale * s2
         return (q1 + q2, q1, q2)

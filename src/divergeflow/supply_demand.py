@@ -64,7 +64,7 @@ class Criticality(enum.Enum):
 
 def state_of(fd: FundamentalDiagram, rho: float) -> TrafficState:
     """Map a density to its supply-demand point (D(rho), S(rho))."""
-    return TrafficState(fd.demand(rho), fd.supply(rho))
+    return TrafficState(*fd.demand_supply(rho))
 
 
 def classify(u: TrafficState, capacity: float, tol: float = FLUX_TOL) -> Criticality:

@@ -134,6 +134,19 @@ class TestCli:
         assert main(["converge", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_boundaries_given_as_a_list_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "boundaries.yaml"
+        text = SMALL_VERIFY.replace("  snapshot_every: 50\n", "  snapshot_every: 50\n  boundaries: []\n")
+        cfg.write_text(text, encoding="utf-8")
+        assert main(["riemann-verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "boundaries must be a mapping" in capsys.readouterr().err
+
+    def test_diagrams_given_as_a_number_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "diagrams.yaml"
+        cfg.write_text("model: {kind: lebacque, xi: [0.7, 0.3]}\ndiagrams: 5\n", encoding="utf-8")
+        assert main(["props", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "diagrams must be a list" in capsys.readouterr().err
+
     @pytest.mark.parametrize("axis", ["demand_upstream", "supply_1", "supply_2"])
     def test_flux_map_section_missing_an_axis_exits_two(self, tmp_path, capsys, axis):
         cfg = tmp_path / "map.yaml"

@@ -78,9 +78,13 @@ class TestClosedForms:
             mainline.flow(2.1)
         with pytest.raises(ValueError):
             mainline.demand(np.array([0.5, 2.5]))
+        with pytest.raises(ValueError):
+            mainline.demand_supply(2.1)
+        with pytest.raises(ValueError):
+            mainline.demand_supply(np.array([-0.1, 0.5]))
 
     def test_nan_density_rejected(self, mainline):
-        for method in (mainline.flow, mainline.demand, mainline.supply):
+        for method in (mainline.flow, mainline.demand, mainline.supply, mainline.demand_supply):
             with pytest.raises(ValueError):
                 method(float("nan"))
             with pytest.raises(ValueError):
@@ -138,6 +142,36 @@ class TestDemandSupply:
             grid = np.linspace(0.0, fd.jam_density, 501)
             assert np.all(np.diff(fd.demand(grid)) >= -1e-12)
             assert np.all(np.diff(fd.supply(grid)) <= 1e-12)
+
+
+class TestOneFluxPath:
+    @pytest.mark.parametrize("fd", LAWS)
+    def test_demand_supply_is_both_transforms(self, fd):
+        grid = np.linspace(0.0, fd.jam_density, 101)
+        d, s = fd.demand_supply(grid)
+        np.testing.assert_array_equal(d, fd.demand(grid))
+        np.testing.assert_array_equal(s, fd.supply(grid))
+        rho_c = fd.critical_density
+        for rho in (0.0, float(grid[13]), rho_c, float(grid[77]), fd.jam_density):
+            pair = fd.demand_supply(rho)
+            assert pair == (fd.demand(rho), fd.supply(rho))
+            assert pair == (fd.flow(min(rho, rho_c)), fd.flow(max(rho, rho_c)))
+            assert all(type(v) is float for v in pair)
+        # a 0-d array takes the numpy path, whose exp may differ in the last ulp
+        d, s = fd.demand_supply(np.array(rho_c))
+        assert (type(d), type(s)) == (float, float)
+        assert d == s == pytest.approx(fd.capacity, rel=5e-15)
+
+    @pytest.mark.parametrize("fd", [del_castillo_mainline(), del_castillo_ramp()])
+    def test_exponential_laws_are_free_flow_below_the_floor(self, fd):
+        floor = fd.jam_density / 1000.0
+        rho = np.array([0.0, 5e-324, 1e-12, 0.5 * floor, np.nextafter(floor, 0.0)])
+        np.testing.assert_array_equal(fd._flow(rho), fd.free_flow_speed * rho)
+        np.testing.assert_array_equal(fd.flow(rho), fd.free_flow_speed * rho)
+        for r in rho.tolist():
+            assert fd._flow(r) == fd.flow(r) == fd.free_flow_speed * r
+        # at the floor itself the congested factor is 1 - exp(1 - exp(249.75)) = 1
+        assert fd._flow(floor) == fd.free_flow_speed * floor
 
 
 class TestDensityInversion:

@@ -257,6 +257,16 @@ class TestPropertySuite:
         b, _ = property_suite(self.small_spec(seed=5))
         assert a.render() == b.render()
 
+    def test_labels_count_the_samples_each_battery_draws(self):
+        spec = ExperimentSpec(
+            kind=ExperimentKind.PROPERTY_SUITE, samples=10, wave_samples=2, oracle_grid=2
+        )
+        report, _ = property_suite(spec)
+        details = {c.name: c.detail for c in report.checks}
+        assert details["wave-speed-signs"] == "2 samples"
+        assert details["conservation-exact"] == "10 samples"
+        assert details["oracle-agreement"] == "2^3 grid"
+
     def test_injected_defect_is_caught(self, monkeypatch):
         """Sanity: corrupting the closed-form solver must trip the oracle
         comparison with a counterexample."""

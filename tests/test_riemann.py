@@ -19,7 +19,7 @@ from divergeflow import (
     state_of,
     supply_proportional,
 )
-from divergeflow.oracle import brute_force_fluxes
+from divergeflow.oracle import _rule_pair, brute_force_fluxes
 
 FOUR_DP = 5e-5
 
@@ -287,6 +287,43 @@ class TestLocalDiscreteFlux:
         np.testing.assert_array_equal(q0, [0.05, 0.1, 0.0])
         np.testing.assert_array_equal(q1, [0.0, 0.1, 0.0])
         np.testing.assert_array_equal(q2, [0.05, 0.0, 0.0])
+
+
+class TestSubnormalSupplies:
+    """D0 / (S1 + S2) overflows when the supplies sum to a subnormal number;
+    the supply-proportional rule must still fill such a pair completely,
+    and agree bitwise with min(1, D0 / total) wherever that quotient is
+    finite."""
+
+    D0 = np.array([0.1, 0.1, 0.0, 0.25, 0.1])
+    S1 = np.array([5e-324, 0.3, 0.0, 0.1, 0.05])
+    S2 = np.array([0.0, 0.1, 0.0, 0.15, 0.0])
+
+    def reference(self):
+        # Python floats divide to inf without a warning
+        rows = zip(self.D0.tolist(), self.S1.tolist(), self.S2.tolist())
+        scaled = [(min(1.0, d / (a + b)) if a + b > 0.0 else 0.0, a, b) for d, a, b in rows]
+        return [k * a for k, a, _ in scaled], [k * b for k, _, b in scaled]
+
+    def test_kernel_scalar(self):
+        q = junction_fluxes(supply_proportional(), 0.1, (5e-324, 0.0), (0.5, 0.5))
+        assert q == (5e-324, 5e-324, 0.0)
+
+    def test_kernel_arrays(self):
+        _, q1, q2 = junction_fluxes(supply_proportional(), self.D0, (self.S1, self.S2), (0.5, 0.5))
+        want1, want2 = self.reference()
+        np.testing.assert_array_equal(q1, want1)
+        np.testing.assert_array_equal(q2, want2)
+
+    def test_oracle_scalar(self, trio):
+        result = brute_force_fluxes(supply_proportional(), flux_input(trio, 0.1, 5e-324, 0.0))
+        assert result.survivors == ((5e-324, 5e-324, 0.0),)
+
+    def test_oracle_arrays(self):
+        q1, q2 = _rule_pair(supply_proportional(), self.D0, self.S1, self.S2)
+        want1, want2 = self.reference()
+        np.testing.assert_array_equal(q1, want1)
+        np.testing.assert_array_equal(q2, want2)
 
 
 class TestRiemannRule:

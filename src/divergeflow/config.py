@@ -83,10 +83,8 @@ def _build_model(section):
         kind = DivergeModelKind(section["kind"])
     except ValueError as exc:
         raise ConfigError(f"unknown model kind {section['kind']!r}") from exc
-    xi = tuple(section["xi"]) if "xi" in section else None
-    alpha = tuple(section["alpha"]) if "alpha" in section else None
     try:
-        return DivergeModel(kind, xi=xi, alpha=alpha)
+        return DivergeModel(kind, xi=section.get("xi"), alpha=section.get("alpha"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -144,7 +142,7 @@ def _build_sim(doc, model, diagrams):
             time_steps=int(section["time_steps"]),
             link_length=float(section.get("link_length", 10.0)),
             horizon=float(section.get("horizon", 360.0)),
-            initial_densities=tuple(section.get("initial_densities", (0.0, 0.0, 0.0))),
+            initial_densities=tuple(_section(section, "initial_densities", list, (0.0, 0.0, 0.0))),
             initial_proportions=section.get("initial_proportions"),
             inflow_proportions=section.get("inflow_proportions"),
             boundaries=boundaries,

@@ -21,6 +21,13 @@ Commodity proportions on the upstream link advect with the flow:
 where the commodity out-flux is xi[m] * q_out inside the link and the
 commodity's own junction flux at the last cell.  Empty cells keep their
 previous proportion.
+
+The state holds the three links as one (3, M) density array, and step
+advances them together through one (3, M + 1) face array.  It returns
+(new_state, record): the junction row (q0, q1, q2, D0, S1, S2, x1) followed
+by the boundary in-flux and out-flux.  Densities are validated when the
+SimConfig is built, not in the step; the density guard and a clip keep them
+in [0, jam_density].
 """
 
 from __future__ import annotations
@@ -136,12 +143,14 @@ def _as_cell_array(value, cells):
 class SimConfig:
     """Discretization, physics, and boundary data for one simulation.
 
-    initial_densities holds one scalar or per-cell array per link (upstream,
-    downstream 1, downstream 2).  initial_proportions is the commodity-1
-    proportion on the upstream link (scalar or per-cell), or a pair of
-    proportions when the model is PARTIAL_EVACUATION (both routed commodities
-    are tracked).  inflow_proportions is the commodity mix of traffic entering
-    the upstream boundary; it defaults to the model's turning proportions.
+    initial_densities holds one scalar or per-cell array for each of the three
+    links (upstream, downstream 1, downstream 2).  initial_proportions is the
+    commodity-1 proportion on the upstream link (scalar or per-cell), or a
+    pair of proportions when the model is PARTIAL_EVACUATION (both routed
+    commodities are tracked).  inflow_proportions is the commodity mix of
+    traffic entering the upstream boundary, a scalar or a commodity pair (a
+    pair when two commodities are tracked); it defaults to the initial mix of
+    the first upstream cell.  inflow_mix and jam_column are derived from them.
     """
 
     model: DivergeModel
@@ -155,11 +164,17 @@ class SimConfig:
     inflow_proportions: object = None
     boundaries: BoundarySpec = field(default_factory=BoundarySpec)
     snapshot_every: int = 50
+    inflow_mix: np.ndarray = field(init=False, repr=False, compare=False)
+    jam_column: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.diagrams = tuple(self.diagrams)
         if len(self.diagrams) != 3:
             raise ValueError("exactly three fundamental diagrams are required")
+        if len(self.initial_densities) != 3:
+            raise ValueError(
+                f"initial_densities needs one entry per link (three), got {len(self.initial_densities)}"
+            )
         if self.cells_per_link < 1 or self.time_steps < 1:
             raise ValueError("cells_per_link and time_steps must be positive")
         if not (self.link_length > 0.0 and self.horizon > 0.0):
@@ -181,13 +196,13 @@ class SimConfig:
                 0.0 <= bc.value <= self.diagrams[1 + i].capacity
             ):
                 raise ValueError("constant boundary supply outside [0, capacity]")
+        self.jam_column = np.array([[fd.jam_density] for fd in self.diagrams])
         densities, props = self._initial_arrays()
-        for fd, arr in zip(self.diagrams, densities):
-            if not (arr.min() >= 0.0 and arr.max() <= fd.jam_density):
-                raise ValueError("initial density outside [0, jam_density]")
-        inflow = self._inflow_mix()
+        if not (densities.min() >= 0.0 and np.all(densities <= self.jam_column)):
+            raise ValueError("initial density outside [0, jam_density]")
+        self.inflow_mix = inflow = self._inflow_mix(props)
         if not (props.min() >= 0.0 and props.sum(axis=0).max() <= 1.0 + 1e-12
-                and min(inflow) >= 0.0 and sum(inflow) <= 1.0 + 1e-12):
+                and inflow.min() >= 0.0 and inflow.sum() <= 1.0 + 1e-12):
             raise ValueError("proportions must lie in [0, 1] with sum at most 1")
 
     @property
@@ -209,14 +224,13 @@ class SimConfig:
 
     def _initial_arrays(self):
         m = self.cells_per_link
-        densities = tuple(_as_cell_array(rho, m) for _, rho in zip(self.diagrams, self.initial_densities))
+        densities = np.stack([_as_cell_array(rho, m) for rho in self.initial_densities])
         raw = self.initial_proportions
         if raw is None:
             raw = self._default_proportions()
         if self.tracked_commodities == 2:
-            raw = tuple(raw)
-            if len(raw) != 2:
-                raise ValueError("two tracked commodities need a pair of proportions")
+            if not isinstance(raw, (tuple, list, np.ndarray)) or len(raw) != 2:
+                raise ValueError(f"two tracked commodities need a pair of proportions, got {raw!r}")
             props = np.stack([_as_cell_array(raw[0], m), _as_cell_array(raw[1], m)])
         else:
             if isinstance(raw, (tuple, list)) and len(raw) == 2:
@@ -229,25 +243,25 @@ class SimConfig:
         densities, props = self._initial_arrays()
         return SimState(densities, props, 0)
 
-    def _inflow_mix(self):
+    def _inflow_mix(self, props):
         raw = self.inflow_proportions
         if raw is None:
-            raw = self.initial_proportions
-        if raw is None:
-            raw = self._default_proportions()
-        if self.tracked_commodities == 2:
-            return (float(raw[0]), float(raw[1]))
-        if isinstance(raw, (tuple, list)) and len(raw) == 2:
-            raw = raw[0]
-        arr = np.asarray(raw, dtype=float)
-        return (float(arr.flat[0]),)
+            return props[:, 0].copy()
+        mix = np.array(raw, dtype=float)
+        if mix.shape == (2,):
+            return mix[: self.tracked_commodities]
+        if mix.shape == () and self.tracked_commodities == 1:
+            return mix[None]
+        need = "a pair" if self.tracked_commodities == 2 else "a scalar or a pair"
+        raise ValueError(f"inflow_proportions must be {need} of commodity proportions, got {raw!r}")
 
 
 @dataclass
 class SimState:
-    """Cell densities per link plus tracked commodity proportions on link 0."""
+    """Cell densities of the three links as one (3, cells) array, plus the
+    tracked commodity proportions on link 0."""
 
-    densities: tuple[np.ndarray, np.ndarray, np.ndarray]
+    densities: np.ndarray  # shape (3, cells)
     proportions: np.ndarray  # shape (tracked_commodities, cells)
     step_index: int
 
@@ -291,101 +305,69 @@ def proportion_update(
     return float(out) if out.ndim == 0 else out
 
 
-def _junction_commodity_outflux(model, state, demand_last, q_junction):
-    """Per-tracked-commodity flux leaving the last upstream cell through the
-    junction."""
-    kind = model.kind
-    q0j, q1j, q2j = q_junction
-    if kind in (DivergeModelKind.DAGANZO_FIFO, DivergeModelKind.LEBACQUE):
-        return (q1j,)  # all flow entering link 1 is routed commodity 1
-    if kind is DivergeModelKind.PARTIAL_EVACUATION:
-        x1 = state.proportions[0, -1]
-        x2 = state.proportions[1, -1]
-        # routed vehicles claim their share of the link flux first
-        return (min(x1 * demand_last, q1j), min(x2 * demand_last, q2j))
-    # no predefined routes: a single commodity rides along with the flow
-    return (state.proportions[0, -1] * q0j,)
-
-
-def _advance(state, config):
+def step(state, config):
+    """Advance all three links by one time step; returns (new_state, record)
+    with record = (q0, q1, q2, D0, S1, S2, x1, inflow, outflow)."""
     fds = config.diagrams
     ratio = config.dt / config.dx
     time = state.step_index * config.dt
-    cells = config.cells_per_link
+    rho, x = state.densities, state.proportions
 
-    demands, supplies = zip(*(fd.demand_supply(rho) for fd, rho in zip(fds, state.densities)))
+    ds = np.array([fd._demand_supply(r) for fd, r in zip(fds, rho)])  # (3, 2, M)
+    demand, supply = ds[:, 0], ds[:, 1]
 
-    if config.tracked_commodities == 1:
-        x1_last = state.proportions[0, -1]
-        junction_props = (x1_last, 1.0 - x1_last)
-    else:
-        junction_props = (state.proportions[0, -1], state.proportions[1, -1])
-    q_junction = junction_fluxes(
-        config.model, demands[0][-1], (supplies[1][0], supplies[2][0]), junction_props
+    last = x[:, -1]
+    turning = (last[0], 1.0 - last[0]) if config.tracked_commodities == 1 else tuple(last)
+    q_junction = tuple(
+        float(q) for q in junction_fluxes(config.model, demand[0, -1], (supply[1, 0], supply[2, 0]), turning)
     )
-    q_junction = tuple(float(q) for q in q_junction)
 
-    faces = []
+    faces = np.empty((3, config.cells_per_link + 1))
+    faces[:, 1:-1] = np.minimum(demand[:, :-1], supply[:, 1:])
     ghost_demand = config.boundaries.upstream_demand.evaluate(
-        time, fds[0].capacity, neumann_value=demands[0][0]
+        time, fds[0].capacity, neumann_value=demand[0, 0]
     )
-    f0 = np.empty(cells + 1)
-    f0[0] = min(ghost_demand, supplies[0][0])
-    f0[1:cells] = np.minimum(demands[0][:-1], supplies[0][1:])
-    f0[cells] = q_junction[0]
-    faces.append(f0)
-    for i in (1, 2):
-        bc = config.boundaries.downstream_supplies[i - 1]
-        ghost_supply = bc.evaluate(time, fds[i].capacity, neumann_value=supplies[i][-1])
-        fi = np.empty(cells + 1)
-        fi[0] = q_junction[i]
-        fi[1:cells] = np.minimum(demands[i][:-1], supplies[i][1:])
-        fi[cells] = min(demands[i][-1], ghost_supply)
-        faces.append(fi)
+    faces[0, 0] = min(ghost_demand, supply[0, 0])
+    faces[0, -1], faces[1, 0], faces[2, 0] = q_junction
+    for i, bc in enumerate(config.boundaries.downstream_supplies, start=1):
+        ghost_supply = bc.evaluate(time, fds[i].capacity, neumann_value=supply[i, -1])
+        faces[i, -1] = min(demand[i, -1], ghost_supply)
 
-    new_densities = []
-    for i, fd in enumerate(fds):
-        rho_new = state.densities[i] + ratio * (faces[i][:-1] - faces[i][1:])
-        if np.any(rho_new < -DENSITY_GUARD) or np.any(rho_new > fd.jam_density + DENSITY_GUARD):
-            raise NumericalStabilityError(
-                f"density left [0, {fd.jam_density}] on link {i} at step {state.step_index}"
-            )
-        new_densities.append(np.clip(rho_new, 0.0, fd.jam_density))
-
-    inflow_mix = config._inflow_mix()
-    commodity_out_last = _junction_commodity_outflux(
-        config.model, state, demands[0][-1], q_junction
-    )
-    new_props = np.empty_like(state.proportions)
-    q_in = faces[0][:-1]
-    q_out = faces[0][1:]
-    for c in range(config.tracked_commodities):
-        xi = state.proportions[c]
-        xi_up = np.empty(cells)
-        xi_up[0] = inflow_mix[c]
-        xi_up[1:] = xi[:-1]
-        com_out = xi * q_out
-        com_out[-1] = commodity_out_last[c]
-        new_props[c] = proportion_update(
-            state.densities[0], new_densities[0], xi, xi_up, q_in, q_out, ratio,
-            commodity_outflux=com_out,
+    rho_new = rho + ratio * (faces[:, :-1] - faces[:, 1:])
+    outside = (rho_new < -DENSITY_GUARD) | (rho_new > config.jam_column + DENSITY_GUARD)
+    if outside.any():
+        link = int(outside.any(axis=1).argmax())
+        raise NumericalStabilityError(
+            f"density left [0, {fds[link].jam_density}] on link {link} at step {state.step_index}"
         )
+    rho_new = np.clip(rho_new, 0.0, config.jam_column)
 
-    new_state = SimState(tuple(new_densities), new_props, state.step_index + 1)
-    diagnostics = {
-        "q_junction": q_junction,
-        "demand_last": float(demands[0][-1]),
-        "supply_first": (float(supplies[1][0]), float(supplies[2][0])),
-        "proportion_last": float(state.proportions[0, -1]),
-        "inflow": float(f0[0]),
-        "outflow": float(faces[1][-1] + faces[2][-1]),
-    }
-    return new_state, diagnostics
+    q_in, q_out = faces[0, :-1], faces[0, 1:]
+    x_up = np.empty_like(x)
+    x_up[:, 0] = config.inflow_mix
+    x_up[:, 1:] = x[:, :-1]
+    commodity_out = x * q_out
+    kind = config.model.kind
+    if kind in (DivergeModelKind.DAGANZO_FIFO, DivergeModelKind.LEBACQUE):
+        commodity_out[0, -1] = q_junction[1]  # all flow entering link 1 is routed commodity 1
+    elif kind is DivergeModelKind.PARTIAL_EVACUATION:
+        # routed vehicles claim their share of the link flux first
+        commodity_out[:, -1] = np.minimum(last * demand[0, -1], q_junction[1:])
+    else:
+        commodity_out[0, -1] = last[0] * q_junction[0]  # no routes: one commodity rides along
+    x_new = proportion_update(
+        rho[0], rho_new[0], x, x_up, q_in, q_out, ratio, commodity_outflux=commodity_out
+    )
 
-
-def step(state, config):
-    """Advance the simulation by one time step and return the new state."""
-    return _advance(state, config)[0]
+    record = q_junction + (
+        float(demand[0, -1]),
+        float(supply[1, 0]),
+        float(supply[2, 0]),
+        float(last[0]),
+        float(faces[0, 0]),
+        float(faces[1, -1] + faces[2, -1]),
+    )
+    return SimState(rho_new, x_new, state.step_index + 1), record
 
 
 @dataclass
@@ -434,54 +416,32 @@ def run(config):
     """
     state = config.initial_state()
     n = config.time_steps
-    dx = config.dx
     dt = config.dt
 
-    snap_steps = [0]
-    snap_rho = [np.stack(state.densities)]
-    snap_props = [state.proportions.copy()]
-    jq = np.empty((3, n))
-    jd = np.empty(n)
-    js1 = np.empty(n)
-    js2 = np.empty(n)
-    jp = np.empty(n)
+    snapshots = [state]
+    junction = np.empty((n, 7))
     inflow_total = 0.0
     outflow_total = 0.0
-    initial_vehicles = state.vehicles(dx)
+    initial_vehicles = state.vehicles(config.dx)
 
     for k in range(n):
-        state, diag = _advance(state, config)
-        jq[:, k] = diag["q_junction"]
-        jd[k] = diag["demand_last"]
-        js1[k], js2[k] = diag["supply_first"]
-        jp[k] = diag["proportion_last"]
-        inflow_total += diag["inflow"] * dt
-        outflow_total += diag["outflow"] * dt
+        state, record = step(state, config)
+        junction[k] = record[:7]
+        inflow_total += record[7] * dt
+        outflow_total += record[8] * dt
         if state.step_index % config.snapshot_every == 0 or state.step_index == n:
-            snap_steps.append(state.step_index)
-            snap_rho.append(np.stack(state.densities))
-            snap_props.append(state.proportions.copy())
+            snapshots.append(state)
 
-    trace = JunctionTrace(
-        steps=np.arange(n),
-        q0=jq[0],
-        q1=jq[1],
-        q2=jq[2],
-        demand_upstream=jd,
-        supply_down1=js1,
-        supply_down2=js2,
-        proportion1=jp,
-    )
     trajectory = Trajectory(
         config=config,
-        snapshot_steps=np.asarray(snap_steps),
-        densities=np.stack(snap_rho),
-        proportions=np.stack(snap_props),
-        junction=trace,
+        snapshot_steps=np.array([s.step_index for s in snapshots]),
+        densities=np.stack([s.densities for s in snapshots]),
+        proportions=np.stack([s.proportions for s in snapshots]),
+        junction=JunctionTrace(np.arange(n), *junction.T),
         inflow_total=inflow_total,
         outflow_total=outflow_total,
         initial_vehicles=initial_vehicles,
-        final_vehicles=state.vehicles(dx),
+        final_vehicles=state.vehicles(config.dx),
         final_state=state,
     )
     drift = trajectory.conservation_drift()

@@ -104,10 +104,10 @@ class FundamentalDiagram:
     critical_density: float = field(init=False)
 
     def __post_init__(self):
-        if self.free_flow_speed <= 0.0:
-            raise ValueError(f"free_flow_speed must be positive, got {self.free_flow_speed}")
-        if self.jam_density <= 0.0:
-            raise ValueError(f"jam_density must be positive, got {self.jam_density}")
+        if not 0.0 < self.free_flow_speed < math.inf:
+            raise ValueError(f"free_flow_speed must be positive and finite, got {self.free_flow_speed}")
+        if not 0.0 < self.jam_density < math.inf:
+            raise ValueError(f"jam_density must be positive and finite, got {self.jam_density}")
         if self.kind in (DiagramKind.TRIANGULAR, DiagramKind.GREENSHIELDS):
             rho_c = self._closed_form_critical_density()
         else:
@@ -162,7 +162,11 @@ class FundamentalDiagram:
         """(D(rho), S(rho)) from one range check and one evaluation of Q:
         the maximum sending flow D = Q(min(rho, rho_c)), nondecreasing, and
         the maximum receiving flow S = Q(max(rho, rho_c)), nonincreasing."""
-        rho = self._checked(rho)
+        return self._demand_supply(self._checked(rho))
+
+    def _demand_supply(self, rho):
+        """demand_supply without the range check, for a float or a float
+        array already known to lie in [0, jam_density]."""
         q, rho_c, cap = self._flow(rho), self.critical_density, self.capacity
         if isinstance(rho, float):
             return (q if rho <= rho_c else cap, q if rho >= rho_c else cap)

@@ -206,7 +206,10 @@ def _scan_feasible(model, targets, boxes, fixed, specials, n_grid):
 
 
 def _bisect_monotone(fn, lo, hi, iters=100):
-    """Root of a nondecreasing fn on [lo, hi]; None when fn(hi) < 0."""
+    """Root of a nondecreasing fn on [lo, hi]; None when fn(hi) < 0.
+
+    Stops early once the midpoint rounds onto an end of the bracket: every
+    later step would return that same midpoint."""
     f_lo, f_hi = fn(lo), fn(hi)
     if f_hi < -_FEAS_TOL:
         return None
@@ -214,6 +217,8 @@ def _bisect_monotone(fn, lo, hi, iters=100):
         return None
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
         if fn(mid) < 0.0:
             lo = mid
         else:

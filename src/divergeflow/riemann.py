@@ -120,10 +120,9 @@ class DivergeModel:
     alpha: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if self.xi is not None:
-            object.__setattr__(self, "xi", (float(self.xi[0]), float(self.xi[1])))
-        if self.alpha is not None:
-            object.__setattr__(self, "alpha", (float(self.alpha[0]), float(self.alpha[1])))
+        for name in ("xi", "alpha"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _finite_pair(name, getattr(self, name)))
         kind = self.kind
         if kind in _FIFO_KINDS:
             self._require_xi(strict=True)
@@ -139,25 +138,36 @@ class DivergeModel:
             raise ValueError(f"{self.kind.value} requires turning proportions xi")
         x1, x2 = self.xi
         if strict:
-            if x1 <= 0.0 or x2 <= 0.0:
+            if not (x1 > 0.0 and x2 > 0.0):
                 raise ValueError(f"{self.kind.value} requires strictly positive xi, got {self.xi}")
-            if abs(x1 + x2 - 1.0) > FLUX_TOL:
+            if not abs(x1 + x2 - 1.0) <= FLUX_TOL:
                 raise ValueError(f"xi must sum to 1, got {self.xi}")
         else:
-            if x1 < 0.0 or x2 < 0.0 or x1 + x2 > 1.0 + FLUX_TOL:
+            if not (x1 >= 0.0 and x2 >= 0.0 and x1 + x2 <= 1.0 + FLUX_TOL):
                 raise ValueError(f"xi must be nonnegative with sum <= 1, got {self.xi}")
 
     def _require_alpha(self, lo, hi):
         if self.alpha is None:
             raise ValueError(f"{self.kind.value} requires priority weights alpha")
         a1, a2 = self.alpha
-        if abs(a1 + a2 - 1.0) > FLUX_TOL:
+        if not abs(a1 + a2 - 1.0) <= FLUX_TOL:
             raise ValueError(f"alpha must sum to 1, got {self.alpha}")
         eps = FLUX_TOL
         if not (lo[0] - eps <= a1 <= hi[0] + eps and lo[1] - eps <= a2 <= hi[1] + eps):
             raise ValueError(
                 f"alpha {self.alpha} outside admissible box [{lo[0]}, {hi[0]}] x [{lo[1]}, {hi[1]}]"
             )
+
+
+def _finite_pair(name, value):
+    """value as a pair of finite floats; ValueError for anything else."""
+    try:
+        pair = tuple(float(v) for v in value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a pair of numbers, got {value!r}") from None
+    if len(pair) != 2 or not all(math.isfinite(v) for v in pair):
+        raise ValueError(f"{name} must be two finite numbers, got {value!r}")
+    return pair
 
 
 def daganzo_fifo(xi):

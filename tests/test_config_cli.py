@@ -147,6 +147,46 @@ class TestCli:
         assert main(["props", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "diagrams must be a list" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["riemann-verify", "converge"])
+    @pytest.mark.parametrize(
+        "model",
+        [
+            "kind: lebacque\n  xi: [0.7]",
+            "kind: lebacque\n  xi: [.nan, 0.3]",
+            "kind: lebacque\n  xi: 0.7",
+            "kind: priority_based\n  alpha: [0.6, 0.4, 0.0]",
+        ],
+    )
+    def test_malformed_model_parameters_exit_two(self, tmp_path, capsys, command, model):
+        cfg = tmp_path / "model.yaml"
+        text = SMALL_VERIFY.replace("kind: lebacque\n  xi: [0.7, 0.3]", model)
+        cfg.write_text(text + "convergence:\n  resolutions: [10, 20]\n", encoding="utf-8")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("initial_densities: [1.0, 1.0, 0.1]", "initial_densities: [1.0, 1.0]"),
+            ("initial_densities: [1.0, 1.0, 0.1]", "initial_densities: [1.0, 1.0, 0.1, 0.5]"),
+            ("initial_densities: [1.0, 1.0, 0.1]", "initial_densities: 0.5"),
+            ("initial_proportions: 0.7", "initial_proportions: 0.7\n  inflow_proportions: [0.2, 0.3, 0.4]"),
+            (
+                "kind: lebacque\n  xi: [0.7, 0.3]",
+                "kind: partial_evacuation\n  xi: [0.3, 0.2]\n  alpha: [0.55, 0.45]",
+            ),
+        ],
+    )
+    def test_malformed_initial_data_exit_two(self, tmp_path, capsys, old, new):
+        # the last case tracks two commodities, so its scalar proportions
+        # (initial 0.7, inflow defaulting to it) are not a pair
+        cfg = tmp_path / "sim.yaml"
+        assert old in SMALL_VERIFY
+        text = SMALL_VERIFY.replace(old, new)
+        cfg.write_text(text + "convergence:\n  resolutions: [10, 20]\n", encoding="utf-8")
+        assert main(["converge", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "config error" in capsys.readouterr().err
+
     @pytest.mark.parametrize("axis", ["demand_upstream", "supply_1", "supply_2"])
     def test_flux_map_section_missing_an_axis_exits_two(self, tmp_path, capsys, axis):
         cfg = tmp_path / "map.yaml"

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="proportions"):
             diverge_config(trio, lebacque((0.7, 0.3)), inflow_proportions=nan)
 
+    def test_inflow_mix_defaults_to_the_first_upstream_cell(self, trio):
+        model = partial_evacuation((0.3, 0.2), (0.55, 0.45))
+        per_cell = (np.linspace(0.1, 0.4, 20), 0.2)
+        cfg = diverge_config(trio, model, cells=20, initial_proportions=per_cell)
+        assert cfg.inflow_mix.tolist() == [0.1, 0.2]
+        cfg = diverge_config(trio, lebacque((0.7, 0.3)), cells=20, initial_proportions=per_cell[0])
+        assert cfg.inflow_mix.tolist() == [0.1]
+
     @pytest.mark.parametrize("period", [0.0, -60.0, float("inf"), float("nan")])
     def test_sinusoid_period_validated(self, period):
         with pytest.raises(ValueError):
@@ -143,9 +153,54 @@ class TestStepBasics:
         )
         state = cfg.initial_state()
         for _ in range(50):
-            state = step(state, cfg)
-        for arr in state.densities:
-            assert np.all(arr == 0.0)
+            state, record = step(state, cfg)
+            assert record[:3] + record[7:] == (0.0,) * 5  # no flux anywhere
+        assert state.densities.shape == (3, 20)
+        assert np.all(state.densities == 0.0)
+
+    def test_record_is_the_junction_row_and_boundary_fluxes(self, trio):
+        cfg = diverge_config(trio, lebacque((0.7, 0.3)), cells=20)
+        state = cfg.initial_state()
+        new_state, record = step(state, cfg)
+        assert len(record) == 9 and all(type(v) is float for v in record)
+        q0, q1, q2, d0, s1, s2, x1, inflow, outflow = record
+        assert (q1, q2) == (min(0.7 * d0, s1), min(0.3 * d0, s2))
+        assert q0 == q1 + q2
+        assert (d0, s1, s2, x1) == (
+            trio[0].demand(1.0), trio[1].supply(1.0), trio[2].supply(0.1), 0.7
+        )
+        # Neumann ghosts: each end cell meets its own supply or demand
+        assert inflow == min(trio[0].demand(1.0), trio[0].supply(1.0))
+        assert outflow == min(*trio[1].demand_supply(1.0)) + min(*trio[2].demand_supply(0.1))
+        assert new_state.step_index == 1 and new_state.densities.shape == (3, 20)
+
+    def test_steps_neither_range_check_nor_rederive_the_inflow_mix(self, trio, monkeypatch):
+        from divergeflow import FundamentalDiagram
+
+        model = partial_evacuation((0.3, 0.2), (0.55, 0.45))
+        cfg = diverge_config(
+            trio, model, cells=20, initial_proportions=(0.3, 0.2), inflow_proportions=(0.25, 0.3)
+        )
+        want = run(cfg)
+
+        def forbidden(*args):
+            raise AssertionError("called inside the CTM loop")
+
+        monkeypatch.setattr(FundamentalDiagram, "_checked", forbidden)
+        monkeypatch.setattr(SimConfig, "_inflow_mix", forbidden)
+        got = run(cfg)
+        np.testing.assert_array_equal(got.densities, want.densities)
+        np.testing.assert_array_equal(got.proportions, want.proportions)
+
+    def test_guard_names_the_link_and_step(self, trio):
+        # the step no longer range-checks its input, so a state above jam on
+        # link 1 reaches the density guard, which must still name it
+        cfg = diverge_config(trio, lebacque((0.7, 0.3)), cells=20)
+        state = cfg.initial_state()
+        state.densities[1] = trio[1].jam_density + 5e-9
+        state.step_index = 7
+        with pytest.raises(NumericalStabilityError, match="on link 1 at step 7"):
+            step(state, cfg)
 
     def test_matched_critical_junction_is_stationary(self):
         # halved-capacity downstream links absorb exactly the upstream
@@ -314,17 +369,73 @@ class TestConservation:
     def test_per_step_link_balance(self, trio):
         cfg = diverge_config(trio, daganzo_fifo((0.7, 0.3)), cells=20, time_steps=800)
         state = cfg.initial_state()
-        from divergeflow.ctm import _advance
-
         for _ in range(100):
-            new_state, diag = _advance(state, cfg)
+            new_state, record = step(state, cfg)
             total_change = sum(
                 (new_state.densities[i].sum() - state.densities[i].sum()) * cfg.dx
                 for i in range(3)
             )
-            net = (diag["inflow"] - diag["outflow"]) * cfg.dt
+            inflow, outflow = record[7:]
+            net = (inflow - outflow) * cfg.dt
             assert total_change == pytest.approx(net, abs=1e-12)
             state = new_state
+
+
+GOLDEN = Path(__file__).parent / "golden" / "ctm_five_rules_M20.txt"
+
+
+def five_rule_cases(trio):
+    """Every rule at M = 20, once with Neumann ends from uniform data and once
+    from per-cell data under a constant demand, a constant and a sinusoid
+    supply and an inflow mix unlike the initial one."""
+    models = {
+        "daganzo_fifo": daganzo_fifo((0.7, 0.3)),
+        "lebacque": lebacque((0.7, 0.3)),
+        "supply_proportional": supply_proportional(),
+        "priority_based": priority_based((0.6, 0.4)),
+        "partial_evacuation": partial_evacuation((0.3, 0.2), (0.55, 0.45)),
+    }
+    forced = BoundarySpec(
+        upstream_demand=BoundaryCondition.constant(0.3),
+        downstream_supplies=(
+            BoundaryCondition.constant(0.25),
+            BoundaryCondition.sinusoid(0.05, 0.03, 60.0),
+        ),
+    )
+    for name, model in models.items():
+        evacuation = name == "partial_evacuation"
+        yield f"{name},neumann", diverge_config(
+            trio, model, cells=20, initial_proportions=(0.3, 0.2) if evacuation else 0.7
+        )
+        yield f"{name},forced", diverge_config(
+            trio,
+            model,
+            cells=20,
+            initial_densities=(np.linspace(0.2, 1.4, 20), 0.3, np.linspace(0.6, 0.05, 20)),
+            initial_proportions=(0.3, 0.2) if evacuation else 0.7,
+            inflow_proportions=(0.25, 0.3) if evacuation else 0.6,
+            boundaries=forced,
+        )
+
+
+class TestFiveRuleGolden:
+    def test_final_fields_and_junction_fluxes_match_golden(self, trio):
+        """Frozen final densities and proportions and every tenth step's
+        junction fluxes of all five rules; reruns must reproduce them."""
+        lines = []
+        for case, cfg in five_rule_cases(trio):
+            traj = run(cfg)
+            j = traj.junction
+            arrays = [(f"density{link}", traj.densities[-1, link]) for link in range(3)]
+            arrays += [(f"proportion{c}", p) for c, p in enumerate(traj.proportions[-1])]
+            arrays += [(name, getattr(j, name)[::10]) for name in ("q0", "q1", "q2")]
+            for name, values in arrays:
+                lines.append(f"{case},{name}," + " ".join("%.12g" % v for v in values) + "\n")
+        text = "".join(lines)
+        if not GOLDEN.exists():
+            GOLDEN.write_text(text, encoding="utf-8")
+            pytest.skip("golden file created; rerun to verify")
+        assert GOLDEN.read_text(encoding="utf-8") == text
 
 
 class TestSolutionDifference:

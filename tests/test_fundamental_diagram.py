@@ -4,6 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from divergeflow import (
+    DiagramKind,
+    FundamentalDiagram,
     InvalidStateError,
     TrafficState,
     del_castillo_mainline,
@@ -96,6 +98,14 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             triangular(1.0, -1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("kind", list(DiagramKind))
+    def test_nonfinite_parameters_rejected(self, kind, bad):
+        with pytest.raises(ValueError, match="free_flow_speed"):
+            FundamentalDiagram(kind, bad, 1.0)
+        with pytest.raises(ValueError, match="jam_density"):
+            FundamentalDiagram(kind, 1.0, bad)
+
     def test_scalar_and_array_paths_agree(self, all_diagrams):
         # libm and numpy's vectorized exp may differ in the last ulp
         for fd in all_diagrams:
@@ -161,6 +171,14 @@ class TestOneFluxPath:
         d, s = fd.demand_supply(np.array(rho_c))
         assert (type(d), type(s)) == (float, float)
         assert d == s == pytest.approx(fd.capacity, rel=5e-15)
+
+    @pytest.mark.parametrize("fd", LAWS)
+    def test_unchecked_demand_supply_matches_the_checked_one(self, fd):
+        grid = np.linspace(0.0, fd.jam_density, 101)
+        for got, want in zip(fd._demand_supply(grid), fd.demand_supply(grid)):
+            np.testing.assert_array_equal(got, want)
+        for rho in (0.0, fd.critical_density, float(grid[77]), fd.jam_density):
+            assert fd._demand_supply(rho) == fd.demand_supply(rho)
 
     @pytest.mark.parametrize("fd", [del_castillo_mainline(), del_castillo_ramp()])
     def test_exponential_laws_are_free_flow_below_the_floor(self, fd):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from divergeflow import (
+    DivergeModel,
+    DivergeModelKind,
     RiemannInput,
     Side,
     TrafficState,
@@ -19,7 +21,7 @@ from divergeflow import (
     state_of,
     supply_proportional,
 )
-from divergeflow.oracle import _rule_pair, brute_force_fluxes
+from divergeflow.oracle import _bisect_monotone, _rule_pair, brute_force_fluxes
 
 FOUR_DP = 5e-5
 
@@ -56,6 +58,17 @@ class TestModelParameters:
             partial_evacuation((0.3, 0.2), (0.9, 0.1))  # alpha1 > 1 - xi2
         with pytest.raises(ValueError):
             partial_evacuation((0.6, 0.6), (0.5, 0.5))  # xi sums above one
+
+    @pytest.mark.parametrize("xi", [(0.7,), (0.5, 0.3, 0.2), (float("nan"), 0.3), (0.7, float("inf")), 0.7])
+    def test_xi_must_be_two_finite_numbers(self, xi):
+        for kind in DivergeModelKind:
+            with pytest.raises(ValueError, match="xi"):
+                DivergeModel(kind, xi=xi, alpha=(0.55, 0.45))
+
+    @pytest.mark.parametrize("alpha", [(1.0,), (0.6, 0.4, 0.0), "ab"])
+    def test_alpha_must_be_two_finite_numbers(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            DivergeModel(DivergeModelKind.PRIORITY_BASED, alpha=alpha)
 
     def test_input_state_must_bind_to_diagram(self, trio):
         with pytest.raises(ValueError):
@@ -324,6 +337,45 @@ class TestSubnormalSupplies:
         want1, want2 = self.reference()
         np.testing.assert_array_equal(q1, want1)
         np.testing.assert_array_equal(q2, want2)
+
+
+class TestOracleBisection:
+    @staticmethod
+    def hundred_steps(fn, lo, hi):
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            if fn(mid) < 0.0:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    @pytest.mark.parametrize("root", [0.0, 1e-300, 0.1, 1.0 / 3.0, 0.5, 0.7, 1.0])
+    def test_stops_once_the_bracket_stops_changing(self, root):
+        calls = []
+
+        def fn(x):
+            calls.append(x)
+            return x - root
+
+        got = _bisect_monotone(fn, 0.0, 1.0)
+        assert got == self.hundred_steps(lambda x: x - root, 0.0, 1.0)
+        if root >= 0.1:
+            # the bracket is one ulp wide after about 55 halvings
+            assert len(calls) < 2 + 60
+        else:
+            assert len(calls) == 2 + 100  # a bracket shrinking toward 0 never stalls
+
+    def test_step_function_root(self):
+        calls = []
+
+        def fn(x):
+            calls.append(x)
+            return -1.0 if x < 0.3 else 1.0
+
+        got = _bisect_monotone(fn, 0.0, 1.0)
+        assert len(calls) < 2 + 60
+        assert got == self.hundred_steps(fn, 0.0, 1.0)
 
 
 class TestRiemannRule:

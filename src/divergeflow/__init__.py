@@ -40,10 +40,19 @@ from .riemann import (
     priority_based,
     riemann_rule,
     solve,
+    solve_batch,
     solve_fluxes,
+    solve_fluxes_batch,
     supply_proportional,
 )
-from .waves import WaveConsistencyError, WaveDescription, WaveKind, classify_wave, link_waves
+from .waves import (
+    WaveConsistencyError,
+    WaveDescription,
+    WaveKind,
+    batch_waves,
+    classify_wave,
+    link_waves,
+)
 from .ctm import (
     BoundaryCondition,
     BoundaryKind,
@@ -88,11 +97,14 @@ __all__ = [
     "priority_based",
     "riemann_rule",
     "solve",
+    "solve_batch",
     "solve_fluxes",
+    "solve_fluxes_batch",
     "supply_proportional",
     "WaveConsistencyError",
     "WaveDescription",
     "WaveKind",
+    "batch_waves",
     "classify_wave",
     "link_waves",
     "BoundaryCondition",

@@ -150,17 +150,19 @@ def _build_sim(doc, model, diagrams):
         )
     except KeyError as exc:
         raise ConfigError(f"simulation section is missing {exc}") from exc
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _build_axis(value, name):
-    if isinstance(value, dict):
-        try:
+    try:
+        if isinstance(value, dict):
             return (float(value["start"]), float(value["stop"]), int(value["count"]))
-        except KeyError as exc:
-            raise ConfigError(f"{name} axis needs start/stop/count, missing {exc}") from exc
-    v = float(value)
+        v = float(value)
+    except KeyError as exc:
+        raise ConfigError(f"{name} axis needs start/stop/count, missing {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} axis: {exc}") from exc
     return (v, v, 1)
 
 

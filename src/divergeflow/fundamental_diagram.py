@@ -66,6 +66,10 @@ class DiagramKind(enum.Enum):
     GREENSHIELDS = "greenshields"
 
 
+# math.exp as a numpy ufunc on object arrays
+_math_exp = np.frompyfunc(math.exp, 1, 1)
+
+
 def _plain(out):
     """An array result as a float when it is 0-dimensional."""
     return out if isinstance(out, np.ndarray) and out.ndim else float(out)
@@ -199,7 +203,9 @@ class FundamentalDiagram:
         return (self.flow(hi) - self.flow(lo)) / (hi - lo)
 
     def density_from_state(self, state, tol=DENSITY_TOL):
-        """Invert a supply-demand state back to its unique density.
+        """Invert a supply-demand state back to its unique density; a state
+        of arrays (one point per entry) inverts to an array of densities, a
+        state of floats to a float.
 
         Under-critical states (supply equal to capacity) map to the density
         with Q(rho) = demand on the rising branch; over-critical states map to
@@ -208,57 +214,83 @@ class FundamentalDiagram:
         to within tol.  Raises InvalidStateError when max(demand, supply)
         differs from the capacity beyond FLUX_TOL.
         """
-        d, s = state.demand, state.supply
-        if abs(max(d, s) - self.capacity) > FLUX_TOL:
+        d, s = np.broadcast_arrays(np.atleast_1d(state.demand), np.atleast_1d(state.supply))
+        peak = np.maximum(d, s)
+        off = ~(abs(peak - self.capacity) <= FLUX_TOL)
+        if off.any():
             raise InvalidStateError(
-                f"max(D, S) = {max(d, s)!r} does not match capacity {self.capacity!r}"
+                f"max(D, S) = {float(peak[off][0])!r} does not match capacity {self.capacity!r}"
             )
         critical = abs(d - s) <= FLUX_TOL
-        if critical:
-            return self.critical_density
         rising = s > d  # under-critical: rising branch
-        target = d if rising else s
+        target = np.where(rising, d, s)
         v_f, rho_c, rho_jam = self.free_flow_speed, self.critical_density, self.jam_density
         if self.kind is DiagramKind.TRIANGULAR:
-            return target / v_f if rising else rho_jam - target / (_TRIANGULAR_WAVE_RATIO * v_f)
-        if self.kind is DiagramKind.GREENSHIELDS:
+            rho = np.where(rising, target / v_f, rho_jam - target / (_TRIANGULAR_WAVE_RATIO * v_f))
+        elif self.kind is DiagramKind.GREENSHIELDS:
             # Q = C (1 - (rho / rho_c - 1)^2) with C = v_f * rho_jam / 4
-            root = math.sqrt(max(0.0, 1.0 - target / self.capacity))
-            return rho_c * (target / self.capacity) / (1.0 + root) if rising else rho_c * (1.0 + root)
-        # Both exponential laws are concave with slope v_f at 0 and
-        # -v_f / 4 at jam, so these starts sit on the far side of the root
-        # from the peak and Newton approaches it monotonically.
-        if rising:
-            return self._newton_flow(target, 0.0, rho_c, target / v_f, rising, tol)
-        start = rho_jam - target / (_TRIANGULAR_WAVE_RATIO * v_f)
-        return self._newton_flow(target, rho_c, rho_jam, start, rising, tol)
+            root = np.sqrt(np.maximum(0.0, 1.0 - target / self.capacity))
+            rho = np.where(rising, rho_c * (target / self.capacity) / (1.0 + root), rho_c * (1.0 + root))
+        else:
+            rho = np.full(target.shape, rho_c)
+            run = ~critical
+            rho[run] = self._newton_flow(target[run], rising[run], tol)
+        rho = np.where(critical, rho_c, rho)
+        return rho if np.ndim(state.demand) or np.ndim(state.supply) else float(rho[0])
 
-    def _exp_slope(self, rho):
-        """Q'(rho) of an exponential law, floored as in _flow: v_f below
-        rho_jam / 1000."""
+    def _exp_flow_slope(self, rho):
+        """(Q(rho), Q'(rho)) of an exponential law on a float array from one
+        pair of exp evaluations, floored as in _flow (Q' = v_f below
+        rho_jam / 1000).  exp is math.exp elementwise, so Q is bitwise the
+        float law's: numpy's exp differs from it in the last bit for a few
+        percent of arguments, which would move the inverted densities."""
         v_f, rho_jam = self.free_flow_speed, self.jam_density
-        ratio = rho_jam / max(rho, rho_jam / 1000.0)
-        grow = math.exp(0.25 * (ratio - 1.0))
-        decay = math.exp(1.0 - grow)
-        return v_f * (1.0 - decay - 0.25 * ratio * decay * grow)
+        ratio = rho_jam / np.maximum(rho, rho_jam / 1000.0)
+        grow = _math_exp(0.25 * (ratio - 1.0)).astype(float)
+        decay = _math_exp(1.0 - grow).astype(float)
+        passing = 1.0 - decay
+        return v_f * rho * passing, v_f * (passing - 0.25 * ratio * decay * grow)
 
-    def _newton_flow(self, target, a, b, rho, increasing, tol):
-        # Q - target changes sign once on [a, b]; a Newton step that leaves
-        # the shrinking bracket (or meets a zero slope) becomes a bisection.
-        rho = min(max(rho, a), b)
-        for _ in range(200):
-            flow, slope = self._flow(rho), self._exp_slope(rho)
-            if (flow < target) == increasing:
-                a = rho
-            else:
-                b = rho
-            step = rho - (flow - target) / slope if slope else math.nan
-            if not a <= step <= b:
-                step = 0.5 * (a + b)
-            if abs(step - rho) <= tol or b - a <= tol:
-                return step
-            rho = step
-        return rho
+    def _newton_flow(self, target, increasing, tol):
+        """Densities with Q(rho) = target on the rising (increasing) or
+        falling branch of an exponential law, each to within tol.
+
+        Both laws are concave with slope v_f at 0 and -v_f / 4 at jam, so the
+        starts below sit on the far side of the root from the peak and Newton
+        approaches it monotonically.  Q - target changes sign once on each
+        bracket [a, b]; a Newton step that leaves the shrinking bracket (or
+        meets a zero slope) becomes a bisection.  Each entry iterates until it
+        converges, at most 200 times; converged entries leave the loop.
+        """
+        v_f, rho_c, rho_jam = self.free_flow_speed, self.critical_density, self.jam_density
+        a = np.where(increasing, 0.0, rho_c)
+        b = np.where(increasing, rho_c, rho_jam)
+        rho = np.where(increasing, target / v_f, rho_jam - target / (_TRIANGULAR_WAVE_RATIO * v_f))
+        rho = np.minimum(np.maximum(rho, a), b)
+        out = np.empty_like(rho)
+        left = np.arange(rho.size)
+        # a zero slope gives an infinite or NaN step, which fails the
+        # bracket test below
+        with np.errstate(all="ignore"):
+            for _ in range(200):
+                if not left.size:
+                    break
+                flow, slope = self._exp_flow_slope(rho)
+                below = (flow < target) == increasing
+                a = np.where(below, rho, a)
+                b = np.where(below, b, rho)
+                step = rho - (flow - target) / slope
+                step = np.where((a <= step) & (step <= b), step, 0.5 * (a + b))
+                done = (abs(step - rho) <= tol) | (b - a <= tol)
+                if done.any():
+                    out[left[done]] = step[done]
+                    going = ~done
+                    left, step, a, b, target, increasing = (
+                        v[going] for v in (left, step, a, b, target, increasing)
+                    )
+                rho = step
+        out[left] = rho
+        return out
 
 
 def del_castillo_mainline():

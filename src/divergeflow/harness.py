@@ -4,6 +4,12 @@ convergence studies, flux-region maps, and the randomized property battery.
 Every experiment produces a Report: a deterministic, timestamp-free list of
 named pass/fail checks plus the configuration hash and seed, so identical
 inputs reproduce identical reports byte for byte.
+
+The property battery draws its samples a block at a time, as the columns of
+rng.random((block, 8)) (bitwise the sequential rng.uniform draws), and
+checks each property with one array call per rule and block
+(solve_fluxes_batch, solve_batch, batch_waves).  Only the oracle comparison
+runs point by point.
 """
 
 from __future__ import annotations
@@ -21,14 +27,14 @@ from .riemann import (
     check_interior_admissible,
     check_stationary_admissible,
     daganzo_fifo,
-    junction_fluxes,
     lebacque,
     local_discrete_flux,
     partial_evacuation,
     priority_based,
-    riemann_rule,
     solve,
+    solve_batch,
     solve_fluxes,
+    solve_fluxes_batch,
     supply_proportional,
 )
 from .oracle import brute_force_fluxes
@@ -404,12 +410,11 @@ def flux_map(spec):
     report = Report("flux-map", spec.config_hash, spec.seed)
     axes = [np.minimum(axis, cap) for axis, cap in zip(spec.sweep.axes(), caps)]
     d0, s1, s2 = (grid.ravel() for grid in np.meshgrid(*axes, indexing="ij"))
-    rule = riemann_rule(model, caps)
-    _, q1, q2 = junction_fluxes(rule, d0, (s1, s2), rule.xi)
+    q0, q1, q2 = solve_fluxes_batch(model, d0, s1, s2, caps)
     routed = model.kind in (DivergeModelKind.DAGANZO_FIFO, DivergeModelKind.LEBACQUE)
     rows = []
     mismatches = 0
-    for point in zip(d0.tolist(), s1.tolist(), s2.tolist(), (q1 + q2).tolist(), q1.tolist(), q2.tolist()):
+    for point in zip(d0.tolist(), s1.tolist(), s2.tolist(), q0.tolist(), q1.tolist(), q2.tolist()):
         if routed:
             region = _fifo_region(model, *point[:3])
             if region != _fifo_region_by_inequalities(model, *point[:3]):
@@ -438,30 +443,25 @@ def _mainline_ramp_trio():
     return (fd_main, fd_main, del_castillo_ramp())
 
 
-def _random_flux_input(rng, diagrams):
-    c0, c1, c2 = (fd.capacity for fd in diagrams)
-    d0 = rng.uniform(0.0, c0)
-    s1 = rng.uniform(0.0, c1)
-    s2 = rng.uniform(0.0, c2)
-    return RiemannInput(
-        diagrams[0],
-        TrafficState(d0, c0),
-        (diagrams[1], diagrams[2]),
-        (TrafficState(c1, s1), TrafficState(c2, s2)),
-    )
+# Samples per array call of the batteries: bounds their working set (about
+# 1 kB per sample) whatever the sample count.  Blocks draw from the generator
+# in turn, so the draws do not depend on the block size.
+_BLOCK = 256
 
 
-def _random_density_input(rng, diagrams):
-    densities = [rng.uniform(0.0, fd.jam_density) for fd in diagrams]
-    return RiemannInput.from_densities(diagrams, densities)
+def _uniform(u, lo, hi):
+    """rng.uniform(lo, hi) from a draw u of rng.random(), bitwise."""
+    return lo + (hi - lo) * u
 
 
-def _random_models(rng):
-    x1 = rng.uniform(0.05, 0.95)
-    a1 = rng.uniform(0.0, 1.0)
-    y1 = rng.uniform(0.0, 0.9)
-    y2 = rng.uniform(0.0, max(1e-9, 0.98 - y1))
-    b1 = rng.uniform(y1, 1.0 - y2)
+def _random_models(u):
+    """The five diverge models of a battery from five columns of uniform
+    draws, one rule per row: xi and alpha are arrays."""
+    x1 = _uniform(u[:, 0], 0.05, 0.95)
+    a1 = _uniform(u[:, 1], 0.0, 1.0)
+    y1 = _uniform(u[:, 2], 0.0, 0.9)
+    y2 = _uniform(u[:, 3], 0.0, np.maximum(1e-9, 0.98 - y1))
+    b1 = _uniform(u[:, 4], y1, 1.0 - y2)
     return (
         daganzo_fifo((x1, 1.0 - x1)),
         lebacque((x1, 1.0 - x1)),
@@ -472,11 +472,167 @@ def _random_models(rng):
 
 
 def _max_flux_gap(fa, fb):
-    return max(abs(a - b) for a, b in zip(fa, fb))
+    return np.max(np.abs(np.subtract(fa, fb)), axis=0)
+
+
+def _pair(values, k):
+    """Row k of a model parameter pair (floats or arrays), as floats."""
+    return tuple(float(v[k]) if np.ndim(v) else float(v) for v in values)
+
+
+def _record_first(failures, name, ok, detail):
+    """Keep the first counterexample of check `name` in `failures`.
+
+    ok holds one (n,) pass mask over the samples per case checked at each
+    sample, in case order; the first failure in sample order, then case
+    order, is the one a per-sample loop meets first.  detail(i, case)
+    renders it.
+    """
+    failed = ~np.stack(ok, axis=1)
+    if name not in failures and failed.any():
+        failures[name] = detail(*divmod(int(np.argmax(failed)), failed.shape[1]))
+
+
+def _flux_battery(failures, rng, n, diagrams):
+    """n random (D0, S1, S2) points, each with five random models: flux
+    bounds, model equivalences, local optimality, invariance at interior
+    states and admissibility."""
+    caps = tuple(fd.capacity for fd in diagrams)
+    c0, c1, c2 = caps
+    u = rng.random((n, 8))
+    d0, s1, s2 = (_uniform(u[:, k], 0.0, c) for k, c in enumerate(caps))
+    models = _random_models(u[:, 3:])
+    dag, leb, prop, prio, part = models
+    part_fifo = partial_evacuation(dag.xi, dag.xi)  # alpha box degenerates when xi sums to one
+    part_free = partial_evacuation((0.0, 0.0), prio.alpha)
+    fair = priority_based((c1 / (c1 + c2), c2 / (c1 + c2)))
+    fd, fl, fp, f_prio, f_part, f_fair, f_part_fifo, f_part_free = (
+        solve_fluxes_batch(model, d0, s1, s2, caps) for model in (*models, fair, part_fifo, part_free)
+    )
+    flux = (fd, fl, fp, f_prio, f_part)
+    optimal = np.minimum(d0, s1 + s2)
+
+    def record(name, ok, detail):
+        _record_first(failures, name, ok, detail)
+
+    def at(i):
+        return f"at {(d0[i].item(), s1[i].item(), s2[i].item())}"
+
+    def row(fluxes, i):
+        return tuple(q[i].item() for q in fluxes)
+
+    def close(fa, fb):
+        return _max_flux_gap(fa, fb) <= 1e-12
+
+    def residual(i, m):
+        q0, q1, q2 = row(flux[m], i)
+        return f"{models[m].kind.value} {at(i)}: q0-q1-q2={q0 - q1 - q2!r}"
+
+    record("conservation-exact", [q0 == q1 + q2 for q0, q1, q2 in flux], residual)
+    record(
+        "flux-bounds",
+        [
+            (-1e-15 <= q1) & (q1 <= np.minimum(c1, s1) + 1e-12)
+            & (-1e-15 <= q2) & (q2 <= np.minimum(c2, s2) + 1e-12)
+            & (q0 <= np.minimum(c0, d0) + 1e-12)
+            for q0, q1, q2 in flux
+        ],
+        lambda i, m: f"{models[m].kind.value} {at(i)}: {row(flux[m], i)}",
+    )
+    record(
+        "fifo-split",
+        [
+            (abs(fx[1] - model.xi[0] * fx[0]) <= 1e-12) & (abs(fx[2] - model.xi[1] * fx[0]) <= 1e-12)
+            for model, fx in ((dag, fd), (leb, fl))
+        ],
+        lambda i, m: f"{models[m].kind.value} xi={_pair(models[m].xi, i)} {at(i)}: {row(flux[m], i)}",
+    )
+    record(
+        "daganzo-lebacque-equal",
+        [close(fd, fl)],
+        lambda i, _: f"xi={_pair(dag.xi, i)} {at(i)}: {row(fd, i)} vs {row(fl, i)}",
+    )
+    record(
+        "supply-proportional-is-capacity-priority",
+        [close(fp, f_fair)],
+        lambda i, _: f"{at(i)}: {row(fp, i)} vs {row(f_fair, i)}",
+    )
+    record(
+        "partial-reduces-to-daganzo",
+        [close(f_part_fifo, fd)],
+        lambda i, _: f"xi={_pair(dag.xi, i)} {at(i)}: {row(f_part_fifo, i)} vs {row(fd, i)}",
+    )
+    record(
+        "partial-reduces-to-priority",
+        [close(f_part_free, f_prio)],
+        lambda i, _: f"alpha={_pair(prio.alpha, i)} {at(i)}: {row(f_part_free, i)} vs {row(f_prio, i)}",
+    )
+    record(
+        "partial-route-guarantee",
+        [(f_part[1] >= part.xi[0] * f_part[0] - 1e-12) & (f_part[2] >= part.xi[1] * f_part[0] - 1e-12)],
+        lambda i, _: f"xi={_pair(part.xi, i)} alpha={_pair(part.alpha, i)} {at(i)}: {row(f_part, i)}",
+    )
+    evacuation = ((prop, fp), (prio, f_prio), (part_free, f_part_free))
+    record(
+        "evacuation-optimality",
+        [abs(fx[0] - optimal) <= 1e-12 for _, fx in evacuation],
+        lambda i, m: (
+            f"{evacuation[m][0].kind.value} {at(i)}: "
+            f"q0={evacuation[m][1][0][i].item()!r} vs {optimal[i].item()!r}"
+        ),
+    )
+
+    initial = (TrafficState(d0, c0), TrafficState(c1, s1), TrafficState(c2, s2))
+    sides = (Side.UPSTREAM, Side.DOWNSTREAM, Side.DOWNSTREAM)
+    solved, local, admissible = [], [], []
+    for model in models:
+        sol = solve_batch(model, d0, s1, s2, caps)
+        solved.append(sol.fluxes)
+        local.append(
+            local_discrete_flux(model, sol.interior_upstream, sol.interior_downstream, sol.interior_proportions)
+        )
+        ok = True
+        links = zip(
+            (sol.stationary_upstream, *sol.stationary_downstream),
+            (sol.interior_upstream, *sol.interior_downstream),
+            initial, sides, caps,
+        )
+        for stationary, interior, state, side, cap in links:
+            ok = ok & check_stationary_admissible(stationary, state, side, cap)
+            ok = ok & check_interior_admissible(interior, stationary, side, cap)
+        admissible.append(ok)
+    record(
+        "invariance-at-interior-states",
+        [close(fx, q) for fx, q in zip(local, solved)],
+        lambda i, m: f"{models[m].kind.value} {at(i)}: {row(local[m], i)} vs {row(solved[m], i)}",
+    )
+    record("admissibility", admissible, lambda i, m: f"{models[m].kind.value} {at(i)}")
+
+
+def _wave_battery(failures, rng, n, diagrams):
+    """n random initial densities, each with five random models: no wave
+    travels toward the junction."""
+    caps = tuple(fd.capacity for fd in diagrams)
+    u = rng.random((n, 8))
+    densities = [_uniform(u[:, k], 0.0, fd.jam_density) for k, fd in enumerate(diagrams)]
+    d0 = diagrams[0].demand(densities[0])
+    s1, s2 = (diagrams[k].supply(densities[k]) for k in (1, 2))
+    models = _random_models(u[:, 3:])
+    triplets = [
+        waves.batch_waves(solve_batch(model, d0, s1, s2, caps), diagrams, densities) for model in models
+    ]
+    wrong = [waves.wrong_signs(triplet) for triplet in triplets]
+
+    def detail(i, m):
+        row = tuple(w.row(i) for w in triplets[m])
+        return f"{models[m].kind.value}: {waves.sign_error(row, int(wrong[m][i]))}"
+
+    _record_first(failures, "wave-speed-signs", [link < 0 for link in wrong], detail)
 
 
 def property_suite(spec):
-    """Randomized battery of the solver's structural properties.
+    """Randomized battery of the solver's structural properties, checked
+    as array code over blocks of samples.
 
     Every failure is reported with the first counterexample verbatim.
     """
@@ -486,130 +642,14 @@ def property_suite(spec):
     n = spec.samples
 
     failures = {}
+    for start in range(0, n, _BLOCK):
+        _flux_battery(failures, rng, min(_BLOCK, n - start), diagrams)
+    for start in range(0, spec.wave_samples, _BLOCK):
+        _wave_battery(failures, rng, min(_BLOCK, spec.wave_samples - start), diagrams)
 
     def record(name, condition, detail):
         if not condition and name not in failures:
             failures[name] = detail
-
-    for _ in range(n):
-        inp = _random_flux_input(rng, diagrams)
-        d0 = inp.demand_upstream
-        s1, s2 = inp.supplies
-        c0, c1, c2 = inp.capacities
-        models = _random_models(rng)
-        dag, leb, prop, prio, part = models
-
-        for model in models:
-            q0, q1, q2 = solve_fluxes(model, inp)
-            record(
-                "conservation-exact",
-                q0 == q1 + q2,
-                f"{model.kind.value} at {(d0, s1, s2)}: q0-q1-q2={q0 - q1 - q2!r}",
-            )
-            record(
-                "flux-bounds",
-                -1e-15 <= q1 <= min(c1, s1) + 1e-12
-                and -1e-15 <= q2 <= min(c2, s2) + 1e-12
-                and q0 <= min(c0, d0) + 1e-12,
-                f"{model.kind.value} at {(d0, s1, s2)}: {(q0, q1, q2)}",
-            )
-
-        fd = solve_fluxes(dag, inp)
-        fl = solve_fluxes(leb, inp)
-        for model, fx in ((dag, fd), (leb, fl)):
-            x1, x2 = model.xi
-            record(
-                "fifo-split",
-                abs(fx[1] - x1 * fx[0]) <= 1e-12 and abs(fx[2] - x2 * fx[0]) <= 1e-12,
-                f"{model.kind.value} xi={model.xi} at {(d0, s1, s2)}: {fx}",
-            )
-        record(
-            "daganzo-lebacque-equal",
-            _max_flux_gap(fd, fl) <= 1e-12,
-            f"xi={dag.xi} at {(d0, s1, s2)}: {fd} vs {fl}",
-        )
-
-        fp = solve_fluxes(prop, inp)
-        fprio_match = solve_fluxes(priority_based((c1 / (c1 + c2), c2 / (c1 + c2))), inp)
-        record(
-            "supply-proportional-is-capacity-priority",
-            _max_flux_gap(fp, fprio_match) <= 1e-12,
-            f"at {(d0, s1, s2)}: {fp} vs {fprio_match}",
-        )
-
-        x1, x2 = dag.xi
-        a_pin = (x1, x2)  # alpha box degenerates when xi sums to one
-        f_part_fifo = solve_fluxes(partial_evacuation((x1, x2), a_pin), inp)
-        record(
-            "partial-reduces-to-daganzo",
-            _max_flux_gap(f_part_fifo, fd) <= 1e-12,
-            f"xi={a_pin} at {(d0, s1, s2)}: {f_part_fifo} vs {fd}",
-        )
-        f_prio = solve_fluxes(prio, inp)
-        f_part_free = solve_fluxes(partial_evacuation((0.0, 0.0), prio.alpha), inp)
-        record(
-            "partial-reduces-to-priority",
-            _max_flux_gap(f_part_free, f_prio) <= 1e-12,
-            f"alpha={prio.alpha} at {(d0, s1, s2)}: {f_part_free} vs {f_prio}",
-        )
-
-        f_part = solve_fluxes(part, inp)
-        record(
-            "partial-route-guarantee",
-            f_part[1] >= part.xi[0] * f_part[0] - 1e-12
-            and f_part[2] >= part.xi[1] * f_part[0] - 1e-12,
-            f"xi={part.xi} alpha={part.alpha} at {(d0, s1, s2)}: {f_part}",
-        )
-
-        optimal = min(d0, s1 + s2)
-        for model, fx in ((prop, fp), (prio, f_prio), (partial_evacuation((0.0, 0.0), prio.alpha), f_part_free)):
-            record(
-                "evacuation-optimality",
-                abs(fx[0] - optimal) <= 1e-12,
-                f"{model.kind.value} at {(d0, s1, s2)}: q0={fx[0]!r} vs {optimal!r}",
-            )
-
-        for model in models:
-            sol = solve(model, inp)
-            local = local_discrete_flux(
-                model, sol.interior_upstream, sol.interior_downstream, sol.interior_proportions
-            )
-            record(
-                "invariance-at-interior-states",
-                _max_flux_gap(local, sol.fluxes) <= 1e-12,
-                f"{model.kind.value} at {(d0, s1, s2)}: {local} vs {sol.fluxes}",
-            )
-            ok_up = check_stationary_admissible(
-                sol.stationary_upstream, inp.upstream_state, Side.UPSTREAM, c0
-            )
-            ok_dn = all(
-                check_stationary_admissible(
-                    sol.stationary_downstream[i], inp.downstream_states[i], Side.DOWNSTREAM, (c1, c2)[i]
-                )
-                for i in range(2)
-            )
-            ok_int = check_interior_admissible(
-                sol.interior_upstream, sol.stationary_upstream, Side.UPSTREAM, c0
-            ) and all(
-                check_interior_admissible(
-                    sol.interior_downstream[i], sol.stationary_downstream[i], Side.DOWNSTREAM, (c1, c2)[i]
-                )
-                for i in range(2)
-            )
-            record(
-                "admissibility",
-                ok_up and ok_dn and ok_int,
-                f"{model.kind.value} at {(d0, s1, s2)}",
-            )
-
-    for _ in range(spec.wave_samples):
-        inp = _random_density_input(rng, diagrams)
-        for model in _random_models(rng):
-            sol = solve(model, inp)
-            try:
-                waves.link_waves(sol, inp)
-            except waves.WaveConsistencyError as exc:
-                record("wave-speed-signs", False, f"{model.kind.value}: {exc}")
 
     grid = spec.oracle_grid
     caps = tuple(fd.capacity for fd in diagrams)

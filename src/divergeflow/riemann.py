@@ -30,9 +30,12 @@ one kernel of all five rules and takes scalars or arrays.
 Each Riemann flux is a local rule evaluated at the initial (D0, S1, S2):
 Lebacque's rule gives the fluxes of Daganzo's with the same xi, and the
 supply-proportional rule those of the priority rule with weights
-ci / (c1 + c2).  riemann_rule names that counterpart rule and solve_fluxes
-evaluates it; solve adds stationary states, canonical interior states,
-interior turning proportions, and per-link uniqueness flags.
+ci / (c1 + c2).  riemann_rule names that counterpart rule and
+solve_fluxes_batch evaluates it; solve_batch adds stationary states,
+canonical interior states, interior turning proportions, and per-link
+uniqueness flags.  Both take arrays of (D0, S1, S2), and a model whose xi or
+alpha are arrays of the same length applies one rule per point.
+solve_fluxes and solve run the same code on one RiemannInput.
 
 The uniqueness flags follow from which bounds are tight.  A strict bound
 (q0 < D0, qi < Si) pins the link's interior state to its stationary state.
@@ -44,20 +47,23 @@ capacity) and the fluxes do not move as it rises from its canonical value:
     evacuation rules         q1 and q2 have zero right-hand slope in that
                              coordinate at the canonical interiors
 
-The slopes come from the binding min/max terms, a tie counting every tied
-term.  oracle.probe_interior_unique checks these flags by scanning.
+The slopes come from the binding min/max terms, every term within TIE_TOL
+of the min or max counting as tied; the three coordinates' slopes are
+carried together.  oracle.probe_interior_unique checks these flags by
+scanning.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fundamental_diagram import FLUX_TOL, FundamentalDiagram, InvalidStateError
-from .supply_demand import TrafficState, state_of
+from .supply_demand import TrafficState, holds, state_of
 
 __all__ = [
     "DivergeModelKind",
@@ -67,7 +73,9 @@ __all__ = [
     "RiemannSolution",
     "riemann_rule",
     "solve_fluxes",
+    "solve_fluxes_batch",
     "solve",
+    "solve_batch",
     "junction_fluxes",
     "local_discrete_flux",
     "check_stationary_admissible",
@@ -113,6 +121,8 @@ class DivergeModel:
     for PARTIAL_EVACUATION (nonnegative, summing to at most 1: the remainder
     has no predefined route).  alpha is required for PRIORITY_BASED (in [0, 1],
     summing to 1) and PARTIAL_EVACUATION (ai in [xi, 1 - xj], summing to 1).
+    Either pair may hold two equal-length 1-d arrays instead of two floats:
+    one rule per point of a batch, each checked as above.
     """
 
     kind: DivergeModelKind
@@ -133,39 +143,49 @@ class DivergeModel:
             x1, x2 = self.xi
             self._require_alpha(lo=(x1, x2), hi=(1.0 - x2, 1.0 - x1))
 
+    # The checks below hold elementwise for array parameters; NaN fails them.
+
     def _require_xi(self, strict):
         if self.xi is None:
             raise ValueError(f"{self.kind.value} requires turning proportions xi")
         x1, x2 = self.xi
         if strict:
-            if not (x1 > 0.0 and x2 > 0.0):
+            if not holds((x1 > 0.0) & (x2 > 0.0)):
                 raise ValueError(f"{self.kind.value} requires strictly positive xi, got {self.xi}")
-            if not abs(x1 + x2 - 1.0) <= FLUX_TOL:
+            if not holds(abs(x1 + x2 - 1.0) <= FLUX_TOL):
                 raise ValueError(f"xi must sum to 1, got {self.xi}")
-        else:
-            if not (x1 >= 0.0 and x2 >= 0.0 and x1 + x2 <= 1.0 + FLUX_TOL):
-                raise ValueError(f"xi must be nonnegative with sum <= 1, got {self.xi}")
+        elif not holds((x1 >= 0.0) & (x2 >= 0.0) & (x1 + x2 <= 1.0 + FLUX_TOL)):
+            raise ValueError(f"xi must be nonnegative with sum <= 1, got {self.xi}")
 
     def _require_alpha(self, lo, hi):
         if self.alpha is None:
             raise ValueError(f"{self.kind.value} requires priority weights alpha")
         a1, a2 = self.alpha
-        if not abs(a1 + a2 - 1.0) <= FLUX_TOL:
+        if not holds(abs(a1 + a2 - 1.0) <= FLUX_TOL):
             raise ValueError(f"alpha must sum to 1, got {self.alpha}")
         eps = FLUX_TOL
-        if not (lo[0] - eps <= a1 <= hi[0] + eps and lo[1] - eps <= a2 <= hi[1] + eps):
+        inside = (lo[0] - eps <= a1) & (a1 <= hi[0] + eps) & (lo[1] - eps <= a2) & (a2 <= hi[1] + eps)
+        if not holds(inside):
             raise ValueError(
                 f"alpha {self.alpha} outside admissible box [{lo[0]}, {hi[0]}] x [{lo[1]}, {hi[1]}]"
             )
 
 
 def _finite_pair(name, value):
-    """value as a pair of finite floats; ValueError for anything else."""
+    """value as a pair of finite floats, or of equal-length 1-d float arrays
+    when either entry is a numpy array (one rule per row of a batch);
+    ValueError for anything else."""
     try:
-        pair = tuple(float(v) for v in value)
+        first, second = value
+        if isinstance(first, np.ndarray) or isinstance(second, np.ndarray):
+            pair = (np.asarray(first, dtype=float), np.asarray(second, dtype=float))
+            if pair[0].ndim != 1 or pair[0].shape != pair[1].shape:
+                raise ValueError
+        else:
+            pair = (float(first), float(second))
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be a pair of numbers, got {value!r}") from None
-    if len(pair) != 2 or not all(math.isfinite(v) for v in pair):
+    if not np.isfinite(pair).all():
         raise ValueError(f"{name} must be two finite numbers, got {value!r}")
     return pair
 
@@ -252,7 +272,8 @@ class RiemannInput:
 class RiemannSolution:
     """Fluxes, stationary states, interior states, interior turning
     proportions, and per-link interior uniqueness flags (upstream, down 1,
-    down 2)."""
+    down 2).  solve gives floats and bools; solve_batch gives equal-length
+    arrays in every field, one entry per point, and row(k) picks point k."""
 
     fluxes: tuple[float, float, float]
     stationary_upstream: TrafficState
@@ -273,6 +294,22 @@ class RiemannSolution:
     @property
     def q2(self):
         return self.fluxes[2]
+
+    def row(self, k):
+        """Point k of a batch solution, in Python floats and bools."""
+
+        def state(u):
+            return TrafficState(u.demand[k].item(), u.supply[k].item())
+
+        return RiemannSolution(
+            fluxes=tuple(q[k].item() for q in self.fluxes),
+            stationary_upstream=state(self.stationary_upstream),
+            stationary_downstream=tuple(map(state, self.stationary_downstream)),
+            interior_upstream=state(self.interior_upstream),
+            interior_downstream=tuple(map(state, self.interior_downstream)),
+            interior_proportions=tuple(p[k].item() for p in self.interior_proportions),
+            interior_unique=tuple(f[k].item() for f in self.interior_unique),
+        )
 
 
 def _per_share(s, x):
@@ -326,14 +363,15 @@ def junction_fluxes(model, demand_upstream, supplies, proportions):
 
 
 def local_discrete_flux(model, interior_upstream, interior_downstream, interior_proportions):
-    """Evaluate the model's local entropy rule on interior states.
+    """Evaluate the model's local entropy rule on interior states, as floats
+    for single states and as arrays for the states of a batch.
 
     Exactly the flux function the cell-transmission junction update calls.
     """
     d0 = interior_upstream.demand
     supplies = (interior_downstream[0].supply, interior_downstream[1].supply)
-    q0, q1, q2 = junction_fluxes(model, d0, supplies, interior_proportions)
-    return (float(q0), float(q1), float(q2))
+    fluxes = junction_fluxes(model, d0, supplies, interior_proportions)
+    return tuple(q if np.ndim(q) else float(q) for q in fluxes)
 
 
 def riemann_rule(model, capacities):
@@ -349,28 +387,37 @@ def riemann_rule(model, capacities):
     return model
 
 
+def solve_fluxes_batch(model, d0, s1, s2, capacities):
+    """Closed-form boundary fluxes (q0, q1, q2) at scalar or array upstream
+    demands and downstream supplies, from one evaluation of the riemann_rule
+    counterpart; q0 = q1 + q2 holds exactly."""
+    rule = riemann_rule(model, capacities)
+    _, q1, q2 = junction_fluxes(rule, d0, (s1, s2), rule.xi)
+    return (q1 + q2, q1, q2)
+
+
 def solve_fluxes(model, inp):
     """Closed-form boundary fluxes (q0, q1, q2) of the Riemann problem.
 
     q0 = q1 + q2 holds exactly.  The result depends only on the upstream
     demand and the downstream supplies.
     """
-    rule = riemann_rule(model, inp.capacities)
-    _, q1, q2 = junction_fluxes(rule, inp.demand_upstream, inp.supplies, rule.xi)
+    s1, s2 = inp.supplies
+    _, q1, q2 = solve_fluxes_batch(model, inp.demand_upstream, s1, s2, inp.capacities)
     q1, q2 = float(q1), float(q2)
     return (q1 + q2, q1, q2)
 
 
-def _stationary_states(inp, fluxes):
-    q0, q1, q2 = fluxes
-    d0 = inp.demand_upstream
-    supplies = inp.supplies
-    c0, c1, c2 = inp.capacities
-    up = TrafficState(d0, c0) if q0 >= d0 - TIE_TOL else TrafficState(c0, q0)
-    down = []
-    for qi, si, ci in zip((q1, q2), supplies, (c1, c2)):
-        down.append(TrafficState(ci, si) if qi >= si - TIE_TOL else TrafficState(qi, ci))
-    return up, tuple(down)
+# The two admissibility checks take floats or arrays.  A downstream link is
+# an upstream one with demand and supply swapped, so each check is written
+# once on (own, other): (demand, supply) upstream, (supply, demand)
+# downstream.
+
+
+def _own_other(state, side):
+    if side is Side.UPSTREAM:
+        return state.demand, state.supply
+    return state.supply, state.demand
 
 
 def check_stationary_admissible(candidate, initial, side, capacity, tol=TIE_TOL):
@@ -380,16 +427,10 @@ def check_stationary_admissible(candidate, initial, side, capacity, tol=TIE_TOL)
     ones are (Ci, Si) or (D, Ci) with D < Si, where D0 and Si come from the
     initial state.
     """
-    d, s = candidate.demand, candidate.supply
-    if side is Side.UPSTREAM:
-        d0 = initial.demand
-        if abs(d - d0) <= tol and abs(s - capacity) <= tol:
-            return True
-        return abs(d - capacity) <= tol and s < d0 - tol
-    si = initial.supply
-    if abs(d - capacity) <= tol and abs(s - si) <= tol:
-        return True
-    return abs(s - capacity) <= tol and d < si - tol
+    own, other = _own_other(candidate, side)
+    bound = _own_other(initial, side)[0]
+    kept = (abs(own - bound) <= tol) & (abs(other - capacity) <= tol)
+    return kept | ((abs(own - capacity) <= tol) & (other < bound - tol))
 
 
 def check_interior_admissible(interior, stationary, side, capacity, tol=TIE_TOL):
@@ -401,82 +442,79 @@ def check_interior_admissible(interior, stationary, side, capacity, tol=TIE_TOL)
     forces the interior to coincide with it; otherwise the interior is free up
     to a one-sided bound against the stationary flux component.
     """
-    d, s = interior.demand, interior.supply
-    if abs(max(d, s) - capacity) > tol:
-        return False
-    if side is Side.UPSTREAM:
-        soc = stationary.supply < stationary.demand - tol and abs(stationary.demand - capacity) <= tol
-        if soc:
-            return interior.is_close(stationary, tol)
-        return s >= stationary.demand - tol
-    suc = stationary.demand < stationary.supply - tol and abs(stationary.supply - capacity) <= tol
-    if suc:
-        return interior.is_close(stationary, tol)
-    return d >= stationary.supply - tol
+    own, other = _own_other(interior, side)
+    stat_own, stat_other = _own_other(stationary, side)
+    on_diagram = abs(np.maximum(own, other) - capacity) <= tol
+    forced = (stat_other < stat_own - tol) & (abs(stat_own - capacity) <= tol)
+    return on_diagram & np.where(forced, interior.is_close(stationary, tol), other >= stat_own - tol)
 
 
-def _interior_proportions(model, inp, fluxes):
+def _stationary_states(d0, s1, s2, capacities, fluxes, tight):
+    """Stationary states per link: (D0, C0) or (C0, q0) upstream, (Ci, Si)
+    or (qi, Ci) downstream, by whether the link's bound is tight."""
+    c0, c1, c2 = capacities
+    q0, q1, q2 = fluxes
+    up = TrafficState(np.where(tight[0], d0, c0), np.where(tight[0], c0, q0))
+    down = tuple(
+        TrafficState(np.where(t, c, q), np.where(t, s, c))
+        for t, c, q, s in zip(tight[1:], (c1, c2), (q1, q2), (s1, s2))
+    )
+    return up, down
+
+
+def _interior_proportions(model, d0, s1, s2, capacities, fluxes):
     """Canonical turning proportions in the upstream interior state."""
     q0, q1, q2 = fluxes
     kind = model.kind
     if kind is DivergeModelKind.DAGANZO_FIFO:
-        return model.xi
+        return tuple(np.full(q0.shape, x) for x in model.xi)
     if kind is DivergeModelKind.LEBACQUE:
-        d0 = inp.demand_upstream
-        s1, s2 = inp.supplies
-        c0 = inp.capacities[0]
+        # where exactly one downstream supply constrains the flux, the
+        # upstream interior keeps demand C0 and reweights the commodities so
+        # that the unconstrained one still passes xi_i * q0
         x1, x2 = model.xi
-        t1, t2 = s1 / x1, s2 / x2
-        bind1 = abs(t1 - q0) <= TIE_TOL
-        bind2 = abs(t2 - q0) <= TIE_TOL
-        if d0 > q0 + TIE_TOL and bind1 != bind2:
-            # exactly one downstream supply constrains the flux: the upstream
-            # interior keeps demand C0 and reweights the commodities so that
-            # the unconstrained one still passes xi_i * q0
-            if bind2:
-                p1 = x1 * q0 / c0
-                return (p1, 1.0 - p1)
-            p2 = x2 * q0 / c0
-            return (1.0 - p2, p2)
-        return model.xi
-    if q0 > TIE_TOL:
-        return (q1 / q0, q2 / q0)
+        bind1 = abs(s1 / x1 - q0) <= TIE_TOL
+        bind2 = abs(s2 / x2 - q0) <= TIE_TOL
+        one = (d0 > q0 + TIE_TOL) & (bind1 != bind2)
+        p1 = x1 * q0 / capacities[0]
+        p2 = x2 * q0 / capacities[0]
+        first = np.where(one & bind2, p1, np.where(one, 1.0 - p2, x1))
+        second = np.where(one & bind2, 1.0 - p1, np.where(one, p2, x2))
+        return (first, second)
     if kind is DivergeModelKind.SUPPLY_PROPORTIONAL:
-        c1, c2 = inp.capacities[1], inp.capacities[2]
-        return (c1 / (c1 + c2), c2 / (c1 + c2))
-    return model.alpha
+        _, c1, c2 = capacities
+        idle = (c1 / (c1 + c2), c2 / (c1 + c2))
+    else:
+        idle = model.alpha
+    moving = q0 > TIE_TOL
+    safe = np.where(moving, q0, 1.0)
+    return (np.where(moving, q1 / safe, idle[0]), np.where(moving, q2 / safe, idle[1]))
 
 
-def _canonical_interiors(model, inp, fluxes, stationary_up, stationary_down):
-    """Interior states: the stationary states, except where the entropy rule
-    forces a distinct interior (supply-proportional rule, one congested and
-    one free downstream link)."""
-    interior_up = stationary_up
-    interior_down = list(stationary_down)
-    if model.kind is DivergeModelKind.SUPPLY_PROPORTIONAL:
-        q0, q1, q2 = fluxes
-        d0 = inp.demand_upstream
-        s1, s2 = inp.supplies
-        ties = [q1 >= s1 - TIE_TOL, q2 >= s2 - TIE_TOL]
-        if (
-            q0 >= d0 - TIE_TOL
-            and s1 + s2 > d0 + TIE_TOL
-            and ties[0] != ties[1]
-        ):
-            i = 0 if ties[0] else 1
-            j = 1 - i
-            si = (s1, s2)[i]
-            ci = inp.capacities[1 + i]
-            cj = inp.capacities[1 + j]
-            if d0 - si > TIE_TOL:
-                supply = min(ci, si * cj / (d0 - si))
-                interior_down[i] = TrafficState(ci, supply)
-    return interior_up, tuple(interior_down)
+def _canonical_interiors(model, d0, s1, s2, capacities, tight, stationary_down):
+    """Downstream interior states: the stationary states, except where the
+    entropy rule forces a distinct interior (supply-proportional rule, one
+    congested and one free downstream link).  Upstream interiors are the
+    stationary states."""
+    if model.kind is not DivergeModelKind.SUPPLY_PROPORTIONAL:
+        return stationary_down
+    split = tight[0] & (s1 + s2 > d0 + TIE_TOL) & (tight[1] != tight[2])
+    interior = []
+    _, c1, c2 = capacities
+    for i, (si, ci, cj) in enumerate(((s1, c1, c2), (s2, c2, c1))):
+        stationary = stationary_down[i]
+        room = d0 - si
+        distinct = split & tight[1 + i] & (room > TIE_TOL)
+        supply = np.minimum(ci, si * cj / np.where(distinct, room, 1.0))
+        interior.append(TrafficState(stationary.demand, np.where(distinct, supply, stationary.supply)))
+    return tuple(interior)
 
 
 class _Sided:
-    """A value with its right-hand slope as one interior coordinate grows
-    from its canonical value (that coordinate carries slope 1)."""
+    """A value with its right-hand slope as an interior coordinate grows
+    from its canonical value (that coordinate carries slope 1).  Values and
+    slopes are floats or arrays; a (3, n) slope holds the slopes along the
+    three coordinates (d0, s1, s2) as rows."""
 
     __slots__ = ("value", "slope")
 
@@ -497,25 +535,29 @@ class _Sided:
             )
         return _Sided(self.value * other, self.slope * other)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
-        if isinstance(other, _Sided):
-            ratio = self.value / other.value
-            return _Sided(ratio, (self.slope - ratio * other.slope) / other.value)
-        return _Sided(self.value / other, self.slope / other)
+        ratio = self.value / other.value
+        return _Sided(ratio, (self.slope - ratio * other.slope) / other.value)
 
 
 def _sided_min(*terms):
-    """min of the terms; of the tied ones, the slowest-growing one leads."""
-    low = min(t.value for t in terms)
-    return _Sided(low, min(t.slope for t in terms if t.value <= low + TIE_TOL))
+    """min of the terms; of those within TIE_TOL of it, the slowest-growing
+    one leads."""
+    low = functools.reduce(np.minimum, [t.value for t in terms])
+    slopes = [np.where(t.value <= low + TIE_TOL, t.slope, math.inf) for t in terms]
+    return _Sided(low, functools.reduce(np.minimum, slopes))
 
 
 def _sided_max(*terms):
-    """max of the terms; of the tied ones, the fastest-growing one leads."""
-    high = max(t.value for t in terms)
-    return _Sided(high, max(t.slope for t in terms if t.value >= high - TIE_TOL))
+    """max of the terms; of those within TIE_TOL of it, the fastest-growing
+    one leads."""
+    high = functools.reduce(np.maximum, [t.value for t in terms])
+    slopes = [np.where(t.value >= high - TIE_TOL, t.slope, -math.inf) for t in terms]
+    return _Sided(high, functools.reduce(np.maximum, slopes))
+
+
+def _sided_where(mask, a, b):
+    return _Sided(np.where(mask, a.value, b.value), np.where(mask, a.slope, b.slope))
 
 
 def _sided_evacuation_fluxes(model, d0, s1, s2):
@@ -523,23 +565,24 @@ def _sided_evacuation_fluxes(model, d0, s1, s2):
     junction_fluxes', the slopes its right-hand derivatives."""
     if model.kind is DivergeModelKind.SUPPLY_PROPORTIONAL:
         total = s1 + s2
-        if total.value <= 0.0:
-            return _sided_min(s1, d0), _sided_min(s2, d0)
-        scale = _sided_min(_Sided(1.0), d0 / total)
-        return scale * s1, scale * s2
+        empty = total.value <= 0.0
+        scale = _sided_min(_Sided(1.0), d0 / _Sided(np.where(empty, 1.0, total.value), total.slope))
+        return (
+            _sided_where(empty, _sided_min(s1, d0), scale * s1),
+            _sided_where(empty, _sided_min(s2, d0), scale * s2),
+        )
     a1, a2 = model.alpha
-    caps1 = [s1, _sided_max(d0 - s2, a1 * d0)]
-    caps2 = [s2, _sided_max(d0 - s1, a2 * d0)]
+    caps1 = [s1, _sided_max(d0 - s2, d0 * a1)]
+    caps2 = [s2, _sided_max(d0 - s1, d0 * a2)]
     if model.kind is DivergeModelKind.PARTIAL_EVACUATION:
+        # the routed-remainder caps Sj (1 - xj) / xj, +inf where xj = 0
         x1, x2 = model.xi
-        if x2 > 0.0:
-            caps1.append(s2 * (1.0 - x2) / x2)
-        if x1 > 0.0:
-            caps2.append(s1 * (1.0 - x1) / x1)
+        caps1.append(_Sided(*(_per_share(v * (1.0 - x2), x2) for v in (s2.value, s2.slope))))
+        caps2.append(_Sided(*(_per_share(v * (1.0 - x1), x1) for v in (s1.value, s1.slope))))
     return _sided_min(*caps1), _sided_min(*caps2)
 
 
-def _interior_unique_flags(model, inp, fluxes, interiors):
+def _interior_unique_flags(model, capacities, tight, interior_up, interior_down):
     """Per link (upstream, down 1, down 2): is its interior state the only one
     the entropy rule accepts?  The rule is stated in the module docstring.
 
@@ -548,45 +591,53 @@ def _interior_unique_flags(model, inp, fluxes, interiors):
     bind there, or, at a distinct supply-proportional interior, the strictly
     rising qi = D Si / (S1 + S2).
     """
-    q0, q1, q2 = fluxes
-    d0 = inp.demand_upstream
-    s1, s2 = inp.supplies
-    caps = inp.capacities
-    tight = (q0 >= d0 - TIE_TOL, q1 >= s1 - TIE_TOL, q2 >= s2 - TIE_TOL)
-    interior_up, interior_down = interiors
     point = (interior_up.demand, interior_down[0].supply, interior_down[1].supply)
-    flags = []
-    for k in range(3):
-        free = tight[k] and caps[k] - point[k] > _ROOM
-        if free and model.kind in _FIFO_KINDS:
-            free = any(tight[m] for m in range(3) if m != k)
-        elif free:
-            free = _fluxes_flat(model, point, k)
-        flags.append(not free)
-    return tuple(flags)
+    free = [tight[k] & (capacities[k] - point[k] > _ROOM) for k in range(3)]
+    if model.kind in _FIFO_KINDS:
+        free = [free[k] & (tight[(k + 1) % 3] | tight[(k + 2) % 3]) for k in range(3)]
+    elif any(f.any() for f in free):
+        flat = _fluxes_flat(model, point)
+        free = [free[k] & flat[k] for k in range(3)]
+    return tuple(~f for f in free)
 
 
-def _fluxes_flat(model, point, k):
-    """Do both fluxes have zero slope as coordinate k of the interior point
-    (d0, s1, s2) grows?"""
-    args = [_Sided(v, 1.0 if m == k else 0.0) for m, v in enumerate(point)]
-    return all(abs(q.slope) <= _SLOPE_TOL for q in _sided_evacuation_fluxes(model, *args))
+def _fluxes_flat(model, point):
+    """Row k: do both fluxes have zero slope as coordinate k of the interior
+    point (d0, s1, s2) grows?  The three coordinates' slopes are carried as
+    the rows of one (3, n) slope array."""
+    unit = np.eye(3)[:, :, None]
+    q1, q2 = _sided_evacuation_fluxes(model, *(_Sided(v, unit[m]) for m, v in enumerate(point)))
+    return (abs(q1.slope) <= _SLOPE_TOL) & (abs(q2.slope) <= _SLOPE_TOL)
 
 
-def solve(model, inp):
-    """Full Riemann solution: fluxes, stationary states, canonical interior
-    states, interior turning proportions, and uniqueness flags."""
-    fluxes = solve_fluxes(model, inp)
-    stationary_up, stationary_down = _stationary_states(inp, fluxes)
-    interiors = _canonical_interiors(model, inp, fluxes, stationary_up, stationary_down)
-    proportions = _interior_proportions(model, inp, fluxes)
-    unique = _interior_unique_flags(model, inp, fluxes, interiors)
+def solve_batch(model, d0, s1, s2, capacities):
+    """The Riemann solutions at the points (d0[k], s1[k], s2[k]) of 1-d
+    arrays, as one RiemannSolution of arrays: fluxes, stationary states,
+    canonical interior states, interior turning proportions, and uniqueness
+    flags.  The model's xi and alpha may be arrays of the same length (one
+    rule per point); `capacities` is (c0, c1, c2)."""
+    d0, s1, s2 = (np.asarray(v, dtype=float) for v in (d0, s1, s2))
+    fluxes = solve_fluxes_batch(model, d0, s1, s2, capacities)
+    q0, q1, q2 = fluxes
+    tight = (q0 >= d0 - TIE_TOL, q1 >= s1 - TIE_TOL, q2 >= s2 - TIE_TOL)
+    stationary_up, stationary_down = _stationary_states(d0, s1, s2, capacities, fluxes, tight)
+    interior_down = _canonical_interiors(model, d0, s1, s2, capacities, tight, stationary_down)
+    proportions = _interior_proportions(model, d0, s1, s2, capacities, fluxes)
+    unique = _interior_unique_flags(model, capacities, tight, stationary_up, interior_down)
     return RiemannSolution(
         fluxes=fluxes,
         stationary_upstream=stationary_up,
         stationary_downstream=stationary_down,
-        interior_upstream=interiors[0],
-        interior_downstream=interiors[1],
+        interior_upstream=stationary_up,
+        interior_downstream=interior_down,
         interior_proportions=proportions,
         interior_unique=unique,
     )
+
+
+def solve(model, inp):
+    """Full Riemann solution: fluxes, stationary states, canonical interior
+    states, interior turning proportions, and uniqueness flags; solve_batch
+    on a batch of one."""
+    s1, s2 = inp.supplies
+    return solve_batch(model, [inp.demand_upstream], [s1], [s2], inp.capacities).row(0)

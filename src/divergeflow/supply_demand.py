@@ -19,7 +19,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .fundamental_diagram import FLUX_TOL, FundamentalDiagram, InvalidStateError
+import numpy as np
+
+from .fundamental_diagram import FLUX_TOL, FundamentalDiagram, InvalidStateError, _plain
 
 __all__ = ["TrafficState", "Criticality", "state_of", "classify"]
 
@@ -27,23 +29,24 @@ __all__ = ["TrafficState", "Criticality", "state_of", "classify"]
 @dataclass(frozen=True)
 class TrafficState:
     """An immutable supply-demand point U = (D, S), both components >= 0
-    (NaN is rejected)."""
+    (NaN is rejected).  The components may also be arrays, one point per
+    entry, as in the states of a batch Riemann solution."""
 
     demand: float
     supply: float
 
     def __post_init__(self):
-        if not (self.demand >= 0.0 and self.supply >= 0.0):
+        if not holds((self.demand >= 0.0) & (self.supply >= 0.0)):
             raise InvalidStateError(
                 f"demand and supply must be nonnegative, got ({self.demand}, {self.supply})"
             )
 
     def flux(self):
         """Local flow rate q(U) = min(D, S)."""
-        return min(self.demand, self.supply)
+        return _plain(np.minimum(self.demand, self.supply))
 
     def is_close(self, other, tol=FLUX_TOL):
-        return abs(self.demand - other.demand) <= tol and abs(self.supply - other.supply) <= tol
+        return (abs(self.demand - other.demand) <= tol) & (abs(self.supply - other.supply) <= tol)
 
 
 class Criticality(enum.Enum):
@@ -60,6 +63,11 @@ class Criticality(enum.Enum):
     def is_over_critical(self):
         """D = C holds (includes the critical state)."""
         return self in (Criticality.STRICTLY_OVER_CRITICAL, Criticality.CRITICAL)
+
+
+def holds(condition):
+    """Whether a bool, or every entry of a bool array, is true."""
+    return condition.all() if isinstance(condition, np.ndarray) else bool(condition)
 
 
 def state_of(fd: FundamentalDiagram, rho: float) -> TrafficState:

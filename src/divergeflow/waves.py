@@ -8,6 +8,11 @@ left state is the initial one and the right state the stationary one; on a
 downstream link the roles swap.  Waves emitted by an admissible Riemann
 solution never travel toward the junction: upstream speeds are nonpositive
 and downstream speeds nonnegative, up to a small tolerance.
+
+classify_wave and batch_waves take arrays (a solve_batch solution and the
+links' initial densities) as well as floats; wrong_signs then finds each
+sample's first wave with the wrong sign.  link_waves is batch_waves on one
+solution, raising on a wrong sign.
 """
 
 from __future__ import annotations
@@ -15,6 +20,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+import numpy as np
+
+from .fundamental_diagram import _plain
 from .riemann import RiemannInput, RiemannSolution
 
 __all__ = [
@@ -22,6 +30,9 @@ __all__ = [
     "WaveDescription",
     "WaveConsistencyError",
     "classify_wave",
+    "batch_waves",
+    "wrong_signs",
+    "sign_error",
     "link_waves",
 ]
 
@@ -41,8 +52,15 @@ class WaveKind(enum.Enum):
     RAREFACTION = "rarefaction"
 
 
+# WaveKind by code: 0 none, 1 shock, 2 rarefaction
+_KINDS = np.array(list(WaveKind), dtype=object)
+
+
 @dataclass(frozen=True)
 class WaveDescription:
+    """One wave, or with arrays in every field a batch of them (row(k)
+    picks wave k)."""
+
     kind: WaveKind
     speed_range: tuple[float, float]
     rho_left: float
@@ -50,50 +68,88 @@ class WaveDescription:
 
     @property
     def min_speed(self):
-        return min(self.speed_range)
+        return _plain(np.minimum(*self.speed_range))
 
     @property
     def max_speed(self):
-        return max(self.speed_range)
+        return _plain(np.maximum(*self.speed_range))
+
+    def row(self, k):
+        """Wave k of a batch, in Python floats."""
+        return WaveDescription(
+            self.kind[k],
+            (self.speed_range[0][k].item(), self.speed_range[1][k].item()),
+            self.rho_left[k].item(),
+            self.rho_right[k].item(),
+        )
 
 
 def _edge_speed(fd, rho, toward, step=1e-6):
-    """Flux slope at a fan edge, one-sided into the fan's density interval.
+    """Flux slope at fan edges, one-sided into each fan's density interval.
 
     A central difference would straddle the kink of a triangular law when an
     edge sits exactly at the critical density and report the average of the
     two branch slopes; the fan edge only ever sees densities on its own side.
     """
-    other = rho + step * (1.0 if toward > rho else -1.0)
-    other = min(max(other, min(rho, toward)), max(rho, toward))
-    if other == rho:
-        other = toward
-    return (fd.flow(other) - fd.flow(rho)) / (other - rho)
+    other = rho + step * np.where(toward > rho, 1.0, -1.0)
+    other = np.minimum(np.maximum(other, np.minimum(rho, toward)), np.maximum(rho, toward))
+    other = np.where(other == rho, toward, other)
+    return (fd._flow(other) - fd._flow(rho)) / (other - rho)
 
 
 def classify_wave(fd, rho_left, rho_right, tol=DENSITY_EQ_TOL):
-    """Classify the wave between constant left and right densities.
+    """Classify the wave between constant left and right densities, given
+    as floats or as equal-length arrays (a batch of waves).
 
     Both speed_range entries equal the Rankine-Hugoniot speed for a shock;
     for a rarefaction they are the fan edge slopes at rho_left and rho_right,
-    each taken one-sided into the fan.
+    each taken one-sided into the fan.  Raises ValueError for densities
+    outside [0, jam_density].
     """
-    rho_left = float(rho_left)
-    rho_right = float(rho_right)
-    for rho in (rho_left, rho_right):
-        if rho < 0.0 or rho > fd.jam_density:
-            raise ValueError(f"density out of range [0, {fd.jam_density}]: {rho}")
-    if abs(rho_left - rho_right) < tol:
-        return WaveDescription(WaveKind.NONE, (0.0, 0.0), rho_left, rho_right)
-    if rho_left < rho_right:
-        s = (fd.flow(rho_left) - fd.flow(rho_right)) / (rho_left - rho_right)
-        return WaveDescription(WaveKind.SHOCK, (s, s), rho_left, rho_right)
-    return WaveDescription(
-        WaveKind.RAREFACTION,
-        (_edge_speed(fd, rho_left, rho_right), _edge_speed(fd, rho_right, rho_left)),
-        rho_left,
-        rho_right,
-    )
+    left = fd._checked(np.atleast_1d(rho_left))
+    right = fd._checked(np.atleast_1d(rho_right))
+    code = np.where(abs(left - right) < tol, 0, np.where(left < right, 1, 2))
+    speeds = np.zeros((2, code.size))
+    shock = code == 1
+    if shock.any():
+        rl, rr = left[shock], right[shock]
+        speeds[:, shock] = (fd._flow(rl) - fd._flow(rr)) / (rl - rr)
+    fan = code == 2
+    if fan.any():
+        rl, rr = left[fan], right[fan]
+        speeds[0, fan] = _edge_speed(fd, rl, rr)
+        speeds[1, fan] = _edge_speed(fd, rr, rl)
+    wave = WaveDescription(_KINDS[code], (speeds[0], speeds[1]), left, right)
+    return wave if np.ndim(rho_left) or np.ndim(rho_right) else wave.row(0)
+
+
+def batch_waves(solution, diagrams, densities):
+    """Waves (upstream, down 1, down 2) of a solution from its stationary
+    states and the links' initial densities: floats for a solve solution,
+    arrays for a solve_batch one.  Signs are not checked; wrong_signs does
+    that."""
+    stationary = (solution.stationary_upstream, *solution.stationary_downstream)
+    rho_stat = [fd.density_from_state(u) for fd, u in zip(diagrams, stationary)]
+    up = classify_wave(diagrams[0], densities[0], rho_stat[0])
+    down = [classify_wave(diagrams[i], rho_stat[i], densities[i]) for i in (1, 2)]
+    return (up, *down)
+
+
+def wrong_signs(waves, speed_tol=SPEED_TOL):
+    """Per wave triplet of batch_waves, the link (0, 1 or 2) of the first
+    wave that travels toward the junction, or -1 where none does."""
+    up, down1, down2 = waves
+    wrong = np.array([up.max_speed > speed_tol, down1.min_speed < -speed_tol, down2.min_speed < -speed_tol])
+    return np.where(wrong.any(axis=0), wrong.argmax(axis=0), -1)
+
+
+def sign_error(waves, link):
+    """The message of a WaveConsistencyError for a triplet of single waves
+    whose wave on `link` travels toward the junction."""
+    w = waves[link]
+    if link == 0:
+        return f"upstream wave speed {w.max_speed} > 0 for {w.kind.value}"
+    return f"downstream wave speed {w.min_speed} < 0 for {w.kind.value} on link {link}"
 
 
 def link_waves(solution: RiemannSolution, inp: RiemannInput, speed_tol=SPEED_TOL):
@@ -103,21 +159,9 @@ def link_waves(solution: RiemannSolution, inp: RiemannInput, speed_tol=SPEED_TOL
     WaveConsistencyError when a wave speed has the wrong sign, which would
     indicate a solver defect rather than bad input.
     """
-    fd0 = inp.upstream_diagram
-    rho_stat = fd0.density_from_state(solution.stationary_upstream)
-    up = classify_wave(fd0, inp.initial_density(0), rho_stat)
-    if up.max_speed > speed_tol:
-        raise WaveConsistencyError(
-            f"upstream wave speed {up.max_speed} > 0 for {up.kind.value}"
-        )
-    down = []
-    for i in range(2):
-        fd = inp.downstream_diagrams[i]
-        rho_stat_i = fd.density_from_state(solution.stationary_downstream[i])
-        w = classify_wave(fd, rho_stat_i, inp.initial_density(i + 1))
-        if w.min_speed < -speed_tol:
-            raise WaveConsistencyError(
-                f"downstream wave speed {w.min_speed} < 0 for {w.kind.value} on link {i + 1}"
-            )
-        down.append(w)
-    return (up, down[0], down[1])
+    diagrams = (inp.upstream_diagram, *inp.downstream_diagrams)
+    waves = batch_waves(solution, diagrams, [inp.initial_density(k) for k in range(3)])
+    link = int(wrong_signs(waves, speed_tol))
+    if link >= 0:
+        raise WaveConsistencyError(sign_error(waves, link))
+    return waves

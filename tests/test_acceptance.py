@@ -17,6 +17,7 @@ from divergeflow import (
     SimConfig,
     TrafficState,
     WaveKind,
+    batch_waves,
     daganzo_fifo,
     del_castillo_mainline,
     del_castillo_ramp,
@@ -28,7 +29,9 @@ from divergeflow import (
     run,
     solution_difference,
     solve,
+    solve_batch,
     solve_fluxes,
+    solve_fluxes_batch,
     state_of,
     supply_proportional,
 )
@@ -188,88 +191,60 @@ def test_criterion_4_oracle_equivalence(trio):
     )
 
 
+def _uniform(u, lo, hi):
+    # rng.uniform(lo, hi) from the draw u of rng.random(), bitwise
+    return lo + (hi - lo) * u
+
+
 def test_criterion_5_property_suites(trio):
     rng = np.random.default_rng(2024)
     caps = tuple(fd.capacity for fd in trio)
     n = 10000
     fair = (caps[1] / (caps[1] + caps[2]), caps[2] / (caps[1] + caps[2]))
-    gaps = {
-        "conservation": 0.0,
-        "fifo": 0.0,
-        "dag-leb": 0.0,
-        "prop-prio": 0.0,
-        "partial-dag": 0.0,
-        "partial-prio": 0.0,
-        "route-guarantee": 0.0,
-        "optimality": 0.0,
-        "invariance": 0.0,
-    }
-    for _ in range(n):
-        inp = RiemannInput(
-            trio[0],
-            TrafficState(rng.uniform(0, caps[0]), caps[0]),
-            (trio[1], trio[2]),
-            (
-                TrafficState(caps[1], rng.uniform(0, caps[1])),
-                TrafficState(caps[2], rng.uniform(0, caps[2])),
-            ),
-        )
-        x1 = rng.uniform(0.05, 0.95)
-        xi = (x1, 1.0 - x1)
-        a1 = rng.uniform(0.0, 1.0)
-        alpha = (a1, 1.0 - a1)
-        y1, y2 = rng.uniform(0.0, 0.45, size=2)
-        beta = rng.uniform(y1, 1.0 - y2)
+    # each sample draws d0, s1, s2, x1, a1, y1, y2, beta in this order
+    u = rng.random((n, 8))
+    d0, s1, s2 = (_uniform(u[:, k], 0.0, c) for k, c in enumerate(caps))
+    x1 = _uniform(u[:, 3], 0.05, 0.95)
+    xi = (x1, 1.0 - x1)
+    a1 = _uniform(u[:, 4], 0.0, 1.0)
+    alpha = (a1, 1.0 - a1)
+    y1, y2 = _uniform(u[:, 5], 0.0, 0.45), _uniform(u[:, 6], 0.0, 0.45)
+    beta = _uniform(u[:, 7], y1, 1.0 - y2)
 
-        models = (
-            daganzo_fifo(xi),
-            lebacque(xi),
-            supply_proportional(),
-            priority_based(alpha),
-            partial_evacuation((y1, y2), (beta, 1.0 - beta)),
+    def gap(fa, fb):
+        return float(np.max(np.abs(np.subtract(fa, fb))))
+
+    models = (
+        daganzo_fifo(xi),
+        lebacque(xi),
+        supply_proportional(),
+        priority_based(alpha),
+        partial_evacuation((y1, y2), (beta, 1.0 - beta)),
+    )
+    fluxes = [solve_fluxes_batch(m, d0, s1, s2, caps) for m in models]
+    gaps = {"conservation": max(gap(fx[0], fx[1] + fx[2]) for fx in fluxes)}
+    gaps["fifo"] = max(
+        gap(fx[k], m.xi[k - 1] * fx[0]) for m, fx in zip(models[:2], fluxes[:2]) for k in (1, 2)
+    )
+    gaps["dag-leb"] = gap(fluxes[0], fluxes[1])
+    gaps["prop-prio"] = gap(fluxes[2], solve_fluxes_batch(priority_based(fair), d0, s1, s2, caps))
+    gaps["partial-dag"] = gap(solve_fluxes_batch(partial_evacuation(xi, xi), d0, s1, s2, caps), fluxes[0])
+    f_pp = solve_fluxes_batch(partial_evacuation((0.0, 0.0), alpha), d0, s1, s2, caps)
+    gaps["partial-prio"] = gap(f_pp, fluxes[3])
+    part = models[4]
+    fx = fluxes[4]
+    gaps["route-guarantee"] = max(
+        0.0, float(np.max(part.xi[0] * fx[0] - fx[1])), float(np.max(part.xi[1] * fx[0] - fx[2]))
+    )
+    optimal = np.minimum(d0, s1 + s2)
+    gaps["optimality"] = max(gap(fx[0], optimal) for fx in (fluxes[2], fluxes[3], f_pp))
+    gaps["invariance"] = 0.0
+    for m in models:
+        sol = solve_batch(m, d0, s1, s2, caps)
+        local = local_discrete_flux(
+            m, sol.interior_upstream, sol.interior_downstream, sol.interior_proportions
         )
-        fluxes = [solve_fluxes(m, inp) for m in models]
-        for fx in fluxes:
-            gaps["conservation"] = max(gaps["conservation"], abs(fx[0] - (fx[1] + fx[2])))
-        for m, fx in zip(models[:2], fluxes[:2]):
-            gaps["fifo"] = max(
-                gaps["fifo"],
-                abs(fx[1] - m.xi[0] * fx[0]),
-                abs(fx[2] - m.xi[1] * fx[0]),
-            )
-        gaps["dag-leb"] = max(
-            gaps["dag-leb"], max(abs(a - b) for a, b in zip(fluxes[0], fluxes[1]))
-        )
-        f_fair = solve_fluxes(priority_based(fair), inp)
-        gaps["prop-prio"] = max(
-            gaps["prop-prio"], max(abs(a - b) for a, b in zip(fluxes[2], f_fair))
-        )
-        f_pd = solve_fluxes(partial_evacuation(xi, xi), inp)
-        gaps["partial-dag"] = max(
-            gaps["partial-dag"], max(abs(a - b) for a, b in zip(f_pd, fluxes[0]))
-        )
-        f_pp = solve_fluxes(partial_evacuation((0.0, 0.0), alpha), inp)
-        gaps["partial-prio"] = max(
-            gaps["partial-prio"], max(abs(a - b) for a, b in zip(f_pp, fluxes[3]))
-        )
-        part = models[4]
-        fx = fluxes[4]
-        gaps["route-guarantee"] = max(
-            gaps["route-guarantee"],
-            part.xi[0] * fx[0] - fx[1],
-            part.xi[1] * fx[0] - fx[2],
-        )
-        optimal = min(inp.demand_upstream, sum(inp.supplies))
-        for fx in (fluxes[2], fluxes[3], f_pp):
-            gaps["optimality"] = max(gaps["optimality"], abs(fx[0] - optimal))
-        for m in models:
-            sol = solve(m, inp)
-            local = local_discrete_flux(
-                m, sol.interior_upstream, sol.interior_downstream, sol.interior_proportions
-            )
-            gaps["invariance"] = max(
-                gaps["invariance"], max(abs(a - b) for a, b in zip(local, sol.fluxes))
-            )
+        gaps["invariance"] = max(gaps["invariance"], gap(local, sol.fluxes))
     ok = gaps["conservation"] == 0.0 and all(v <= 1e-12 for v in gaps.values())
     detail = ", ".join(f"{k}={v:.1e}" for k, v in gaps.items())
     _report(5, f"property suites ({n} samples)", ok, detail)
@@ -278,6 +253,7 @@ def test_criterion_5_property_suites(trio):
 def test_criterion_6_wave_admissibility(trio):
     rng = np.random.default_rng(99)
     n = 10000
+    caps = tuple(fd.capacity for fd in trio)
     models = (
         daganzo_fifo((0.7, 0.3)),
         lebacque((0.7, 0.3)),
@@ -288,12 +264,14 @@ def test_criterion_6_wave_admissibility(trio):
     worst_up = -np.inf
     worst_down = np.inf
     for model in models:
-        for _ in range(n):
-            densities = [rng.uniform(0.0, fd.jam_density) for fd in trio]
-            inp = RiemannInput.from_densities(trio, densities)
-            up, d1, d2 = link_waves(solve(model, inp), inp)
-            worst_up = max(worst_up, up.max_speed)
-            worst_down = min(worst_down, d1.min_speed, d2.min_speed)
+        # n samples of the three links' densities, drawn link by link
+        u = rng.random((n, 3))
+        densities = [_uniform(u[:, k], 0.0, fd.jam_density) for k, fd in enumerate(trio)]
+        d0 = trio[0].demand(densities[0])
+        s1, s2 = (trio[k].supply(densities[k]) for k in (1, 2))
+        up, d1, d2 = batch_waves(solve_batch(model, d0, s1, s2, caps), trio, densities)
+        worst_up = max(worst_up, float(np.max(up.max_speed)))
+        worst_down = min(worst_down, float(np.min(d1.min_speed)), float(np.min(d2.min_speed)))
     signs_ok = worst_up <= 1e-4 and worst_down >= -1e-4
 
     # pure-shock scenario: congested ramps absorb less than the upstream

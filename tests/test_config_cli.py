@@ -197,6 +197,39 @@ class TestCli:
         assert main(["flux-map", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert axis in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("cells_per_link", "20"),
+            ("time_steps", "800"),
+            ("link_length", "10.0"),
+            ("horizon", "360.0"),
+            ("snapshot_every", "50"),
+        ],
+    )
+    def test_list_where_a_simulation_number_belongs_exits_two(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "sim.yaml"
+        old = f"  {key}: {value}\n"
+        assert old in SMALL_VERIFY
+        cfg.write_text(SMALL_VERIFY.replace(old, f"  {key}: [{value}]\n"), encoding="utf-8")
+        assert main(["riemann-verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("demand_upstream: 0.25", "demand_upstream: [0.25]"),
+            ("{start: 0.0, stop: 0.3365, count: 41}", "{start: [0.0], stop: 0.3365, count: 41}"),
+        ],
+    )
+    def test_list_where_a_flux_map_number_belongs_exits_two(self, tmp_path, capsys, old, new):
+        cfg = tmp_path / "map.yaml"
+        text = (CONFIGS / "flux_map.yaml").read_text(encoding="utf-8")
+        assert old in text
+        cfg.write_text(text.replace(old, new), encoding="utf-8")
+        assert main(["flux-map", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_daganzo_with_all_traffic_on_one_route_runs(self, tmp_path):
         # the last upstream cell starts with junction proportions (1, 0):
         # Daganzo's S2/x2 term reads as +inf instead of aborting the run;

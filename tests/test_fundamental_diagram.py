@@ -238,6 +238,29 @@ class TestDensityInversion:
 
 
 @pytest.mark.parametrize("fd", LAWS, ids=lambda fd: fd.kind.value)
+def test_array_inversion_is_the_float_inversion_per_entry(fd):
+    rho = np.concatenate([np.linspace(0.0, fd.jam_density, 203), [fd.critical_density]])
+    demand, supply = fd.demand_supply(rho)
+    inverted = fd.density_from_state(TrafficState(demand, supply))
+    expected = [fd.density_from_state(TrafficState(d, s)) for d, s in zip(demand.tolist(), supply.tolist())]
+    assert inverted.tolist() == expected
+    with pytest.raises(InvalidStateError):
+        fd.density_from_state(TrafficState(demand, np.minimum(supply, 0.5 * fd.capacity)))
+
+
+@pytest.mark.parametrize("fd", LAWS[:2], ids=lambda fd: fd.kind.value)
+def test_newton_flow_is_the_float_law_bitwise(fd):
+    # the Newton iterates evaluate Q exactly as the float law does, so the
+    # inverse of a state built from a float density does not depend on
+    # whether it is inverted alone or in a batch
+    rho = np.linspace(0.0, fd.jam_density, 1001)
+    flow, slope = fd._exp_flow_slope(rho)
+    assert flow.tolist() == [fd._flow(r) for r in rho.tolist()]
+    chords = np.diff(fd.flow(rho)) / np.diff(rho)
+    assert np.all((chords <= slope[:-1] + 1e-9) & (chords >= slope[1:] - 1e-9))  # concave
+
+
+@pytest.mark.parametrize("fd", LAWS, ids=lambda fd: fd.kind.value)
 @given(fraction=st.floats(0.0, 1.0))
 def test_density_round_trip_property(fd, fraction):
     """density_from_state inverts state_of to 1e-8, except that a state

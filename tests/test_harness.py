@@ -291,3 +291,63 @@ class TestPropertySuite:
         assert "oracle-agreement" in failed
         detail = next(c.detail for c in report.checks if c.name == "oracle-agreement")
         assert "counterexample" in detail
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_props_report_matches_golden(self, seed, tmp_path):
+        from divergeflow.cli import main
+
+        config = Path(__file__).resolve().parent.parent / "configs" / "props.yaml"
+        out = tmp_path / "out"
+        assert main(["props", "--config", str(config), "--out", str(out), "--seed", str(seed)]) == 0
+        golden = GOLDEN_DIR / f"props_seed{seed}.txt"
+        assert (out / "report.txt").read_bytes() == golden.read_bytes()
+
+    @pytest.mark.parametrize("block", [7, harness._BLOCK])
+    def test_first_counterexamples_follow_sample_then_case_order(self, monkeypatch, block):
+        """A defect in the rule kernel trips six checks; each must report the
+        first failing sample and, within it, the first failing model in the
+        battery's model order, whatever the block size.  The expected strings
+        are the ones a per-sample loop over the same draws reports."""
+        import divergeflow.riemann as riemann
+        from divergeflow.riemann import DivergeModelKind
+
+        true_kernel = riemann.junction_fluxes
+
+        def defective(model, demand_upstream, supplies, proportions):
+            q0, q1, q2 = true_kernel(model, demand_upstream, supplies, proportions)
+            if model.kind in (DivergeModelKind.PRIORITY_BASED, DivergeModelKind.DAGANZO_FIFO):
+                q1 = q1 + np.where(np.asarray(demand_upstream) > 0.2, 1e-9, 0.0)
+                q0 = q1 + q2
+            return q0, q1, q2
+
+        monkeypatch.setattr(riemann, "junction_fluxes", defective)
+        monkeypatch.setattr(harness, "_BLOCK", block)
+        spec = ExperimentSpec(
+            kind=ExperimentKind.PROPERTY_SUITE, samples=300, wave_samples=60, oracle_grid=2, seed=0
+        )
+        report, _ = property_suite(spec)
+        failed = {c.name: c.detail for c in report.checks if not c.passed}
+        at = "at (0.21433507053251824, 0.09078215452247937, 0.003446856898002911)"
+        xi = "xi=(0.06487487197567618, 0.9351251280243238)"
+        prio = "(0.09422901242048227, 0.09078215552247937, 0.003446856898002911)"
+        part_free = "(0.09422901142048228, 0.09078215452247937, 0.003446856898002911)"
+        dag = "(0.003685985682376382, 0.0002391287843734712, 0.003446856898002911)"
+        assert failed == {
+            "flux-bounds": f"counterexample: supply_proportional {at}: {prio}",
+            "fifo-split": f"counterexample: daganzo_fifo {xi} {at}: {dag}",
+            "partial-reduces-to-daganzo": (
+                f"counterexample: {xi} {at}: "
+                f"(0.0036859846823763826, 0.00023912778437347134, 0.003446856898002911) vs {dag}"
+            ),
+            "partial-reduces-to-priority": (
+                f"counterexample: alpha=(0.8132702392002724, 0.18672976079972758) {at}: "
+                f"{part_free} vs {prio}"
+            ),
+            "evacuation-optimality": (
+                f"counterexample: supply_proportional {at}: q0=0.09422901242048227 vs 0.09422901142048228"
+            ),
+            "invariance-at-interior-states": (
+                f"counterexample: lebacque {at}: "
+                f"(0.025276992897497103, 0.021830135999494193, 0.003446856898002911) vs {dag}"
+            ),
+        }

@@ -17,6 +17,7 @@ from divergeflow import (
     priority_based,
     riemann_rule,
     solve,
+    solve_batch,
     solve_fluxes,
     state_of,
     supply_proportional,
@@ -59,7 +60,19 @@ class TestModelParameters:
         with pytest.raises(ValueError):
             partial_evacuation((0.6, 0.6), (0.5, 0.5))  # xi sums above one
 
-    @pytest.mark.parametrize("xi", [(0.7,), (0.5, 0.3, 0.2), (float("nan"), 0.3), (0.7, float("inf")), 0.7])
+    @pytest.mark.parametrize(
+        "xi",
+        [
+            (0.7,),
+            (0.5, 0.3, 0.2),
+            (float("nan"), 0.3),
+            (0.7, float("inf")),
+            0.7,
+            (np.array([0.7, np.nan]), np.array([0.3, 0.3])),
+            (np.array([0.7, 0.6]), np.array([0.3, 0.4, 0.5])),
+            (np.full((2, 2), 0.5), np.full((2, 2), 0.5)),
+        ],
+    )
     def test_xi_must_be_two_finite_numbers(self, xi):
         for kind in DivergeModelKind:
             with pytest.raises(ValueError, match="xi"):
@@ -69,6 +82,17 @@ class TestModelParameters:
     def test_alpha_must_be_two_finite_numbers(self, alpha):
         with pytest.raises(ValueError, match="alpha"):
             DivergeModel(DivergeModelKind.PRIORITY_BASED, alpha=alpha)
+
+    def test_array_parameters_are_checked_per_row(self):
+        x1 = np.array([0.2, 0.7])
+        model = lebacque((x1, 1.0 - x1))
+        assert all(isinstance(x, np.ndarray) for x in model.xi)
+        with pytest.raises(ValueError, match="strictly positive"):
+            lebacque((np.array([0.2, 0.0]), np.array([0.8, 1.0])))
+        y = np.array([0.3, 0.1])
+        partial_evacuation((y, y), (np.array([0.5, 0.5]), np.array([0.5, 0.5])))
+        with pytest.raises(ValueError, match="admissible box"):
+            partial_evacuation((y, y), (np.array([0.5, 0.95]), np.array([0.5, 0.05])))
 
     def test_input_state_must_bind_to_diagram(self, trio):
         with pytest.raises(ValueError):
@@ -515,6 +539,70 @@ class TestStructuralProperties:
             assert fp[0] == pytest.approx(
                 min(inp.demand_upstream, sum(inp.supplies)), abs=1e-12
             )
+
+
+PROPS_FIXTURES = (
+    daganzo_fifo((0.7, 0.3)),
+    lebacque((0.7, 0.3)),
+    supply_proportional(),
+    priority_based((0.6, 0.4)),
+    partial_evacuation((0.3, 0.2), (0.55, 0.45)),
+)
+
+
+# SHA-256 of the (3375, 20) float64 array of every solution field, per point
+# of the 15^3 fixture grid, as the per-point scalar solver computed them
+# before solve became a batch of one: fluxes, the six stationary and interior
+# (demand, supply) pairs, interior proportions, uniqueness flags as 0/1.
+GRID_DIGESTS = {
+    "daganzo_fifo": "f13c31f66a6f6e55cb88328de38c55976198e63ca8b9160a16ab9d7620430322",
+    "lebacque": "3cd2bccd243c1c5670b7504fc646fe26993b3d1c4e0a112fc6f6e527d9400db4",
+    "supply_proportional": "027ca8b6bd5b88fdf31c0acf9863b9aacc83d97da41299fe9e40db1f90e2b40e",
+    "priority_based": "976951b5c97b9aa4860a77fa583c7eefc0963a84262b9f798825505404e629a3",
+    "partial_evacuation": "b5a31cdf2b9ce1de4a468a2670104db18eea89c9b5cfcdfddaf74f63728c2f1b",
+}
+
+
+class TestSolveBatch:
+    @pytest.mark.parametrize("model", PROPS_FIXTURES, ids=lambda m: m.kind.value)
+    def test_fixture_grid_is_bitwise_the_per_point_solutions(self, trio, model):
+        import hashlib
+
+        caps = tuple(fd.capacity for fd in trio)
+        axes = [np.linspace(0.0, c, 15) for c in caps]
+        d0, s1, s2 = (g.ravel() for g in np.meshgrid(*axes, indexing="ij"))
+        batch = solve_batch(model, d0, s1, s2, caps)
+        states = (
+            batch.stationary_upstream, *batch.stationary_downstream,
+            batch.interior_upstream, *batch.interior_downstream,
+        )
+        fields = [
+            *batch.fluxes, *(x for u in states for x in (u.demand, u.supply)),
+            *batch.interior_proportions, *batch.interior_unique,
+        ]
+        bits = np.column_stack([np.asarray(f, dtype=float) for f in fields])
+        assert hashlib.sha256(bits.tobytes()).hexdigest() == GRID_DIGESTS[model.kind.value]
+        for k in range(0, d0.size, 17):
+            want = solve(model, flux_input(trio, d0[k], s1[k], s2[k]))
+            assert repr(batch.row(k)) == repr(want)
+
+    def test_rows_with_their_own_parameters_are_solve_bitwise(self, trio):
+        from divergeflow.harness import _random_models
+
+        rng = np.random.default_rng(3)
+        caps = tuple(fd.capacity for fd in trio)
+        u = rng.random((400, 8))
+        d0, s1, s2 = (c * u[:, k] for k, c in enumerate(caps))
+        for model in _random_models(u[:, 3:]):
+            batch = solve_batch(model, d0, s1, s2, caps)
+            for k in range(0, 400, 7):
+                pick = {
+                    name: tuple(float(v[k]) if np.ndim(v) else v for v in getattr(model, name))
+                    for name in ("xi", "alpha")
+                    if getattr(model, name) is not None
+                }
+                want = solve(DivergeModel(model.kind, **pick), flux_input(trio, d0[k], s1[k], s2[k]))
+                assert repr(batch.row(k)) == repr(want)
 
 
 class TestOracleSpotGrid:

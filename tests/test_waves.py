@@ -4,7 +4,9 @@ import pytest
 from divergeflow import (
     FundamentalDiagram,
     RiemannInput,
+    WaveConsistencyError,
     WaveKind,
+    batch_waves,
     classify_wave,
     daganzo_fifo,
     lebacque,
@@ -12,8 +14,10 @@ from divergeflow import (
     partial_evacuation,
     priority_based,
     solve,
+    solve_batch,
     supply_proportional,
 )
+from divergeflow.waves import sign_error, wrong_signs
 
 
 class TestClassifyWave:
@@ -64,6 +68,18 @@ class TestClassifyWave:
         assert w.min_speed >= 0.0
 
 
+    def test_batch_classification_is_the_float_one_per_entry(self, all_diagrams):
+        rng = np.random.default_rng(4)
+        for fd in all_diagrams:
+            left = rng.uniform(0.0, fd.jam_density, 300)
+            right = np.where(np.arange(300) % 5 == 0, left, rng.uniform(0.0, fd.jam_density, 300))
+            batch = classify_wave(fd, left, right)
+            for k, (a, b) in enumerate(zip(left.tolist(), right.tolist())):
+                assert batch.row(k) == classify_wave(fd, a, b)
+            assert set(batch.kind) == set(WaveKind)
+            assert np.array_equal(batch.max_speed, np.maximum(*batch.speed_range))
+
+
 class TestLinkWaves:
     def test_congested_diverge_wave_pattern(self, congested_diverge_input):
         sol = solve(lebacque((0.7, 0.3)), congested_diverge_input)
@@ -106,6 +122,33 @@ class TestLinkWaves:
         for a, b in zip(kept, link_waves(sol, bare)):
             assert a.kind is b.kind
             assert a.speed_range == pytest.approx(b.speed_range, abs=1e-8)
+
+    def test_batch_waves_are_link_waves_per_sample(self, trio):
+        rng = np.random.default_rng(12)
+        caps = tuple(fd.capacity for fd in trio)
+        rho = [rng.uniform(0.0, fd.jam_density, 200) for fd in trio]
+        d0 = trio[0].demand(rho[0])
+        s1, s2 = trio[1].supply(rho[1]), trio[2].supply(rho[2])
+        for model in (lebacque((0.6, 0.4)), partial_evacuation((0.25, 0.15), (0.5, 0.5))):
+            batch = solve_batch(model, d0, s1, s2, caps)
+            waves = batch_waves(batch, trio, rho)
+            assert np.all(wrong_signs(waves) == -1)
+            for k in range(200):
+                inp = RiemannInput.from_densities(trio, [r[k] for r in rho])
+                assert tuple(w.row(k) for w in waves) == link_waves(batch.row(k), inp)
+
+    def test_first_wrong_sign_names_its_link(self, trio):
+        inp = RiemannInput.from_densities(trio, (1.0, 1.0, 0.1))
+        sol = solve(lebacque((0.7, 0.3)), inp)
+        up, down1, down2 = link_waves(sol, inp)
+        assert int(wrong_signs((up, down1, down2), speed_tol=1e-4)) == -1
+        # down 1 carries a forward shock: a negative tolerance flags it first
+        assert int(wrong_signs((up, down1, down2), speed_tol=-0.1)) == 1
+        assert sign_error((up, down1, down2), 1) == (
+            f"downstream wave speed {down1.min_speed} < 0 for shock on link 1"
+        )
+        with pytest.raises(WaveConsistencyError, match="on link 1"):
+            link_waves(sol, inp, speed_tol=-0.1)
 
     def test_randomized_sign_admissibility(self, trio):
         rng = np.random.default_rng(11)

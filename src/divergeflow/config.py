@@ -97,9 +97,12 @@ def _build_diagram(section):
     except ValueError as exc:
         raise ConfigError(f"unknown diagram kind {section['kind']!r}") from exc
     defaults = _DIAGRAM_DEFAULTS[kind]
-    v_f = float(section.get("free_flow_speed", defaults[0]))
-    rho_j = float(section.get("jam_density", defaults[1]))
-    return FundamentalDiagram(kind, v_f, rho_j)
+    try:
+        v_f = float(section.get("free_flow_speed", defaults[0]))
+        rho_j = float(section.get("jam_density", defaults[1]))
+        return FundamentalDiagram(kind, v_f, rho_j)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{kind.value} diagram: {exc}") from exc
 
 
 def _build_boundary(section):

@@ -11,14 +11,14 @@ critical density rho_c.  Four closed forms are provided:
 * triangular law  Q(rho) = min(v_f * rho, w * (rho_jam - rho)), w = v_f / 4
 * parabolic law   Q(rho) = v_f * rho * (1 - rho / rho_jam)
 
-Each law is written once, in one unchecked evaluation that takes a float or
-a numpy array and picks math or numpy primitives from the input type; the
-public methods range-check their input once and then call it.  The
-exponential laws have an essential singularity at rho = 0; the physical limit
-Q -> v_f * rho is reached exactly by flooring rho at rho_jam / 1000 inside
-the congested factor.  Capacity and critical density have no closed form for
-the exponential family and are computed once at construction by
-golden-section search.
+Each law's Q is written once, in one unchecked numpy evaluation for floats
+and arrays alike, and its slope Q' once, in closed form (no finite
+differences); the public methods range-check their input once and then call
+them.  The exponential laws have an essential singularity at rho = 0; the
+physical limit Q -> v_f * rho is reached exactly by flooring rho at
+rho_jam / 1000 inside the congested factor.  Capacity and critical density
+have no closed form for the exponential family and are computed once at
+construction by golden-section search.
 
 The demand transform D(rho) = Q(min(rho, rho_c)) is the maximum sending flow
 of a cell; the supply transform S(rho) = Q(max(rho, rho_c)) is the maximum
@@ -64,10 +64,6 @@ class DiagramKind(enum.Enum):
     DEL_CASTILLO_RAMP = "del_castillo_ramp"
     TRIANGULAR = "triangular"
     GREENSHIELDS = "greenshields"
-
-
-# math.exp as a numpy ufunc on object arrays
-_math_exp = np.frompyfunc(math.exp, 1, 1)
 
 
 def _plain(out):
@@ -127,21 +123,34 @@ class FundamentalDiagram:
         return self.jam_density * w / (self.free_flow_speed + w)
 
     def _flow(self, rho):
-        """Q(rho) without a range check; the input type (float or float
-        array) picks math or numpy primitives."""
-        if isinstance(rho, np.ndarray):
-            exp, lower, upper = np.exp, np.minimum, np.maximum
-        else:
-            exp, lower, upper = math.exp, min, max
+        """Q(rho) without a range check, for a float or a float array."""
         v_f, rho_jam = self.free_flow_speed, self.jam_density
         if self.kind is DiagramKind.TRIANGULAR:
             w = _TRIANGULAR_WAVE_RATIO * v_f
-            return lower(v_f * rho, w * (rho_jam - rho))
+            return np.minimum(v_f * rho, w * (rho_jam - rho))
         if self.kind is DiagramKind.GREENSHIELDS:
             return v_f * rho * (1.0 - rho / rho_jam)
         # exp(1 - exp(249.75)) is exactly 0, so Q = v_f * rho below the floor
-        floored = upper(rho, rho_jam / 1000.0)
-        return v_f * rho * (1.0 - exp(1.0 - exp(0.25 * (rho_jam / floored - 1.0))))
+        floored = np.maximum(rho, rho_jam / 1000.0)
+        return v_f * rho * (1.0 - np.exp(1.0 - np.exp(0.25 * (rho_jam / floored - 1.0))))
+
+    def _slope(self, rho, side=0.0):
+        """Q'(rho) in closed form, unchecked, for a float or a float array.
+        At a triangular kink it is the right-hand slope where side > 0, else
+        the left-hand one.  Exponential: v_f (1 - e - r e g / 4) with
+        r = rho_jam / max(rho, rho_jam / 1000), g = exp((r - 1) / 4) and
+        e = exp(1 - g), exactly v_f below the floor, where e is 0."""
+        v_f, rho_jam = self.free_flow_speed, self.jam_density
+        if self.kind is DiagramKind.TRIANGULAR:
+            rho_c = self.critical_density
+            congested = (rho > rho_c) | ((rho == rho_c) & (side > 0))
+            return np.where(congested, -_TRIANGULAR_WAVE_RATIO * v_f, v_f)
+        if self.kind is DiagramKind.GREENSHIELDS:
+            return v_f * (1.0 - 2.0 * rho / rho_jam)
+        ratio = rho_jam / np.maximum(rho, rho_jam / 1000.0)
+        grow = np.exp(0.25 * (ratio - 1.0))
+        decay = np.exp(1.0 - grow)
+        return v_f * (1.0 - decay - 0.25 * ratio * decay * grow)
 
     def _checked(self, rho):
         """rho as a float or a float array; raises ValueError outside
@@ -172,8 +181,6 @@ class FundamentalDiagram:
         """demand_supply without the range check, for a float or a float
         array already known to lie in [0, jam_density]."""
         q, rho_c, cap = self._flow(rho), self.critical_density, self.capacity
-        if isinstance(rho, float):
-            return (q if rho <= rho_c else cap, q if rho >= rho_c else cap)
         return _plain(np.where(rho <= rho_c, q, cap)), _plain(np.where(rho >= rho_c, q, cap))
 
     def demand(self, rho):
@@ -194,13 +201,6 @@ class FundamentalDiagram:
         triangular and exponential laws.
         """
         return self.free_flow_speed
-
-    def flow_derivative(self, rho, step=1e-6):
-        """Q'(rho) by central finite difference, one-sided at the domain ends."""
-        rho = float(rho)
-        lo = max(0.0, rho - step)
-        hi = min(self.jam_density, rho + step)
-        return (self.flow(hi) - self.flow(lo)) / (hi - lo)
 
     def density_from_state(self, state, tol=DENSITY_TOL):
         """Invert a supply-demand state back to its unique density; a state
@@ -238,19 +238,6 @@ class FundamentalDiagram:
         rho = np.where(critical, rho_c, rho)
         return rho if np.ndim(state.demand) or np.ndim(state.supply) else float(rho[0])
 
-    def _exp_flow_slope(self, rho):
-        """(Q(rho), Q'(rho)) of an exponential law on a float array from one
-        pair of exp evaluations, floored as in _flow (Q' = v_f below
-        rho_jam / 1000).  exp is math.exp elementwise, so Q is bitwise the
-        float law's: numpy's exp differs from it in the last bit for a few
-        percent of arguments, which would move the inverted densities."""
-        v_f, rho_jam = self.free_flow_speed, self.jam_density
-        ratio = rho_jam / np.maximum(rho, rho_jam / 1000.0)
-        grow = _math_exp(0.25 * (ratio - 1.0)).astype(float)
-        decay = _math_exp(1.0 - grow).astype(float)
-        passing = 1.0 - decay
-        return v_f * rho * passing, v_f * (passing - 0.25 * ratio * decay * grow)
-
     def _newton_flow(self, target, increasing, tol):
         """Densities with Q(rho) = target on the rising (increasing) or
         falling branch of an exponential law, each to within tol.
@@ -275,7 +262,7 @@ class FundamentalDiagram:
             for _ in range(200):
                 if not left.size:
                     break
-                flow, slope = self._exp_flow_slope(rho)
+                flow, slope = self._flow(rho), self._slope(rho)
                 below = (flow < target) == increasing
                 a = np.where(below, rho, a)
                 b = np.where(below, b, rho)

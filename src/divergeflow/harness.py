@@ -100,6 +100,9 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.tolerance <= 0.0:
             raise ValueError("tolerance must be positive")
+        for name in ("samples", "wave_samples", "oracle_grid"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.kind is ExperimentKind.CONVERGENCE and not self.resolutions:
             raise ValueError("convergence study needs at least one resolution")
         if self.kind is ExperimentKind.FLUX_MAP and self.sweep is None:

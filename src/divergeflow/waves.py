@@ -3,7 +3,9 @@
 With a unimodal flux law, the wave connecting a left state to a right state
 is a shock when density increases left to right (carried at the
 Rankine-Hugoniot speed (Q(rl) - Q(rr)) / (rl - rr)) and a rarefaction fan
-when it decreases (edge speeds Q'(rl) and Q'(rr)).  On an upstream link the
+when it decreases (edge speeds Q'(rl) and Q'(rr)).  Fan edges are the
+diagram's closed-form Q', one-sided into the fan, so an edge at a triangular
+kink takes the slope of the branch the fan lies on.  On an upstream link the
 left state is the initial one and the right state the stationary one; on a
 downstream link the roles swap.  Waves emitted by an admissible Riemann
 solution never travel toward the junction: upstream speeds are nonpositive
@@ -84,27 +86,15 @@ class WaveDescription:
         )
 
 
-def _edge_speed(fd, rho, toward, step=1e-6):
-    """Flux slope at fan edges, one-sided into each fan's density interval.
-
-    A central difference would straddle the kink of a triangular law when an
-    edge sits exactly at the critical density and report the average of the
-    two branch slopes; the fan edge only ever sees densities on its own side.
-    """
-    other = rho + step * np.where(toward > rho, 1.0, -1.0)
-    other = np.minimum(np.maximum(other, np.minimum(rho, toward)), np.maximum(rho, toward))
-    other = np.where(other == rho, toward, other)
-    return (fd._flow(other) - fd._flow(rho)) / (other - rho)
-
-
 def classify_wave(fd, rho_left, rho_right, tol=DENSITY_EQ_TOL):
     """Classify the wave between constant left and right densities, given
     as floats or as equal-length arrays (a batch of waves).
 
     Both speed_range entries equal the Rankine-Hugoniot speed for a shock;
-    for a rarefaction they are the fan edge slopes at rho_left and rho_right,
-    each taken one-sided into the fan.  Raises ValueError for densities
-    outside [0, jam_density].
+    for a rarefaction they are the closed-form flux slopes Q' at rho_left
+    and rho_right, each taken one-sided into the fan (which matters only at
+    the kink of a triangular law).  Raises ValueError for densities outside
+    [0, jam_density].
     """
     left = fd._checked(np.atleast_1d(rho_left))
     right = fd._checked(np.atleast_1d(rho_right))
@@ -117,8 +107,8 @@ def classify_wave(fd, rho_left, rho_right, tol=DENSITY_EQ_TOL):
     fan = code == 2
     if fan.any():
         rl, rr = left[fan], right[fan]
-        speeds[0, fan] = _edge_speed(fd, rl, rr)
-        speeds[1, fan] = _edge_speed(fd, rr, rl)
+        speeds[0, fan] = fd._slope(rl, rr - rl)
+        speeds[1, fan] = fd._slope(rr, rl - rr)
     wave = WaveDescription(_KINDS[code], (speeds[0], speeds[1]), left, right)
     return wave if np.ndim(rho_left) or np.ndim(rho_right) else wave.row(0)
 

@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,7 @@ from divergeflow.config import ConfigError, build_spec, config_hash, load_config
 from divergeflow.harness import ExperimentKind
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 SMALL_VERIFY = """\
 model:
@@ -229,6 +231,58 @@ class TestCli:
         cfg.write_text(text.replace(old, new), encoding="utf-8")
         assert main(["flux-map", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["free_flow_speed", "jam_density"])
+    def test_list_where_a_diagram_number_belongs_exits_two(self, tmp_path, capsys, key):
+        cfg = tmp_path / "diagram.yaml"
+        old = "  - {kind: del_castillo_ramp}\n"
+        assert old in SMALL_VERIFY
+        new = f"  - {{kind: del_castillo_ramp, {key}: [1.0]}}\n"
+        cfg.write_text(SMALL_VERIFY.replace(old, new), encoding="utf-8")
+        assert main(["riemann-verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: del_castillo_ramp diagram:")
+        assert len(err.splitlines()) == 1
+
+    def test_out_naming_an_existing_file_exits_two(self, verify_config, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n", encoding="utf-8")
+        assert main(["riemann-verify", "--config", str(verify_config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output:")
+        assert len(err.splitlines()) == 1
+        assert out.read_text(encoding="utf-8") == "not a directory\n"
+
+    @pytest.mark.parametrize("key", ["samples", "wave_samples", "oracle_grid"])
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_property_counts_below_one_exit_two(self, tmp_path, capsys, key, value):
+        counts = {"samples": 60, "wave_samples": 15, "oracle_grid": 2, key: value}
+        cfg = tmp_path / "props.yaml"
+        cfg.write_text(
+            "model: {kind: lebacque, xi: [0.7, 0.3]}\n"
+            f"properties: {{{', '.join(f'{k}: {v}' for k, v in counts.items())}}}\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "o"
+        assert main(["props", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"config error: {key} must be at least 1, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_verify_run_matches_golden(self, tmp_path):
+        # pins the headline run bitwise: the CTM, the Newton inversions of
+        # the stationary states and the wave classification all feed it
+        out = tmp_path / "out"
+        config = CONFIGS / "diverge_verify.yaml"
+        assert main(["riemann-verify", "--config", str(config), "--out", str(out)]) == 0
+        assert (out / "report.txt").read_bytes() == (GOLDEN_DIR / "verify_report.txt").read_bytes()
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("fields.csv", "junction.csv")
+        }
+        assert digests == {
+            "fields.csv": "a8fcf9158345efcafbb0602f4e64788ca4f1ec45668e81f233e54ad96a9c1a6c",
+            "junction.csv": "41e42ec4e292968e7881c6fc5cda41ad584122e3517bb4da136fb9ec76ce1fa8",
+        }
 
     def test_daganzo_with_all_traffic_on_one_route_runs(self, tmp_path):
         # the last upstream cell starts with junction proportions (1, 0):

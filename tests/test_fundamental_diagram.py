@@ -167,10 +167,9 @@ class TestOneFluxPath:
             assert pair == (fd.demand(rho), fd.supply(rho))
             assert pair == (fd.flow(min(rho, rho_c)), fd.flow(max(rho, rho_c)))
             assert all(type(v) is float for v in pair)
-        # a 0-d array takes the numpy path, whose exp may differ in the last ulp
         d, s = fd.demand_supply(np.array(rho_c))
         assert (type(d), type(s)) == (float, float)
-        assert d == s == pytest.approx(fd.capacity, rel=5e-15)
+        assert d == s == fd.capacity
 
     @pytest.mark.parametrize("fd", LAWS)
     def test_unchecked_demand_supply_matches_the_checked_one(self, fd):
@@ -190,6 +189,13 @@ class TestOneFluxPath:
             assert fd._flow(r) == fd.flow(r) == fd.free_flow_speed * r
         # at the floor itself the congested factor is 1 - exp(1 - exp(249.75)) = 1
         assert fd._flow(floor) == fd.free_flow_speed * floor
+        # Q' is v_f up to the floor, and both one-sided differences there agree
+        np.testing.assert_array_equal(fd._slope(np.append(rho, floor)), fd.free_flow_speed)
+        h = 1e-7
+        left = (fd.flow(floor) - fd.flow(floor - h)) / h
+        right = (fd.flow(floor + h) - fd.flow(floor)) / h
+        assert left == pytest.approx(fd.free_flow_speed, abs=1e-9)
+        assert right == pytest.approx(fd.free_flow_speed, abs=1e-9)
 
 
 class TestDensityInversion:
@@ -250,14 +256,51 @@ def test_array_inversion_is_the_float_inversion_per_entry(fd):
 
 @pytest.mark.parametrize("fd", LAWS[:2], ids=lambda fd: fd.kind.value)
 def test_newton_flow_is_the_float_law_bitwise(fd):
-    # the Newton iterates evaluate Q exactly as the float law does, so the
-    # inverse of a state built from a float density does not depend on
+    # the Newton iterates evaluate Q and Q' exactly as the float law does, so
+    # the inverse of a state built from a float density does not depend on
     # whether it is inverted alone or in a batch
     rho = np.linspace(0.0, fd.jam_density, 1001)
-    flow, slope = fd._exp_flow_slope(rho)
-    assert flow.tolist() == [fd._flow(r) for r in rho.tolist()]
+    flow, slope = fd._flow(rho), fd._slope(rho)
+    assert flow.tolist() == [float(fd._flow(r)) for r in rho.tolist()]
+    assert slope.tolist() == [float(fd._slope(r)) for r in rho.tolist()]
     chords = np.diff(fd.flow(rho)) / np.diff(rho)
     assert np.all((chords <= slope[:-1] + 1e-9) & (chords >= slope[1:] - 1e-9))  # concave
+
+
+@pytest.mark.parametrize("fd", LAWS, ids=lambda fd: fd.kind.value)
+def test_float_flow_is_the_array_flow_bitwise(fd):
+    # 0.01 to 2 on the mainline law, the same fractions of jam elsewhere
+    rho = np.linspace(0.01, 2.0, 2001) * (fd.jam_density / 2.0)
+    floats = [fd.flow(x) for x in rho.tolist()]
+    assert floats == [fd.flow(np.array([x]))[0] for x in rho.tolist()]
+    assert floats == fd.flow(rho).tolist()
+
+
+@pytest.mark.parametrize("fd", LAWS, ids=lambda fd: fd.kind.value)
+def test_slope_is_the_central_difference_of_the_flow(fd):
+    h = 1e-6
+    rho = np.linspace(0.0, fd.jam_density, 403)[1:-1]
+    if fd.kind is DiagramKind.TRIANGULAR:
+        rho = rho[abs(rho - fd.critical_density) > 2 * h]
+    assert rho.size >= 200
+    central = (fd.flow(rho + h) - fd.flow(rho - h)) / (2 * h)
+    np.testing.assert_allclose(fd._slope(rho), central, rtol=0, atol=1e-7)
+    # one-sided at the domain ends: v_f at 0 for every law
+    assert fd._slope(0.0) == fd.free_flow_speed
+    jam = fd.jam_density
+    left_of_jam = (fd.flow(jam) - fd.flow(jam - h)) / h
+    assert fd._slope(jam) == pytest.approx(left_of_jam, abs=1e-5)
+
+
+def test_triangular_slope_is_one_sided_at_the_kink():
+    fd = triangular(2.0, 3.0)  # v_f = 2, w = 0.5
+    rc, h = fd.critical_density, 1e-6
+    right = (fd.flow(rc + h) - fd.flow(rc)) / h
+    left = (fd.flow(rc) - fd.flow(rc - h)) / h
+    assert fd._slope(rc, 1.0) == -0.5 == pytest.approx(right, abs=1e-7)
+    assert fd._slope(rc, -1.0) == fd._slope(rc) == 2.0 == pytest.approx(left, abs=1e-7)
+    sides = np.array([1.0, -1.0, 0.0])
+    assert fd._slope(np.full(3, rc), sides).tolist() == [-0.5, 2.0, 2.0]
 
 
 @pytest.mark.parametrize("fd", LAWS, ids=lambda fd: fd.kind.value)

@@ -49,12 +49,15 @@ class TestClassifyWave:
             classify_wave(mainline, 0.5, 2.5)
 
     def test_rarefaction_edges_are_flux_slopes(self, ramp):
-        # one-sided edge slopes agree with the central derivative on a
-        # smooth law up to the difference step
+        # the closed-form edge slopes agree with a central difference of the
+        # flux on a smooth law
+        def central(rho, h=1e-6):
+            return (ramp.flow(rho + h) - ramp.flow(rho - h)) / (2 * h)
+
         w = classify_wave(ramp, 0.9, 0.1)
         assert w.kind is WaveKind.RAREFACTION
-        assert w.speed_range[0] == pytest.approx(ramp.flow_derivative(0.9), abs=1e-5)
-        assert w.speed_range[1] == pytest.approx(ramp.flow_derivative(0.1), abs=1e-5)
+        assert w.speed_range[0] == pytest.approx(central(0.9), abs=1e-5)
+        assert w.speed_range[1] == pytest.approx(central(0.1), abs=1e-5)
 
     def test_fan_edge_at_a_kink_stays_on_its_branch(self):
         from divergeflow import triangular

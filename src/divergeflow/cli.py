@@ -9,6 +9,8 @@ Exit status: 0 when every check passes, 1 on a verification failure, 2 on a
 usage or configuration error.  Each run writes `report.txt` plus the
 experiment's data files (see README for the column layouts); all numbers use
 12 significant digits and reruns with the same config are byte-identical.
+Every data file is a table of columns (a dict from CSV header to an
+equal-length array) written by `_write_table` a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .config import ConfigError, build_spec, load_config
 from .harness import (
@@ -27,47 +31,45 @@ from .harness import (
 )
 
 _FMT = "%.12g"
+# Rows formatted per write: bounds the text held in memory at any length.
+_BLOCK_ROWS = 4096
 
 
-def _write_rows(path, header, rows):
+def _block_format(column):
+    """(%-format, Python values) of a block of a column: floats at 12
+    significant digits and NaN as an empty field, the rest as str."""
+    values = column.tolist()
+    if column.dtype.kind != "f":
+        return "%s", values
+    if not np.isnan(column).any():
+        return _FMT, values
+    return "%s", ["" if v != v else _FMT % v for v in values]
+
+
+def _write_table(path, table):
+    """Write `table`, a dict from CSV header to an equal-length array, as
+    CSV, formatting and writing a block of rows at a time."""
+    columns = list(table.values())
+    width = len(columns)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(
-                ",".join(_FMT % v if isinstance(v, float) else str(v) for v in row) + "\n"
-            )
+        fh.write(",".join(table) + "\n")
+        for start in range(0, len(columns[0]), _BLOCK_ROWS):
+            formats, values = zip(*(_block_format(column[start:start + _BLOCK_ROWS]) for column in columns))
+            rows = len(values[0])
+            fields = [None] * (width * rows)
+            for j, block in enumerate(values):
+                fields[j::width] = block
+            fh.write((",".join(formats) + "\n") * rows % tuple(fields))
 
 
-def _write_fields(out_dir, traj):
-    rows = []
-    for k, step in enumerate(traj.snapshot_steps):
-        for link in range(3):
-            for cell in range(traj.config.cells_per_link):
-                prop = _FMT % traj.proportions[k, 0, cell] if link == 0 else ""
-                rows.append((int(step), link, cell, float(traj.densities[k, link, cell]), prop))
-    _write_rows(out_dir / "fields.csv", ("step", "link", "cell", "density", "proportion"), rows)
-
-
-def _write_junction(out_dir, traj):
-    j = traj.junction
-    rows = [
-        (
-            int(j.steps[k]),
-            float(j.q0[k]),
-            float(j.q1[k]),
-            float(j.q2[k]),
-            float(j.demand_upstream[k]),
-            float(j.supply_down1[k]),
-            float(j.supply_down2[k]),
-            float(j.proportion1[k]),
-        )
-        for k in range(len(j.steps))
-    ]
-    _write_rows(
-        out_dir / "junction.csv",
-        ("step", "q0", "q1", "q2", "demand_upstream", "supply_down1", "supply_down2", "proportion1"),
-        rows,
-    )
+def _fields_table(traj):
+    """fields.csv: one row per snapshot, link and cell; the proportion is
+    the upstream link's commodity-1 share, empty on the downstream links."""
+    k, link, cell = np.indices(traj.densities.shape).reshape(3, -1)
+    proportion = np.full(traj.densities.shape, np.nan)
+    proportion[:, 0] = traj.proportions[:, 0]
+    columns = (traj.snapshot_steps[k], link, cell, traj.densities.ravel(), proportion.ravel())
+    return dict(zip(("step", "link", "cell", "density", "proportion"), columns))
 
 
 def _run(kind, args):
@@ -78,26 +80,23 @@ def _run(kind, args):
 
     if kind is ExperimentKind.RIEMANN_VERIFY:
         report, artifacts = riemann_verify(spec)
-        _write_fields(out_dir, artifacts["trajectory"])
-        _write_junction(out_dir, artifacts["trajectory"])
+        traj = artifacts["trajectory"]
+        tables = {"fields.csv": _fields_table(traj), "junction.csv": vars(traj.junction)}
     elif kind is ExperimentKind.CONVERGENCE:
         report, artifacts = convergence_study(spec)
-        for cells, (steps, eps) in artifacts["series"].items():
-            rows = [(int(s), float(e)) for s, e in zip(steps, eps)]
-            _write_rows(out_dir / f"epsilon_M{cells}.csv", ("step", "epsilon"), rows)
+        tables = {
+            f"epsilon_M{cells}.csv": {"step": steps, "epsilon": eps}
+            for cells, (steps, eps) in artifacts["series"].items()
+        }
     elif kind is ExperimentKind.FLUX_MAP:
         report, artifacts = flux_map(spec)
-        rows = [
-            tuple(float(v) for v in row[:6]) + (row[6],) for row in artifacts["rows"]
-        ]
-        _write_rows(
-            out_dir / "flux_map.csv",
-            ("demand_upstream", "supply_1", "supply_2", "q0", "q1", "q2", "region"),
-            rows,
-        )
+        tables = {"flux_map.csv": artifacts["table"]}
     else:
         report, _ = property_suite(spec)
+        tables = {}
 
+    for name, table in tables.items():
+        _write_table(out_dir / name, table)
     (out_dir / "report.txt").write_text(report.render(), encoding="utf-8")
     sys.stdout.write(report.render())
     return 0 if report.passed else 1

@@ -160,7 +160,7 @@ def _build_sim(doc, model, diagrams):
 def _build_axis(value, name):
     try:
         if isinstance(value, dict):
-            return (float(value["start"]), float(value["stop"]), int(value["count"]))
+            return (float(value["start"]), float(value["stop"]), value["count"])
         v = float(value)
     except KeyError as exc:
         raise ConfigError(f"{name} axis needs start/stop/count, missing {exc}") from exc
@@ -182,7 +182,7 @@ def build_spec(doc, kind, seed=0):
         diagrams = tuple(_build_diagram(d) for d in dsec)
     sim = _build_sim(doc, model, diagrams)
 
-    sweep = None
+    sweep_axes = None
     if kind is ExperimentKind.FLUX_MAP:
         fsec = _section(doc, "flux_map", dict)
         if fsec is None:
@@ -191,7 +191,7 @@ def build_spec(doc, kind, seed=0):
         missing = [name for name in names if name not in fsec]
         if missing:
             raise ConfigError(f"flux_map section is missing {', '.join(missing)}")
-        sweep = SweepSpec(*(_build_axis(fsec[name], name) for name in names))
+        sweep_axes = [_build_axis(fsec[name], name) for name in names]
         if sim is None:
             # flux maps evaluate closed forms only; the placeholder grid is
             # never stepped
@@ -207,8 +207,8 @@ def build_spec(doc, kind, seed=0):
         return ExperimentSpec(
             kind=kind,
             sim=sim,
-            sweep=sweep,
-            resolutions=tuple(int(m) for m in csec.get("resolutions", (40, 80, 160))),
+            sweep=SweepSpec(*sweep_axes) if sweep_axes else None,
+            resolutions=tuple(_section(csec, "resolutions", list, (40, 80, 160))),
             tolerance=float(vsec.get("tolerance", 5e-3)),
             samples=int(psec.get("samples", 10000)),
             wave_samples=int(psec.get("wave_samples", 2000)),

@@ -373,9 +373,10 @@ def step(state, config):
 @dataclass
 class JunctionTrace:
     """Per-step junction data: fluxes, the interior demand/supplies they were
-    computed from, and the commodity-1 proportion in the last upstream cell."""
+    computed from, and the commodity-1 proportion in the last upstream cell.
+    The field names are junction.csv's header."""
 
-    steps: np.ndarray
+    step: np.ndarray
     q0: np.ndarray
     q1: np.ndarray
     q2: np.ndarray

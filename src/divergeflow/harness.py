@@ -15,7 +15,7 @@ runs point by point.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -65,6 +65,7 @@ class SweepSpec:
     """Grid over (demand_upstream, supply_1, supply_2) for flux maps.
 
     Each component is (start, stop, count); count 1 pins the value at start.
+    The ends must be finite and nonnegative, the counts integers of at least 1.
     """
 
     demand_upstream: tuple[float, float, int]
@@ -76,6 +77,9 @@ class SweepSpec:
         ends = [v for start, stop, _ in axes for v in (start, stop)]
         if not all(0.0 <= v < np.inf for v in ends):
             raise ValueError(f"sweep ends must be finite and nonnegative, got {ends}")
+        counts = [count for _, _, count in axes]
+        if not all(isinstance(count, (int, np.integer)) and count >= 1 for count in counts):
+            raise ValueError(f"sweep counts must be integers of at least 1, got {counts}")
 
     def axes(self):
         return tuple(
@@ -98,13 +102,15 @@ class ExperimentSpec:
     config_hash: str = "unhashed"
 
     def __post_init__(self):
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tolerance < np.inf:
+            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
         for name in ("samples", "wave_samples", "oracle_grid"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if self.kind is ExperimentKind.CONVERGENCE and not self.resolutions:
-            raise ValueError("convergence study needs at least one resolution")
+        res = list(self.resolutions)
+        positive = all(isinstance(m, (int, np.integer)) and m >= 1 for m in res)
+        if self.kind is ExperimentKind.CONVERGENCE and not (res and positive and res == sorted(set(res))):
+            raise ValueError(f"convergence resolutions must be strictly increasing positive integers, got {res}")
         if self.kind is ExperimentKind.FLUX_MAP and self.sweep is None:
             raise ValueError("flux map needs a sweep grid")
         if self.kind in (ExperimentKind.RIEMANN_VERIFY, ExperimentKind.CONVERGENCE) and self.sim is None:
@@ -304,21 +310,9 @@ def _invariant_counterpart(model):
     raise ValueError("convergence study compares the routed models")
 
 
-def _rescaled(sim, cells, model=None):
+def _rescaled(sim, cells, model):
     steps = int(round(sim.time_steps * cells / sim.cells_per_link))
-    return ctm.SimConfig(
-        model=sim.model if model is None else model,
-        diagrams=sim.diagrams,
-        cells_per_link=cells,
-        time_steps=steps,
-        link_length=sim.link_length,
-        horizon=sim.horizon,
-        initial_densities=sim.initial_densities,
-        initial_proportions=sim.initial_proportions,
-        inflow_proportions=sim.inflow_proportions,
-        boundaries=sim.boundaries,
-        snapshot_every=sim.snapshot_every,
-    )
+    return replace(sim, model=model, cells_per_link=cells, time_steps=steps)
 
 
 def convergence_study(spec):
@@ -331,8 +325,8 @@ def convergence_study(spec):
     series = {}
     finals = []
     for cells in spec.resolutions:
-        cfg_a = _rescaled(sim, cells)
-        cfg_b = _rescaled(sim, cells, model=other)
+        cfg_a = _rescaled(sim, cells, sim.model)
+        cfg_b = _rescaled(sim, cells, other)
         traj_a = ctm.run(cfg_a)
         traj_b = ctm.run(cfg_b)
         eps = ctm.solution_difference(traj_a, traj_b, cfg_a.dx)
@@ -354,85 +348,90 @@ def convergence_study(spec):
     return report, {"series": series}
 
 
-_FIFO_REGIONS = ("I", "II", "III")
+# Labels of the region codes (see flux_map), bit k set where term k binds;
+# an evacuation code 16 * link1 + link2 names both links.
+_ROUTED_LABELS = np.array(["/".join(r for k, r in enumerate(("I", "II", "III")) if c >> k & 1) for c in range(8)])
+_LINK_LETTERS = ["".join(f for k, f in enumerate("FPRS") if c >> k & 1) for c in range(16)]
+_EVACUATION_LABELS = np.array([f"{a},{b}" for a in _LINK_LETTERS for b in _LINK_LETTERS])
 
 
-def _fifo_region(model, d0, s1, s2, tol=1e-12):
-    """Region of the routed flux map by which minimum term binds."""
+def _code(*binds):
+    """The region code of boolean arrays binds[k], one bit each."""
+    return sum(bind * (1 << k) for k, bind in enumerate(binds))
+
+
+def _routed_codes(model, d0, s1, s2, tol=1e-12):
+    """Region codes of a routed rule derived twice: by which of the terms
+    (D0, S1/x1, S2/x2) attain their minimum, and from each region's
+    inequalities against the other two terms."""
     x1, x2 = model.xi
-    terms = (d0, s1 / x1, s2 / x2)
-    q0 = min(terms)
-    labels = [_FIFO_REGIONS[i] for i, t in enumerate(terms) if t <= q0 + tol]
-    return "/".join(labels)
+    t0, t1, t2 = terms = (d0, s1 / x1, s2 / x2)
+    q0 = np.minimum(np.minimum(t0, t1), t2)
+    by_term = _code(*(t <= q0 + tol for t in terms))
+    by_inequality = _code(
+        t0 <= np.minimum(t1, t2) + tol,
+        t1 <= np.minimum(t0, t2) + tol,
+        t2 <= np.minimum(t0, t1) + tol,
+    )
+    return by_term, by_inequality
 
 
-def _fifo_region_by_inequalities(model, d0, s1, s2, tol=1e-12):
-    """Same regions computed from the inequality descriptions instead."""
-    x1, x2 = model.xi
-    t1, t2 = s1 / x1, s2 / x2
-    labels = []
-    if d0 <= min(t1, t2) + tol:
-        labels.append("I")
-    if t1 <= min(d0, t2) + tol:
-        labels.append("II")
-    if t2 <= min(d0, t1) + tol:
-        labels.append("III")
-    return "/".join(labels)
-
-
-def _evacuation_region(model, d0, s1, s2, capacities, tol=1e-12):
-    """Per-link letters for which terms of the evacuation rule bind:
-    S = the link supply, R = the residual D0 - Sj, P = the proportional or
-    priority share, F = the routed-remainder cap."""
+def _evacuation_codes(model, d0, s1, s2, capacities, tol=1e-12):
+    """Per-link region codes of an evacuation rule: which of its terms bind
+    the link's flux, F = the routed-remainder cap, P = the proportional or
+    priority share, R = the residual D0 - Sj, S = the link supply."""
     _, c1, c2 = capacities
-    letters = []
+    codes = []
     for i, (si, sj) in enumerate(((s1, s2), (s2, s1))):
         if model.kind is DivergeModelKind.SUPPLY_PROPORTIONAL:
             share = d0 * (c1, c2)[i] / (c1 + c2)
         else:
             share = model.alpha[i] * d0
-        composite = max(d0 - sj, share)
-        entries = [("S", si)]
-        if d0 - sj >= composite - tol:
-            entries.append(("R", composite))
-        if share >= composite - tol:
-            entries.append(("P", composite))
-        if model.kind is DivergeModelKind.PARTIAL_EVACUATION:
-            xj = model.xi[1 - i]
-            entries.append(("F", sj * (1.0 - xj) / xj if xj > 0.0 else np.inf))
-        qi = min(v for _, v in entries)
-        letters.append("".join(sorted(k for k, v in entries if v <= qi + tol)))
-    return ",".join(letters)
+        residual = d0 - sj
+        # R or P always attains the composite, so the flux is min(S, composite, F)
+        composite = np.maximum(residual, share)
+        xj = model.xi[1 - i] if model.kind is DivergeModelKind.PARTIAL_EVACUATION else 0.0
+        cap = sj * (1.0 - xj) / xj if xj > 0.0 else np.inf
+        bound = np.minimum(np.minimum(si, composite), cap) + tol
+        tied = composite <= bound
+        codes.append(_code(
+            cap <= bound, tied & (share >= composite - tol), tied & (residual >= composite - tol), si <= bound
+        ))
+    return codes
 
 
 def flux_map(spec):
     """Evaluate the closed-form fluxes over a sweep grid in one kernel call
-    and label each point by its binding constraints."""
+    and label each point by its binding constraints, all as array code.
+
+    Returns the report and {"table": columns}: the flux_map.csv columns, a
+    dict from CSV header to an equal-length array.  A routed rule's region
+    names the binding terms of min(D0, S1/x1, S2/x2) as I, II, III, ties
+    joined by "/" (such as "I/II"); an evacuation rule's region gives each
+    downstream link the letters of its binding terms in FPRS order, the two
+    links joined by "," (such as "PR,S").
+    """
     model = spec.sim.model
     caps = tuple(fd.capacity for fd in spec.sim.diagrams)
     report = Report("flux-map", spec.config_hash, spec.seed)
     axes = [np.minimum(axis, cap) for axis, cap in zip(spec.sweep.axes(), caps)]
     d0, s1, s2 = (grid.ravel() for grid in np.meshgrid(*axes, indexing="ij"))
     q0, q1, q2 = solve_fluxes_batch(model, d0, s1, s2, caps)
-    routed = model.kind in (DivergeModelKind.DAGANZO_FIFO, DivergeModelKind.LEBACQUE)
-    rows = []
-    mismatches = 0
-    for point in zip(d0.tolist(), s1.tolist(), s2.tolist(), q0.tolist(), q1.tolist(), q2.tolist()):
-        if routed:
-            region = _fifo_region(model, *point[:3])
-            if region != _fifo_region_by_inequalities(model, *point[:3]):
-                mismatches += 1
-        else:
-            region = _evacuation_region(model, *point[:3], caps)
-        rows.append((*point, region))
-    report.add("grid-evaluated", True, f"{len(rows)} points")
-    if routed:
+    report.add("grid-evaluated", True, f"{d0.size} points")
+    if model.kind in (DivergeModelKind.DAGANZO_FIFO, DivergeModelKind.LEBACQUE):
+        code, by_inequality = _routed_codes(model, d0, s1, s2)
+        region = _ROUTED_LABELS[code]
+        mismatches = np.count_nonzero(code != by_inequality)
         report.add(
             "region-labels-consistent",
             mismatches == 0,
             f"{mismatches} disagreements between binding-term and inequality labels",
         )
-    return report, {"rows": rows}
+    else:
+        link1, link2 = _evacuation_codes(model, d0, s1, s2, caps)
+        region = _EVACUATION_LABELS[16 * link1 + link2]
+    header = ("demand_upstream", "supply_1", "supply_2", "q0", "q1", "q2", "region")
+    return report, {"table": dict(zip(header, (d0, s1, s2, q0, q1, q2, region)))}
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from divergeflow import del_castillo_mainline, del_castillo_ramp
 from divergeflow.cli import main
 from divergeflow.config import ConfigError, build_spec, config_hash, load_config
 from divergeflow.harness import ExperimentKind
@@ -283,6 +284,96 @@ class TestCli:
             "fields.csv": "a8fcf9158345efcafbb0602f4e64788ca4f1ec45668e81f233e54ad96a9c1a6c",
             "junction.csv": "41e42ec4e292968e7881c6fc5cda41ad584122e3517bb4da136fb9ec76ce1fa8",
         }
+
+    @pytest.mark.parametrize(
+        "model, digest",
+        [
+            ("{kind: daganzo_fifo, xi: [0.7, 0.3]}", "766f5a1efa3db58af0af0ed416761d9e4d98d0d864054ad3863db1d76bc75bfd"),
+            ("{kind: lebacque, xi: [0.7, 0.3]}", "766f5a1efa3db58af0af0ed416761d9e4d98d0d864054ad3863db1d76bc75bfd"),
+            ("{kind: supply_proportional}", "dba235e298441de82867b2985556534de47db9a52ce704c2d50f617bc837db8d"),
+            ("{kind: priority_based, alpha: [0.6, 0.4]}", "679eb9d909d0e17c5c4506303159fc2145f59fae34eacc7ace1ada200cd9d82a"),
+            (
+                "{kind: partial_evacuation, xi: [0.3, 0.2], alpha: [0.55, 0.45]}",
+                "72c4cd5caa8f0dbc1061b2840230d13721f718e396721afcf74b44a018d1912f",
+            ),
+        ],
+        ids=["daganzo_fifo", "lebacque", "supply_proportional", "priority_based", "partial_evacuation"],
+    )
+    def test_flux_map_over_the_capacity_cube_matches_golden(self, tmp_path, model, digest):
+        # the props oracle fixtures on a 9^3 cube over [0, C0] x [0, C1] x
+        # [0, C2]: it reaches the zero faces and the ties between the terms,
+        # so every region label and the CSV formatting are pinned bitwise
+        caps = (del_castillo_mainline().capacity, del_castillo_mainline().capacity, del_castillo_ramp().capacity)
+        names = ("demand_upstream", "supply_1", "supply_2")
+        axes = "".join(f"  {name}: {{start: 0.0, stop: {cap!r}, count: 9}}\n" for name, cap in zip(names, caps))
+        cfg = tmp_path / "cube.yaml"
+        cfg.write_text(f"model: {model}\nflux_map:\n{axes}", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["flux-map", "--config", str(cfg), "--out", str(out)]) == 0
+        assert hashlib.sha256((out / "flux_map.csv").read_bytes()).hexdigest() == digest
+
+    def test_converge_epsilon_series_match_golden(self, tmp_path):
+        cfg = tmp_path / "conv.yaml"
+        text = (CONFIGS / "convergence.yaml").read_text(encoding="utf-8")
+        assert "resolutions: [40, 80, 160]" in text
+        cfg.write_text(text.replace("resolutions: [40, 80, 160]", "resolutions: [10, 20]"), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["converge", "--config", str(cfg), "--out", str(out)]) == 0
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("epsilon_M10.csv", "epsilon_M20.csv")
+        }
+        assert digests == {
+            "epsilon_M10.csv": "790a3895e8ebe89660a0f415c27db6e7a219ce1b5b143c4eccef561c9614870b",
+            "epsilon_M20.csv": "1807c67421eca2dd294fe7103aa14b02efe419017e4adc29a2da081c240ec347",
+        }
+
+    @pytest.mark.parametrize(
+        "command, old, new, message",
+        [
+            ("riemann-verify", "tolerance: 5.0e-3", "tolerance: .nan", "tolerance must be finite and positive, got nan"),
+            ("riemann-verify", "tolerance: 5.0e-3", "tolerance: .inf", "tolerance must be finite and positive, got inf"),
+            (
+                "converge", "resolutions: [10, 20]", "resolutions: [10, 0]",
+                "convergence resolutions must be strictly increasing positive integers, got [10, 0]",
+            ),
+            (
+                "converge", "resolutions: [10, 20]", "resolutions: [20, 20]",
+                "convergence resolutions must be strictly increasing positive integers, got [20, 20]",
+            ),
+            ("converge", "resolutions: [10, 20]", "resolutions: 40", "resolutions must be a list, got 40"),
+        ],
+        ids=["tolerance-nan", "tolerance-inf", "resolution-zero", "resolution-repeated", "resolutions-not-a-list"],
+    )
+    def test_bad_tolerance_or_resolutions_exit_two_before_running(self, tmp_path, capsys, command, old, new, message):
+        cfg = tmp_path / "cfg.yaml"
+        text = SMALL_VERIFY + "convergence:\n  resolutions: [10, 20]\n"
+        assert old in text
+        cfg.write_text(text.replace(old, new), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "count, message",
+        [
+            ("0", "sweep counts must be integers of at least 1, got [1, 41, 0]"),
+            ("-2", "sweep counts must be integers of at least 1, got [1, 41, -2]"),
+            ("2.7", "sweep counts must be integers of at least 1, got [1, 41, 2.7]"),
+        ],
+        ids=["zero", "negative", "fractional"],
+    )
+    def test_flux_map_count_below_one_or_fractional_exits_two(self, tmp_path, capsys, count, message):
+        cfg = tmp_path / "map.yaml"
+        old = "supply_2: {start: 0.0, stop: 0.0841, count: 41}"
+        text = (CONFIGS / "flux_map.yaml").read_text(encoding="utf-8")
+        assert old in text
+        cfg.write_text(text.replace(old, old.replace("count: 41", f"count: {count}")), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["flux-map", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
 
     def test_daganzo_with_all_traffic_on_one_route_runs(self, tmp_path):
         # the last upstream cell starts with junction proportions (1, 0):

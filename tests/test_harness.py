@@ -144,6 +144,11 @@ class TestConvergenceStudy:
         assert golden.read_text(encoding="utf-8") == text
 
 
+def table_rows(artifacts):
+    """The rows of a flux map's column table, as tuples of Python values."""
+    return list(zip(*(column.tolist() for column in artifacts["table"].values())))
+
+
 class TestFluxMap:
     def test_routed_regions(self, trio):
         sweep = SweepSpec(
@@ -158,7 +163,7 @@ class TestFluxMap:
         spec = ExperimentSpec(kind=ExperimentKind.FLUX_MAP, sim=sim, sweep=sweep)
         report, artifacts = flux_map(spec)
         assert report.passed, report.render()
-        for d0, s1, s2, q0, q1, q2, region in artifacts["rows"]:
+        for d0, s1, s2, q0, q1, q2, region in table_rows(artifacts):
             if region == "I":  # demand-limited: split of the full demand
                 assert q1 == pytest.approx(0.7 * d0, abs=1e-12)
                 assert q2 == pytest.approx(0.3 * d0, abs=1e-12)
@@ -181,7 +186,7 @@ class TestFluxMap:
         )
         spec = ExperimentSpec(kind=ExperimentKind.FLUX_MAP, sim=sim, sweep=sweep)
         _, artifacts = flux_map(spec)
-        (row,) = artifacts["rows"]
+        (row,) = table_rows(artifacts)
         assert row[4] == pytest.approx(d0 * c1 / (c1 + c2), abs=1e-12)
         assert row[5] == pytest.approx(d0 * c2 / (c1 + c2), abs=1e-12)
 
@@ -209,7 +214,7 @@ class TestFluxMap:
         )
         spec = ExperimentSpec(kind=ExperimentKind.FLUX_MAP, sim=sim, sweep=sweep)
         _, artifacts = flux_map(spec)
-        rows = artifacts["rows"]
+        rows = table_rows(artifacts)
         assert len(rows) == 6 * 7 * 5
         for d0, s1, s2, q0, q1, q2, _ in rows:
             inp = RiemannInput(
@@ -234,7 +239,7 @@ class TestFluxMap:
         )
         spec = ExperimentSpec(kind=ExperimentKind.FLUX_MAP, sim=sim, sweep=sweep)
         _, artifacts = flux_map(spec)
-        (row,) = artifacts["rows"]
+        (row,) = table_rows(artifacts)
         assert row[3] == row[4] == row[5] == 0.0
 
 

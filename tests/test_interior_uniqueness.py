@@ -15,6 +15,7 @@ from divergeflow import (
     partial_evacuation,
     priority_based,
     solve,
+    solve_batch,
     supply_proportional,
 )
 from divergeflow.oracle import probe_interior_unique
@@ -38,8 +39,7 @@ def make_input(trio, d0, s1, s2):
     )
 
 
-def assert_flags_agree(model, inp):
-    sol = solve(model, inp)
+def assert_flags_agree(model, inp, sol):
     probed = probe_interior_unique(model, inp, sol)
     assert sol.interior_unique == probed, (
         model, inp.demand_upstream, inp.supplies, sol.interior_unique, probed,
@@ -72,9 +72,12 @@ def grid_points(caps, n=15):
 @pytest.mark.parametrize("model", PROPS_FIXTURES, ids=lambda m: m.kind.value)
 def test_closed_form_flags_match_the_probe_on_the_dense_grid(trio, model):
     caps = tuple(fd.capacity for fd in trio)
+    d0, s1, s2 = np.array(list(grid_points(caps))).T
+    batch = solve_batch(model, d0, s1, s2, caps)
     free = 0
-    for d0, s1, s2 in grid_points(caps):
-        flags = assert_flags_agree(model, make_input(trio, float(d0), float(s1), float(s2)))
+    for k in range(len(d0)):
+        inp = make_input(trio, d0[k].item(), s1[k].item(), s2[k].item())
+        flags = assert_flags_agree(model, inp, batch.row(k))
         free += not all(flags)
     assert free > 0  # the grid reaches the non-unique cases
 
@@ -130,7 +133,8 @@ def test_closed_form_flags_match_the_probe_on_snapped_draws(trio, data):
     model = data.draw(models())
     share = model.xi[0] if model.xi is not None else data.draw(TWENTIETHS)
     d0, s1, s2 = data.draw(snapped_data(caps, share))
-    assert_flags_agree(model, make_input(trio, d0, s1, s2))
+    inp = make_input(trio, d0, s1, s2)
+    assert_flags_agree(model, inp, solve(model, inp))
 
 
 def test_slopes_survive_subnormal_supplies(trio):

@@ -63,6 +63,7 @@ from .ctm import (
     Trajectory,
     proportion_update,
     run,
+    run_batch,
     solution_difference,
     step,
 )
@@ -116,6 +117,7 @@ __all__ = [
     "Trajectory",
     "proportion_update",
     "run",
+    "run_batch",
     "solution_difference",
     "step",
     "OracleResult",

@@ -141,15 +141,15 @@ def _build_sim(doc, model, diagrams):
         return SimConfig(
             model=model,
             diagrams=diagrams,
-            cells_per_link=int(section["cells_per_link"]),
-            time_steps=int(section["time_steps"]),
+            cells_per_link=section["cells_per_link"],
+            time_steps=section["time_steps"],
             link_length=float(section.get("link_length", 10.0)),
             horizon=float(section.get("horizon", 360.0)),
             initial_densities=tuple(_section(section, "initial_densities", list, (0.0, 0.0, 0.0))),
             initial_proportions=section.get("initial_proportions"),
             inflow_proportions=section.get("inflow_proportions"),
             boundaries=boundaries,
-            snapshot_every=int(section.get("snapshot_every", 50)),
+            snapshot_every=section.get("snapshot_every", 50),
         )
     except KeyError as exc:
         raise ConfigError(f"simulation section is missing {exc}") from exc
@@ -210,9 +210,9 @@ def build_spec(doc, kind, seed=0):
             sweep=SweepSpec(*sweep_axes) if sweep_axes else None,
             resolutions=tuple(_section(csec, "resolutions", list, (40, 80, 160))),
             tolerance=float(vsec.get("tolerance", 5e-3)),
-            samples=int(psec.get("samples", 10000)),
-            wave_samples=int(psec.get("wave_samples", 2000)),
-            oracle_grid=int(psec.get("oracle_grid", 7)),
+            samples=psec.get("samples", 10000),
+            wave_samples=psec.get("wave_samples", 2000),
+            oracle_grid=psec.get("oracle_grid", 7),
             seed=seed,
             config_hash=config_hash(doc),
         )

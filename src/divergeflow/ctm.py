@@ -22,12 +22,20 @@ where the commodity out-flux is xi[m] * q_out inside the link and the
 commodity's own junction flux at the last cell.  Empty cells keep their
 previous proportion.
 
-The state holds the three links as one (3, M) density array, and step
-advances them together through one (3, M + 1) face array.  It returns
-(new_state, record): the junction row (q0, q1, q2, D0, S1, S2, x1) followed
-by the boundary in-flux and out-flux.  Densities are validated when the
-SimConfig is built, not in the step; the density guard and a clip keep them
-in [0, jam_density].
+One step kernel advances a batch of B scenarios.  Its state is a (B, 3, M)
+density array and a (B, C, M) proportion array, C the tracked-commodity
+count, stepped through one (B, 3, M + 1) face array.  The members share the
+grid, the diagrams, the boundaries and C, and may differ in model, initial
+data and inflow mix.  Links that share a diagram share one evaluation of its
+flux law, and each boundary is evaluated once per step for the whole batch;
+only the junction rule runs once per member.  run_batch(configs) gives one
+Trajectory per member, each bitwise the trajectory of that config alone;
+run(config) is run_batch([config])[0], and step(state, config) the kernel on
+a batch of one.  The step records the junction row (q0, q1, q2, D0, S1, S2,
+x1) followed by the boundary in-flux and out-flux.  Densities are validated
+when the SimConfig is built, not in the step; the density guard and a clip
+keep them in [0, jam_density], and the guard and the conservation check name
+the member that fails.
 """
 
 from __future__ import annotations
@@ -38,8 +46,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fundamental_diagram import FundamentalDiagram
-from .riemann import DivergeModel, DivergeModelKind, junction_fluxes
+from .fundamental_diagram import FundamentalDiagram, _demand_supply_from_flow
+from .riemann import _FIFO_KINDS, DivergeModel, DivergeModelKind, junction_fluxes
 
 __all__ = [
     "BoundaryKind",
@@ -53,6 +61,7 @@ __all__ = [
     "proportion_update",
     "step",
     "run",
+    "run_batch",
     "solution_difference",
 ]
 
@@ -130,6 +139,15 @@ class BoundarySpec:
     )
 
 
+def _require_count(name, value):
+    """Raise ValueError unless value is an integer of at least 1; a float
+    such as 20.9 is rejected, not truncated."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 def _as_cell_array(value, cells):
     arr = np.asarray(value, dtype=float)
     if arr.ndim == 0:
@@ -175,12 +193,10 @@ class SimConfig:
             raise ValueError(
                 f"initial_densities needs one entry per link (three), got {len(self.initial_densities)}"
             )
-        if self.cells_per_link < 1 or self.time_steps < 1:
-            raise ValueError("cells_per_link and time_steps must be positive")
+        for name in ("cells_per_link", "time_steps", "snapshot_every"):
+            _require_count(name, getattr(self, name))
         if not (self.link_length > 0.0 and self.horizon > 0.0):
             raise ValueError("link_length and horizon must be positive")
-        if self.snapshot_every < 1:
-            raise ValueError("snapshot_every must be positive")
         vmax = max(fd.max_wave_speed for fd in self.diagrams)
         if vmax * self.dt / self.dx > 1.0 + 1e-12:
             raise ValueError(
@@ -301,73 +317,126 @@ def proportion_update(
     empty = rho_new < EMPTY_CELL_TOL
     safe_rho = np.where(empty, 1.0, rho_new)
     mixed = (rho_old * xi_old + dt_over_dx * (q_in * xi_upstream - commodity_outflux)) / safe_rho
-    out = np.where(unchanged | empty, xi_old, np.clip(mixed, 0.0, 1.0))
+    out = np.where(unchanged | empty, xi_old, np.minimum(np.maximum(mixed, 0.0), 1.0))
     return float(out) if out.ndim == 0 else out
 
 
+# Fields every member of a batch shares; run_batch checks them first.
+_SHARED_FIELDS = (
+    "cells_per_link", "time_steps", "dt", "dx", "diagrams", "boundaries", "snapshot_every", "tracked_commodities",
+)
+
+
+def _diagram_groups(diagrams):
+    """(diagram, links) for each distinct diagram, links a slice where they
+    are adjacent, so that links sharing a diagram share one evaluation."""
+    links = {}
+    for i, fd in enumerate(diagrams):
+        links.setdefault(fd, []).append(i)
+    return [
+        (fd, slice(ix[0], ix[-1] + 1) if ix[-1] - ix[0] == len(ix) - 1 else ix)
+        for fd, ix in links.items()
+    ]
+
+
+class _Ensemble:
+    """The step kernel of a batch of B configs and the constants it reads.
+
+    The state is a (B, 3, M) density array and a (B, C, M) proportion
+    array, C the tracked-commodity count.  Members share the grid, the
+    diagrams, the boundaries and C; they may differ in model, initial data
+    and inflow mix.
+    """
+
+    def __init__(self, configs):
+        if not configs:
+            raise ValueError("a batch needs at least one config")
+        first = configs[0]
+        for name in _SHARED_FIELDS:
+            for member, cfg in enumerate(configs[1:], start=1):
+                if getattr(cfg, name) != getattr(first, name):
+                    raise ValueError(f"batch members must share {name}; member {member} differs from member 0")
+        self.models = [cfg.model for cfg in configs]
+        self.face_shape = (len(configs), 3, first.cells_per_link + 1)
+        self.groups = _diagram_groups(first.diagrams)
+        self.critical = np.array([[fd.critical_density] for fd in first.diagrams])
+        self.capacity = np.array([[fd.capacity] for fd in first.diagrams])
+        self.jam = first.jam_column
+        self.jam_guard = first.jam_column + DENSITY_GUARD
+        self.boundaries = first.boundaries
+        self.dt = first.dt
+        self.ratio = first.dt / first.dx
+        self.inflow_mix = np.stack([cfg.inflow_mix for cfg in configs])
+        self.evacuating = first.tracked_commodities == 2
+        self.fifo = np.array([[m.kind in _FIFO_KINDS] for m in self.models])
+
+    def advance(self, rho, x, k, record):
+        """The state after step k from (rho, x); each member's row of record
+        (B, 9) gets (q0, q1, q2, D0, S1, S2, x1, inflow, outflow)."""
+        time = k * self.dt
+        flow = np.empty_like(rho)
+        for fd, links in self.groups:
+            flow[:, links] = fd._flow(rho[:, links])
+        demand, supply = _demand_supply_from_flow(rho, flow, self.critical, self.capacity)
+
+        # the junction rule, once per member, on (D0, S1, S2) and the last
+        # upstream cell's mix; the row is record's (q0, q1, q2, D0, S1, S2, x1)
+        d0, last = demand[:, 0, -1], x[:, :, -1]
+        record[:, :7] = [
+            (*junction_fluxes(model, d, (a, b), xi if self.evacuating else (xi[0], 1.0 - xi[0])), d, a, b, xi[0])
+            for model, d, a, b, xi in zip(self.models, d0.tolist(), supply[:, 1, 0].tolist(),
+                                          supply[:, 2, 0].tolist(), last.tolist())
+        ]
+        q = record[:, :3]
+
+        faces = np.empty(self.face_shape)
+        np.minimum(demand[:, :, :-1], supply[:, :, 1:], out=faces[:, :, 1:-1])
+        ghost = self.boundaries.upstream_demand.evaluate(time, self.capacity[0, 0], demand[:, 0, 0])
+        faces[:, 0, 0] = np.minimum(ghost, supply[:, 0, 0])
+        faces[:, 0, -1] = q[:, 0]
+        faces[:, 1:, 0] = q[:, 1:]
+        for i, bc in enumerate(self.boundaries.downstream_supplies, start=1):
+            ghost = bc.evaluate(time, self.capacity[i, 0], supply[:, i, -1])
+            faces[:, i, -1] = np.minimum(demand[:, i, -1], ghost)
+
+        rho_new = rho + self.ratio * (faces[:, :, :-1] - faces[:, :, 1:])
+        outside = (rho_new < -DENSITY_GUARD) | (rho_new > self.jam_guard)
+        if outside.any():
+            member, link = np.argwhere(outside.any(axis=2))[0]
+            raise NumericalStabilityError(
+                f"density left [0, {self.jam[link, 0]}] in member {member}"
+                f" on link {link} at step {k}"
+            )
+        np.minimum(np.maximum(rho_new, 0.0, out=rho_new), self.jam, out=rho_new)
+
+        q_in, q_out = faces[:, :1, :-1], faces[:, :1, 1:]
+        x_up = np.empty_like(x)
+        x_up[:, :, 0] = self.inflow_mix
+        x_up[:, :, 1:] = x[:, :, :-1]
+        commodity_out = x * q_out
+        if self.evacuating:
+            # routed vehicles claim their share of the link flux first
+            commodity_out[:, :, -1] = np.minimum(last * d0[:, None], q[:, 1:])
+        else:
+            # all flow entering link 1 is routed commodity 1; without routes
+            # the one commodity rides along
+            commodity_out[:, :, -1] = np.where(self.fifo, q[:, 1:2], last * q[:, :1])
+        x_new = proportion_update(rho[:, :1], rho_new[:, :1], x, x_up, q_in, q_out, self.ratio, commodity_out)
+
+        record[:, 7] = faces[:, 0, 0]
+        record[:, 8] = faces[:, 1, -1] + faces[:, 2, -1]
+        return rho_new, x_new
+
+
 def step(state, config):
-    """Advance all three links by one time step; returns (new_state, record)
-    with record = (q0, q1, q2, D0, S1, S2, x1, inflow, outflow)."""
-    fds = config.diagrams
-    ratio = config.dt / config.dx
-    time = state.step_index * config.dt
-    rho, x = state.densities, state.proportions
-
-    ds = np.array([fd._demand_supply(r) for fd, r in zip(fds, rho)])  # (3, 2, M)
-    demand, supply = ds[:, 0], ds[:, 1]
-
-    last = x[:, -1]
-    turning = (last[0], 1.0 - last[0]) if config.tracked_commodities == 1 else tuple(last)
-    q_junction = tuple(
-        float(q) for q in junction_fluxes(config.model, demand[0, -1], (supply[1, 0], supply[2, 0]), turning)
+    """Advance one config by one step: the batch kernel on a batch of one.
+    Returns (new_state, record) with record = (q0, q1, q2, D0, S1, S2, x1,
+    inflow, outflow) as floats."""
+    record = np.empty((1, 9))
+    rho, x = _Ensemble([config]).advance(
+        state.densities[None], state.proportions[None], state.step_index, record
     )
-
-    faces = np.empty((3, config.cells_per_link + 1))
-    faces[:, 1:-1] = np.minimum(demand[:, :-1], supply[:, 1:])
-    ghost_demand = config.boundaries.upstream_demand.evaluate(
-        time, fds[0].capacity, neumann_value=demand[0, 0]
-    )
-    faces[0, 0] = min(ghost_demand, supply[0, 0])
-    faces[0, -1], faces[1, 0], faces[2, 0] = q_junction
-    for i, bc in enumerate(config.boundaries.downstream_supplies, start=1):
-        ghost_supply = bc.evaluate(time, fds[i].capacity, neumann_value=supply[i, -1])
-        faces[i, -1] = min(demand[i, -1], ghost_supply)
-
-    rho_new = rho + ratio * (faces[:, :-1] - faces[:, 1:])
-    outside = (rho_new < -DENSITY_GUARD) | (rho_new > config.jam_column + DENSITY_GUARD)
-    if outside.any():
-        link = int(outside.any(axis=1).argmax())
-        raise NumericalStabilityError(
-            f"density left [0, {fds[link].jam_density}] on link {link} at step {state.step_index}"
-        )
-    rho_new = np.clip(rho_new, 0.0, config.jam_column)
-
-    q_in, q_out = faces[0, :-1], faces[0, 1:]
-    x_up = np.empty_like(x)
-    x_up[:, 0] = config.inflow_mix
-    x_up[:, 1:] = x[:, :-1]
-    commodity_out = x * q_out
-    kind = config.model.kind
-    if kind in (DivergeModelKind.DAGANZO_FIFO, DivergeModelKind.LEBACQUE):
-        commodity_out[0, -1] = q_junction[1]  # all flow entering link 1 is routed commodity 1
-    elif kind is DivergeModelKind.PARTIAL_EVACUATION:
-        # routed vehicles claim their share of the link flux first
-        commodity_out[:, -1] = np.minimum(last * demand[0, -1], q_junction[1:])
-    else:
-        commodity_out[0, -1] = last[0] * q_junction[0]  # no routes: one commodity rides along
-    x_new = proportion_update(
-        rho[0], rho_new[0], x, x_up, q_in, q_out, ratio, commodity_outflux=commodity_out
-    )
-
-    record = q_junction + (
-        float(demand[0, -1]),
-        float(supply[1, 0]),
-        float(supply[2, 0]),
-        float(last[0]),
-        float(faces[0, 0]),
-        float(faces[1, -1] + faces[2, -1]),
-    )
-    return SimState(rho_new, x_new, state.step_index + 1), record
+    return SimState(rho[0], x[0], state.step_index + 1), tuple(record[0].tolist())
 
 
 @dataclass
@@ -409,48 +478,71 @@ class Trajectory:
         return abs(change - net) / max(self.initial_vehicles, 1.0)
 
 
-def run(config):
-    """Run the full horizon and record snapshots plus the junction trace.
+def run_batch(configs):
+    """Run configs that share a grid, diagrams and boundaries as one batch,
+    stepping their (B, 3, M) state together; returns one Trajectory each,
+    bitwise the trajectory the config gives alone.
 
-    Full fields are stored every config.snapshot_every steps (plus the initial
-    and final step); junction quantities are stored every step.
+    Full fields are stored every snapshot_every steps (plus the initial and
+    final step); junction quantities are stored every step.  Raises
+    ValueError, naming the field, when the members differ in what they must
+    share, and NumericalStabilityError, naming the member, when a density
+    leaves its range or a member's vehicle count drifts more than 1e-8 from
+    its boundary fluxes.
     """
-    state = config.initial_state()
-    n = config.time_steps
-    dt = config.dt
+    configs = list(configs)
+    kernel = _Ensemble(configs)
+    first = configs[0]
+    n = first.time_steps
+    initial = [cfg.initial_state() for cfg in configs]
+    rho = np.stack([state.densities for state in initial])
+    x = np.stack([state.proportions for state in initial])
 
-    snapshots = [state]
-    junction = np.empty((n, 7))
-    inflow_total = 0.0
-    outflow_total = 0.0
-    initial_vehicles = state.vehicles(config.dx)
-
+    snapshot_steps = list(range(0, n + 1, first.snapshot_every))
+    if snapshot_steps[-1] != n:
+        snapshot_steps.append(n)
+    densities = np.empty((len(snapshot_steps),) + rho.shape)
+    proportions = np.empty((len(snapshot_steps),) + x.shape)
+    densities[0], proportions[0] = rho, x
+    record = np.empty((n, len(configs), 9))
+    snap = 1
     for k in range(n):
-        state, record = step(state, config)
-        junction[k] = record[:7]
-        inflow_total += record[7] * dt
-        outflow_total += record[8] * dt
-        if state.step_index % config.snapshot_every == 0 or state.step_index == n:
-            snapshots.append(state)
+        rho, x = kernel.advance(rho, x, k, record[k])
+        if k + 1 == snapshot_steps[snap]:
+            densities[snap], proportions[snap] = rho, x
+            snap += 1
+    # boundary totals summed step by step from zero, as the steps ran
+    totals = np.add.accumulate(
+        np.concatenate([np.zeros((1, len(configs), 2)), record[:, :, 7:] * first.dt]), axis=0
+    )[-1]
 
-    trajectory = Trajectory(
-        config=config,
-        snapshot_steps=np.array([s.step_index for s in snapshots]),
-        densities=np.stack([s.densities for s in snapshots]),
-        proportions=np.stack([s.proportions for s in snapshots]),
-        junction=JunctionTrace(np.arange(n), *junction.T),
-        inflow_total=inflow_total,
-        outflow_total=outflow_total,
-        initial_vehicles=initial_vehicles,
-        final_vehicles=state.vehicles(config.dx),
-        final_state=state,
-    )
-    drift = trajectory.conservation_drift()
-    if not drift <= 1e-8:  # NaN drift fails too
-        raise NumericalStabilityError(
-            f"vehicle count drifted {drift:.3e} relative to the boundary fluxes"
+    trajectories = []
+    for member, cfg in enumerate(configs):
+        final = SimState(rho[member], x[member], n)
+        trajectory = Trajectory(
+            config=cfg,
+            snapshot_steps=np.array(snapshot_steps),
+            densities=densities[:, member],
+            proportions=proportions[:, member],
+            junction=JunctionTrace(np.arange(n), *record[:, member, :7].T),
+            inflow_total=float(totals[member, 0]),
+            outflow_total=float(totals[member, 1]),
+            initial_vehicles=initial[member].vehicles(cfg.dx),
+            final_vehicles=final.vehicles(cfg.dx),
+            final_state=final,
         )
-    return trajectory
+        drift = trajectory.conservation_drift()
+        if not drift <= 1e-8:  # NaN drift fails too
+            raise NumericalStabilityError(
+                f"member {member}: vehicle count drifted {drift:.3e} relative to the boundary fluxes"
+            )
+        trajectories.append(trajectory)
+    return trajectories
+
+
+def run(config):
+    """Run the full horizon of one config: run_batch on a batch of one."""
+    return run_batch([config])[0]
 
 
 def solution_difference(traj_a, traj_b, dx):

@@ -71,6 +71,13 @@ def _plain(out):
     return out if isinstance(out, np.ndarray) and out.ndim else float(out)
 
 
+def _demand_supply_from_flow(rho, q, critical_density, capacity):
+    """(D, S) of densities rho whose flows are q: D is q up to the critical
+    density and the capacity above it, S the reverse.  critical_density and
+    capacity may be arrays that broadcast against rho, one per link."""
+    return np.where(rho <= critical_density, q, capacity), np.where(rho >= critical_density, q, capacity)
+
+
 def _golden_section_argmax(f, a, b, tol=1e-12):
     """Argmax of a unimodal f on [a, b] by golden-section search."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -180,8 +187,8 @@ class FundamentalDiagram:
     def _demand_supply(self, rho):
         """demand_supply without the range check, for a float or a float
         array already known to lie in [0, jam_density]."""
-        q, rho_c, cap = self._flow(rho), self.critical_density, self.capacity
-        return _plain(np.where(rho <= rho_c, q, cap)), _plain(np.where(rho >= rho_c, q, cap))
+        d, s = _demand_supply_from_flow(rho, self._flow(rho), self.critical_density, self.capacity)
+        return _plain(d), _plain(s)
 
     def demand(self, rho):
         """Maximum sending flow D(rho); see demand_supply."""

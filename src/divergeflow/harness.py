@@ -105,8 +105,7 @@ class ExperimentSpec:
         if not 0.0 < self.tolerance < np.inf:
             raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
         for name in ("samples", "wave_samples", "oracle_grid"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+            ctm._require_count(name, getattr(self, name))
         res = list(self.resolutions)
         positive = all(isinstance(m, (int, np.integer)) and m >= 1 for m in res)
         if self.kind is ExperimentKind.CONVERGENCE and not (res and positive and res == sorted(set(res))):
@@ -317,8 +316,8 @@ def _rescaled(sim, cells, model):
 
 def convergence_study(spec):
     """Compare a routed model with its invariant counterpart across grid
-    resolutions; the solution difference at the final time must shrink as the
-    cells do."""
+    resolutions, both simulated as one batch per resolution; the solution
+    difference at the final time must shrink as the cells do."""
     sim = spec.sim
     other = _invariant_counterpart(sim.model)
     report = Report("converge", spec.config_hash, spec.seed)
@@ -327,8 +326,7 @@ def convergence_study(spec):
     for cells in spec.resolutions:
         cfg_a = _rescaled(sim, cells, sim.model)
         cfg_b = _rescaled(sim, cells, other)
-        traj_a = ctm.run(cfg_a)
-        traj_b = ctm.run(cfg_b)
+        traj_a, traj_b = ctm.run_batch([cfg_a, cfg_b])
         eps = ctm.solution_difference(traj_a, traj_b, cfg_a.dx)
         series[cells] = (traj_a.snapshot_steps, eps)
         finals.append(float(eps[-1]))
@@ -352,7 +350,7 @@ def convergence_study(spec):
 # an evacuation code 16 * link1 + link2 names both links.
 _ROUTED_LABELS = np.array(["/".join(r for k, r in enumerate(("I", "II", "III")) if c >> k & 1) for c in range(8)])
 _LINK_LETTERS = ["".join(f for k, f in enumerate("FPRS") if c >> k & 1) for c in range(16)]
-_EVACUATION_LABELS = np.array([f"{a},{b}" for a in _LINK_LETTERS for b in _LINK_LETTERS])
+_EVACUATION_LABELS = np.array([f"{a}|{b}" for a in _LINK_LETTERS for b in _LINK_LETTERS])
 
 
 def _code(*binds):
@@ -409,7 +407,7 @@ def flux_map(spec):
     names the binding terms of min(D0, S1/x1, S2/x2) as I, II, III, ties
     joined by "/" (such as "I/II"); an evacuation rule's region gives each
     downstream link the letters of its binding terms in FPRS order, the two
-    links joined by "," (such as "PR,S").
+    links joined by "|" (such as "PS|R").
     """
     model = spec.sim.model
     caps = tuple(fd.capacity for fd in spec.sim.diagrams)

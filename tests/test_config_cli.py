@@ -1,3 +1,4 @@
+import csv
 import hashlib
 from pathlib import Path
 
@@ -290,11 +291,11 @@ class TestCli:
         [
             ("{kind: daganzo_fifo, xi: [0.7, 0.3]}", "766f5a1efa3db58af0af0ed416761d9e4d98d0d864054ad3863db1d76bc75bfd"),
             ("{kind: lebacque, xi: [0.7, 0.3]}", "766f5a1efa3db58af0af0ed416761d9e4d98d0d864054ad3863db1d76bc75bfd"),
-            ("{kind: supply_proportional}", "dba235e298441de82867b2985556534de47db9a52ce704c2d50f617bc837db8d"),
-            ("{kind: priority_based, alpha: [0.6, 0.4]}", "679eb9d909d0e17c5c4506303159fc2145f59fae34eacc7ace1ada200cd9d82a"),
+            ("{kind: supply_proportional}", "f4e143b07fbdfe4cd1d1d2f2312ff1c468eb79fe7dcc6cfb551567ae4f400ac1"),
+            ("{kind: priority_based, alpha: [0.6, 0.4]}", "0fe330080d9d39173abb4cbaa2835729ed7014bf121487578c1aea2d470dab36"),
             (
                 "{kind: partial_evacuation, xi: [0.3, 0.2], alpha: [0.55, 0.45]}",
-                "72c4cd5caa8f0dbc1061b2840230d13721f718e396721afcf74b44a018d1912f",
+                "cea3c441945b2f2100db87195c47b69824ed2bd6be6e017fe090a6393f8e0762",
             ),
         ],
         ids=["daganzo_fifo", "lebacque", "supply_proportional", "priority_based", "partial_evacuation"],
@@ -311,6 +312,57 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["flux-map", "--config", str(cfg), "--out", str(out)]) == 0
         assert hashlib.sha256((out / "flux_map.csv").read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            "{kind: daganzo_fifo, xi: [0.7, 0.3]}",
+            "{kind: lebacque, xi: [0.7, 0.3]}",
+            "{kind: supply_proportional}",
+            "{kind: priority_based, alpha: [0.6, 0.4]}",
+            "{kind: partial_evacuation, xi: [0.3, 0.2], alpha: [0.55, 0.45]}",
+        ],
+        ids=["daganzo_fifo", "lebacque", "supply_proportional", "priority_based", "partial_evacuation"],
+    )
+    def test_flux_map_rows_have_the_header_field_count(self, tmp_path, model):
+        cfg = tmp_path / "map.yaml"
+        cfg.write_text(
+            f"model: {model}\nflux_map:\n"
+            "  demand_upstream: {start: 0.0, stop: 0.3365, count: 4}\n"
+            "  supply_1: {start: 0.0, stop: 0.3365, count: 4}\n"
+            "  supply_2: {start: 0.0, stop: 0.0841, count: 4}\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        assert main(["flux-map", "--config", str(cfg), "--out", str(out)]) == 0
+        with open(out / "flux_map.csv", newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["demand_upstream", "supply_1", "supply_2", "q0", "q1", "q2", "region"]
+        assert len(rows) == 64
+        assert all(len(row) == len(header) for row in rows)
+
+    @pytest.mark.parametrize(
+        "command, key, old, value",
+        [
+            ("riemann-verify", "cells_per_link", "20", "20.9"),
+            ("riemann-verify", "time_steps", "800", "800.5"),
+            ("riemann-verify", "snapshot_every", "50", "50.0"),
+            ("props", "samples", "60", "60.7"),
+            ("props", "wave_samples", "15", "15.2"),
+            ("props", "oracle_grid", "2", "2.5"),
+        ],
+    )
+    def test_fractional_count_exits_two_instead_of_truncating(self, tmp_path, capsys, command, key, old, value):
+        props = "properties: {samples: 60, wave_samples: 15, oracle_grid: 2}\n"
+        text = SMALL_VERIFY + props
+        line = f"{key}: {old}"
+        assert text.count(line) == 1
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(text.replace(line, f"{key}: {value}"), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {key} must be an integer, got {value}\n"
+        assert not out.exists()
 
     def test_converge_epsilon_series_match_golden(self, tmp_path):
         cfg = tmp_path / "conv.yaml"

@@ -1,7 +1,11 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from divergeflow.config import build_spec, load_config
+from divergeflow.harness import ExperimentKind
 
 from divergeflow import (
     BoundaryCondition,
@@ -16,6 +20,7 @@ from divergeflow import (
     priority_based,
     proportion_update,
     run,
+    run_batch,
     solution_difference,
     step,
     supply_proportional,
@@ -382,6 +387,7 @@ class TestConservation:
 
 
 GOLDEN = Path(__file__).parent / "golden" / "ctm_five_rules_M20.txt"
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def five_rule_cases(trio):
@@ -436,6 +442,134 @@ class TestFiveRuleGolden:
             GOLDEN.write_text(text, encoding="utf-8")
             pytest.skip("golden file created; rerun to verify")
         assert GOLDEN.read_text(encoding="utf-8") == text
+
+
+def assert_same_trajectory(got, want):
+    """Every recorded array and total of got equals want's bit for bit."""
+    pairs = [
+        (got.snapshot_steps, want.snapshot_steps),
+        (got.densities, want.densities),
+        (got.proportions, want.proportions),
+        (got.final_state.densities, want.final_state.densities),
+        (got.final_state.proportions, want.final_state.proportions),
+    ]
+    pairs += [(g, w) for g, w in zip(vars(got.junction).values(), vars(want.junction).values())]
+    for g, w in pairs:
+        assert (g.shape, g.dtype) == (w.shape, w.dtype)
+        assert g.tobytes() == w.tobytes()
+    for name in ("inflow_total", "outflow_total", "initial_vehicles", "final_vehicles"):
+        assert getattr(got, name).hex() == getattr(want, name).hex(), name
+    assert got.final_state.step_index == want.final_state.step_index
+
+
+class TestRunBatch:
+    def test_five_rule_members_are_their_own_runs_bitwise(self, trio):
+        # each case joins a batch of the cases with its boundaries and
+        # commodity count, next to a variant with other initial data and
+        # inflow mix, so the members differ in model, data and mix
+        batches = {}
+        for _, cfg in five_rule_cases(trio):
+            evacuation = cfg.tracked_commodities == 2
+            variant = replace(
+                cfg,
+                initial_densities=(0.6, np.linspace(1.3, 0.2, 20), np.linspace(0.05, 0.9, 20)),
+                initial_proportions=(np.linspace(0.1, 0.4, 20), 0.35) if evacuation else np.linspace(0.9, 0.3, 20),
+                inflow_proportions=(0.2, 0.3) if evacuation else 0.55,
+            )
+            batches.setdefault((cfg.boundaries, cfg.tracked_commodities), []).extend([cfg, variant])
+        assert sorted(len(b) for b in batches.values()) == [2, 2, 8, 8]
+        for members in batches.values():
+            for got, cfg in zip(run_batch(members), members):
+                assert got.config is cfg
+                assert_same_trajectory(got, run(cfg))
+
+    def test_converge_pair_is_its_two_runs_bitwise(self):
+        # the converge config at M = 20: Lebacque against Daganzo under the
+        # sinusoid ramp supply, as convergence_study batches them
+        spec = build_spec(load_config(CONFIGS / "convergence.yaml"), ExperimentKind.CONVERGENCE)
+        pair = [
+            replace(spec.sim, model=model, cells_per_link=20, time_steps=800)
+            for model in (lebacque((0.7, 0.3)), daganzo_fifo((0.7, 0.3)))
+        ]
+        for got, cfg in zip(run_batch(pair), pair):
+            assert_same_trajectory(got, run(cfg))
+
+    @pytest.mark.parametrize("order", [(0, 1, 2), (0, 2, 1)], ids=["adjacent", "apart"])
+    def test_links_sharing_a_diagram_share_one_flux_evaluation(self, trio, monkeypatch, order):
+        # two mainlines and a ramp cost two flux-law calls per step whatever
+        # the batch size or the links' order; only the junction rule runs
+        # per member, on each link's own diagram
+        from divergeflow import FundamentalDiagram, ctm
+
+        diagrams = tuple(trio[i] for i in order)
+        densities = (np.linspace(0.2, 1.9, 10), np.linspace(0.9, 0.1, 10), np.linspace(0.05, 0.6, 10))
+        members = [
+            diverge_config(diagrams, model, cells=10, time_steps=400, initial_densities=densities)
+            for model in (lebacque((0.7, 0.3)), daganzo_fifo((0.6, 0.4)), priority_based((0.6, 0.4)))
+        ]
+        calls = {"flow": 0, "junction": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(FundamentalDiagram, "_flow", counted("flow", FundamentalDiagram._flow))
+        monkeypatch.setattr(ctm, "junction_fluxes", counted("junction", ctm.junction_fluxes))
+        trajectories = run_batch(members)
+        assert calls == {"flow": 2 * 400, "junction": 3 * 400}
+        want = (diagrams[0].demand(1.9), diagrams[1].supply(0.9), diagrams[2].supply(0.05))
+        for t in trajectories:
+            j = t.junction
+            assert (j.demand_upstream[0], j.supply_down1[0], j.supply_down2[0]) == want
+
+    def test_guard_names_the_member_link_and_step(self, trio):
+        ok = diverge_config(trio, lebacque((0.7, 0.3)), cells=20)
+        bad = diverge_config(trio, daganzo_fifo((0.7, 0.3)), cells=20)
+        # set after construction, past the range check, as a runaway state
+        bad.initial_densities = (1.0, trio[1].jam_density + 5e-9, 0.1)
+        with pytest.raises(NumericalStabilityError, match="in member 1 on link 1 at step 0"):
+            run_batch([ok, bad])
+
+    def test_conservation_is_checked_per_member(self, trio, monkeypatch):
+        members = [diverge_config(trio, model, cells=10) for model in (lebacque((0.7, 0.3)), daganzo_fifo((0.7, 0.3)))]
+        assert all(t.conservation_drift() < 1e-8 for t in run_batch(members))
+        drift = {id(members[0]): 1e-8, id(members[1]): 1.5e-8}
+        monkeypatch.setattr(Trajectory, "conservation_drift", lambda self: drift[id(self.config)])
+        with pytest.raises(NumericalStabilityError, match="member 1: vehicle count drifted 1.500e-08"):
+            run_batch(members)
+
+    @pytest.mark.parametrize(
+        "field, change",
+        [
+            ("cells_per_link", dict(cells_per_link=10, time_steps=400)),
+            ("time_steps", dict(time_steps=1000)),
+            ("diagrams", dict(diagrams=(greenshields(1.0, 2.0),) * 3)),
+            ("boundaries", dict(boundaries=BoundarySpec(upstream_demand=BoundaryCondition.constant(0.2)))),
+            ("snapshot_every", dict(snapshot_every=40)),
+            (
+                "tracked_commodities",
+                dict(model=partial_evacuation((0.3, 0.2), (0.55, 0.45)), initial_proportions=(0.3, 0.2)),
+            ),
+        ],
+    )
+    def test_members_that_differ_in_a_shared_field_are_rejected_before_a_step(self, trio, monkeypatch, field, change):
+        from divergeflow import ctm
+
+        base = diverge_config(trio, lebacque((0.7, 0.3)), cells=20)
+
+        def forbidden(*args):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(ctm, "junction_fluxes", forbidden)
+        with pytest.raises(ValueError, match=f"must share {field}; member 1 differs"):
+            run_batch([base, replace(base, **change)])
+
+    def test_an_empty_batch_is_rejected(self):
+        with pytest.raises(ValueError, match="at least one config"):
+            run_batch([])
 
 
 class TestSolutionDifference:

@@ -67,7 +67,7 @@ from .ctm import (
     solution_difference,
     step,
 )
-from .oracle import OracleResult, brute_force_fluxes
+from .oracle import OracleResult, brute_force_batch, brute_force_fluxes
 
 __version__ = "0.1.0"
 
@@ -121,5 +121,6 @@ __all__ = [
     "solution_difference",
     "step",
     "OracleResult",
+    "brute_force_batch",
     "brute_force_fluxes",
 ]

@@ -8,8 +8,8 @@ inputs reproduce identical reports byte for byte.
 The property battery draws its samples a block at a time, as the columns of
 rng.random((block, 8)) (bitwise the sequential rng.uniform draws), and
 checks each property with one array call per rule and block
-(solve_fluxes_batch, solve_batch, batch_waves).  Only the oracle comparison
-runs point by point.
+(solve_fluxes_batch, solve_batch, batch_waves).  The oracle comparison
+makes one brute_force_batch call per model fixture over its whole grid.
 """
 
 from __future__ import annotations
@@ -33,11 +33,12 @@ from .riemann import (
     priority_based,
     solve,
     solve_batch,
-    solve_fluxes,
+    solve_fluxes,  # noqa: F401 -- not called here; perfbench's spans wrap this name
     solve_fluxes_batch,
     supply_proportional,
 )
-from .oracle import brute_force_fluxes
+from .oracle import brute_force_batch
+from .oracle import brute_force_fluxes  # noqa: F401 -- not called here; perfbench's spans wrap this name
 from .supply_demand import TrafficState, state_of
 
 __all__ = [
@@ -630,6 +631,36 @@ def _wave_battery(failures, rng, n, diagrams):
     _record_first(failures, "wave-speed-signs", [link < 0 for link in wrong], detail)
 
 
+def _oracle_battery(failures, grid, diagrams):
+    """The brute-force oracle against the closed-form fluxes on a grid^3
+    (D0, S1, S2) cube, for each model fixture: one oracle call and one
+    closed-form call per fixture, over the points in loop order (D0
+    slowest)."""
+    caps = tuple(fd.capacity for fd in diagrams)
+    axes = [np.linspace(0.0, c, grid) for c in caps]
+    d0, s1, s2 = (g.ravel() for g in np.meshgrid(*axes, indexing="ij"))
+    model_fixtures = (
+        daganzo_fifo((0.7, 0.3)),
+        lebacque((0.7, 0.3)),
+        supply_proportional(),
+        priority_based((0.6, 0.4)),
+        partial_evacuation((0.3, 0.2), (0.55, 0.45)),
+    )
+    for model in model_fixtures:
+        results = brute_force_batch(model, d0, s1, s2, caps)
+        unique = np.array([r.unique for r in results])
+        oracle = np.array([r.fluxes if r.unique else (np.nan,) * 3 for r in results]).T
+        gap = _max_flux_gap(oracle, solve_fluxes_batch(model, d0, s1, s2, caps))
+
+        def detail(i, _, kind=model.kind.value, results=results, gap=gap):
+            at = (d0[i].item(), s1[i].item(), s2[i].item())
+            if not results[i].unique:
+                return f"{kind} at {at}: {len(results[i].survivors)} survivors"
+            return f"{kind} at {at}: gap={gap[i]:.3g}"
+
+        _record_first(failures, "oracle-agreement", [unique & (gap <= 1e-6)], detail)
+
+
 def property_suite(spec):
     """Randomized battery of the solver's structural properties, checked
     as array code over blocks of samples.
@@ -647,44 +678,7 @@ def property_suite(spec):
     for start in range(0, spec.wave_samples, _BLOCK):
         _wave_battery(failures, rng, min(_BLOCK, spec.wave_samples - start), diagrams)
 
-    def record(name, condition, detail):
-        if not condition and name not in failures:
-            failures[name] = detail
-
-    grid = spec.oracle_grid
-    caps = tuple(fd.capacity for fd in diagrams)
-    model_fixtures = (
-        daganzo_fifo((0.7, 0.3)),
-        lebacque((0.7, 0.3)),
-        supply_proportional(),
-        priority_based((0.6, 0.4)),
-        partial_evacuation((0.3, 0.2), (0.55, 0.45)),
-    )
-    for model in model_fixtures:
-        for d0 in np.linspace(0.0, caps[0], grid):
-            for s1 in np.linspace(0.0, caps[1], grid):
-                for s2 in np.linspace(0.0, caps[2], grid):
-                    inp = RiemannInput(
-                        diagrams[0],
-                        TrafficState(d0, caps[0]),
-                        (diagrams[1], diagrams[2]),
-                        (TrafficState(caps[1], s1), TrafficState(caps[2], s2)),
-                    )
-                    result = brute_force_fluxes(model, inp)
-                    name = "oracle-agreement"
-                    if not result.unique:
-                        record(
-                            name,
-                            False,
-                            f"{model.kind.value} at {(d0, s1, s2)}: {len(result.survivors)} survivors",
-                        )
-                        continue
-                    gap = _max_flux_gap(result.fluxes, solve_fluxes(model, inp))
-                    record(
-                        name,
-                        gap <= 1e-6,
-                        f"{model.kind.value} at {(d0, s1, s2)}: gap={gap:.3g}",
-                    )
+    _oracle_battery(failures, spec.oracle_grid, diagrams)
 
     names = [
         "conservation-exact",
@@ -701,7 +695,10 @@ def property_suite(spec):
         "wave-speed-signs",
         "oracle-agreement",
     ]
-    extents = {"wave-speed-signs": f"{spec.wave_samples} samples", "oracle-agreement": f"{grid}^3 grid"}
+    extents = {
+        "wave-speed-signs": f"{spec.wave_samples} samples",
+        "oracle-agreement": f"{spec.oracle_grid}^3 grid",
+    }
     for name in names:
         if name in failures:
             report.add(name, False, f"counterexample: {failures[name]}")

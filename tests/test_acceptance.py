@@ -15,7 +15,6 @@ from divergeflow import (
     BoundarySpec,
     RiemannInput,
     SimConfig,
-    TrafficState,
     WaveKind,
     batch_waves,
     daganzo_fifo,
@@ -36,7 +35,7 @@ from divergeflow import (
     supply_proportional,
 )
 from divergeflow.harness import shock_front_position
-from divergeflow.oracle import brute_force_fluxes
+from divergeflow.oracle import brute_force_batch
 
 FOUR_DP = 5e-5
 STATE_TOL = 5e-3
@@ -149,17 +148,11 @@ def test_criterion_3_model_convergence(trio):
     )
 
 
-def _flux_grid_inputs(trio, n):
-    caps = tuple(fd.capacity for fd in trio)
-    for d0 in np.linspace(0.0, caps[0], n):
-        for s1 in np.linspace(0.0, caps[1], n):
-            for s2 in np.linspace(0.0, caps[2], n):
-                yield RiemannInput(
-                    trio[0],
-                    TrafficState(d0, caps[0]),
-                    (trio[1], trio[2]),
-                    (TrafficState(caps[1], s1), TrafficState(caps[2], s2)),
-                )
+def _flux_grid(caps, n):
+    """The n^3 (D0, S1, S2) grid over [0, C0] x [0, C1] x [0, C2], D0
+    slowest, as three flat arrays."""
+    axes = [np.linspace(0.0, c, n) for c in caps]
+    return [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
 
 
 def test_criterion_4_oracle_equivalence(trio):
@@ -170,17 +163,17 @@ def test_criterion_4_oracle_equivalence(trio):
         priority_based((0.6, 0.4)),
         partial_evacuation((0.3, 0.2), (0.55, 0.45)),
     )
+    caps = tuple(fd.capacity for fd in trio)
+    d0, s1, s2 = _flux_grid(caps, 15)
     worst = 0.0
     nonunique = 0
     for model in models:
-        for inp in _flux_grid_inputs(trio, 15):
-            result = brute_force_fluxes(model, inp)
+        closed = solve_fluxes_batch(model, d0, s1, s2, caps)
+        for k, result in enumerate(brute_force_batch(model, d0, s1, s2, caps)):
             if not result.unique:
                 nonunique += 1
                 continue
-            gap = max(
-                abs(a - b) for a, b in zip(result.fluxes, solve_fluxes(model, inp))
-            )
+            gap = max(abs(a - q[k].item()) for a, q in zip(result.fluxes, closed))
             worst = max(worst, gap)
     ok = nonunique == 0 and worst <= 1e-6
     _report(

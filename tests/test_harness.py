@@ -278,24 +278,46 @@ class TestPropertySuite:
         from divergeflow.riemann import DivergeModelKind
         import divergeflow.riemann as riemann
 
-        true_solver = riemann.solve_fluxes
+        true_solver = riemann.solve_fluxes_batch
 
-        def broken(model, inp):
+        def broken(model, d0, s1, s2, capacities):
             if model.kind is DivergeModelKind.DAGANZO_FIFO:
                 x1, x2 = model.xi
-                d0 = inp.demand_upstream
-                s1, s2 = inp.supplies
-                q = max(d0, s1 / x1, s2 / x2)  # min corrupted into max
-                q = min(q, inp.capacities[0])
+                q = np.maximum(np.maximum(d0, s1 / x1), s2 / x2)  # min corrupted into max
+                q = np.minimum(q, capacities[0])
                 return (x1 * q + x2 * q, x1 * q, x2 * q)
-            return true_solver(model, inp)
+            return true_solver(model, d0, s1, s2, capacities)
 
-        monkeypatch.setattr(harness, "solve_fluxes", broken)
+        monkeypatch.setattr(harness, "solve_fluxes_batch", broken)
         report, _ = property_suite(self.small_spec())
         failed = {c.name for c in report.checks if not c.passed}
         assert "oracle-agreement" in failed
         detail = next(c.detail for c in report.checks if c.name == "oracle-agreement")
         assert "counterexample" in detail
+
+    def test_oracle_counterexample_prints_plain_floats(self, monkeypatch):
+        """One closed-form flux moved off the oracle's at one grid corner: the
+        counterexample names that point in plain floats, as every other
+        check does."""
+        from divergeflow.riemann import DivergeModelKind
+
+        true_solver = harness.solve_fluxes_batch
+        c0, _, c2 = (fd.capacity for fd in harness._mainline_ramp_trio())
+
+        def shifted(model, d0, s1, s2, capacities):
+            q0, q1, q2 = true_solver(model, d0, s1, s2, capacities)
+            if model.kind is DivergeModelKind.PRIORITY_BASED:
+                corner = (np.asarray(d0) == c0) & (np.asarray(s1) == 0.0) & (np.asarray(s2) == c2)
+                q1 = q1 + np.where(corner, 1e-3, 0.0)
+                q0 = q1 + q2
+            return q0, q1, q2
+
+        monkeypatch.setattr(harness, "solve_fluxes_batch", shifted)
+        report, _ = property_suite(self.small_spec())
+        failed = {c.name: c.detail for c in report.checks if not c.passed}
+        at = (float(c0), 0.0, float(c2))
+        assert failed == {"oracle-agreement": f"counterexample: priority_based at {at}: gap=0.001"}
+        assert "np." not in failed["oracle-agreement"]
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_props_report_matches_golden(self, seed, tmp_path):

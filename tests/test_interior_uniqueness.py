@@ -18,7 +18,7 @@ from divergeflow import (
     solve_batch,
     supply_proportional,
 )
-from divergeflow.oracle import probe_interior_unique
+from divergeflow.oracle import probe_interior_unique, probe_interior_unique_batch
 
 PROPS_FIXTURES = (
     daganzo_fifo((0.7, 0.3)),
@@ -74,10 +74,12 @@ def test_closed_form_flags_match_the_probe_on_the_dense_grid(trio, model):
     caps = tuple(fd.capacity for fd in trio)
     d0, s1, s2 = np.array(list(grid_points(caps))).T
     batch = solve_batch(model, d0, s1, s2, caps)
+    probed = probe_interior_unique_batch(model, d0, s1, s2, caps, batch)
     free = 0
     for k in range(len(d0)):
-        inp = make_input(trio, d0[k].item(), s1[k].item(), s2[k].item())
-        flags = assert_flags_agree(model, inp, batch.row(k))
+        flags = tuple(bool(f[k]) for f in batch.interior_unique)
+        want = tuple(bool(f[k]) for f in probed)
+        assert flags == want, (model, d0[k].item(), s1[k].item(), s2[k].item(), flags, want)
         free += not all(flags)
     assert free > 0  # the grid reaches the non-unique cases
 

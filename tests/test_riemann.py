@@ -19,10 +19,11 @@ from divergeflow import (
     solve,
     solve_batch,
     solve_fluxes,
+    solve_fluxes_batch,
     state_of,
     supply_proportional,
 )
-from divergeflow.oracle import _bisect_monotone, _rule_pair, brute_force_fluxes
+from divergeflow.oracle import _bisect_monotone, _rule_pair, brute_force_batch, brute_force_fluxes
 
 FOUR_DP = 5e-5
 
@@ -620,32 +621,23 @@ class TestOracleSpotGrid:
         ids=lambda m: m.kind.value,
     )
     def test_oracle_agrees(self, trio, model):
-        caps = tuple(fd.capacity for fd in trio)
-        for d0 in np.linspace(0, caps[0], 5):
-            for s1 in np.linspace(0, caps[1], 5):
-                for s2 in np.linspace(0, caps[2], 5):
-                    inp = flux_input(trio, d0, s1, s2)
-                    result = brute_force_fluxes(model, inp)
-                    assert result.unique, (d0, s1, s2, result.survivors)
-                    gap = max(
-                        abs(a - b)
-                        for a, b in zip(result.fluxes, solve_fluxes(model, inp))
-                    )
-                    assert gap <= 1e-6, (d0, s1, s2)
+        assert_oracle_agrees(trio, model, 5)
 
     def test_supply_proportional_oracle_dense_grid(self, trio):
         # the supply-proportional rule gets the densest sweep: its distinct
         # interior states exercise every branch of the enumeration
-        model = supply_proportional()
-        caps = tuple(fd.capacity for fd in trio)
-        for d0 in np.linspace(0, caps[0], 20):
-            for s1 in np.linspace(0, caps[1], 20):
-                for s2 in np.linspace(0, caps[2], 20):
-                    inp = flux_input(trio, d0, s1, s2)
-                    result = brute_force_fluxes(model, inp)
-                    assert result.unique, (d0, s1, s2, result.survivors)
-                    gap = max(
-                        abs(a - b)
-                        for a, b in zip(result.fluxes, solve_fluxes(model, inp))
-                    )
-                    assert gap <= 1e-6, (d0, s1, s2)
+        assert_oracle_agrees(trio, supply_proportional(), 20)
+
+
+def assert_oracle_agrees(trio, model, n):
+    """Every point of the n^3 (D0, S1, S2) grid has one oracle survivor,
+    within 1e-6 of the closed-form fluxes."""
+    caps = tuple(fd.capacity for fd in trio)
+    axes = [np.linspace(0.0, c, n) for c in caps]
+    d0, s1, s2 = (g.ravel() for g in np.meshgrid(*axes, indexing="ij"))
+    closed = solve_fluxes_batch(model, d0, s1, s2, caps)
+    for k, result in enumerate(brute_force_batch(model, d0, s1, s2, caps)):
+        point = (d0[k].item(), s1[k].item(), s2[k].item())
+        assert result.unique, (point, result.survivors)
+        gap = max(abs(a - q[k].item()) for a, q in zip(result.fluxes, closed))
+        assert gap <= 1e-6, point

@@ -23,7 +23,7 @@ from .fundamental_diagram import (
     greenshields,
     triangular,
 )
-from .supply_demand import Criticality, TrafficState, classify, state_of
+from .supply_demand import TrafficState, state_of
 from .riemann import (
     DivergeModel,
     DivergeModelKind,
@@ -35,7 +35,6 @@ from .riemann import (
     daganzo_fifo,
     junction_fluxes,
     lebacque,
-    local_discrete_flux,
     partial_evacuation,
     priority_based,
     riemann_rule,
@@ -59,13 +58,10 @@ from .ctm import (
     BoundarySpec,
     NumericalStabilityError,
     SimConfig,
-    SimState,
     Trajectory,
-    proportion_update,
     run,
     run_batch,
     solution_difference,
-    step,
 )
 from .oracle import OracleResult, brute_force_batch, brute_force_fluxes
 
@@ -79,9 +75,7 @@ __all__ = [
     "del_castillo_ramp",
     "greenshields",
     "triangular",
-    "Criticality",
     "TrafficState",
-    "classify",
     "state_of",
     "DivergeModel",
     "DivergeModelKind",
@@ -93,7 +87,6 @@ __all__ = [
     "daganzo_fifo",
     "junction_fluxes",
     "lebacque",
-    "local_discrete_flux",
     "partial_evacuation",
     "priority_based",
     "riemann_rule",
@@ -113,13 +106,10 @@ __all__ = [
     "BoundarySpec",
     "NumericalStabilityError",
     "SimConfig",
-    "SimState",
     "Trajectory",
-    "proportion_update",
     "run",
     "run_batch",
     "solution_difference",
-    "step",
     "OracleResult",
     "brute_force_batch",
     "brute_force_fluxes",

@@ -105,24 +105,29 @@ def _build_diagram(section):
         raise ConfigError(f"{kind.value} diagram: {exc}") from exc
 
 
-def _build_boundary(section):
+def _build_boundary(section, name):
+    """The boundary condition `name` (such as upstream_demand) from its
+    config mapping; Neumann when it is absent."""
     if section is None:
         return BoundaryCondition.neumann()
     if not isinstance(section, dict):
-        raise ConfigError(f"a boundary condition must be a mapping, got {section!r}")
+        raise ConfigError(f"{name}: a boundary condition must be a mapping, got {section!r}")
     try:
         kind = BoundaryKind(section["kind"])
     except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad boundary condition {section!r}") from exc
+        raise ConfigError(f"{name}: bad boundary condition {section!r}") from exc
     if kind is BoundaryKind.NEUMANN:
         return BoundaryCondition.neumann()
-    if kind is BoundaryKind.CONSTANT:
-        if "value" not in section:
-            raise ConfigError(f"constant boundary condition needs a value: {section!r}")
-        return BoundaryCondition.constant(section["value"])
-    return BoundaryCondition.sinusoid(
-        section.get("offset", 0.0), section.get("amplitude", 0.0), section.get("period", 60.0)
-    )
+    if kind is BoundaryKind.CONSTANT and "value" not in section:
+        raise ConfigError(f"{name}: constant boundary condition needs a value: {section!r}")
+    try:
+        if kind is BoundaryKind.CONSTANT:
+            return BoundaryCondition.constant(section["value"])
+        return BoundaryCondition.sinusoid(
+            section.get("offset", 0.0), section.get("amplitude", 0.0), section.get("period", 60.0)
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: bad boundary condition {section!r}: {exc}") from exc
 
 
 def _build_sim(doc, model, diagrams):
@@ -134,8 +139,10 @@ def _build_sim(doc, model, diagrams):
     if len(down) != 2:
         raise ConfigError("downstream_supplies needs exactly two entries")
     boundaries = BoundarySpec(
-        upstream_demand=_build_boundary(bsec.get("upstream_demand")),
-        downstream_supplies=(_build_boundary(down[0]), _build_boundary(down[1])),
+        upstream_demand=_build_boundary(bsec.get("upstream_demand"), "upstream_demand"),
+        downstream_supplies=tuple(
+            _build_boundary(bc, f"downstream_supplies[{i}]") for i, bc in enumerate(down)
+        ),
     )
     try:
         return SimConfig(
@@ -192,13 +199,13 @@ def build_spec(doc, kind, seed=0):
         if missing:
             raise ConfigError(f"flux_map section is missing {', '.join(missing)}")
         sweep_axes = [_build_axis(fsec[name], name) for name in names]
-        if sim is None:
-            # flux maps evaluate closed forms only; the placeholder grid is
-            # never stepped
-            sim = SimConfig(
-                model=model, diagrams=diagrams, cells_per_link=1, time_steps=1,
-                link_length=1.0, horizon=1e-9,
-            )
+    if sim is None and kind in (ExperimentKind.FLUX_MAP, ExperimentKind.PROPERTY_SUITE):
+        # flux maps and the property battery evaluate closed forms only on
+        # the config's diagrams; the placeholder grid is never stepped
+        sim = SimConfig(
+            model=model, diagrams=diagrams, cells_per_link=1, time_steps=1,
+            link_length=1.0, horizon=1e-9,
+        )
 
     vsec = _section(doc, "verify", dict, {})
     csec = _section(doc, "convergence", dict, {})

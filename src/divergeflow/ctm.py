@@ -29,13 +29,13 @@ grid, the diagrams, the boundaries and C, and may differ in model, initial
 data and inflow mix.  Links that share a diagram share one evaluation of its
 flux law, and each boundary is evaluated once per step for the whole batch;
 only the junction rule runs once per member.  run_batch(configs) gives one
-Trajectory per member, each bitwise the trajectory of that config alone;
-run(config) is run_batch([config])[0], and step(state, config) the kernel on
-a batch of one.  The step records the junction row (q0, q1, q2, D0, S1, S2,
-x1) followed by the boundary in-flux and out-flux.  Densities are validated
-when the SimConfig is built, not in the step; the density guard and a clip
-keep them in [0, jam_density], and the guard and the conservation check name
-the member that fails.
+Trajectory per member, each bitwise the trajectory of that config alone, and
+run(config) is run_batch([config])[0]; a trajectory's last snapshot is the
+state after step N.  The step records the junction row (q0, q1, q2, D0, S1,
+S2, x1) followed by the boundary in-flux and out-flux.  Densities are
+validated when the SimConfig is built, not in the step; the density guard and
+a clip keep them in [0, jam_density], and the guard and the conservation
+check name the member that fails.
 """
 
 from __future__ import annotations
@@ -54,12 +54,9 @@ __all__ = [
     "BoundaryCondition",
     "BoundarySpec",
     "SimConfig",
-    "SimState",
     "JunctionTrace",
     "Trajectory",
     "NumericalStabilityError",
-    "proportion_update",
-    "step",
     "run",
     "run_batch",
     "solution_difference",
@@ -254,11 +251,6 @@ class SimConfig:
             props = _as_cell_array(raw, m)[None, :]
         return densities, props
 
-    def initial_state(self):
-        """The state at step 0; its data were validated at construction."""
-        densities, props = self._initial_arrays()
-        return SimState(densities, props, 0)
-
     def _inflow_mix(self, props):
         raw = self.inflow_proportions
         if raw is None:
@@ -272,53 +264,22 @@ class SimConfig:
         raise ValueError(f"inflow_proportions must be {need} of commodity proportions, got {raw!r}")
 
 
-@dataclass
-class SimState:
-    """Cell densities of the three links as one (3, cells) array, plus the
-    tracked commodity proportions on link 0."""
+def _proportion_update(rho_old, rho_new, xi_old, xi_upstream, q_in, q_out, dt_over_dx, commodity_outflux):
+    """One conservative update of the commodity proportions of the cells,
+    as arrays.
 
-    densities: np.ndarray  # shape (3, cells)
-    proportions: np.ndarray  # shape (tracked_commodities, cells)
-    step_index: int
-
-    def vehicles(self, dx):
-        return float(sum(arr.sum() for arr in self.densities) * dx)
-
-
-def proportion_update(
-    rho_old,
-    rho_new,
-    xi_old,
-    xi_upstream,
-    q_in,
-    q_out,
-    dt_over_dx,
-    commodity_outflux=None,
-):
-    """One conservative update of a commodity proportion in a cell.
-
-    commodity_outflux defaults to xi_old * q_out (the commodity advects with
-    the total flow); the junction cell passes the diverge rule's own commodity
-    flux instead.  Cells with rho_new below EMPTY_CELL_TOL keep xi_old, as
-    does any cell whose inflow mix and outflow split leave the mix unchanged
-    (this keeps uniform proportions bitwise constant).  The result is clipped
-    to [0, 1].
+    commodity_outflux is xi_old * q_out where the commodity advects with the
+    total flow, and the diverge rule's own commodity flux at the junction
+    cell.  Cells with rho_new below EMPTY_CELL_TOL keep xi_old, as does any
+    cell whose inflow mix and outflow split leave the mix unchanged (this
+    keeps uniform proportions bitwise constant).  The result is clipped to
+    [0, 1].
     """
-    rho_old = np.asarray(rho_old, dtype=float)
-    rho_new = np.asarray(rho_new, dtype=float)
-    xi_old = np.asarray(xi_old, dtype=float)
-    xi_upstream = np.asarray(xi_upstream, dtype=float)
-    q_in = np.asarray(q_in, dtype=float)
-    q_out = np.asarray(q_out, dtype=float)
-    if commodity_outflux is None:
-        commodity_outflux = xi_old * q_out
-    commodity_outflux = np.asarray(commodity_outflux, dtype=float)
     unchanged = (xi_upstream == xi_old) & (commodity_outflux == xi_old * q_out)
     empty = rho_new < EMPTY_CELL_TOL
     safe_rho = np.where(empty, 1.0, rho_new)
     mixed = (rho_old * xi_old + dt_over_dx * (q_in * xi_upstream - commodity_outflux)) / safe_rho
-    out = np.where(unchanged | empty, xi_old, np.minimum(np.maximum(mixed, 0.0), 1.0))
-    return float(out) if out.ndim == 0 else out
+    return np.where(unchanged | empty, xi_old, np.minimum(np.maximum(mixed, 0.0), 1.0))
 
 
 # Fields every member of a batch shares; run_batch checks them first.
@@ -421,22 +382,11 @@ class _Ensemble:
             # all flow entering link 1 is routed commodity 1; without routes
             # the one commodity rides along
             commodity_out[:, :, -1] = np.where(self.fifo, q[:, 1:2], last * q[:, :1])
-        x_new = proportion_update(rho[:, :1], rho_new[:, :1], x, x_up, q_in, q_out, self.ratio, commodity_out)
+        x_new = _proportion_update(rho[:, :1], rho_new[:, :1], x, x_up, q_in, q_out, self.ratio, commodity_out)
 
         record[:, 7] = faces[:, 0, 0]
         record[:, 8] = faces[:, 1, -1] + faces[:, 2, -1]
         return rho_new, x_new
-
-
-def step(state, config):
-    """Advance one config by one step: the batch kernel on a batch of one.
-    Returns (new_state, record) with record = (q0, q1, q2, D0, S1, S2, x1,
-    inflow, outflow) as floats."""
-    record = np.empty((1, 9))
-    rho, x = _Ensemble([config]).advance(
-        state.densities[None], state.proportions[None], state.step_index, record
-    )
-    return SimState(rho[0], x[0], state.step_index + 1), tuple(record[0].tolist())
 
 
 @dataclass
@@ -457,7 +407,8 @@ class JunctionTrace:
 
 @dataclass
 class Trajectory:
-    """Recorded output of a simulation run."""
+    """Recorded output of a simulation run; the last snapshot is the state
+    after the final step."""
 
     config: SimConfig
     snapshot_steps: np.ndarray
@@ -468,7 +419,6 @@ class Trajectory:
     outflow_total: float
     initial_vehicles: float
     final_vehicles: float
-    final_state: SimState
 
     def conservation_drift(self):
         """Relative disagreement between the vehicle-count change and the
@@ -476,6 +426,12 @@ class Trajectory:
         change = self.final_vehicles - self.initial_vehicles
         net = self.inflow_total - self.outflow_total
         return abs(change - net) / max(self.initial_vehicles, 1.0)
+
+
+def _vehicles(densities, dx):
+    """Vehicles on the three links of a (3, cells) density array: the
+    per-link sums added in link order, times dx."""
+    return float(sum(link.sum() for link in densities) * dx)
 
 
 def run_batch(configs):
@@ -494,9 +450,7 @@ def run_batch(configs):
     kernel = _Ensemble(configs)
     first = configs[0]
     n = first.time_steps
-    initial = [cfg.initial_state() for cfg in configs]
-    rho = np.stack([state.densities for state in initial])
-    x = np.stack([state.proportions for state in initial])
+    rho, x = map(np.stack, zip(*(cfg._initial_arrays() for cfg in configs)))
 
     snapshot_steps = list(range(0, n + 1, first.snapshot_every))
     if snapshot_steps[-1] != n:
@@ -518,7 +472,6 @@ def run_batch(configs):
 
     trajectories = []
     for member, cfg in enumerate(configs):
-        final = SimState(rho[member], x[member], n)
         trajectory = Trajectory(
             config=cfg,
             snapshot_steps=np.array(snapshot_steps),
@@ -527,9 +480,8 @@ def run_batch(configs):
             junction=JunctionTrace(np.arange(n), *record[:, member, :7].T),
             inflow_total=float(totals[member, 0]),
             outflow_total=float(totals[member, 1]),
-            initial_vehicles=initial[member].vehicles(cfg.dx),
-            final_vehicles=final.vehicles(cfg.dx),
-            final_state=final,
+            initial_vehicles=_vehicles(densities[0, member], cfg.dx),
+            final_vehicles=_vehicles(densities[-1, member], cfg.dx),
         )
         drift = trajectory.conservation_drift()
         if not drift <= 1e-8:  # NaN drift fails too

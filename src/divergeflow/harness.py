@@ -27,8 +27,8 @@ from .riemann import (
     check_interior_admissible,
     check_stationary_admissible,
     daganzo_fifo,
+    junction_fluxes,
     lebacque,
-    local_discrete_flux,
     partial_evacuation,
     priority_based,
     solve,
@@ -92,7 +92,7 @@ class SweepSpec:
 @dataclass
 class ExperimentSpec:
     kind: ExperimentKind
-    sim: ctm.SimConfig | None = None
+    sim: ctm.SimConfig
     sweep: SweepSpec | None = None
     resolutions: tuple[int, ...] = (40, 80, 160)
     tolerance: float = 5e-3
@@ -113,7 +113,7 @@ class ExperimentSpec:
             raise ValueError(f"convergence resolutions must be strictly increasing positive integers, got {res}")
         if self.kind is ExperimentKind.FLUX_MAP and self.sweep is None:
             raise ValueError("flux map needs a sweep grid")
-        if self.kind in (ExperimentKind.RIEMANN_VERIFY, ExperimentKind.CONVERGENCE) and self.sim is None:
+        if self.sim is None:
             raise ValueError(f"{self.kind.value} needs a simulation config")
 
 
@@ -255,11 +255,11 @@ def riemann_verify(spec):
             f"|{got:.6f} - {want:.6f}| <= {tol:g}",
         )
 
-    final = traj.final_state
+    final = traj.densities[-1]
     adjacent = [
-        (0, float(final.densities[0][-1]), solution.stationary_upstream),
-        (1, float(final.densities[1][0]), solution.stationary_downstream[0]),
-        (2, float(final.densities[2][0]), solution.stationary_downstream[1]),
+        (0, float(final[0, -1]), solution.stationary_upstream),
+        (1, float(final[1, 0]), solution.stationary_downstream[0]),
+        (2, float(final[2, 0]), solution.stationary_downstream[1]),
     ]
     for link, rho, stationary in adjacent:
         fd = sim.diagrams[link]
@@ -278,7 +278,8 @@ def riemann_verify(spec):
         )
 
     if sim.model.kind in (DivergeModelKind.DAGANZO_FIFO, DivergeModelKind.LEBACQUE):
-        got = float(final.proportions[0, -1])
+        proportions = traj.proportions[-1, 0]
+        got = float(proportions[-1])
         want = solution.interior_proportions[0]
         report.add(
             "junction-cell-proportion",
@@ -286,7 +287,7 @@ def riemann_verify(spec):
             f"|{got:.6f} - {want:.6f}| <= {tol:g}",
         )
         predefined = sim.model.xi[0]
-        others = final.proportions[0, :-1]
+        others = proportions[:-1]
         report.add(
             "upstream-proportions-constant",
             bool(np.all(others == predefined)),
@@ -324,9 +325,9 @@ def convergence_study(spec):
     report = Report("converge", spec.config_hash, spec.seed)
     series = {}
     finals = []
-    for cells in spec.resolutions:
-        cfg_a = _rescaled(sim, cells, sim.model)
-        cfg_b = _rescaled(sim, cells, other)
+    # every rescaled config is built, and so validated, before any step runs
+    pairs = [(_rescaled(sim, cells, sim.model), _rescaled(sim, cells, other)) for cells in spec.resolutions]
+    for cells, (cfg_a, cfg_b) in zip(spec.resolutions, pairs):
         traj_a, traj_b = ctm.run_batch([cfg_a, cfg_b])
         eps = ctm.solution_difference(traj_a, traj_b, cfg_a.dx)
         series[cells] = (traj_a.snapshot_steps, eps)
@@ -435,13 +436,6 @@ def flux_map(spec):
 
 # ---------------------------------------------------------------------------
 # randomized property battery
-
-
-def _mainline_ramp_trio():
-    from .fundamental_diagram import del_castillo_mainline, del_castillo_ramp
-
-    fd_main = del_castillo_mainline()
-    return (fd_main, fd_main, del_castillo_ramp())
 
 
 # Samples per array call of the batteries: bounds their working set (about
@@ -589,9 +583,9 @@ def _flux_battery(failures, rng, n, diagrams):
     for model in models:
         sol = solve_batch(model, d0, s1, s2, caps)
         solved.append(sol.fluxes)
-        local.append(
-            local_discrete_flux(model, sol.interior_upstream, sol.interior_downstream, sol.interior_proportions)
-        )
+        down1, down2 = sol.interior_downstream
+        supplies = (down1.supply, down2.supply)
+        local.append(junction_fluxes(model, sol.interior_upstream.demand, supplies, sol.interior_proportions))
         ok = True
         links = zip(
             (sol.stationary_upstream, *sol.stationary_downstream),
@@ -662,13 +656,14 @@ def _oracle_battery(failures, grid, diagrams):
 
 
 def property_suite(spec):
-    """Randomized battery of the solver's structural properties, checked
-    as array code over blocks of samples.
+    """Randomized battery of the solver's structural properties on the
+    spec's three diagrams, checked as array code over blocks of samples.
+    The battery draws its own models; the spec's model is not used.
 
     Every failure is reported with the first counterexample verbatim.
     """
     rng = np.random.default_rng(spec.seed)
-    diagrams = _mainline_ramp_trio()
+    diagrams = spec.sim.diagrams
     report = Report("props", spec.config_hash, spec.seed)
     n = spec.samples
 

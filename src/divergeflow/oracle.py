@@ -53,13 +53,17 @@ __all__ = [
     "OracleResult",
     "brute_force_batch",
     "brute_force_fluxes",
-    "probe_interior_unique",
     "probe_interior_unique_batch",
 ]
 
 _BOUND_TOL = 1e-9  # tight-versus-strict decision for candidate bounds
 _FEAS_TOL = 5e-8  # residual below which an entropy equality counts as met
 _DEDUP_TOL = 1e-7
+# flux-grid candidates per routed point, and coarse scan mesh points per free
+# axis of the evacuation rules (fewer when all three interior axes are free)
+_FLUX_GRID = 41
+_SCAN_GRID = 21
+_SCAN_GRID_3D = 13
 # interior uniqueness probe: scan points per link, the flux residual accepted
 # as a match, and the distance below which a point is the canonical interior
 _PROBE_POINTS = 33
@@ -156,7 +160,7 @@ def _lebacque_feasible(q0, q1, q2, r0, r1, r2, tol=_BOUND_TOL):
     return both_shares | (demand_ok & one_supply)
 
 
-def _routed_survivors(model, d0, s1, s2, capacities, flux_grid):
+def _routed_survivors(model, d0, s1, s2, capacities):
     """Per point, the candidate triples (q0, x1 q0, x2 q0) and whether the
     interval logic keeps each, as (points, candidates) arrays in ascending
     q0.  The candidates are the flux grid over [0, min(D0, C0)] joined with
@@ -167,7 +171,7 @@ def _routed_survivors(model, d0, s1, s2, capacities, flux_grid):
     upper = np.where(c0 < d0, c0, d0)
     tight = np.concatenate([d0, s1 / x1, s2 / x2], axis=1)
     tight = np.where((0.0 <= tight) & (tight <= upper + _BOUND_TOL), tight, np.nan)
-    q0 = np.sort(np.concatenate([_linspace_rows(0.0, upper[:, 0], flux_grid), tight], axis=1), axis=1)
+    q0 = np.sort(np.concatenate([_linspace_rows(0.0, upper[:, 0], _FLUX_GRID), tight], axis=1), axis=1)
     q0 = np.where(upper < q0, upper, q0)  # a tight value within _BOUND_TOL above the range
     q1, q2 = x1 * q0, x2 * q0
     keep = ~np.isnan(q0) & ~(q1 > s1 + _BOUND_TOL) & ~(q2 > s2 + _BOUND_TOL)
@@ -322,7 +326,7 @@ def _scaled_specials(capacities, d0, s1, s2, t1, t2):
     return np.stack(plain + ratios, axis=1)
 
 
-def _evacuation_survivors(model, d0, s1, s2, capacities, scan_grid):
+def _evacuation_survivors(model, d0, s1, s2, capacities):
     """Per point, one candidate triple per tie pattern and whether it
     survives, as (points, patterns) arrays in enumeration order."""
     c0, c1, c2 = capacities
@@ -362,17 +366,17 @@ def _evacuation_survivors(model, d0, s1, s2, capacities, scan_grid):
         targets = (si, qj) if i == 0 else (qj, si)
         boxes = {"d": (0.0, c0), "s1" if i == 0 else "s2": (0.0, (c1, c2)[i])}
         fixed = {"s2" if i == 0 else "s1": (c2, c1)[i]}
-        ok = scanned(~((qj < -eps) | (qj >= sj - eps)), targets, boxes, fixed, scan_grid)
+        ok = scanned(~((qj < -eps) | (qj >= sj - eps)), targets, boxes, fixed, _SCAN_GRID)
         found.append((ok, d0, *targets))
 
     # both downstream bounds tight, q0 strict
     boxes = {"s1": (0.0, c1), "s2": (0.0, c2)}
-    ok = scanned(s1 + s2 < d0 - eps, (s1, s2), boxes, {"d": c0}, scan_grid)
+    ok = scanned(s1 + s2 < d0 - eps, (s1, s2), boxes, {"d": c0}, _SCAN_GRID)
     found.append((ok, s1 + s2, s1, s2))
 
     # everything tight
     boxes = {"d": (0.0, c0), "s1": (0.0, c1), "s2": (0.0, c2)}
-    ok = scanned(abs(s1 + s2 - d0) <= eps, (s1, s2), boxes, {}, max(13, scan_grid // 2))
+    ok = scanned(abs(s1 + s2 - d0) <= eps, (s1, s2), boxes, {}, _SCAN_GRID_3D)
     found.append((ok, d0, s1, s2))
 
     return tuple(np.stack(np.broadcast_arrays(*column), axis=1) for column in zip(*found))
@@ -394,7 +398,7 @@ def _deduplicated(keep, q0, q1, q2):
     return results
 
 
-def brute_force_batch(model, d0, s1, s2, capacities, flux_grid=41, scan_grid=21):
+def brute_force_batch(model, d0, s1, s2, capacities):
     """Enumerate and filter candidate flux triples at the points
     (d0[k], s1[k], s2[k]) of 1-d arrays; one OracleResult per point, its
     survivors plain floats.  `capacities` is (c0, c1, c2); the model's
@@ -405,18 +409,18 @@ def brute_force_batch(model, d0, s1, s2, capacities, flux_grid=41, scan_grid=21)
     for start in range(0, d0.size, _BLOCK):
         block = (model, d0[start:start + _BLOCK], s1[start:start + _BLOCK], s2[start:start + _BLOCK], capacities)
         if routed:
-            found = _routed_survivors(*block, flux_grid)
+            found = _routed_survivors(*block)
         else:
-            found = _evacuation_survivors(*block, scan_grid)
+            found = _evacuation_survivors(*block)
         results += _deduplicated(*found)
     return results
 
 
-def brute_force_fluxes(model, inp: RiemannInput, flux_grid=41, scan_grid=21):
+def brute_force_fluxes(model, inp: RiemannInput):
     """Enumerate and filter candidate flux triples; return the survivors.
     brute_force_batch on a batch of one."""
     s1, s2 = inp.supplies
-    return brute_force_batch(model, inp.demand_upstream, s1, s2, inp.capacities, flux_grid, scan_grid)[0]
+    return brute_force_batch(model, inp.demand_upstream, s1, s2, inp.capacities)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -469,11 +473,3 @@ def probe_interior_unique_batch(model, d0, s1, s2, capacities, solution):
         found &= abs(values - point[k]) > _PROBE_EXCLUDE
         flags.append(strict[:, 0] | ~found.any(axis=1))
     return tuple(flags)
-
-
-def probe_interior_unique(model, inp: RiemannInput, solution):
-    """Interior uniqueness flags (upstream, down 1, down 2) of one Riemann
-    solution by scanning; probe_interior_unique_batch on a batch of one."""
-    s1, s2 = inp.supplies
-    flags = probe_interior_unique_batch(model, inp.demand_upstream, s1, s2, inp.capacities, solution)
-    return tuple(bool(f[0]) for f in flags)

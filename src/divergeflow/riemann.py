@@ -49,8 +49,8 @@ capacity) and the fluxes do not move as it rises from its canonical value:
 
 The slopes come from the binding min/max terms, every term within TIE_TOL
 of the min or max counting as tied; the three coordinates' slopes are
-carried together.  oracle.probe_interior_unique checks these flags by
-scanning.
+carried together.  oracle.probe_interior_unique_batch checks these flags
+by scanning.
 """
 
 from __future__ import annotations
@@ -77,7 +77,6 @@ __all__ = [
     "solve",
     "solve_batch",
     "junction_fluxes",
-    "local_discrete_flux",
     "check_stationary_admissible",
     "check_interior_admissible",
     "daganzo_fifo",
@@ -283,18 +282,6 @@ class RiemannSolution:
     interior_proportions: tuple[float, float]
     interior_unique: tuple[bool, bool, bool]
 
-    @property
-    def q0(self):
-        return self.fluxes[0]
-
-    @property
-    def q1(self):
-        return self.fluxes[1]
-
-    @property
-    def q2(self):
-        return self.fluxes[2]
-
     def row(self, k):
         """Point k of a batch solution, in Python floats and bools."""
 
@@ -360,18 +347,6 @@ def junction_fluxes(model, demand_upstream, supplies, proportions):
     q1 = np.minimum(s1, np.minimum(_per_share(s2 * (1.0 - x2), x2), np.maximum(d0 - s2, a1 * d0)))
     q2 = np.minimum(s2, np.minimum(_per_share(s1 * (1.0 - x1), x1), np.maximum(d0 - s1, a2 * d0)))
     return (q1 + q2, q1, q2)
-
-
-def local_discrete_flux(model, interior_upstream, interior_downstream, interior_proportions):
-    """Evaluate the model's local entropy rule on interior states, as floats
-    for single states and as arrays for the states of a batch.
-
-    Exactly the flux function the cell-transmission junction update calls.
-    """
-    d0 = interior_upstream.demand
-    supplies = (interior_downstream[0].supply, interior_downstream[1].supply)
-    fluxes = junction_fluxes(model, d0, supplies, interior_proportions)
-    return tuple(q if np.ndim(q) else float(q) for q in fluxes)
 
 
 def riemann_rule(model, capacities):

@@ -21,8 +21,8 @@ from divergeflow import (
     del_castillo_mainline,
     del_castillo_ramp,
     lebacque,
+    junction_fluxes,
     link_waves,
-    local_discrete_flux,
     partial_evacuation,
     priority_based,
     run,
@@ -75,19 +75,19 @@ def resolved_diverge(trio):
 
 def test_criterion_1_resolved_diverge_asymptotics(trio, resolved_diverge):
     traj, elapsed = resolved_diverge
-    final = traj.final_state
+    final, proportions = traj.densities[-1], traj.proportions[-1]
     expected = {
-        0: ((0.3365, 0.2804), float(final.densities[0][-1])),
-        1: ((0.1963, 0.3365), float(final.densities[1][0])),
-        2: ((0.0841, 0.0841), float(final.densities[2][0])),
+        0: ((0.3365, 0.2804), float(final[0][-1])),
+        1: ((0.1963, 0.3365), float(final[1][0])),
+        2: ((0.0841, 0.0841), float(final[2][0])),
     }
     worst = 0.0
     for link, (want, rho) in expected.items():
         got = state_of(trio[link], rho)
         worst = max(worst, abs(got.demand - want[0]), abs(got.supply - want[1]))
-    rho0 = float(final.densities[0][-1])
-    xi_last = float(final.proportions[0, -1])
-    others_constant = bool(np.all(final.proportions[0, :-1] == 0.7))
+    rho0 = float(final[0][-1])
+    xi_last = float(proportions[0, -1])
+    others_constant = bool(np.all(proportions[0, :-1] == 0.7))
     ok = (
         worst <= STATE_TOL
         and abs(rho0 - 0.8555) <= STATE_TOL
@@ -234,9 +234,8 @@ def test_criterion_5_property_suites(trio):
     gaps["invariance"] = 0.0
     for m in models:
         sol = solve_batch(m, d0, s1, s2, caps)
-        local = local_discrete_flux(
-            m, sol.interior_upstream, sol.interior_downstream, sol.interior_proportions
-        )
+        down1, down2 = sol.interior_downstream
+        local = junction_fluxes(m, sol.interior_upstream.demand, (down1.supply, down2.supply), sol.interior_proportions)
         gaps["invariance"] = max(gaps["invariance"], gap(local, sol.fluxes))
     ok = gaps["conservation"] == 0.0 and all(v <= 1e-12 for v in gaps.values())
     detail = ", ".join(f"{k}={v:.1e}" for k, v in gaps.items())
@@ -287,7 +286,7 @@ def test_criterion_6_wave_admissibility(trio):
     assert d1.kind is WaveKind.NONE and d2.kind is WaveKind.NONE
     traj = run(cfg)
     predicted = cfg.link_length + up.speed_range[0] * cfg.horizon
-    measured = shock_front_position(traj.final_state.densities[0], cfg.dx)
+    measured = shock_front_position(traj.densities[-1, 0], cfg.dx)
     front_ok = abs(measured - predicted) <= cfg.dx
     _report(
         6,

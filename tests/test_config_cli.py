@@ -246,6 +246,48 @@ class TestCli:
         assert err.startswith("config error: del_castillo_ramp diagram:")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "old, new, name",
+        [
+            ("upstream_demand: {kind: neumann}", "upstream_demand: {kind: constant, value: [0.1]}", "upstream_demand"),
+            ("offset: 0.05,", "offset: {value: 0.05},", "downstream_supplies[1]"),
+        ],
+        ids=["constant-value-list", "sinusoid-offset-mapping"],
+    )
+    def test_malformed_boundary_parameter_exits_two(self, tmp_path, capsys, old, new, name):
+        cfg = tmp_path / "boundary.yaml"
+        text = (CONFIGS / "convergence.yaml").read_text(encoding="utf-8")
+        assert old in text
+        cfg.write_text(text.replace(old, new), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["converge", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {name}: bad boundary condition")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_converge_rejects_data_it_cannot_rescale_before_a_step(self, tmp_path, capsys, monkeypatch):
+        # per-cell data fit the configured 40 cells but not the 80 of the
+        # second resolution: the run must stop before the first batch steps
+        from divergeflow import ctm
+
+        def forbidden(*args):
+            raise AssertionError("a batch ran")
+
+        monkeypatch.setattr(ctm, "run_batch", forbidden)
+        text = (CONFIGS / "convergence.yaml").read_text(encoding="utf-8")
+        per_cell = "[" + ", ".join(["1.0"] * 40) + "]"
+        for old, new in (
+            ("initial_densities: [1.0, 1.0, 0.1]", f"initial_densities: [{per_cell}, 1.0, 0.1]"),
+            ("resolutions: [40, 80, 160]", "resolutions: [40, 80]"),
+        ):
+            assert old in text
+            text = text.replace(old, new)
+        cfg = tmp_path / "per_cell.yaml"
+        cfg.write_text(text, encoding="utf-8")
+        assert main(["converge", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: expected scalar or array of 80 cells, got shape (40,)\n"
+
     def test_out_naming_an_existing_file_exits_two(self, verify_config, tmp_path, capsys):
         out = tmp_path / "taken"
         out.write_text("not a directory\n", encoding="utf-8")
@@ -493,6 +535,18 @@ properties: {samples: 60, wave_samples: 15, oracle_grid: 2}
         assert main(["props", "--config", str(cfg), "--out", str(out), "--seed", "9"]) == 0
         report = (out / "report.txt").read_text(encoding="utf-8")
         assert "seed: 9" in report
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_props_run_on_another_diagram_trio_passes(self, tmp_path, seed):
+        text = (CONFIGS / "props.yaml").read_text(encoding="utf-8")
+        old = "  - {kind: del_castillo_mainline}\n  - {kind: del_castillo_mainline}\n  - {kind: del_castillo_ramp}\n"
+        assert old in text
+        new = "  - {kind: triangular}\n  - {kind: triangular}\n  - {kind: greenshields}\n"
+        cfg = tmp_path / "props.yaml"
+        cfg.write_text(text.replace(old, new), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["props", "--config", str(cfg), "--out", str(out), "--seed", str(seed)]) == 0
+        assert "verdict: PASS" in (out / "report.txt").read_text(encoding="utf-8")
 
     def test_twelve_significant_digits(self, verify_config, tmp_path):
         out = tmp_path / "out"

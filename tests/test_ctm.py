@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from divergeflow import ctm
 from divergeflow.config import build_spec, load_config
 from divergeflow.harness import ExperimentKind
 
@@ -18,11 +19,9 @@ from divergeflow import (
     lebacque,
     partial_evacuation,
     priority_based,
-    proportion_update,
     run,
     run_batch,
     solution_difference,
-    step,
     supply_proportional,
 )
 
@@ -42,6 +41,30 @@ def diverge_config(trio, model, cells=40, **kwargs):
     )
     defaults.update(kwargs)
     return SimConfig(**defaults)
+
+
+def initial_arrays(cfg):
+    """The (1, 3, M) densities and (1, C, M) proportions of cfg as a batch
+    of one."""
+    rho, x = cfg._initial_arrays()
+    return rho[None], x[None]
+
+
+def advance(cfg, rho, x, k=0):
+    """Step k of the kernel on a batch of one: the new (rho, x) and the
+    member's record row (q0, q1, q2, D0, S1, S2, x1, inflow, outflow)."""
+    record = np.empty((1, 9))
+    rho, x = ctm._Ensemble([cfg]).advance(rho, x, k, record)
+    return rho, x, record[0]
+
+
+def update_cells(rho_old, rho_new, xi_old, xi_up, q_in, q_out, ratio):
+    """The proportion update of cells given as floats or lists, the
+    commodity advecting with the total flow."""
+    rho_old, rho_new, xi_old, xi_up, q_in, q_out = (
+        np.array(v, dtype=float, ndmin=1) for v in (rho_old, rho_new, xi_old, xi_up, q_in, q_out)
+    )
+    return ctm._proportion_update(rho_old, rho_new, xi_old, xi_up, q_in, q_out, ratio, xi_old * q_out)
 
 
 class TestConfigValidation:
@@ -117,32 +140,22 @@ class TestConfigValidation:
 class TestProportionUpdate:
     def test_uniform_mix_is_bitwise_constant(self):
         xi = 0.7
-        out = proportion_update(0.83, 0.79, xi, xi, 0.21, 0.2473, 0.9)
-        assert out == xi
+        out = update_cells(0.83, 0.79, xi, xi, 0.21, 0.2473, 0.9)
+        assert out.tolist() == [xi]
 
     def test_empty_cell_keeps_previous_mix(self):
-        assert proportion_update(0.1, 0.0, 0.35, 0.9, 0.0, 0.05, 0.9) == 0.35
+        assert update_cells(0.1, 0.0, 0.35, 0.9, 0.0, 0.05, 0.9).tolist() == [0.35]
 
     def test_hand_computed_cell(self):
         rho_old, xi_old, xi_up = 0.5, 0.4, 0.8
         q_in, q_out, r = 0.2, 0.1, 0.9
         rho_new = rho_old + r * (q_in - q_out)
         want = (rho_old * xi_old + r * (q_in * xi_up - q_out * xi_old)) / rho_new
-        got = proportion_update(rho_old, rho_new, xi_old, xi_up, q_in, q_out, r)
+        (got,) = update_cells(rho_old, rho_new, xi_old, xi_up, q_in, q_out, r)
         assert got == pytest.approx(want, abs=1e-15)
 
     def test_array_form(self):
-        xi = np.array([0.7, 0.4])
-        xi_up = np.array([0.7, 0.7])
-        out = proportion_update(
-            np.array([0.5, 0.5]),
-            np.array([0.5, 0.5]),
-            xi,
-            xi_up,
-            np.array([0.1, 0.1]),
-            np.array([0.1, 0.1]),
-            0.9,
-        )
+        out = update_cells([0.5, 0.5], [0.5, 0.5], [0.7, 0.4], [0.7, 0.7], [0.1, 0.1], [0.1, 0.1], 0.9)
         assert out[0] == 0.7  # uniform entry stays put
         assert 0.4 < out[1] <= 0.7  # mixing pulls toward the inflow mix
 
@@ -156,19 +169,18 @@ class TestStepBasics:
             initial_densities=(0.0, 0.0, 0.0),
             boundaries=BoundarySpec(upstream_demand=BoundaryCondition.constant(0.0)),
         )
-        state = cfg.initial_state()
-        for _ in range(50):
-            state, record = step(state, cfg)
-            assert record[:3] + record[7:] == (0.0,) * 5  # no flux anywhere
-        assert state.densities.shape == (3, 20)
-        assert np.all(state.densities == 0.0)
+        rho, x = initial_arrays(cfg)
+        for k in range(50):
+            rho, x, record = advance(cfg, rho, x, k)
+            assert record[:3].tolist() + record[7:].tolist() == [0.0] * 5  # no flux anywhere
+        assert rho.shape == (1, 3, 20)
+        assert np.all(rho == 0.0)
 
     def test_record_is_the_junction_row_and_boundary_fluxes(self, trio):
         cfg = diverge_config(trio, lebacque((0.7, 0.3)), cells=20)
-        state = cfg.initial_state()
-        new_state, record = step(state, cfg)
-        assert len(record) == 9 and all(type(v) is float for v in record)
-        q0, q1, q2, d0, s1, s2, x1, inflow, outflow = record
+        rho, x, record = advance(cfg, *initial_arrays(cfg))
+        assert record.shape == (9,)
+        q0, q1, q2, d0, s1, s2, x1, inflow, outflow = record.tolist()
         assert (q1, q2) == (min(0.7 * d0, s1), min(0.3 * d0, s2))
         assert q0 == q1 + q2
         assert (d0, s1, s2, x1) == (
@@ -177,7 +189,7 @@ class TestStepBasics:
         # Neumann ghosts: each end cell meets its own supply or demand
         assert inflow == min(trio[0].demand(1.0), trio[0].supply(1.0))
         assert outflow == min(*trio[1].demand_supply(1.0)) + min(*trio[2].demand_supply(0.1))
-        assert new_state.step_index == 1 and new_state.densities.shape == (3, 20)
+        assert rho.shape == (1, 3, 20)
 
     def test_steps_neither_range_check_nor_rederive_the_inflow_mix(self, trio, monkeypatch):
         from divergeflow import FundamentalDiagram
@@ -201,11 +213,10 @@ class TestStepBasics:
         # the step no longer range-checks its input, so a state above jam on
         # link 1 reaches the density guard, which must still name it
         cfg = diverge_config(trio, lebacque((0.7, 0.3)), cells=20)
-        state = cfg.initial_state()
-        state.densities[1] = trio[1].jam_density + 5e-9
-        state.step_index = 7
+        rho, x = initial_arrays(cfg)
+        rho[0, 1] = trio[1].jam_density + 5e-9
         with pytest.raises(NumericalStabilityError, match="on link 1 at step 7"):
-            step(state, cfg)
+            advance(cfg, rho, x, 7)
 
     def test_matched_critical_junction_is_stationary(self):
         # halved-capacity downstream links absorb exactly the upstream
@@ -235,9 +246,7 @@ class TestStepBasics:
             traj = run(cfg)
             for link, fd in enumerate(cfg.diagrams):
                 want = (up, down, down)[link].critical_density
-                np.testing.assert_allclose(
-                    traj.final_state.densities[link], want, atol=1e-12
-                )
+                np.testing.assert_allclose(traj.densities[-1, link], want, atol=1e-12)
 
     def test_first_junction_flux_under_lebacque(self, trio):
         cfg = diverge_config(trio, lebacque((0.7, 0.3)))
@@ -269,8 +278,8 @@ class TestStepBasics:
             )
             traj = run(cfg)  # raises NumericalStabilityError on a violation
             for link, fd in enumerate(trio):
-                assert np.all(traj.final_state.densities[link] >= 0.0)
-                assert np.all(traj.final_state.densities[link] <= fd.jam_density)
+                assert np.all(traj.densities[-1, link] >= 0.0)
+                assert np.all(traj.densities[-1, link] <= fd.jam_density)
 
 
 class TestGodunovFlux:
@@ -325,19 +334,19 @@ class TestAsymptotics:
     def test_diverge_reaches_predicted_states(self, trio):
         cfg = diverge_config(trio, lebacque((0.7, 0.3)), cells=40)
         traj = run(cfg)
-        final = traj.final_state
-        assert float(final.densities[0][-1]) == pytest.approx(0.8555, abs=5e-3)
-        assert float(final.densities[1][0]) == pytest.approx(0.1963, abs=5e-3)
-        assert float(final.densities[2][0]) == pytest.approx(0.2438, abs=5e-3)
-        assert float(final.proportions[0, -1]) == pytest.approx(0.5833, abs=5e-3)
-        assert np.all(final.proportions[0, :-1] == 0.7)
+        final, proportions = traj.densities[-1], traj.proportions[-1]
+        assert float(final[0][-1]) == pytest.approx(0.8555, abs=5e-3)
+        assert float(final[1][0]) == pytest.approx(0.1963, abs=5e-3)
+        assert float(final[2][0]) == pytest.approx(0.2438, abs=5e-3)
+        assert float(proportions[0, -1]) == pytest.approx(0.5833, abs=5e-3)
+        assert np.all(proportions[0, :-1] == 0.7)
 
     def test_partial_evacuation_smoke(self, trio):
         model = partial_evacuation((0.3, 0.2), (0.55, 0.45))
         cfg = diverge_config(trio, model, cells=20, initial_proportions=(0.3, 0.2))
         traj = run(cfg)
         assert traj.conservation_drift() < 1e-8
-        props = traj.final_state.proportions
+        props = traj.proportions[-1]
         assert np.all(props >= 0.0)
         assert np.all(props.sum(axis=0) <= 1.0 + 1e-12)
 
@@ -373,17 +382,14 @@ class TestConservation:
 
     def test_per_step_link_balance(self, trio):
         cfg = diverge_config(trio, daganzo_fifo((0.7, 0.3)), cells=20, time_steps=800)
-        state = cfg.initial_state()
-        for _ in range(100):
-            new_state, record = step(state, cfg)
-            total_change = sum(
-                (new_state.densities[i].sum() - state.densities[i].sum()) * cfg.dx
-                for i in range(3)
-            )
+        rho, x = initial_arrays(cfg)
+        for k in range(100):
+            new_rho, x, record = advance(cfg, rho, x, k)
+            total_change = sum((new_rho[0, i].sum() - rho[0, i].sum()) * cfg.dx for i in range(3))
             inflow, outflow = record[7:]
             net = (inflow - outflow) * cfg.dt
             assert total_change == pytest.approx(net, abs=1e-12)
-            state = new_state
+            rho = new_rho
 
 
 GOLDEN = Path(__file__).parent / "golden" / "ctm_five_rules_M20.txt"
@@ -450,8 +456,6 @@ def assert_same_trajectory(got, want):
         (got.snapshot_steps, want.snapshot_steps),
         (got.densities, want.densities),
         (got.proportions, want.proportions),
-        (got.final_state.densities, want.final_state.densities),
-        (got.final_state.proportions, want.final_state.proportions),
     ]
     pairs += [(g, w) for g, w in zip(vars(got.junction).values(), vars(want.junction).values())]
     for g, w in pairs:
@@ -459,7 +463,6 @@ def assert_same_trajectory(got, want):
         assert g.tobytes() == w.tobytes()
     for name in ("inflow_total", "outflow_total", "initial_vehicles", "final_vehicles"):
         assert getattr(got, name).hex() == getattr(want, name).hex(), name
-    assert got.final_state.step_index == want.final_state.step_index
 
 
 class TestRunBatch:
@@ -499,7 +502,7 @@ class TestRunBatch:
         # two mainlines and a ramp cost two flux-law calls per step whatever
         # the batch size or the links' order; only the junction rule runs
         # per member, on each link's own diagram
-        from divergeflow import FundamentalDiagram, ctm
+        from divergeflow import FundamentalDiagram
 
         diagrams = tuple(trio[i] for i in order)
         densities = (np.linspace(0.2, 1.9, 10), np.linspace(0.9, 0.1, 10), np.linspace(0.05, 0.6, 10))
@@ -556,8 +559,6 @@ class TestRunBatch:
         ],
     )
     def test_members_that_differ_in_a_shared_field_are_rejected_before_a_step(self, trio, monkeypatch, field, change):
-        from divergeflow import ctm
-
         base = diverge_config(trio, lebacque((0.7, 0.3)), cells=20)
 
         def forbidden(*args):

@@ -239,7 +239,7 @@ class TestDensityInversion:
             if abs(u.demand - u.supply) <= FLUX_TOL:
                 continue
             back = fd.density_from_state(u)
-            q, lo, hi = u.flux(), fd.flow(back - DENSITY_TOL), fd.flow(back + DENSITY_TOL)
+            q, lo, hi = min(u.demand, u.supply), fd.flow(back - DENSITY_TOL), fd.flow(back + DENSITY_TOL)
             assert min(lo, hi) <= q <= max(lo, hi)
 
 

@@ -83,7 +83,7 @@ class TestRiemannVerify:
             _, artifacts = riemann_verify(spec)
             traj = artifacts["trajectory"]
             sol = artifacts["solution"]
-            final = traj.final_state
+            final = traj.densities[-1]
             fd_list = traj.config.diagrams
             errs = []
             for link, stationary in (
@@ -91,9 +91,7 @@ class TestRiemannVerify:
                 (1, sol.stationary_downstream[0]),
                 (2, sol.stationary_downstream[1]),
             ):
-                rho = float(
-                    final.densities[link][-1] if link == 0 else final.densities[link][0]
-                )
+                rho = float(final[link][-1] if link == 0 else final[link][0])
                 want = fd_list[link].density_from_state(stationary)
                 errs.append(abs(rho - want))
             return sum(errs)
@@ -243,36 +241,65 @@ class TestFluxMap:
         assert row[3] == row[4] == row[5] == 0.0
 
 
-class TestPropertySuite:
-    def small_spec(self, seed=0):
-        return ExperimentSpec(
-            kind=ExperimentKind.PROPERTY_SUITE,
-            samples=150,
-            wave_samples=40,
-            oracle_grid=3,
-            seed=seed,
-        )
+def props_spec(diagrams, **kwargs):
+    """A property-battery spec whose never-stepped SimConfig names the
+    diagrams."""
+    sim = SimConfig(
+        model=lebacque((0.7, 0.3)), diagrams=diagrams, cells_per_link=1,
+        time_steps=1, link_length=1.0, horizon=1e-9,
+    )
+    return ExperimentSpec(kind=ExperimentKind.PROPERTY_SUITE, sim=sim, **kwargs)
 
-    def test_small_battery_passes(self):
-        report, _ = property_suite(self.small_spec())
+
+class TestPropertySuite:
+    def small_spec(self, trio, seed=0):
+        return props_spec(trio, samples=150, wave_samples=40, oracle_grid=3, seed=seed)
+
+    def test_small_battery_passes(self, trio):
+        report, _ = property_suite(self.small_spec(trio))
         assert report.passed, report.render()
 
-    def test_reports_are_deterministic(self):
-        a, _ = property_suite(self.small_spec(seed=5))
-        b, _ = property_suite(self.small_spec(seed=5))
+    def test_reports_are_deterministic(self, trio):
+        a, _ = property_suite(self.small_spec(trio, seed=5))
+        b, _ = property_suite(self.small_spec(trio, seed=5))
         assert a.render() == b.render()
 
-    def test_labels_count_the_samples_each_battery_draws(self):
-        spec = ExperimentSpec(
-            kind=ExperimentKind.PROPERTY_SUITE, samples=10, wave_samples=2, oracle_grid=2
-        )
+    def test_labels_count_the_samples_each_battery_draws(self, trio):
+        spec = props_spec(trio, samples=10, wave_samples=2, oracle_grid=2)
         report, _ = property_suite(spec)
         details = {c.name: c.detail for c in report.checks}
         assert details["wave-speed-signs"] == "2 samples"
         assert details["conservation-exact"] == "10 samples"
         assert details["oracle-agreement"] == "2^3 grid"
 
-    def test_injected_defect_is_caught(self, monkeypatch):
+    def test_batteries_use_the_diagrams_the_config_names(self, monkeypatch):
+        """Every closed-form call of the three batteries sees the capacities
+        of the config's diagrams, not those of a built-in trio."""
+        from divergeflow.config import build_spec
+
+        doc = {
+            "model": {"kind": "lebacque", "xi": [0.7, 0.3]},
+            "diagrams": [{"kind": "triangular"}, {"kind": "triangular"}, {"kind": "greenshields"}],
+            "properties": {"samples": 20, "wave_samples": 4, "oracle_grid": 2},
+        }
+        seen = {"solve_fluxes_batch": set(), "solve_batch": set()}
+
+        def recording(name):
+            true_solver = getattr(harness, name)
+
+            def solver(model, d0, s1, s2, capacities):
+                seen[name].add(tuple(capacities))
+                return true_solver(model, d0, s1, s2, capacities)
+
+            return solver
+
+        for name in seen:
+            monkeypatch.setattr(harness, name, recording(name))
+        report, _ = property_suite(build_spec(doc, ExperimentKind.PROPERTY_SUITE))
+        assert report.passed, report.render()
+        assert seen == {"solve_fluxes_batch": {(0.2, 0.2, 0.25)}, "solve_batch": {(0.2, 0.2, 0.25)}}
+
+    def test_injected_defect_is_caught(self, trio, monkeypatch):
         """Sanity: corrupting the closed-form solver must trip the oracle
         comparison with a counterexample."""
         from divergeflow.riemann import DivergeModelKind
@@ -289,20 +316,20 @@ class TestPropertySuite:
             return true_solver(model, d0, s1, s2, capacities)
 
         monkeypatch.setattr(harness, "solve_fluxes_batch", broken)
-        report, _ = property_suite(self.small_spec())
+        report, _ = property_suite(self.small_spec(trio))
         failed = {c.name for c in report.checks if not c.passed}
         assert "oracle-agreement" in failed
         detail = next(c.detail for c in report.checks if c.name == "oracle-agreement")
         assert "counterexample" in detail
 
-    def test_oracle_counterexample_prints_plain_floats(self, monkeypatch):
+    def test_oracle_counterexample_prints_plain_floats(self, trio, monkeypatch):
         """One closed-form flux moved off the oracle's at one grid corner: the
         counterexample names that point in plain floats, as every other
         check does."""
         from divergeflow.riemann import DivergeModelKind
 
         true_solver = harness.solve_fluxes_batch
-        c0, _, c2 = (fd.capacity for fd in harness._mainline_ramp_trio())
+        c0, _, c2 = (fd.capacity for fd in trio)
 
         def shifted(model, d0, s1, s2, capacities):
             q0, q1, q2 = true_solver(model, d0, s1, s2, capacities)
@@ -313,7 +340,7 @@ class TestPropertySuite:
             return q0, q1, q2
 
         monkeypatch.setattr(harness, "solve_fluxes_batch", shifted)
-        report, _ = property_suite(self.small_spec())
+        report, _ = property_suite(self.small_spec(trio))
         failed = {c.name: c.detail for c in report.checks if not c.passed}
         at = (float(c0), 0.0, float(c2))
         assert failed == {"oracle-agreement": f"counterexample: priority_based at {at}: gap=0.001"}
@@ -330,7 +357,7 @@ class TestPropertySuite:
         assert (out / "report.txt").read_bytes() == golden.read_bytes()
 
     @pytest.mark.parametrize("block", [7, harness._BLOCK])
-    def test_first_counterexamples_follow_sample_then_case_order(self, monkeypatch, block):
+    def test_first_counterexamples_follow_sample_then_case_order(self, trio, monkeypatch, block):
         """A defect in the rule kernel trips six checks; each must report the
         first failing sample and, within it, the first failing model in the
         battery's model order, whatever the block size.  The expected strings
@@ -347,11 +374,11 @@ class TestPropertySuite:
                 q0 = q1 + q2
             return q0, q1, q2
 
-        monkeypatch.setattr(riemann, "junction_fluxes", defective)
+        # the harness evaluates the local rule with its own import of the kernel
+        for module in (riemann, harness):
+            monkeypatch.setattr(module, "junction_fluxes", defective)
         monkeypatch.setattr(harness, "_BLOCK", block)
-        spec = ExperimentSpec(
-            kind=ExperimentKind.PROPERTY_SUITE, samples=300, wave_samples=60, oracle_grid=2, seed=0
-        )
+        spec = props_spec(trio, samples=300, wave_samples=60, oracle_grid=2, seed=0)
         report, _ = property_suite(spec)
         failed = {c.name: c.detail for c in report.checks if not c.passed}
         at = "at (0.21433507053251824, 0.09078215452247937, 0.003446856898002911)"

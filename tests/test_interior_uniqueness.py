@@ -18,7 +18,7 @@ from divergeflow import (
     solve_batch,
     supply_proportional,
 )
-from divergeflow.oracle import probe_interior_unique, probe_interior_unique_batch
+from divergeflow.oracle import probe_interior_unique_batch
 
 PROPS_FIXTURES = (
     daganzo_fifo((0.7, 0.3)),
@@ -40,7 +40,9 @@ def make_input(trio, d0, s1, s2):
 
 
 def assert_flags_agree(model, inp, sol):
-    probed = probe_interior_unique(model, inp, sol)
+    s1, s2 = inp.supplies
+    flags = probe_interior_unique_batch(model, inp.demand_upstream, s1, s2, inp.capacities, sol)
+    probed = tuple(flag.item() for flag in flags)
     assert sol.interior_unique == probed, (
         model, inp.demand_upstream, inp.supplies, sol.interior_unique, probed,
     )

@@ -12,7 +12,6 @@ from divergeflow import (
     daganzo_fifo,
     junction_fluxes,
     lebacque,
-    local_discrete_flux,
     partial_evacuation,
     priority_based,
     riemann_rule,
@@ -37,6 +36,13 @@ def flux_input(trio, d0, s1, s2):
         (trio[1], trio[2]),
         (TrafficState(c1, min(s1, c1)), TrafficState(c2, min(s2, c2))),
     )
+
+
+def at_interiors(model, sol):
+    """The model's local rule on a solution's interior (D0, S1, S2) and
+    interior proportions."""
+    down1, down2 = sol.interior_downstream
+    return junction_fluxes(model, sol.interior_upstream.demand, (down1.supply, down2.supply), sol.interior_proportions)
 
 
 class TestModelParameters:
@@ -205,10 +211,7 @@ class TestEvacuationFluxes:
         assert sol.interior_downstream[1].supply == pytest.approx(want, abs=1e-12)
         assert sol.interior_downstream[1] != sol.stationary_downstream[1]
         assert sol.interior_unique == (True, True, True)
-        local = local_discrete_flux(
-            supply_proportional(), sol.interior_upstream, sol.interior_downstream,
-            sol.interior_proportions,
-        )
+        local = at_interiors(supply_proportional(), sol)
         assert max(abs(a - b) for a, b in zip(local, sol.fluxes)) <= 1e-12
 
     def test_balanced_junction_has_free_upstream_interior(self, trio):
@@ -261,12 +264,8 @@ class TestRoutedInteriorUniqueness:
 class TestLocalDiscreteFlux:
     def test_lebacque_at_raw_initial_states(self, congested_diverge_input):
         model = lebacque((0.7, 0.3))
-        q0, q1, q2 = local_discrete_flux(
-            model,
-            congested_diverge_input.upstream_state,
-            congested_diverge_input.downstream_states,
-            (0.7, 0.3),
-        )
+        inp = congested_diverge_input
+        q0, q1, q2 = junction_fluxes(model, inp.demand_upstream, inp.supplies, (0.7, 0.3))
         assert q1 == pytest.approx(0.2355, abs=FOUR_DP)
         assert q2 == pytest.approx(0.0841, abs=FOUR_DP)
         # the global solution gives 0.1963 on link 1: the rule is not invariant
@@ -275,22 +274,13 @@ class TestLocalDiscreteFlux:
 
     def test_daganzo_at_raw_initial_states(self, congested_diverge_input):
         model = daganzo_fifo((0.7, 0.3))
-        q0, q1, q2 = local_discrete_flux(
-            model,
-            congested_diverge_input.upstream_state,
-            congested_diverge_input.downstream_states,
-            (0.7, 0.3),
-        )
+        inp = congested_diverge_input
+        q0, q1, q2 = junction_fluxes(model, inp.demand_upstream, inp.supplies, (0.7, 0.3))
         # min(0.3365, 0.3365/0.7, 0.0841/0.3) = 0.2804, split by proportion
         g = solve_fluxes(model, congested_diverge_input)
         assert max(abs(a - b) for a, b in zip((q0, q1, q2), g)) <= 1e-12
 
-    def test_zero_upstream_demand(self, trio):
-        up = TrafficState(0.0, trio[0].capacity)
-        down = (
-            TrafficState(trio[1].capacity, 0.2),
-            TrafficState(trio[2].capacity, 0.05),
-        )
+    def test_zero_upstream_demand(self):
         for model in (
             daganzo_fifo((0.7, 0.3)),
             lebacque((0.7, 0.3)),
@@ -298,19 +288,15 @@ class TestLocalDiscreteFlux:
             priority_based((0.5, 0.5)),
             partial_evacuation((0.2, 0.2), (0.5, 0.5)),
         ):
-            assert local_discrete_flux(model, up, down, (0.7, 0.3)) == (0.0, 0.0, 0.0)
+            assert junction_fluxes(model, 0.0, (0.2, 0.05), (0.7, 0.3)) == (0.0, 0.0, 0.0)
 
     def test_no_receiving_capacity(self, trio):
-        up = TrafficState(trio[0].capacity, trio[0].capacity)
-        down = (TrafficState(trio[1].capacity, 0.0), TrafficState(trio[2].capacity, 0.0))
-        q = local_discrete_flux(supply_proportional(), up, down, (0.5, 0.5))
+        q = junction_fluxes(supply_proportional(), trio[0].capacity, (0.0, 0.0), (0.5, 0.5))
         assert q == (0.0, 0.0, 0.0)
 
     def test_daganzo_zero_junction_proportion_limit(self, congested_diverge_input):
         inp = congested_diverge_input
-        q0, q1, q2 = local_discrete_flux(
-            daganzo_fifo((0.7, 0.3)), inp.upstream_state, inp.downstream_states, (0.0, 1.0)
-        )
+        q0, q1, q2 = junction_fluxes(daganzo_fifo((0.7, 0.3)), inp.demand_upstream, inp.supplies, (0.0, 1.0))
         want = min(inp.demand_upstream, inp.supplies[1])
         assert q1 == 0.0
         assert q0 == q2 == want
@@ -512,10 +498,7 @@ class TestStructuralProperties:
                 assert -1e-15 <= q1 <= min(caps[1], inp.supplies[0]) + 1e-12
                 assert -1e-15 <= q2 <= min(caps[2], inp.supplies[1]) + 1e-12
                 assert q0 <= min(caps[0], inp.demand_upstream) + 1e-12
-                local = local_discrete_flux(
-                    model, sol.interior_upstream, sol.interior_downstream,
-                    sol.interior_proportions,
-                )
+                local = at_interiors(model, sol)
                 assert max(abs(a - b) for a, b in zip(local, sol.fluxes)) <= 1e-12
 
     def test_model_equivalences(self, trio):

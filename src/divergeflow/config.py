@@ -11,6 +11,9 @@ README for a complete annotated example):
     flux_map:     {demand_upstream: ..., supply_1: ..., supply_2: ...}
     properties:   {samples: ..., wave_samples: ..., oracle_grid: ...}
 
+Every mapping is checked for keys the loader does not read where it is
+read, so a misspelt key is a ConfigError rather than a silent default.
+
 The configuration hash recorded in reports is the SHA-256 of the parsed
 document re-serialized canonically, so formatting and comments do not affect
 it.
@@ -43,6 +46,20 @@ _DIAGRAM_DEFAULTS = {
 }
 
 
+# The keys each mapping may hold; a boundary's depend on its kind.
+_TOP_KEYS = ("model", "diagrams", "simulation", "verify", "convergence", "flux_map", "properties")
+_SIM_KEYS = (
+    "cells_per_link", "time_steps", "link_length", "horizon", "initial_densities",
+    "initial_proportions", "inflow_proportions", "boundaries", "snapshot_every",
+)
+_AXES = ("demand_upstream", "supply_1", "supply_2")
+_BOUNDARY_KEYS = {
+    BoundaryKind.NEUMANN: ("kind",),
+    BoundaryKind.CONSTANT: ("kind", "value"),
+    BoundaryKind.TIME_VARYING: ("kind", "offset", "amplitude", "period"),
+}
+
+
 class ConfigError(ValueError):
     """The configuration file is missing or malformed."""
 
@@ -65,20 +82,30 @@ def config_hash(doc):
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _section(parent, key, kind, default=None):
+def _known(mapping, name, keys):
+    """mapping, after checking that it holds only keys the loader reads."""
+    for key in mapping:
+        if key not in keys:
+            raise ConfigError(f"{name}: unknown key {key!r} (expected {', '.join(keys)})")
+    return mapping
+
+
+def _section(parent, key, kind, default=None, keys=()):
     """parent[key], or default when it is absent or null, checked to be a
-    mapping (kind dict) or a list (kind list) before anything reads it."""
+    mapping (kind dict) with no key outside `keys` or a list (kind list)
+    before anything reads it."""
     section = parent.get(key)
     if section is None:
         return default
     if not isinstance(section, (list, tuple) if kind is list else dict):
         raise ConfigError(f"{key} must be a {'list' if kind is list else 'mapping'}, got {section!r}")
-    return section
+    return section if kind is list else _known(section, key, keys)
 
 
 def _build_model(section):
     if not isinstance(section, dict) or "kind" not in section:
         raise ConfigError("model section needs a kind")
+    _known(section, "model", ("kind", "xi", "alpha"))
     try:
         kind = DivergeModelKind(section["kind"])
     except ValueError as exc:
@@ -89,9 +116,10 @@ def _build_model(section):
         raise ConfigError(str(exc)) from exc
 
 
-def _build_diagram(section):
+def _build_diagram(section, name):
     if not isinstance(section, dict) or "kind" not in section:
         raise ConfigError("each diagram needs a kind")
+    _known(section, name, ("kind", "free_flow_speed", "jam_density"))
     try:
         kind = DiagramKind(section["kind"])
     except ValueError as exc:
@@ -116,6 +144,7 @@ def _build_boundary(section, name):
         kind = BoundaryKind(section["kind"])
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"{name}: bad boundary condition {section!r}") from exc
+    _known(section, name, _BOUNDARY_KEYS[kind])
     if kind is BoundaryKind.NEUMANN:
         return BoundaryCondition.neumann()
     if kind is BoundaryKind.CONSTANT and "value" not in section:
@@ -131,10 +160,10 @@ def _build_boundary(section, name):
 
 
 def _build_sim(doc, model, diagrams):
-    section = _section(doc, "simulation", dict)
+    section = _section(doc, "simulation", dict, keys=_SIM_KEYS)
     if section is None:
         return None
-    bsec = _section(section, "boundaries", dict, {})
+    bsec = _section(section, "boundaries", dict, {}, ("upstream_demand", "downstream_supplies"))
     down = _section(bsec, "downstream_supplies", list, [None, None])
     if len(down) != 2:
         raise ConfigError("downstream_supplies needs exactly two entries")
@@ -165,6 +194,8 @@ def _build_sim(doc, model, diagrams):
 
 
 def _build_axis(value, name):
+    if isinstance(value, dict):
+        _known(value, name, ("start", "stop", "count"))
     try:
         if isinstance(value, dict):
             return (float(value["start"]), float(value["stop"]), value["count"])
@@ -179,6 +210,7 @@ def _build_axis(value, name):
 def build_spec(doc, kind, seed=0):
     """Assemble the ExperimentSpec a CLI subcommand needs from a parsed
     config document."""
+    _known(doc, "top level", _TOP_KEYS)
     model = _build_model(doc.get("model"))
     dsec = _section(doc, "diagrams", list)
     if dsec is None:
@@ -186,19 +218,18 @@ def build_spec(doc, kind, seed=0):
     else:
         if len(dsec) != 3:
             raise ConfigError("diagrams must list exactly three entries")
-        diagrams = tuple(_build_diagram(d) for d in dsec)
+        diagrams = tuple(_build_diagram(d, f"diagrams[{i}]") for i, d in enumerate(dsec))
     sim = _build_sim(doc, model, diagrams)
 
     sweep_axes = None
     if kind is ExperimentKind.FLUX_MAP:
-        fsec = _section(doc, "flux_map", dict)
+        fsec = _section(doc, "flux_map", dict, keys=_AXES)
         if fsec is None:
             raise ConfigError("flux-map needs a flux_map section")
-        names = ("demand_upstream", "supply_1", "supply_2")
-        missing = [name for name in names if name not in fsec]
+        missing = [name for name in _AXES if name not in fsec]
         if missing:
             raise ConfigError(f"flux_map section is missing {', '.join(missing)}")
-        sweep_axes = [_build_axis(fsec[name], name) for name in names]
+        sweep_axes = [_build_axis(fsec[name], name) for name in _AXES]
     if sim is None and kind in (ExperimentKind.FLUX_MAP, ExperimentKind.PROPERTY_SUITE):
         # flux maps and the property battery evaluate closed forms only on
         # the config's diagrams; the placeholder grid is never stepped
@@ -207,9 +238,9 @@ def build_spec(doc, kind, seed=0):
             link_length=1.0, horizon=1e-9,
         )
 
-    vsec = _section(doc, "verify", dict, {})
-    csec = _section(doc, "convergence", dict, {})
-    psec = _section(doc, "properties", dict, {})
+    vsec = _section(doc, "verify", dict, {}, ("tolerance",))
+    csec = _section(doc, "convergence", dict, {}, ("resolutions",))
+    psec = _section(doc, "properties", dict, {}, ("samples", "wave_samples", "oracle_grid"))
     try:
         return ExperimentSpec(
             kind=kind,

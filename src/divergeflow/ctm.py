@@ -136,10 +136,16 @@ class BoundarySpec:
     )
 
 
+def _is_integer(value):
+    """Is value a Python or numpy integer?  A bool is not, though Python
+    makes it an int."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _require_count(name, value):
     """Raise ValueError unless value is an integer of at least 1; a float
-    such as 20.9 is rejected, not truncated."""
-    if not isinstance(value, (int, np.integer)):
+    such as 20.9 or a bool is rejected, not truncated."""
+    if not _is_integer(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < 1:
         raise ValueError(f"{name} must be at least 1, got {value}")

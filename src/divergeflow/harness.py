@@ -21,6 +21,7 @@ import numpy as np
 
 from . import ctm, waves
 from .riemann import (
+    _evacuation_terms,
     DivergeModelKind,
     RiemannInput,
     Side,
@@ -31,6 +32,7 @@ from .riemann import (
     lebacque,
     partial_evacuation,
     priority_based,
+    riemann_rule,
     solve,
     solve_batch,
     solve_fluxes,  # noqa: F401 -- not called here; perfbench's spans wrap this name
@@ -79,7 +81,7 @@ class SweepSpec:
         if not all(0.0 <= v < np.inf for v in ends):
             raise ValueError(f"sweep ends must be finite and nonnegative, got {ends}")
         counts = [count for _, _, count in axes]
-        if not all(isinstance(count, (int, np.integer)) and count >= 1 for count in counts):
+        if not all(ctm._is_integer(count) and count >= 1 for count in counts):
             raise ValueError(f"sweep counts must be integers of at least 1, got {counts}")
 
     def axes(self):
@@ -108,7 +110,7 @@ class ExperimentSpec:
         for name in ("samples", "wave_samples", "oracle_grid"):
             ctm._require_count(name, getattr(self, name))
         res = list(self.resolutions)
-        positive = all(isinstance(m, (int, np.integer)) and m >= 1 for m in res)
+        positive = all(ctm._is_integer(m) and m >= 1 for m in res)
         if self.kind is ExperimentKind.CONVERGENCE and not (res and positive and res == sorted(set(res))):
             raise ValueError(f"convergence resolutions must be strictly increasing positive integers, got {res}")
         if self.kind is ExperimentKind.FLUX_MAP and self.sweep is None:
@@ -377,21 +379,13 @@ def _routed_codes(model, d0, s1, s2, tol=1e-12):
 
 
 def _evacuation_codes(model, d0, s1, s2, capacities, tol=1e-12):
-    """Per-link region codes of an evacuation rule: which of its terms bind
-    the link's flux, F = the routed-remainder cap, P = the proportional or
-    priority share, R = the residual D0 - Sj, S = the link supply."""
-    _, c1, c2 = capacities
+    """Per-link region codes of an evacuation rule: which _evacuation_terms of
+    its riemann_rule counterpart bind the link's flux, F = the routed-remainder
+    cap, P = the share D0 ai, R = the residual D0 - Sj, S = the link supply."""
     codes = []
-    for i, (si, sj) in enumerate(((s1, s2), (s2, s1))):
-        if model.kind is DivergeModelKind.SUPPLY_PROPORTIONAL:
-            share = d0 * (c1, c2)[i] / (c1 + c2)
-        else:
-            share = model.alpha[i] * d0
-        residual = d0 - sj
+    for si, cap, residual, share in _evacuation_terms(riemann_rule(model, capacities), d0, s1, s2):
         # R or P always attains the composite, so the flux is min(S, composite, F)
         composite = np.maximum(residual, share)
-        xj = model.xi[1 - i] if model.kind is DivergeModelKind.PARTIAL_EVACUATION else 0.0
-        cap = sj * (1.0 - xj) / xj if xj > 0.0 else np.inf
         bound = np.minimum(np.minimum(si, composite), cap) + tol
         tied = composite <= bound
         codes.append(_code(

@@ -25,7 +25,10 @@ quantities.  Five rules are implemented:
 
 where x are turning proportions of routed traffic and a are priority weights;
 Sj/xj and Sj (1 - xj) / xj read as +inf when xj = 0.  junction_fluxes is the
-one kernel of all five rules and takes scalars or arrays.
+one kernel of all five rules and takes scalars or arrays.  The priority rule
+is partial evacuation without routed traffic (xi = 0): _evacuation_terms
+states the terms of both once, for junction_fluxes, the uniqueness slopes
+below and harness's flux-map regions.
 
 Each Riemann flux is a local rule evaluated at the initial (D0, S1, S2):
 Lebacque's rule gives the fluxes of Daganzo's with the same xi, and the
@@ -47,9 +50,10 @@ capacity) and the fluxes do not move as it rises from its canonical value:
     evacuation rules         q1 and q2 have zero right-hand slope in that
                              coordinate at the canonical interiors
 
-The slopes come from the binding min/max terms, every term within TIE_TOL
-of the min or max counting as tied; the three coordinates' slopes are
-carried together.  oracle.probe_interior_unique_batch checks these flags
+The slopes come from the binding min/max terms (_evacuation_terms on _Sided
+values for the priority and partial-evacuation rules), every term within
+TIE_TOL of the min or max counting as tied; the three coordinates' slopes
+are carried together.  oracle.probe_interior_unique_batch checks these flags
 by scanning.
 """
 
@@ -135,11 +139,12 @@ class DivergeModel:
         kind = self.kind
         if kind in _FIFO_KINDS:
             self._require_xi(strict=True)
-        elif kind is DivergeModelKind.PRIORITY_BASED:
-            self._require_alpha(lo=(0.0, 0.0), hi=(1.0, 1.0))
-        elif kind is DivergeModelKind.PARTIAL_EVACUATION:
-            self._require_xi(strict=False)
-            x1, x2 = self.xi
+        elif kind is not DivergeModelKind.SUPPLY_PROPORTIONAL:
+            # the priority rule is partial evacuation with xi = (0, 0)
+            routed = kind is DivergeModelKind.PARTIAL_EVACUATION
+            if routed:
+                self._require_xi(strict=False)
+            x1, x2 = self.xi if routed else (0.0, 0.0)
             self._require_alpha(lo=(x1, x2), hi=(1.0 - x2, 1.0 - x1))
 
     # The checks below hold elementwise for array parameters; NaN fails them.
@@ -300,7 +305,9 @@ class RiemannSolution:
 
 
 def _per_share(s, x):
-    """s / x, read as +inf where the share x is 0 (the x -> 0 limit)."""
+    """s / x, read as +inf where the share x is 0 (the x -> 0 limit); maps a _Sided s."""
+    if isinstance(s, _Sided):
+        return _Sided(_per_share(s.value, x), _per_share(s.slope, x))
     if np.ndim(x) == 0:
         return s / x if x > 0.0 else math.inf
     shape = np.broadcast_shapes(np.shape(s), np.shape(x))
@@ -337,16 +344,22 @@ def junction_fluxes(model, demand_upstream, supplies, proportions):
         q1 = scale * s1
         q2 = scale * s2
         return (q1 + q2, q1, q2)
-    if kind is DivergeModelKind.PRIORITY_BASED:
-        a1, a2 = model.alpha
-        q1 = np.minimum(s1, np.maximum(d0 - s2, a1 * d0))
-        q2 = np.minimum(s2, np.maximum(d0 - s1, a2 * d0))
-        return (q1 + q2, q1, q2)
-    x1, x2 = model.xi
-    a1, a2 = model.alpha
-    q1 = np.minimum(s1, np.minimum(_per_share(s2 * (1.0 - x2), x2), np.maximum(d0 - s2, a1 * d0)))
-    q2 = np.minimum(s2, np.minimum(_per_share(s1 * (1.0 - x1), x1), np.maximum(d0 - s1, a2 * d0)))
+    terms = _evacuation_terms(model, d0, s1, s2)
+    q1, q2 = (np.minimum(s, np.minimum(f, np.maximum(r, p))) for s, f, r, p in terms)
     return (q1 + q2, q1, q2)
+
+
+def _evacuation_terms(model, d0, s1, s2):
+    """Per downstream link i, the terms (Si, Fi, Ri, Pi) of the priority or
+    partial-evacuation rule qi = min(Si, Fi, max(Ri, Pi)) on floats, arrays
+    or _Sided values: the supply, the routed-remainder cap Sj (1 - xj) / xj,
+    the residual D0 - Sj and the share D0 ai; the priority rule has xi = 0."""
+    x1, x2 = model.xi if model.kind is DivergeModelKind.PARTIAL_EVACUATION else (0.0, 0.0)
+    a1, a2 = model.alpha
+    return tuple(
+        (si, _per_share(sj * (1.0 - xj), xj), d0 - sj, d0 * ai)
+        for si, sj, xj, ai in ((s1, s2, x2, a1), (s2, s1, x1, a2))
+    )
 
 
 def riemann_rule(model, capacities):
@@ -456,14 +469,9 @@ def _interior_proportions(model, d0, s1, s2, capacities, fluxes):
         first = np.where(one & bind2, p1, np.where(one, 1.0 - p2, x1))
         second = np.where(one & bind2, 1.0 - p1, np.where(one, p2, x2))
         return (first, second)
-    if kind is DivergeModelKind.SUPPLY_PROPORTIONAL:
-        _, c1, c2 = capacities
-        idle = (c1 / (c1 + c2), c2 / (c1 + c2))
-    else:
-        idle = model.alpha
     moving = q0 > TIE_TOL
     safe = np.where(moving, q0, 1.0)
-    return (np.where(moving, q1 / safe, idle[0]), np.where(moving, q2 / safe, idle[1]))
+    return tuple(np.where(moving, q / safe, a) for q, a in zip((q1, q2), riemann_rule(model, capacities).alpha))
 
 
 def _canonical_interiors(model, d0, s1, s2, capacities, tight, stationary_down):
@@ -546,15 +554,7 @@ def _sided_evacuation_fluxes(model, d0, s1, s2):
             _sided_where(empty, _sided_min(s1, d0), scale * s1),
             _sided_where(empty, _sided_min(s2, d0), scale * s2),
         )
-    a1, a2 = model.alpha
-    caps1 = [s1, _sided_max(d0 - s2, d0 * a1)]
-    caps2 = [s2, _sided_max(d0 - s1, d0 * a2)]
-    if model.kind is DivergeModelKind.PARTIAL_EVACUATION:
-        # the routed-remainder caps Sj (1 - xj) / xj, +inf where xj = 0
-        x1, x2 = model.xi
-        caps1.append(_Sided(*(_per_share(v * (1.0 - x2), x2) for v in (s2.value, s2.slope))))
-        caps2.append(_Sided(*(_per_share(v * (1.0 - x1), x1) for v in (s1.value, s1.slope))))
-    return _sided_min(*caps1), _sided_min(*caps2)
+    return tuple(_sided_min(s, f, _sided_max(r, p)) for s, f, r, p in _evacuation_terms(model, d0, s1, s2))
 
 
 def _interior_unique_flags(model, capacities, tight, interior_up, interior_down):

@@ -33,6 +33,16 @@ verify:
 """
 
 
+# Every shipped config and the experiment its header comment runs it with.
+SHIPPED = {
+    "convergence.yaml": ExperimentKind.CONVERGENCE,
+    "diverge_verify.yaml": ExperimentKind.RIEMANN_VERIFY,
+    "flux_map.yaml": ExperimentKind.FLUX_MAP,
+    "props.yaml": ExperimentKind.PROPERTY_SUITE,
+    "props_triangular.yaml": ExperimentKind.PROPERTY_SUITE,
+}
+
+
 @pytest.fixture
 def verify_config(tmp_path):
     path = tmp_path / "cfg.yaml"
@@ -59,6 +69,16 @@ class TestConfig:
         path.write_text("model: {kind: roundabout}\n", encoding="utf-8")
         with pytest.raises(ConfigError):
             build_spec(load_config(path), ExperimentKind.PROPERTY_SUITE)
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED))
+    def test_every_shipped_config_builds_for_its_experiment(self, name):
+        assert sorted(path.name for path in CONFIGS.glob("*.yaml")) == sorted(SHIPPED)
+        kind = SHIPPED[name]
+        path = CONFIGS / name
+        header = path.read_text(encoding="utf-8").split("\nmodel:")[0]
+        assert f"divergeflow {kind.value} --config configs/{name} " in header
+        spec = build_spec(load_config(path), kind)
+        assert spec.kind is kind
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -312,6 +332,53 @@ class TestCli:
         assert f"config error: {key} must be at least 1, got {value}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, base, old, new, message",
+        [
+            ("props", "props.yaml", "  samples: 2000", "  sampels: 2000", "properties: unknown key 'sampels'"),
+            (
+                "converge", "convergence.yaml", "amplitude: 0.03", "amplitud: 0.03",
+                "downstream_supplies[1]: unknown key 'amplitud'",
+            ),
+            ("riemann-verify", None, "verify:", "verfy:", "top level: unknown key 'verfy'"),
+            ("riemann-verify", None, "  xi: [0.7, 0.3]", "  xi: [0.7, 0.3]\n  alpah: [0.5, 0.5]", "model: unknown key 'alpah'"),
+            (
+                "riemann-verify", None, "  - {kind: del_castillo_ramp}", "  - {kind: del_castillo_ramp, jam_densty: 1.0}",
+                "diagrams[2]: unknown key 'jam_densty'",
+            ),
+            ("riemann-verify", None, "  snapshot_every: 50", "  snapshot_evry: 50", "simulation: unknown key 'snapshot_evry'"),
+            (
+                "riemann-verify", None, "  snapshot_every: 50", "  snapshot_every: 50\n  boundaries: {upstream: {kind: neumann}}",
+                "boundaries: unknown key 'upstream'",
+            ),
+            (
+                "riemann-verify", None, "  snapshot_every: 50",
+                "  snapshot_every: 50\n  boundaries: {upstream_demand: {kind: neumann, value: 0.1}}",
+                "upstream_demand: unknown key 'value'",
+            ),
+            ("riemann-verify", None, "  tolerance: 5.0e-3", "  tolerence: 5.0e-3", "verify: unknown key 'tolerence'"),
+            ("converge", None, "  resolutions: [10, 20]", "  resolutions: [10, 20]\n  cells: 10", "convergence: unknown key 'cells'"),
+            ("flux-map", "flux_map.yaml", "  demand_upstream: 0.25", "  demand_upstream: 0.25\n  supply_3: 0.1", "flux_map: unknown key 'supply_3'"),
+            ("flux-map", "flux_map.yaml", "count: 41}", "count: 41, step: 0.01}", "supply_1: unknown key 'step'"),
+        ],
+        ids=[
+            "properties", "ramp-sinusoid", "top-level", "model", "diagram", "simulation", "boundaries",
+            "neumann-boundary", "verify", "convergence", "flux_map", "axis",
+        ],
+    )
+    def test_unknown_key_exits_two(self, tmp_path, capsys, command, base, old, new, message):
+        # a misspelt key would otherwise fall back to a default silently
+        text = SMALL_VERIFY + "convergence:\n  resolutions: [10, 20]\n" if base is None else (CONFIGS / base).read_text(encoding="utf-8")
+        assert old in text
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(text.replace(old, new, 1), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message} (expected ")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_verify_run_matches_golden(self, tmp_path):
         # pins the headline run bitwise: the CTM, the Newton inversions of
         # the stationary states and the wave classification all feed it
@@ -392,6 +459,9 @@ class TestCli:
             ("props", "samples", "60", "60.7"),
             ("props", "wave_samples", "15", "15.2"),
             ("props", "oracle_grid", "2", "2.5"),
+            # YAML reads True as a bool, which Python makes an int
+            ("riemann-verify", "cells_per_link", "20", "True"),
+            ("props", "samples", "60", "True"),
         ],
     )
     def test_fractional_count_exits_two_instead_of_truncating(self, tmp_path, capsys, command, key, old, value):
@@ -436,8 +506,15 @@ class TestCli:
                 "convergence resolutions must be strictly increasing positive integers, got [20, 20]",
             ),
             ("converge", "resolutions: [10, 20]", "resolutions: 40", "resolutions must be a list, got 40"),
+            (
+                "converge", "resolutions: [10, 20]", "resolutions: [true, 20]",
+                "convergence resolutions must be strictly increasing positive integers, got [True, 20]",
+            ),
         ],
-        ids=["tolerance-nan", "tolerance-inf", "resolution-zero", "resolution-repeated", "resolutions-not-a-list"],
+        ids=[
+            "tolerance-nan", "tolerance-inf", "resolution-zero", "resolution-repeated", "resolutions-not-a-list",
+            "resolution-boolean",
+        ],
     )
     def test_bad_tolerance_or_resolutions_exit_two_before_running(self, tmp_path, capsys, command, old, new, message):
         cfg = tmp_path / "cfg.yaml"
@@ -455,8 +532,9 @@ class TestCli:
             ("0", "sweep counts must be integers of at least 1, got [1, 41, 0]"),
             ("-2", "sweep counts must be integers of at least 1, got [1, 41, -2]"),
             ("2.7", "sweep counts must be integers of at least 1, got [1, 41, 2.7]"),
+            ("true", "sweep counts must be integers of at least 1, got [1, 41, True]"),
         ],
-        ids=["zero", "negative", "fractional"],
+        ids=["zero", "negative", "fractional", "boolean"],
     )
     def test_flux_map_count_below_one_or_fractional_exits_two(self, tmp_path, capsys, count, message):
         cfg = tmp_path / "map.yaml"
@@ -538,12 +616,9 @@ properties: {samples: 60, wave_samples: 15, oracle_grid: 2}
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_props_run_on_another_diagram_trio_passes(self, tmp_path, seed):
-        text = (CONFIGS / "props.yaml").read_text(encoding="utf-8")
-        old = "  - {kind: del_castillo_mainline}\n  - {kind: del_castillo_mainline}\n  - {kind: del_castillo_ramp}\n"
-        assert old in text
-        new = "  - {kind: triangular}\n  - {kind: triangular}\n  - {kind: greenshields}\n"
-        cfg = tmp_path / "props.yaml"
-        cfg.write_text(text.replace(old, new), encoding="utf-8")
+        cfg = CONFIGS / "props_triangular.yaml"
+        trio = "  - {kind: triangular}\n  - {kind: triangular}\n  - {kind: greenshields}\n"
+        assert trio in cfg.read_text(encoding="utf-8")
         out = tmp_path / "out"
         assert main(["props", "--config", str(cfg), "--out", str(out), "--seed", str(seed)]) == 0
         assert "verdict: PASS" in (out / "report.txt").read_text(encoding="utf-8")

@@ -7,6 +7,7 @@ import divergeflow.harness as harness
 from divergeflow import (
     BoundaryCondition,
     BoundarySpec,
+    DivergeModelKind,
     RiemannInput,
     SimConfig,
     TrafficState,
@@ -14,6 +15,7 @@ from divergeflow import (
     lebacque,
     partial_evacuation,
     priority_based,
+    riemann_rule,
     solve_fluxes,
     supply_proportional,
 )
@@ -220,6 +222,49 @@ class TestFluxMap:
                 (trio[1], trio[2]), (TrafficState(caps[1], s1), TrafficState(caps[2], s2)),
             )
             assert (q0, q1, q2) == solve_fluxes(model, inp)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            supply_proportional(),
+            priority_based((0.6, 0.4)),
+            priority_based((1.0, 0.0)),
+            partial_evacuation((0.3, 0.2), (0.55, 0.45)),
+            partial_evacuation((0.4, 0.0), (0.5, 0.5)),
+        ],
+        ids=["supply_proportional", "priority_based", "absolute_priority", "partial_evacuation", "one_route"],
+    )
+    def test_evacuation_regions_name_the_terms_at_the_flux(self, trio, model):
+        # qi = min(Si, Fi, max(Ri, Pi)) for the riemann_rule counterpart:
+        # each flagged term sits at the flux (R and P through the composite
+        # max(R, P), which they must attain), each unflagged min-term above it
+        caps = tuple(fd.capacity for fd in trio)
+        sweep = SweepSpec(*((0.0, c, 9) for c in caps))
+        sim = SimConfig(model=model, diagrams=trio, cells_per_link=1, time_steps=1, link_length=1.0, horizon=0.5)
+        _, artifacts = flux_map(ExperimentSpec(kind=ExperimentKind.FLUX_MAP, sim=sim, sweep=sweep))
+        table = artifacts["table"]
+        d0, s1, s2 = (table[name] for name in ("demand_upstream", "supply_1", "supply_2"))
+        rule = riemann_rule(model, caps)
+        xi = rule.xi if rule.kind is DivergeModelKind.PARTIAL_EVACUATION else (0.0, 0.0)
+        labels = [region.split("|") for region in table["region"].tolist()]
+        for i, (si, sj, q) in enumerate(((s1, s2, table["q1"]), (s2, s1, table["q2"]))):
+            xj = xi[1 - i]
+            terms = {
+                "S": si,
+                "F": sj * (1.0 - xj) / xj if xj > 0.0 else np.full(q.shape, np.inf),
+                "R": d0 - sj,
+                "P": d0 * rule.alpha[i],
+            }
+            composite = np.maximum(terms["R"], terms["P"])
+            flags = {letter: np.array([letter in label[i] for label in labels]) for letter in "FPRS"}
+            assert (flags["F"] | flags["P"] | flags["R"] | flags["S"]).all()
+            for letter in "SF":
+                assert (abs(terms[letter] - q) <= 1e-12)[flags[letter]].all(), letter
+                assert (terms[letter] > q)[~flags[letter]].all(), letter
+            for letter in "RP":
+                attained = (abs(composite - q) <= 1e-12) & (terms[letter] >= composite - 1e-12)
+                assert attained[flags[letter]].all(), letter
+            assert (composite > q)[~(flags["R"] | flags["P"])].all()
 
     def test_negative_sweep_rejected(self):
         with pytest.raises(ValueError):

@@ -226,6 +226,73 @@ class TestEvacuationFluxes:
         assert sol.interior_unique[1] is True and sol.interior_unique[2] is True
 
 
+class TestPriorityIsPartialEvacuationWithoutRoutes:
+    """The priority rule is partial evacuation with xi = (0, 0): the same
+    kernel values and solutions bitwise, and the same admissible alphas."""
+
+    @staticmethod
+    def grid(trio):
+        # a 9^3 cube over the capacities, zero faces included, with one
+        # alpha per row; every fifth row gives all priority to link 1, the
+        # next all to link 2
+        caps = tuple(fd.capacity for fd in trio)
+        axes = [np.linspace(0.0, c, 9) for c in caps]
+        d0, s1, s2 = (g.ravel() for g in np.meshgrid(*axes, indexing="ij"))
+        a1 = np.random.default_rng(12).random(d0.size)
+        a1[::5] = 1.0
+        a1[1::5] = 0.0
+        return caps, d0, s1, s2, (a1, 1.0 - a1)
+
+    @pytest.mark.parametrize("alpha", [None, (0.6, 0.4), (1.0, 0.0)], ids=["rows", "fixed", "absolute"])
+    def test_kernel_is_bitwise_partial_evacuation(self, trio, alpha):
+        _, d0, s1, s2, rows = self.grid(trio)
+        alpha = rows if alpha is None else alpha
+        want = junction_fluxes(partial_evacuation((0.0, 0.0), alpha), d0, (s1, s2), None)
+        # a priority model ignores the xi a config may pass along with it
+        for model in (priority_based(alpha), DivergeModel(DivergeModelKind.PRIORITY_BASED, (0.3, 0.3), alpha)):
+            got = junction_fluxes(model, d0, (s1, s2), None)
+            assert [q.tobytes() for q in got] == [q.tobytes() for q in want]
+
+    def test_solve_batch_agrees_field_by_field(self, trio):
+        caps, d0, s1, s2, alpha = self.grid(trio)
+
+        def fields(sol):
+            states = (
+                sol.stationary_upstream, *sol.stationary_downstream,
+                sol.interior_upstream, *sol.interior_downstream,
+            )
+            return [
+                *sol.fluxes, *(x for u in states for x in (u.demand, u.supply)),
+                *sol.interior_proportions, *sol.interior_unique,
+            ]
+
+        prio = fields(solve_batch(priority_based(alpha), d0, s1, s2, caps))
+        part = fields(solve_batch(partial_evacuation((0.0, 0.0), alpha), d0, s1, s2, caps))
+        assert len(prio) == 20
+        for k, (got, want) in enumerate(zip(prio, part)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), k
+
+    @pytest.mark.parametrize(
+        "alpha",
+        [
+            (0.6, 0.4), (1.0, 0.0), (0.0, 1.0), (0.7, 0.7), (1.2, -0.2), (-0.5, 1.5),
+            (1.0 + 1e-13, -1e-13), (1.0 + 1e-11, -1e-11), (0.5, 0.5 + 1e-11),
+            (np.array([0.2, 1.0]), np.array([0.8, 0.0])),
+            (np.array([0.2, 1.1]), np.array([0.8, -0.1])),
+        ],
+    )
+    def test_the_same_alphas_are_admissible(self, alpha):
+        def outcome(build):
+            try:
+                build()
+            except ValueError as exc:
+                return str(exc)
+            return "accepted"
+
+        want = outcome(lambda: partial_evacuation((0.0, 0.0), alpha))
+        assert outcome(lambda: priority_based(alpha)) == want
+
+
 class TestRoutedInteriorUniqueness:
     """Tie structure of min(D0, S1/x1, S2/x2) drives interior multiplicity."""
 

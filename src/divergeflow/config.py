@@ -12,7 +12,10 @@ README for a complete annotated example):
     properties:   {samples: ..., wave_samples: ..., oracle_grid: ...}
 
 Every mapping is checked for keys the loader does not read where it is
-read, so a misspelt key is a ConfigError rather than a silent default.
+read, so a misspelt key is a ConfigError rather than a silent default; a key
+left out or null takes the default its type or diagram factory declares.
+_number reads every number field: a string such as 5e-3 (as PyYAML reads it)
+is a number, a boolean an error; the types reject counts that are not integers.
 
 The configuration hash recorded in reports is the SHA-256 of the parsed
 document re-serialized canonically, so formatting and comments do not affect
@@ -23,41 +26,35 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import MISSING, fields, replace
 
 import yaml
 
 from .ctm import BoundaryCondition, BoundaryKind, BoundarySpec, SimConfig
-from .fundamental_diagram import (
-    DiagramKind,
-    FundamentalDiagram,
-    del_castillo_mainline,
-    del_castillo_ramp,
-)
+from .fundamental_diagram import DiagramKind, del_castillo_mainline, del_castillo_ramp, greenshields, triangular
 from .harness import ExperimentKind, ExperimentSpec, SweepSpec
 from .riemann import DivergeModel, DivergeModelKind
 
 __all__ = ["ConfigError", "load_config", "build_spec", "config_hash"]
 
-_DIAGRAM_DEFAULTS = {
-    DiagramKind.DEL_CASTILLO_MAINLINE: (1.0, 2.0),
-    DiagramKind.DEL_CASTILLO_RAMP: (0.5, 1.0),
-    DiagramKind.TRIANGULAR: (1.0, 1.0),
-    DiagramKind.GREENSHIELDS: (1.0, 1.0),
-}
-
-
+# Each diagram kind's factory, under the kind's value (the factory's name).
+_FACTORIES = {f.__name__: f for f in (del_castillo_mainline, del_castillo_ramp, triangular, greenshields)}
 # The keys each mapping may hold; a boundary's depend on its kind.
 _TOP_KEYS = ("model", "diagrams", "simulation", "verify", "convergence", "flux_map", "properties")
-_SIM_KEYS = (
-    "cells_per_link", "time_steps", "link_length", "horizon", "initial_densities",
-    "initial_proportions", "inflow_proportions", "boundaries", "snapshot_every",
-)
+_SIM_FIELDS = [f for f in fields(SimConfig) if f.init and f.name not in ("model", "diagrams")]
+_SIM_KEYS = tuple(f.name for f in _SIM_FIELDS)
+_SIM_REQUIRED = [f.name for f in _SIM_FIELDS if f.default is MISSING and f.default_factory is MISSING]
 _AXES = ("demand_upstream", "supply_1", "supply_2")
 _BOUNDARY_KEYS = {
     BoundaryKind.NEUMANN: ("kind",),
     BoundaryKind.CONSTANT: ("kind", "value"),
     BoundaryKind.TIME_VARYING: ("kind", "offset", "amplitude", "period"),
 }
+# The fields _numbers reads with _number wherever they appear: floats, and
+# lists of numbers (nested for per-cell data).
+_FLOAT_KEYS = ("free_flow_speed", "jam_density", "link_length", "horizon", "tolerance", "value", "offset",
+               "amplitude", "period", "start", "stop")
+_LIST_KEYS = ("xi", "alpha", "initial_densities", "initial_proportions", "inflow_proportions")
 
 
 class ConfigError(ValueError):
@@ -83,11 +80,12 @@ def config_hash(doc):
 
 
 def _known(mapping, name, keys):
-    """mapping, after checking that it holds only keys the loader reads."""
+    """mapping without its null entries, after checking that it holds only
+    keys the loader reads."""
     for key in mapping:
         if key not in keys:
             raise ConfigError(f"{name}: unknown key {key!r} (expected {', '.join(keys)})")
-    return mapping
+    return {key: value for key, value in mapping.items() if value is not None}
 
 
 def _section(parent, key, kind, default=None, keys=()):
@@ -102,34 +100,54 @@ def _section(parent, key, kind, default=None, keys=()):
     return section if kind is list else _known(section, key, keys)
 
 
+def _number(value, where, nested=False):
+    """value as a float; where names the mapping and the key in errors.  A
+    number string such as 5e-3 is a number, a boolean is not.  With nested,
+    a list (at any depth) reads as a tuple of such numbers."""
+    if nested and isinstance(value, (list, tuple)):
+        return tuple(_number(v, where, nested) for v in value)
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{where} must be {'numbers' if nested else 'a number'}, got {value!r}")
+
+
+def _numbers(mapping, where):
+    """The entries of mapping but its kind, the number fields read by _number."""
+    return {key: _number(value, f"{where}: {key}", key in _LIST_KEYS) if key in _FLOAT_KEYS + _LIST_KEYS
+            else value for key, value in mapping.items() if key != "kind"}
+
+
 def _build_model(section):
-    if not isinstance(section, dict) or "kind" not in section:
+    if not isinstance(section, dict) or section.get("kind") is None:
         raise ConfigError("model section needs a kind")
-    _known(section, "model", ("kind", "xi", "alpha"))
+    section = _known(section, "model", ("kind", "xi", "alpha"))
     try:
         kind = DivergeModelKind(section["kind"])
     except ValueError as exc:
         raise ConfigError(f"unknown model kind {section['kind']!r}") from exc
     try:
-        return DivergeModel(kind, xi=section.get("xi"), alpha=section.get("alpha"))
+        return DivergeModel(kind, **_numbers(section, "model"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _build_diagram(section, name):
-    if not isinstance(section, dict) or "kind" not in section:
+    if not isinstance(section, dict) or section.get("kind") is None:
         raise ConfigError("each diagram needs a kind")
-    _known(section, name, ("kind", "free_flow_speed", "jam_density"))
+    section = _known(section, name, ("kind", "free_flow_speed", "jam_density"))
     try:
         kind = DiagramKind(section["kind"])
     except ValueError as exc:
         raise ConfigError(f"unknown diagram kind {section['kind']!r}") from exc
-    defaults = _DIAGRAM_DEFAULTS[kind]
+    params = _numbers(section, f"{kind.value} diagram")
     try:
-        v_f = float(section.get("free_flow_speed", defaults[0]))
-        rho_j = float(section.get("jam_density", defaults[1]))
-        return FundamentalDiagram(kind, v_f, rho_j)
-    except (TypeError, ValueError) as exc:
+        diagram = _FACTORIES[kind.value]()
+        # replace re-runs the diagram's checks and its capacity search
+        return replace(diagram, **params) if params else diagram
+    except ValueError as exc:
         raise ConfigError(f"{kind.value} diagram: {exc}") from exc
 
 
@@ -140,71 +158,51 @@ def _build_boundary(section, name):
         return BoundaryCondition.neumann()
     if not isinstance(section, dict):
         raise ConfigError(f"{name}: a boundary condition must be a mapping, got {section!r}")
+    where = f"{name}: bad boundary condition {section!r}"
     try:
         kind = BoundaryKind(section["kind"])
     except (KeyError, ValueError) as exc:
-        raise ConfigError(f"{name}: bad boundary condition {section!r}") from exc
-    _known(section, name, _BOUNDARY_KEYS[kind])
-    if kind is BoundaryKind.NEUMANN:
-        return BoundaryCondition.neumann()
-    if kind is BoundaryKind.CONSTANT and "value" not in section:
+        raise ConfigError(where) from exc
+    params = _numbers(_known(section, name, _BOUNDARY_KEYS[kind]), where)
+    if kind is BoundaryKind.CONSTANT and "value" not in params:
         raise ConfigError(f"{name}: constant boundary condition needs a value: {section!r}")
     try:
-        if kind is BoundaryKind.CONSTANT:
-            return BoundaryCondition.constant(section["value"])
-        return BoundaryCondition.sinusoid(
-            section.get("offset", 0.0), section.get("amplitude", 0.0), section.get("period", 60.0)
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name}: bad boundary condition {section!r}: {exc}") from exc
+        return BoundaryCondition(kind, **params)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _build_sim(doc, model, diagrams):
     section = _section(doc, "simulation", dict, keys=_SIM_KEYS)
     if section is None:
         return None
+    missing = [key for key in _SIM_REQUIRED if key not in section]
+    if missing:
+        raise ConfigError(f"simulation section is missing {', '.join(missing)}")
+    _section(section, "initial_densities", list)  # a list, though _number would read a scalar
     bsec = _section(section, "boundaries", dict, {}, ("upstream_demand", "downstream_supplies"))
     down = _section(bsec, "downstream_supplies", list, [None, None])
     if len(down) != 2:
         raise ConfigError("downstream_supplies needs exactly two entries")
     boundaries = BoundarySpec(
-        upstream_demand=_build_boundary(bsec.get("upstream_demand"), "upstream_demand"),
-        downstream_supplies=tuple(
-            _build_boundary(bc, f"downstream_supplies[{i}]") for i, bc in enumerate(down)
-        ),
+        _build_boundary(bsec.get("upstream_demand"), "upstream_demand"),
+        tuple(_build_boundary(bc, f"downstream_supplies[{i}]") for i, bc in enumerate(down)),
     )
     try:
-        return SimConfig(
-            model=model,
-            diagrams=diagrams,
-            cells_per_link=section["cells_per_link"],
-            time_steps=section["time_steps"],
-            link_length=float(section.get("link_length", 10.0)),
-            horizon=float(section.get("horizon", 360.0)),
-            initial_densities=tuple(_section(section, "initial_densities", list, (0.0, 0.0, 0.0))),
-            initial_proportions=section.get("initial_proportions"),
-            inflow_proportions=section.get("inflow_proportions"),
-            boundaries=boundaries,
-            snapshot_every=section.get("snapshot_every", 50),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"simulation section is missing {exc}") from exc
+        return SimConfig(model, diagrams, **dict(_numbers(section, "simulation"), boundaries=boundaries))
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _build_axis(value, name):
-    if isinstance(value, dict):
-        _known(value, name, ("start", "stop", "count"))
+    if not isinstance(value, dict):
+        v = _number(value, f"flux_map: {name}")
+        return (v, v, 1)
+    axis = _numbers(_known(value, name, ("start", "stop", "count")), f"{name} axis")
     try:
-        if isinstance(value, dict):
-            return (float(value["start"]), float(value["stop"]), value["count"])
-        v = float(value)
+        return (axis["start"], axis["stop"], axis["count"])
     except KeyError as exc:
         raise ConfigError(f"{name} axis needs start/stop/count, missing {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} axis: {exc}") from exc
-    return (v, v, 1)
 
 
 def build_spec(doc, kind, seed=0):
@@ -233,26 +231,16 @@ def build_spec(doc, kind, seed=0):
     if sim is None and kind in (ExperimentKind.FLUX_MAP, ExperimentKind.PROPERTY_SUITE):
         # flux maps and the property battery evaluate closed forms only on
         # the config's diagrams; the placeholder grid is never stepped
-        sim = SimConfig(
-            model=model, diagrams=diagrams, cells_per_link=1, time_steps=1,
-            link_length=1.0, horizon=1e-9,
-        )
+        sim = SimConfig(model, diagrams, cells_per_link=1, time_steps=1, link_length=1.0, horizon=1e-9)
 
-    vsec = _section(doc, "verify", dict, {}, ("tolerance",))
+    verify = _numbers(_section(doc, "verify", dict, {}, ("tolerance",)), "verify")
     csec = _section(doc, "convergence", dict, {}, ("resolutions",))
-    psec = _section(doc, "properties", dict, {}, ("samples", "wave_samples", "oracle_grid"))
+    convergence = {"resolutions": tuple(_section(csec, "resolutions", list))} if csec else {}
+    properties = _section(doc, "properties", dict, {}, ("samples", "wave_samples", "oracle_grid"))
     try:
         return ExperimentSpec(
-            kind=kind,
-            sim=sim,
-            sweep=SweepSpec(*sweep_axes) if sweep_axes else None,
-            resolutions=tuple(_section(csec, "resolutions", list, (40, 80, 160))),
-            tolerance=float(vsec.get("tolerance", 5e-3)),
-            samples=psec.get("samples", 10000),
-            wave_samples=psec.get("wave_samples", 2000),
-            oracle_grid=psec.get("oracle_grid", 7),
-            seed=seed,
-            config_hash=config_hash(doc),
+            kind, sim, SweepSpec(*sweep_axes) if sweep_axes else None, seed=seed, config_hash=config_hash(doc),
+            **verify, **convergence, **properties,
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc

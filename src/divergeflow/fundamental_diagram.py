@@ -78,13 +78,13 @@ def _demand_supply_from_flow(rho, q, critical_density, capacity):
     return np.where(rho <= critical_density, q, capacity), np.where(rho >= critical_density, q, capacity)
 
 
-def _golden_section_argmax(f, a, b, tol=1e-12):
-    """Argmax of a unimodal f on [a, b] by golden-section search."""
+def _golden_section_argmax(f, a, b):
+    """Argmax of a unimodal f on [a, b] by golden-section search to 1e-12."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > 1e-12:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -209,7 +209,7 @@ class FundamentalDiagram:
         """
         return self.free_flow_speed
 
-    def density_from_state(self, state, tol=DENSITY_TOL):
+    def density_from_state(self, state):
         """Invert a supply-demand state back to its unique density; a state
         of arrays (one point per entry) inverts to an array of densities, a
         state of floats to a float.
@@ -218,7 +218,7 @@ class FundamentalDiagram:
         with Q(rho) = demand on the rising branch; over-critical states map to
         Q(rho) = supply on the falling branch.  The triangular and Greenshields
         laws invert in closed form, the exponential laws by safeguarded Newton
-        to within tol.  Raises InvalidStateError when max(demand, supply)
+        to within DENSITY_TOL.  Raises InvalidStateError when max(demand, supply)
         differs from the capacity beyond FLUX_TOL.
         """
         d, s = np.broadcast_arrays(np.atleast_1d(state.demand), np.atleast_1d(state.supply))
@@ -241,13 +241,13 @@ class FundamentalDiagram:
         else:
             rho = np.full(target.shape, rho_c)
             run = ~critical
-            rho[run] = self._newton_flow(target[run], rising[run], tol)
+            rho[run] = self._newton_flow(target[run], rising[run])
         rho = np.where(critical, rho_c, rho)
         return rho if np.ndim(state.demand) or np.ndim(state.supply) else float(rho[0])
 
-    def _newton_flow(self, target, increasing, tol):
+    def _newton_flow(self, target, increasing):
         """Densities with Q(rho) = target on the rising (increasing) or
-        falling branch of an exponential law, each to within tol.
+        falling branch of an exponential law, each to within DENSITY_TOL.
 
         Both laws are concave with slope v_f at 0 and -v_f / 4 at jam, so the
         starts below sit on the far side of the root from the peak and Newton
@@ -275,7 +275,7 @@ class FundamentalDiagram:
                 b = np.where(below, b, rho)
                 step = rho - (flow - target) / slope
                 step = np.where((a <= step) & (step <= b), step, 0.5 * (a + b))
-                done = (abs(step - rho) <= tol) | (b - a <= tol)
+                done = (abs(step - rho) <= DENSITY_TOL) | (b - a <= DENSITY_TOL)
                 if done.any():
                     out[left[done]] = step[done]
                     going = ~done

@@ -21,6 +21,8 @@ import numpy as np
 
 from . import ctm, waves
 from .riemann import (
+    _FIFO_KINDS,
+    TIE_TOL,
     _evacuation_terms,
     DivergeModelKind,
     RiemannInput,
@@ -170,7 +172,13 @@ def shock_front_position(densities, dx):
     return (int(np.argmax(jumps)) + 1) * dx
 
 
-def _front_check(report, traj, link, wave, tol_cells=1.0):
+# A measured shock front may miss its predicted position by this many
+# cells, a fan's transition zone its predicted extent by _FAN_TOL_CELLS.
+_SHOCK_TOL_CELLS = 1.0
+_FAN_TOL_CELLS = 2.0
+
+
+def _front_check(report, traj, link, wave):
     """Verify a shock front position against the Rankine-Hugoniot prediction
     at the last recorded snapshot where the front is strictly inside the
     link."""
@@ -198,12 +206,12 @@ def _front_check(report, traj, link, wave, tol_cells=1.0):
     err = abs(measured - predicted)
     report.add(
         f"link{link}-shock-position",
-        err <= tol_cells * dx + 1e-12,
-        f"|{measured:.6g} - {predicted:.6g}| = {err:.3g} vs {tol_cells:g} cell(s) at t={t:.6g}",
+        err <= _SHOCK_TOL_CELLS * dx + 1e-12,
+        f"|{measured:.6g} - {predicted:.6g}| = {err:.3g} vs {_SHOCK_TOL_CELLS:g} cell(s) at t={t:.6g}",
     )
 
 
-def _rarefaction_check(report, traj, link, wave, tol_cells=2.0):
+def _rarefaction_check(report, traj, link, wave):
     """Verify that the density transition zone sits inside the predicted fan
     (edge speeds times time) at the final snapshot, when the fan is inside
     the link."""
@@ -230,11 +238,11 @@ def _rarefaction_check(report, traj, link, wave, tol_cells=2.0):
         return
     zone_lo = inside[0] * dx
     zone_hi = (inside[-1] + 1) * dx
-    ok = zone_lo >= lo - tol_cells * dx and zone_hi <= hi + tol_cells * dx
+    ok = zone_lo >= lo - _FAN_TOL_CELLS * dx and zone_hi <= hi + _FAN_TOL_CELLS * dx
     report.add(
         f"link{link}-rarefaction-extent",
         ok,
-        f"zone [{zone_lo:.6g}, {zone_hi:.6g}] vs fan [{lo:.6g}, {hi:.6g}] +/- {tol_cells:g} cells",
+        f"zone [{zone_lo:.6g}, {zone_hi:.6g}] vs fan [{lo:.6g}, {hi:.6g}] +/- {_FAN_TOL_CELLS:g} cells",
     )
 
 
@@ -279,7 +287,7 @@ def riemann_verify(spec):
             f"|{rho:.6f} - {rho_want:.6f}| <= {tol:g}",
         )
 
-    if sim.model.kind in (DivergeModelKind.DAGANZO_FIFO, DivergeModelKind.LEBACQUE):
+    if sim.model.kind in _FIFO_KINDS:
         proportions = traj.proportions[-1, 0]
         got = float(proportions[-1])
         want = solution.interior_proportions[0]
@@ -362,23 +370,23 @@ def _code(*binds):
     return sum(bind * (1 << k) for k, bind in enumerate(binds))
 
 
-def _routed_codes(model, d0, s1, s2, tol=1e-12):
+def _routed_codes(model, d0, s1, s2):
     """Region codes of a routed rule derived twice: by which of the terms
     (D0, S1/x1, S2/x2) attain their minimum, and from each region's
     inequalities against the other two terms."""
     x1, x2 = model.xi
     t0, t1, t2 = terms = (d0, s1 / x1, s2 / x2)
     q0 = np.minimum(np.minimum(t0, t1), t2)
-    by_term = _code(*(t <= q0 + tol for t in terms))
+    by_term = _code(*(t <= q0 + TIE_TOL for t in terms))
     by_inequality = _code(
-        t0 <= np.minimum(t1, t2) + tol,
-        t1 <= np.minimum(t0, t2) + tol,
-        t2 <= np.minimum(t0, t1) + tol,
+        t0 <= np.minimum(t1, t2) + TIE_TOL,
+        t1 <= np.minimum(t0, t2) + TIE_TOL,
+        t2 <= np.minimum(t0, t1) + TIE_TOL,
     )
     return by_term, by_inequality
 
 
-def _evacuation_codes(model, d0, s1, s2, capacities, tol=1e-12):
+def _evacuation_codes(model, d0, s1, s2, capacities):
     """Per-link region codes of an evacuation rule: which _evacuation_terms of
     its riemann_rule counterpart bind the link's flux, F = the routed-remainder
     cap, P = the share D0 ai, R = the residual D0 - Sj, S = the link supply."""
@@ -386,10 +394,13 @@ def _evacuation_codes(model, d0, s1, s2, capacities, tol=1e-12):
     for si, cap, residual, share in _evacuation_terms(riemann_rule(model, capacities), d0, s1, s2):
         # R or P always attains the composite, so the flux is min(S, composite, F)
         composite = np.maximum(residual, share)
-        bound = np.minimum(np.minimum(si, composite), cap) + tol
+        bound = np.minimum(np.minimum(si, composite), cap) + TIE_TOL
         tied = composite <= bound
         codes.append(_code(
-            cap <= bound, tied & (share >= composite - tol), tied & (residual >= composite - tol), si <= bound
+            cap <= bound,
+            tied & (share >= composite - TIE_TOL),
+            tied & (residual >= composite - TIE_TOL),
+            si <= bound,
         ))
     return codes
 
@@ -412,7 +423,7 @@ def flux_map(spec):
     d0, s1, s2 = (grid.ravel() for grid in np.meshgrid(*axes, indexing="ij"))
     q0, q1, q2 = solve_fluxes_batch(model, d0, s1, s2, caps)
     report.add("grid-evaluated", True, f"{d0.size} points")
-    if model.kind in (DivergeModelKind.DAGANZO_FIFO, DivergeModelKind.LEBACQUE):
+    if model.kind in _FIFO_KINDS:
         code, by_inequality = _routed_codes(model, d0, s1, s2)
         region = _ROUTED_LABELS[code]
         mismatches = np.count_nonzero(code != by_inequality)
@@ -469,8 +480,10 @@ def _pair(values, k):
     return tuple(float(v[k]) if np.ndim(v) else float(v) for v in values)
 
 
-def _record_first(failures, name, ok, detail):
-    """Keep the first counterexample of check `name` in `failures`.
+def _record_first(counterexamples, name, ok, detail):
+    """Keep the first counterexample of check `name` in `counterexamples`,
+    which registers the check on its first call, with None until one fails;
+    the report lists the checks in that order.
 
     ok holds one (n,) pass mask over the samples per case checked at each
     sample, in case order; the first failure in sample order, then case
@@ -478,11 +491,11 @@ def _record_first(failures, name, ok, detail):
     renders it.
     """
     failed = ~np.stack(ok, axis=1)
-    if name not in failures and failed.any():
-        failures[name] = detail(*divmod(int(np.argmax(failed)), failed.shape[1]))
+    if counterexamples.setdefault(name, None) is None and failed.any():
+        counterexamples[name] = detail(*divmod(int(np.argmax(failed)), failed.shape[1]))
 
 
-def _flux_battery(failures, rng, n, diagrams):
+def _flux_battery(counterexamples, rng, n, diagrams):
     """n random (D0, S1, S2) points, each with five random models: flux
     bounds, model equivalences, local optimality, invariance at interior
     states and admissibility."""
@@ -502,7 +515,7 @@ def _flux_battery(failures, rng, n, diagrams):
     optimal = np.minimum(d0, s1 + s2)
 
     def record(name, ok, detail):
-        _record_first(failures, name, ok, detail)
+        _record_first(counterexamples, name, ok, detail)
 
     def at(i):
         return f"at {(d0[i].item(), s1[i].item(), s2[i].item())}"
@@ -598,7 +611,7 @@ def _flux_battery(failures, rng, n, diagrams):
     record("admissibility", admissible, lambda i, m: f"{models[m].kind.value} {at(i)}")
 
 
-def _wave_battery(failures, rng, n, diagrams):
+def _wave_battery(counterexamples, rng, n, diagrams):
     """n random initial densities, each with five random models: no wave
     travels toward the junction."""
     caps = tuple(fd.capacity for fd in diagrams)
@@ -616,10 +629,10 @@ def _wave_battery(failures, rng, n, diagrams):
         row = tuple(w.row(i) for w in triplets[m])
         return f"{models[m].kind.value}: {waves.sign_error(row, int(wrong[m][i]))}"
 
-    _record_first(failures, "wave-speed-signs", [link < 0 for link in wrong], detail)
+    _record_first(counterexamples, "wave-speed-signs", [link < 0 for link in wrong], detail)
 
 
-def _oracle_battery(failures, grid, diagrams):
+def _oracle_battery(counterexamples, grid, diagrams):
     """The brute-force oracle against the closed-form fluxes on a grid^3
     (D0, S1, S2) cube, for each model fixture: one oracle call and one
     closed-form call per fixture, over the points in loop order (D0
@@ -646,7 +659,7 @@ def _oracle_battery(failures, grid, diagrams):
                 return f"{kind} at {at}: {len(results[i].survivors)} survivors"
             return f"{kind} at {at}: gap={gap[i]:.3g}"
 
-        _record_first(failures, "oracle-agreement", [unique & (gap <= 1e-6)], detail)
+        _record_first(counterexamples, "oracle-agreement", [unique & (gap <= 1e-6)], detail)
 
 
 def property_suite(spec):
@@ -661,36 +674,21 @@ def property_suite(spec):
     report = Report("props", spec.config_hash, spec.seed)
     n = spec.samples
 
-    failures = {}
+    counterexamples = {}
     for start in range(0, n, _BLOCK):
-        _flux_battery(failures, rng, min(_BLOCK, n - start), diagrams)
+        _flux_battery(counterexamples, rng, min(_BLOCK, n - start), diagrams)
     for start in range(0, spec.wave_samples, _BLOCK):
-        _wave_battery(failures, rng, min(_BLOCK, spec.wave_samples - start), diagrams)
+        _wave_battery(counterexamples, rng, min(_BLOCK, spec.wave_samples - start), diagrams)
 
-    _oracle_battery(failures, spec.oracle_grid, diagrams)
+    _oracle_battery(counterexamples, spec.oracle_grid, diagrams)
 
-    names = [
-        "conservation-exact",
-        "flux-bounds",
-        "fifo-split",
-        "daganzo-lebacque-equal",
-        "supply-proportional-is-capacity-priority",
-        "partial-reduces-to-daganzo",
-        "partial-reduces-to-priority",
-        "partial-route-guarantee",
-        "evacuation-optimality",
-        "invariance-at-interior-states",
-        "admissibility",
-        "wave-speed-signs",
-        "oracle-agreement",
-    ]
     extents = {
         "wave-speed-signs": f"{spec.wave_samples} samples",
         "oracle-agreement": f"{spec.oracle_grid}^3 grid",
     }
-    for name in names:
-        if name in failures:
-            report.add(name, False, f"counterexample: {failures[name]}")
-        else:
+    for name, counterexample in counterexamples.items():
+        if counterexample is None:
             report.add(name, True, extents.get(name, f"{n} samples"))
+        else:
+            report.add(name, False, f"counterexample: {counterexample}")
     return report, {}

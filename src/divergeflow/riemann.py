@@ -408,7 +408,7 @@ def _own_other(state, side):
     return state.supply, state.demand
 
 
-def check_stationary_admissible(candidate, initial, side, capacity, tol=TIE_TOL):
+def check_stationary_admissible(candidate, initial, side, capacity):
     """Admissibility of a stationary state against the link's initial state.
 
     Upstream stationary states are (D0, C0) or (C0, S) with S < D0; downstream
@@ -417,11 +417,11 @@ def check_stationary_admissible(candidate, initial, side, capacity, tol=TIE_TOL)
     """
     own, other = _own_other(candidate, side)
     bound = _own_other(initial, side)[0]
-    kept = (abs(own - bound) <= tol) & (abs(other - capacity) <= tol)
-    return kept | ((abs(own - capacity) <= tol) & (other < bound - tol))
+    kept = (abs(own - bound) <= TIE_TOL) & (abs(other - capacity) <= TIE_TOL)
+    return kept | ((abs(own - capacity) <= TIE_TOL) & (other < bound - TIE_TOL))
 
 
-def check_interior_admissible(interior, stationary, side, capacity, tol=TIE_TOL):
+def check_interior_admissible(interior, stationary, side, capacity):
     """Admissibility of an interior state given the (admissible) stationary.
 
     Interior states live on the link's supply-demand diagram, so
@@ -432,9 +432,9 @@ def check_interior_admissible(interior, stationary, side, capacity, tol=TIE_TOL)
     """
     own, other = _own_other(interior, side)
     stat_own, stat_other = _own_other(stationary, side)
-    on_diagram = abs(np.maximum(own, other) - capacity) <= tol
-    forced = (stat_other < stat_own - tol) & (abs(stat_own - capacity) <= tol)
-    return on_diagram & np.where(forced, interior.is_close(stationary, tol), other >= stat_own - tol)
+    on_diagram = abs(np.maximum(own, other) - capacity) <= TIE_TOL
+    forced = (stat_other < stat_own - TIE_TOL) & (abs(stat_own - capacity) <= TIE_TOL)
+    return on_diagram & np.where(forced, interior.is_close(stationary, TIE_TOL), other >= stat_own - TIE_TOL)
 
 
 def _stationary_states(d0, s1, s2, capacities, fluxes, tight):

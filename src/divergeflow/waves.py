@@ -86,7 +86,7 @@ class WaveDescription:
         )
 
 
-def classify_wave(fd, rho_left, rho_right, tol=DENSITY_EQ_TOL):
+def classify_wave(fd, rho_left, rho_right):
     """Classify the wave between constant left and right densities, given
     as floats or as equal-length arrays (a batch of waves).
 
@@ -98,7 +98,7 @@ def classify_wave(fd, rho_left, rho_right, tol=DENSITY_EQ_TOL):
     """
     left = fd._checked(np.atleast_1d(rho_left))
     right = fd._checked(np.atleast_1d(rho_right))
-    code = np.where(abs(left - right) < tol, 0, np.where(left < right, 1, 2))
+    code = np.where(abs(left - right) < DENSITY_EQ_TOL, 0, np.where(left < right, 1, 2))
     speeds = np.zeros((2, code.size))
     shock = code == 1
     if shock.any():

@@ -1,13 +1,18 @@
+import ast
 import csv
 import hashlib
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
 
-from divergeflow import del_castillo_mainline, del_castillo_ramp
+from divergeflow import config, del_castillo_mainline, del_castillo_ramp, greenshields, triangular
 from divergeflow.cli import main
 from divergeflow.config import ConfigError, build_spec, config_hash, load_config
-from divergeflow.harness import ExperimentKind
+from divergeflow.ctm import BoundaryCondition, BoundarySpec, SimConfig
+from divergeflow.fundamental_diagram import DiagramKind, FundamentalDiagram
+from divergeflow.harness import ExperimentKind, ExperimentSpec
+from divergeflow.riemann import DivergeModel
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -79,6 +84,89 @@ class TestConfig:
         assert f"divergeflow {kind.value} --config configs/{name} " in header
         spec = build_spec(load_config(path), kind)
         assert spec.kind is kind
+
+    def test_number_string_reads_as_a_number(self, tmp_path):
+        # PyYAML reads 5e-3 (no dot) as a string
+        path = tmp_path / "cfg.yaml"
+        path.write_text(SMALL_VERIFY.replace("tolerance: 5.0e-3", "tolerance: 5e-3"), encoding="utf-8")
+        doc = load_config(path)
+        assert doc["verify"]["tolerance"] == "5e-3"
+        assert build_spec(doc, ExperimentKind.RIEMANN_VERIFY).tolerance == 0.005
+
+    @pytest.mark.parametrize(
+        "trio, factories",
+        [
+            (("del_castillo_mainline", "del_castillo_mainline", "del_castillo_ramp"),
+             (del_castillo_mainline, del_castillo_mainline, del_castillo_ramp)),
+            (("triangular", "triangular", "greenshields"), (triangular, triangular, greenshields)),
+        ],
+        ids=["del-castillo", "triangular"],
+    )
+    def test_omitted_keys_take_the_defaults_the_types_declare(self, tmp_path, trio, factories):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(
+            "model: {kind: supply_proportional}\n"
+            f"diagrams: [{', '.join(f'{{kind: {kind}}}' for kind in trio)}]\n"
+            "simulation:\n  cells_per_link: 20\n  time_steps: 800\n"
+            "  boundaries: {upstream_demand: {kind: time_varying}}\n",
+            encoding="utf-8",
+        )
+        spec = build_spec(load_config(path), ExperimentKind.CONVERGENCE)
+
+        def declared(cls, skip=()):
+            return {
+                f.name: f.default if f.default_factory is MISSING else f.default_factory()
+                for f in fields(cls)
+                if f.init and f.name not in skip and (f.default is not MISSING or f.default_factory is not MISSING)
+            }
+
+        def held(obj, names):
+            return {name: getattr(obj, name) for name in names}
+
+        want = declared(ExperimentSpec, skip=("sweep", "seed", "config_hash"))
+        assert held(spec, want) == want
+        want = declared(SimConfig, skip=("boundaries",))
+        assert held(spec.sim, want) == want
+        assert spec.sim.boundaries.downstream_supplies == BoundarySpec().downstream_supplies
+        want = declared(BoundaryCondition)
+        assert held(spec.sim.boundaries.upstream_demand, want) == want
+        want = declared(DivergeModel)
+        assert held(spec.sim.model, want) == want
+        assert spec.sim.diagrams == tuple(factory() for factory in factories)
+
+    def test_diagram_parameters_rebuild_the_factory_diagram(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(
+            SMALL_VERIFY.replace("  - {kind: del_castillo_ramp}", "  - {kind: del_castillo_ramp, jam_density: 1.5}"),
+            encoding="utf-8",
+        )
+        ramp = build_spec(load_config(path), ExperimentKind.RIEMANN_VERIFY).sim.diagrams[2]
+        assert ramp == FundamentalDiagram(DiagramKind.DEL_CASTILLO_RAMP, 0.5, 1.5)
+        assert ramp.capacity > del_castillo_ramp().capacity
+
+    def test_numbers_are_read_in_one_place_and_no_default_is_restated(self):
+        """config.py calls float only in its number reader, and states no
+        number as a default of .get or _section: defaults live on the types
+        it builds."""
+        tree = ast.parse(Path(config.__file__).read_text(encoding="utf-8"))
+
+        def float_calls(node):
+            return [n for n in ast.walk(node) if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "float"]
+
+        (reader,) = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_number"]
+        assert float_calls(reader) and float_calls(tree) == float_calls(reader)
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            name = call.func.attr if isinstance(call.func, ast.Attribute) else getattr(call.func, "id", None)
+            defaults = call.args[1:2] if name == "get" else call.args[3:4] if name == "_section" else []
+            defaults += [kw.value for kw in call.keywords if kw.arg == "default"]
+            for default in defaults:
+                numbers = [
+                    n.value for n in ast.walk(default)
+                    if isinstance(n, ast.Constant) and type(n.value) in (int, float)
+                ]
+                assert not numbers, f"line {call.lineno}: {name} default {ast.unparse(default)}"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -284,6 +372,60 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {name}: bad boundary condition")
         assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, base, old, new, message",
+        [
+            (
+                "riemann-verify", None, "tolerance: 5.0e-3", "tolerance: true",
+                "verify: tolerance must be a number, got True",
+            ),
+            (
+                "riemann-verify", None, "horizon: 360.0", "horizon: true",
+                "simulation: horizon must be a number, got True",
+            ),
+            (
+                "riemann-verify", None, "initial_densities: [1.0, 1.0, 0.1]", "initial_densities: [true, 1.0, 0.1]",
+                "simulation: initial_densities must be numbers, got True",
+            ),
+            (
+                # xi = (1, 0) with alpha = (1, 0) would be a valid rule
+                "flux-map", "flux_map.yaml", "kind: daganzo_fifo\n  xi: [0.7, 0.3]",
+                "kind: partial_evacuation\n  xi: [true, 0.0]\n  alpha: [1.0, 0.0]",
+                "model: xi must be numbers, got True",
+            ),
+            (
+                "flux-map", "flux_map.yaml", "demand_upstream: 0.25", "demand_upstream: true",
+                "flux_map: demand_upstream must be a number, got True",
+            ),
+            (
+                "flux-map", "flux_map.yaml", "supply_1: {start: 0.0,", "supply_1: {start: false,",
+                "supply_1 axis: start must be a number, got False",
+            ),
+            (
+                "converge", "convergence.yaml", "offset: 0.05,", "offset: true,",
+                "downstream_supplies[1]: bad boundary condition {'kind': 'time_varying', 'offset': True, "
+                "'amplitude': 0.03, 'period': 60.0}: offset must be a number, got True",
+            ),
+            (
+                "riemann-verify", None, "  - {kind: del_castillo_ramp}",
+                "  - {kind: del_castillo_ramp, jam_density: true}",
+                "del_castillo_ramp diagram: jam_density must be a number, got True",
+            ),
+        ],
+        ids=["tolerance", "horizon", "initial-density", "model-xi", "flux-map-value", "flux-map-axis-start",
+             "sinusoid-offset", "diagram-jam-density"],
+    )
+    def test_boolean_in_a_number_field_exits_two(self, tmp_path, capsys, command, base, old, new, message):
+        # Python would read true as 1.0 and run on it
+        text = SMALL_VERIFY if base is None else (CONFIGS / base).read_text(encoding="utf-8")
+        assert text.count(old) == 1
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(text.replace(old, new), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
     def test_converge_rejects_data_it_cannot_rescale_before_a_step(self, tmp_path, capsys, monkeypatch):

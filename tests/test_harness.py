@@ -317,6 +317,26 @@ class TestPropertySuite:
         assert details["conservation-exact"] == "10 samples"
         assert details["oracle-agreement"] == "2^3 grid"
 
+    def test_a_check_recorded_under_a_new_name_is_reported(self, trio, monkeypatch):
+        # the report lists every check the batteries record, in the order
+        # they first record it, so a new or misspelt name cannot drop out
+        wave_battery = harness._wave_battery
+
+        def with_extra_checks(counterexamples, rng, n, diagrams):
+            wave_battery(counterexamples, rng, n, diagrams)
+            harness._record_first(counterexamples, "extra-passing", [np.ones(n, dtype=bool)], None)
+            harness._record_first(
+                counterexamples, "extra-failing", [np.arange(n) != 1], lambda i, case: f"sample {i} case {case}"
+            )
+
+        monkeypatch.setattr(harness, "_wave_battery", with_extra_checks)
+        report, _ = property_suite(props_spec(trio, samples=10, wave_samples=3, oracle_grid=2))
+        checks = {c.name: (c.passed, c.detail) for c in report.checks}
+        assert list(checks)[-4:] == ["wave-speed-signs", "extra-passing", "extra-failing", "oracle-agreement"]
+        assert checks["extra-passing"] == (True, "10 samples")
+        assert checks["extra-failing"] == (False, "counterexample: sample 1 case 0")
+        assert not report.passed
+
     def test_batteries_use_the_diagrams_the_config_names(self, monkeypatch):
         """Every closed-form call of the three batteries sees the capacities
         of the config's diagrams, not those of a built-in trio."""

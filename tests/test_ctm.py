@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from divergeflow import (
     run_batch,
     solution_difference,
     supply_proportional,
+    triangular,
 )
 
 FOUR_DP = 5e-5
@@ -571,6 +573,144 @@ class TestRunBatch:
     def test_an_empty_batch_is_rejected(self):
         with pytest.raises(ValueError, match="at least one config"):
             run_batch([])
+
+
+def digest_cases(trio):
+    """(name, batch) pairs that reach every branch of the step: the five
+    rule cases alone, a sinusoid upstream demand, triangular and
+    Greenshields links, the ramp between the mainlines, cells that drain
+    below EMPTY_CELL_TOL, two tracked commodities, and a batch of three
+    kinds."""
+    mainline, ramp = trio[0], trio[2]
+    for name, cfg in five_rule_cases(trio):
+        yield name, [cfg]
+    wave = BoundarySpec(upstream_demand=BoundaryCondition.sinusoid(0.2, 0.15, 45.0))
+    yield "sinusoid_demand", [diverge_config(trio, lebacque((0.7, 0.3)), cells=20, boundaries=wave)]
+    mixed = (triangular(1.0, 2.0), greenshields(1.0, 1.0), triangular(0.5, 1.0))
+    yield "triangular_greenshields", [
+        diverge_config(
+            mixed, supply_proportional(), cells=20,
+            initial_densities=(np.linspace(0.1, 1.9, 20), 0.6, np.linspace(0.9, 0.05, 20)),
+        )
+    ]
+    yield "apart", [
+        diverge_config(
+            (mainline, ramp, mainline), priority_based((0.6, 0.4)), cells=20,
+            initial_densities=(1.2, np.linspace(0.9, 0.1, 20), 0.3), boundaries=wave,
+        )
+    ]
+    # no inflow, so the upstream link drains cell by cell through 1e-12
+    drained = triangular(1.0, 1.0)
+    yield "emptying", [
+        diverge_config(
+            (drained,) * 3, lebacque((0.7, 0.3)), cells=10, time_steps=40, horizon=36.0, snapshot_every=1,
+            initial_densities=(np.linspace(0.3, 0.05, 10), 0.0, 0.0),
+            initial_proportions=np.linspace(0.2, 0.9, 10),
+            boundaries=BoundarySpec(upstream_demand=BoundaryCondition.constant(0.0)),
+        )
+    ]
+    evacuation = partial_evacuation((0.3, 0.2), (0.55, 0.45))
+    yield "partial_evacuation_pair", [
+        diverge_config(
+            trio, evacuation, cells=20, boundaries=wave,
+            initial_proportions=props, inflow_proportions=mix,
+        )
+        for props, mix in (((0.3, 0.2), (0.25, 0.3)), ((np.linspace(0.1, 0.5, 20), 0.25), (0.4, 0.1)))
+    ]
+    yield "mixed_batch", [
+        diverge_config(trio, model, cells=20, boundaries=wave, initial_densities=densities, inflow_proportions=0.5)
+        for model, densities in (
+            (lebacque((0.7, 0.3)), (1.0, 1.0, 0.1)),
+            (daganzo_fifo((0.6, 0.4)), (np.linspace(0.2, 1.8, 20), 0.4, 0.7)),
+            (supply_proportional(), (0.5, np.linspace(1.5, 0.1, 20), 0.2)),
+        )
+    ]
+
+
+def trajectory_digest(traj):
+    """SHA-256 of a trajectory's snapshots, junction columns and totals."""
+    h = hashlib.sha256()
+    for arr in (traj.densities, traj.proportions, *vars(traj.junction).values()):
+        h.update(repr((arr.shape, arr.dtype.str)).encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    for name in ("inflow_total", "outflow_total", "initial_vehicles", "final_vehicles"):
+        h.update(getattr(traj, name).hex().encode())
+    return h.hexdigest()
+
+
+# Recorded from the step as it stood before it was planned once per batch;
+# any change to the arithmetic of a step changes them.
+STEP_DIGESTS = {
+    "daganzo_fifo,neumann": [
+        "aebccecae17b58a84dedba20d2ccb23260a73dac4ea37c4adcf60476fb039ef0",
+    ],
+    "daganzo_fifo,forced": [
+        "f35469a1627928e38d9fb65670a3708362ea289cc331ed68705faad67a51cc91",
+    ],
+    "lebacque,neumann": [
+        "251f7d0ceed03de87a88a410529b543e9444abdb6854dcad5f8c30e31eb8ea4d",
+    ],
+    "lebacque,forced": [
+        "67cc01a0422aa70adf8c675751dec2af71309d143fbf6aa19199b5386c39d56b",
+    ],
+    "supply_proportional,neumann": [
+        "94087a2351ef07c274d1ce5515d4ef30515f669dca05276e3b5c850dc240567d",
+    ],
+    "supply_proportional,forced": [
+        "44a153d73dba4d5e29dbfb2c8d0a51835411c77f9ca70998a2d730bc6d9da302",
+    ],
+    "priority_based,neumann": [
+        "94087a2351ef07c274d1ce5515d4ef30515f669dca05276e3b5c850dc240567d",
+    ],
+    "priority_based,forced": [
+        "21efda19ba47a37225b5e59d9b8be70022a3c5d1285ac5cb6dea66327e68c647",
+    ],
+    "partial_evacuation,neumann": [
+        "b1fba3dd2f89d5e6b266c63e2c32b28a1c80c0349978fbe95561c238a08754b8",
+    ],
+    "partial_evacuation,forced": [
+        "d4708f629d4b121a1a5bafd57dc3afd3196b8fd22c498614fede751fd5b6de9b",
+    ],
+    "sinusoid_demand": [
+        "b3b8b512d6c5e79b931cb095a542666f33ef805344b8ee7b20d4d111c147ed65",
+    ],
+    "triangular_greenshields": [
+        "68a59773b0c5496b03c0943715ba3c6ff0da4ea59b9a409420dd6b29ca1f11eb",
+    ],
+    "apart": [
+        "16f26328cdf2824f5bfec98ea4df2d42dd74d9bb732a246f621f9e5a5327cf64",
+    ],
+    "emptying": [
+        "883680fd84a900b0b4778ecf8ab8a9450e953035140cd7d0d3e310a6d24ec571",
+    ],
+    "partial_evacuation_pair": [
+        "c00795c953556ed21c173d0e44163f70c916ad57cad727226e5fa170e1e63825",
+        "efe68b903339c88888c8f82569241edc7d5a3e2b7f74b2ff8f48d151f4cc2a5f",
+    ],
+    "mixed_batch": [
+        "ce3a6d951ce84bcb0b6f2333543e74f0a33668d58823fec9bfb3de559692ed4b",
+        "4b09f0b08e886f65e3029c9f668d807c502dffa9439a7f17fcc48e5ee9cfc9cb",
+        "bcf95a3657ebeee6c1ddad6d1b4ba0b61cb7af5480100d8e30d51d34001d0839",
+    ],
+}
+
+
+class TestStepDigests:
+    @pytest.mark.parametrize("case", list(STEP_DIGESTS))
+    def test_trajectories_match_recorded_digests(self, trio, case):
+        batch = dict(digest_cases(trio))[case]
+        got = [trajectory_digest(t) for t in run_batch(batch)]
+        assert got == STEP_DIGESTS[case]
+
+    def test_cases_are_all_recorded(self, trio):
+        assert [name for name, _ in digest_cases(trio)] == list(STEP_DIGESTS)
+
+    def test_emptying_case_reaches_the_empty_cell_tolerance(self, trio):
+        # the case must drive a cell into (0, EMPTY_CELL_TOL), where the
+        # proportion update keeps the previous mix
+        (traj,) = run_batch(dict(digest_cases(trio))["emptying"])
+        upstream = traj.densities[:, 0]
+        assert np.any((upstream > 0.0) & (upstream < ctm.EMPTY_CELL_TOL))
 
 
 class TestSolutionDifference:

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fundamental_diagram import FundamentalDiagram, _demand_supply_from_flow
+from .fundamental_diagram import _FLOW_LAWS, FundamentalDiagram
 from .riemann import _FIFO_KINDS, DivergeModel, DivergeModelKind, junction_fluxes
 
 __all__ = [
@@ -270,9 +270,16 @@ class SimConfig:
         raise ValueError(f"inflow_proportions must be {need} of commodity proportions, got {raw!r}")
 
 
-def _proportion_update(rho_old, rho_new, xi_old, xi_upstream, q_in, q_out, dt_over_dx, commodity_outflux):
+def _proportion_work(xi_shape, rho_shape):
+    """The scratch arrays of _proportion_update for proportions of xi_shape
+    and densities of rho_shape."""
+    return np.empty(xi_shape), np.empty(xi_shape, bool), np.empty(xi_shape, bool), np.empty(rho_shape, bool), np.empty(rho_shape)
+
+
+def _proportion_update(rho_old, rho_new, xi_old, xi_upstream, q_in, q_out, dt_over_dx, commodity_outflux, out, work):
     """One conservative update of the commodity proportions of the cells,
-    as arrays.
+    written into out, which must not overlap xi_old; work is the scratch of
+    _proportion_work.
 
     commodity_outflux is xi_old * q_out where the commodity advects with the
     total flow, and the diverge rule's own commodity flux at the junction
@@ -281,11 +288,22 @@ def _proportion_update(rho_old, rho_new, xi_old, xi_upstream, q_in, q_out, dt_ov
     keeps uniform proportions bitwise constant).  The result is clipped to
     [0, 1].
     """
-    unchanged = (xi_upstream == xi_old) & (commodity_outflux == xi_old * q_out)
-    empty = rho_new < EMPTY_CELL_TOL
-    safe_rho = np.where(empty, 1.0, rho_new)
-    mixed = (rho_old * xi_old + dt_over_dx * (q_in * xi_upstream - commodity_outflux)) / safe_rho
-    return np.where(unchanged | empty, xi_old, np.minimum(np.maximum(mixed, 0.0), 1.0))
+    flux, keep, same, empty, safe_rho = work
+    np.equal(xi_upstream, xi_old, out=keep)
+    np.equal(commodity_outflux, np.multiply(xi_old, q_out, out=flux), out=same)
+    np.logical_and(keep, same, out=keep)
+    np.logical_or(keep, np.less(rho_new, EMPTY_CELL_TOL, out=empty), out=keep)
+    # an empty cell keeps xi_old, so its divisor only has to be positive
+    np.maximum(rho_new, EMPTY_CELL_TOL, out=safe_rho)
+    np.multiply(q_in, xi_upstream, out=flux)
+    np.subtract(flux, commodity_outflux, out=flux)
+    np.multiply(dt_over_dx, flux, out=flux)
+    np.multiply(rho_old, xi_old, out=out)
+    np.add(out, flux, out=out)
+    np.divide(out, safe_rho, out=out)
+    np.minimum(np.maximum(out, 0.0, out=out), 1.0, out=out)
+    np.putmask(out, keep, xi_old)
+    return out
 
 
 # Fields every member of a batch shares; run_batch checks them first.
@@ -294,23 +312,29 @@ _SHARED_FIELDS = (
 )
 
 
-def _diagram_groups(diagrams):
-    """(diagram, links) for each distinct diagram, links a slice where they
-    are adjacent, so that links sharing a diagram share one evaluation."""
+def _law_passes(diagrams):
+    """(law, links) for each flux-law family among the diagrams, links the
+    slice from its first link to its last, widest first.  A family whose
+    links lie apart also evaluates the link between them, on that link's own
+    parameters; the narrower pass after it overwrites that link."""
     links = {}
     for i, fd in enumerate(diagrams):
-        links.setdefault(fd, []).append(i)
-    return [
-        (fd, slice(ix[0], ix[-1] + 1) if ix[-1] - ix[0] == len(ix) - 1 else ix)
-        for fd, ix in links.items()
-    ]
+        links.setdefault(_FLOW_LAWS[fd.kind], []).append(i)
+    return sorted(((law, slice(ix[0], ix[-1] + 1)) for law, ix in links.items()), key=lambda p: p[1].start - p[1].stop)
 
 
 class _Ensemble:
-    """The step kernel of a batch of B configs and the constants it reads.
+    """The step kernel of a batch of B configs: its state, its work arrays
+    and the views the step reads, all built once, so that a step allocates
+    no array of cells.
 
     The state is a (B, 3, M) density array and a (B, C, M) proportion
-    array, C the tracked-commodity count.  Members share the grid, the
+    array, C the tracked-commodity count, each held in two buffers that the
+    steps alternate between, so that no step writes over its input.  rho
+    and x are the current state; writing into them sets it.  The proportion
+    buffers carry the inflow mix as a leading column, so that each cell's
+    upstream mix is a view.  The diagram constants are held per cell, as
+    numpy is fastest on operands of one shape.  Members share the grid, the
     diagrams, the boundaries and C; they may differ in model, initial data
     and inflow mix.
     """
@@ -323,76 +347,136 @@ class _Ensemble:
             for member, cfg in enumerate(configs[1:], start=1):
                 if getattr(cfg, name) != getattr(first, name):
                     raise ValueError(f"batch members must share {name}; member {member} differs from member 0")
-        self.models = [cfg.model for cfg in configs]
-        self.face_shape = (len(configs), 3, first.cells_per_link + 1)
-        self.groups = _diagram_groups(first.diagrams)
-        self.critical = np.array([[fd.critical_density] for fd in first.diagrams])
-        self.capacity = np.array([[fd.capacity] for fd in first.diagrams])
-        self.jam = first.jam_column
-        self.jam_guard = first.jam_column + DENSITY_GUARD
-        self.boundaries = first.boundaries
-        self.dt = first.dt
-        self.ratio = first.dt / first.dx
-        self.inflow_mix = np.stack([cfg.inflow_mix for cfg in configs])
-        self.evacuating = first.tracked_commodities == 2
-        self.fifo = np.array([[m.kind in _FIFO_KINDS] for m in self.models])
+        diagrams, m = first.diagrams, first.cells_per_link
+        rho, x = map(np.stack, zip(*(cfg._initial_arrays() for cfg in configs)))
 
-    def advance(self, rho, x, k, record):
-        """The state after step k from (rho, x); each member's row of record
-        (B, 9) gets (q0, q1, q2, D0, S1, S2, x1, inflow, outflow)."""
-        time = k * self.dt
-        flow = np.empty_like(rho)
-        for fd, links in self.groups:
-            flow[:, links] = fd._flow(rho[:, links])
-        demand, supply = _demand_supply_from_flow(rho, flow, self.critical, self.capacity)
+        def per_cell(name):
+            return np.broadcast_to(np.array([[getattr(fd, name)] for fd in diagrams]), rho.shape).copy()
+
+        self.models = [cfg.model for cfg in configs]
+        self.evacuating = first.tracked_commodities == 2
+        self.fifo = np.array([[model.kind in _FIFO_KINDS] for model in self.models])
+        self.ratio = first.dt / first.dx
+        self.critical, self.capacity, self.jam = map(per_cell, ("critical_density", "capacity", "jam_density"))
+        self.jam_guard = [fd.jam_density + DENSITY_GUARD for fd in diagrams]
+        # every non-Neumann ghost value of the run, evaluated as a step would
+        bcs = (first.boundaries.upstream_demand, *first.boundaries.downstream_supplies)
+        self.ghosts = [
+            None if bc.kind is BoundaryKind.NEUMANN
+            else np.array([bc.evaluate(k * first.dt, fd.capacity, None) for k in range(first.time_steps)])
+            for bc, fd in zip(bcs, diagrams)
+        ]
+
+        self._rho = [rho, np.empty_like(rho)]
+        self._x = [np.empty(x.shape[:2] + (m + 1,)) for _ in range(2)]
+        for buf in self._x:
+            buf[:, :, 0] = np.stack([cfg.inflow_mix for cfg in configs])
+        self._x[0][:, :, 1:] = x
+        self._parity = 0
+
+        self.demand = demand = np.empty_like(rho)
+        self.supply = supply = np.empty_like(rho)
+        self.masks = np.empty(rho.shape, bool), np.empty(rho.shape, bool)
+        self.faces = faces = np.empty(rho.shape[:2] + (m + 1,))
+        self.net = np.empty_like(rho)
+        self.commodity_out = commodity_out = np.empty_like(x)
+        self.work = _proportion_work(x.shape, rho[:, :1].shape)
+        self.row = row = np.empty((len(configs), 9))
+        passes = _law_passes(diagrams)
+        v_f = per_cell("free_flow_speed")
+        self.passes = [(law, v_f[:, links], self.jam[:, links], demand[:, links]) for law, links in passes]
+        # (demand, supply, face) of the interior faces, the upstream end and
+        # the two downstream ends
+        self.interior = demand[:, :, :-1], supply[:, :, 1:], faces[:, :, 1:-1]
+        self.inlet = demand[:, 0, 0], supply[:, 0, 0], faces[:, 0, 0]
+        self.outlets = [(demand[:, i, -1], supply[:, i, -1], faces[:, i, -1]) for i in (1, 2)]
+        # the junction's inputs (D0, S1, S2), its faces on the upstream and
+        # the downstream links, and the row's q0, q1, (q1, q2) and D0 columns
+        self.junction_inputs = demand[:, 0, -1], supply[:, 1, 0], supply[:, 2, 0]
+        self.junction_faces = faces[:, 0, -1], faces[:, 1:, 0]
+        self.q0, self.q1, self.q12, self.d0 = row[:, :1], row[:, 1:2], row[:, 1:3], row[:, 3:4]
+        # each cell's in-face and out-face, those of the upstream link, and the
+        # commodity out-flux of the junction cell
+        self.cell_faces = faces[:, :, :-1], faces[:, :, 1:]
+        self.upstream_faces = faces[:, :1, :-1], faces[:, :1, 1:]
+        self.junction_out = commodity_out[:, :, -1]
+        # the state's views at each parity: rho, rho_new, each pass's
+        # densities, rho and rho_new on the upstream link, x, x_up, x_new and
+        # x at the junction cell
+        self.views = [
+            (rho_a, rho_b, [rho_a[:, links] for _, links in passes], rho_a[:, :1], rho_b[:, :1],
+             x_a[:, :, 1:], x_a[:, :, :-1], x_b[:, :, 1:], x_a[:, :, -1])
+            for rho_a, rho_b, x_a, x_b in ((*self._rho, *self._x), (*self._rho[::-1], *self._x[::-1]))
+        ]
+
+    @property
+    def rho(self):
+        return self._rho[self._parity]
+
+    @property
+    def x(self):
+        return self._x[self._parity][:, :, 1:]
+
+    def advance(self, k):
+        """Step k from the current state, which becomes the state after it;
+        returns each member's row (B, 9) of (q0, q1, q2, D0, S1, S2, x1,
+        inflow, outflow), a buffer that the next step overwrites."""
+        rho, rho_new, law_inputs, rho_up, rho_up_new, x, x_up, x_new, last = self.views[self._parity]
+        demand, supply, row = self.demand, self.supply, self.row
+        for (law, v_f, rho_jam, flow), rho_links in zip(self.passes, law_inputs):
+            law(rho_links, v_f, rho_jam, out=flow)
+        over, under = self.masks
+        np.copyto(supply, demand)
+        np.putmask(demand, np.greater(rho, self.critical, out=over), self.capacity)
+        np.putmask(supply, np.less(rho, self.critical, out=under), self.capacity)
 
         # the junction rule, once per member, on (D0, S1, S2) and the last
         # upstream cell's mix; the row is record's (q0, q1, q2, D0, S1, S2, x1)
-        d0, last = demand[:, 0, -1], x[:, :, -1]
-        record[:, :7] = [
+        d0, s1, s2 = self.junction_inputs
+        row[:, :7] = [
             (*junction_fluxes(model, d, (a, b), xi if self.evacuating else (xi[0], 1.0 - xi[0])), d, a, b, xi[0])
-            for model, d, a, b, xi in zip(self.models, d0.tolist(), supply[:, 1, 0].tolist(),
-                                          supply[:, 2, 0].tolist(), last.tolist())
+            for model, d, a, b, xi in zip(self.models, d0.tolist(), s1.tolist(), s2.tolist(), last.tolist())
         ]
-        q = record[:, :3]
 
-        faces = np.empty(self.face_shape)
-        np.minimum(demand[:, :, :-1], supply[:, :, 1:], out=faces[:, :, 1:-1])
-        ghost = self.boundaries.upstream_demand.evaluate(time, self.capacity[0, 0], demand[:, 0, 0])
-        faces[:, 0, 0] = np.minimum(ghost, supply[:, 0, 0])
-        faces[:, 0, -1] = q[:, 0]
-        faces[:, 1:, 0] = q[:, 1:]
-        for i, bc in enumerate(self.boundaries.downstream_supplies, start=1):
-            ghost = bc.evaluate(time, self.capacity[i, 0], supply[:, i, -1])
-            faces[:, i, -1] = np.minimum(demand[:, i, -1], ghost)
+        demand_left, supply_right, interior = self.interior
+        np.minimum(demand_left, supply_right, out=interior)
+        (d, s, inflow), ghost = self.inlet, self.ghosts[0]
+        np.minimum(d if ghost is None else ghost[k], s, out=inflow)
+        for (d, s, face), ghost in zip(self.outlets, self.ghosts[1:]):
+            np.minimum(d, s if ghost is None else ghost[k], out=face)
+        face_out, faces_in = self.junction_faces
+        np.copyto(face_out, row[:, 0])
+        np.copyto(faces_in, self.q12)
 
-        rho_new = rho + self.ratio * (faces[:, :, :-1] - faces[:, :, 1:])
-        outside = (rho_new < -DENSITY_GUARD) | (rho_new > self.jam_guard)
-        if outside.any():
+        net = self.net
+        np.subtract(*self.cell_faces, out=net)
+        np.add(rho, np.multiply(self.ratio, net, out=net), out=rho_new)
+        link_max = rho_new.max(axis=(0, 2)).tolist()
+        if not (rho_new.min() >= -DENSITY_GUARD and all(map(float.__le__, link_max, self.jam_guard))):
+            outside = ~((rho_new >= -DENSITY_GUARD) & (rho_new <= self.jam + DENSITY_GUARD))
             member, link = np.argwhere(outside.any(axis=2))[0]
             raise NumericalStabilityError(
-                f"density left [0, {self.jam[link, 0]}] in member {member}"
+                f"density left [0, {self.jam[0, link, 0]}] in member {member}"
                 f" on link {link} at step {k}"
             )
         np.minimum(np.maximum(rho_new, 0.0, out=rho_new), self.jam, out=rho_new)
 
-        q_in, q_out = faces[:, :1, :-1], faces[:, :1, 1:]
-        x_up = np.empty_like(x)
-        x_up[:, :, 0] = self.inflow_mix
-        x_up[:, :, 1:] = x[:, :, :-1]
-        commodity_out = x * q_out
+        q_in, q_out = self.upstream_faces
+        commodity_out, junction = self.commodity_out, self.junction_out
+        np.multiply(x, q_out, out=commodity_out)
         if self.evacuating:
             # routed vehicles claim their share of the link flux first
-            commodity_out[:, :, -1] = np.minimum(last * d0[:, None], q[:, 1:])
+            np.minimum(np.multiply(last, self.d0, out=junction), self.q12, out=junction)
         else:
             # all flow entering link 1 is routed commodity 1; without routes
             # the one commodity rides along
-            commodity_out[:, :, -1] = np.where(self.fifo, q[:, 1:2], last * q[:, :1])
-        x_new = _proportion_update(rho[:, :1], rho_new[:, :1], x, x_up, q_in, q_out, self.ratio, commodity_out)
+            np.copyto(np.multiply(last, self.q0, out=junction), self.q1, where=self.fifo)
+        _proportion_update(rho_up, rho_up_new, x, x_up, q_in, q_out, self.ratio, commodity_out, x_new, self.work)
 
-        record[:, 7] = faces[:, 0, 0]
-        record[:, 8] = faces[:, 1, -1] + faces[:, 2, -1]
-        return rho_new, x_new
+        row[:, 7] = inflow
+        np.add(self.outlets[0][2], self.outlets[1][2], out=row[:, 8])
+        self._parity ^= 1
+        return row
 
 
 @dataclass
@@ -456,20 +540,19 @@ def run_batch(configs):
     kernel = _Ensemble(configs)
     first = configs[0]
     n = first.time_steps
-    rho, x = map(np.stack, zip(*(cfg._initial_arrays() for cfg in configs)))
 
     snapshot_steps = list(range(0, n + 1, first.snapshot_every))
     if snapshot_steps[-1] != n:
         snapshot_steps.append(n)
-    densities = np.empty((len(snapshot_steps),) + rho.shape)
-    proportions = np.empty((len(snapshot_steps),) + x.shape)
-    densities[0], proportions[0] = rho, x
+    densities = np.empty((len(snapshot_steps),) + kernel.rho.shape)
+    proportions = np.empty((len(snapshot_steps),) + kernel.x.shape)
+    densities[0], proportions[0] = kernel.rho, kernel.x
     record = np.empty((n, len(configs), 9))
     snap = 1
     for k in range(n):
-        rho, x = kernel.advance(rho, x, k, record[k])
+        record[k] = kernel.advance(k)
         if k + 1 == snapshot_steps[snap]:
-            densities[snap], proportions[snap] = rho, x
+            densities[snap], proportions[snap] = kernel.rho, kernel.x
             snap += 1
     # boundary totals summed step by step from zero, as the steps ran
     totals = np.add.accumulate(

@@ -11,10 +11,13 @@ critical density rho_c.  Four closed forms are provided:
 * triangular law  Q(rho) = min(v_f * rho, w * (rho_jam - rho)), w = v_f / 4
 * parabolic law   Q(rho) = v_f * rho * (1 - rho / rho_jam)
 
-Each law's Q is written once, in one unchecked numpy evaluation for floats
-and arrays alike, and its slope Q' once, in closed form (no finite
-differences); the public methods range-check their input once and then call
-them.  The exponential laws have an essential singularity at rho = 0; the
+Each law family's Q is written once, in one unchecked numpy evaluation for
+floats and arrays alike, and each law's slope Q' once, in closed form (no
+finite differences); the public methods range-check their input once and
+then call them.  The two exponential laws are one family.  A family's Q
+takes its parameters v_f and rho_jam as floats or as per-link columns: a
+diagram evaluates it on its own scalars, and the CTM evaluates every link of
+a family in one call.  The exponential laws have an essential singularity at rho = 0; the
 physical limit Q -> v_f * rho is reached exactly by flooring rho at
 rho_jam / 1000 inside the congested factor.  Capacity and critical density
 have no closed form for the exponential family and are computed once at
@@ -71,11 +74,33 @@ def _plain(out):
     return out if isinstance(out, np.ndarray) and out.ndim else float(out)
 
 
-def _demand_supply_from_flow(rho, q, critical_density, capacity):
-    """(D, S) of densities rho whose flows are q: D is q up to the critical
-    density and the capacity above it, S the reverse.  critical_density and
-    capacity may be arrays that broadcast against rho, one per link."""
-    return np.where(rho <= critical_density, q, capacity), np.where(rho >= critical_density, q, capacity)
+def _exponential_flow(rho, v_f, rho_jam, out=None):
+    """Q of the exponential family, v_f rho (1 - exp(1 - exp((rho_jam /
+    max(rho, rho_jam / 1000) - 1) / 4)))."""
+    # exp(1 - exp(249.75)) is exactly 0, so Q = v_f * rho below the floor
+    floored = np.maximum(rho, rho_jam / 1000.0)
+    return np.multiply(v_f * rho, 1.0 - np.exp(1.0 - np.exp(0.25 * (rho_jam / floored - 1.0))), out=out)
+
+
+def _triangular_flow(rho, v_f, rho_jam, out=None):
+    """Q of the triangular family, min(v_f rho, w (rho_jam - rho))."""
+    return np.minimum(v_f * rho, _TRIANGULAR_WAVE_RATIO * v_f * (rho_jam - rho), out=out)
+
+
+def _greenshields_flow(rho, v_f, rho_jam, out=None):
+    """Q of the parabolic family, v_f rho (1 - rho / rho_jam)."""
+    return np.multiply(v_f * rho, 1.0 - rho / rho_jam, out=out)
+
+
+# The flux law of each kind.  A law takes the densities, then v_f and rho_jam
+# as floats or as arrays that broadcast against them (one row per link), so
+# one call evaluates every link of a family; out receives the flow.
+_FLOW_LAWS = {
+    DiagramKind.DEL_CASTILLO_MAINLINE: _exponential_flow,
+    DiagramKind.DEL_CASTILLO_RAMP: _exponential_flow,
+    DiagramKind.TRIANGULAR: _triangular_flow,
+    DiagramKind.GREENSHIELDS: _greenshields_flow,
+}
 
 
 def _golden_section_argmax(f, a, b):
@@ -131,15 +156,7 @@ class FundamentalDiagram:
 
     def _flow(self, rho):
         """Q(rho) without a range check, for a float or a float array."""
-        v_f, rho_jam = self.free_flow_speed, self.jam_density
-        if self.kind is DiagramKind.TRIANGULAR:
-            w = _TRIANGULAR_WAVE_RATIO * v_f
-            return np.minimum(v_f * rho, w * (rho_jam - rho))
-        if self.kind is DiagramKind.GREENSHIELDS:
-            return v_f * rho * (1.0 - rho / rho_jam)
-        # exp(1 - exp(249.75)) is exactly 0, so Q = v_f * rho below the floor
-        floored = np.maximum(rho, rho_jam / 1000.0)
-        return v_f * rho * (1.0 - np.exp(1.0 - np.exp(0.25 * (rho_jam / floored - 1.0))))
+        return _FLOW_LAWS[self.kind](rho, self.free_flow_speed, self.jam_density)
 
     def _slope(self, rho, side=0.0):
         """Q'(rho) in closed form, unchecked, for a float or a float array.
@@ -187,8 +204,8 @@ class FundamentalDiagram:
     def _demand_supply(self, rho):
         """demand_supply without the range check, for a float or a float
         array already known to lie in [0, jam_density]."""
-        d, s = _demand_supply_from_flow(rho, self._flow(rho), self.critical_density, self.capacity)
-        return _plain(d), _plain(s)
+        q, rho_c = self._flow(rho), self.critical_density
+        return _plain(np.where(rho <= rho_c, q, self.capacity)), _plain(np.where(rho >= rho_c, q, self.capacity))
 
     def demand(self, rho):
         """Maximum sending flow D(rho); see demand_supply."""

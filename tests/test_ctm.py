@@ -8,6 +8,7 @@ import pytest
 from divergeflow import ctm
 from divergeflow.config import build_spec, load_config
 from divergeflow.harness import ExperimentKind
+from divergeflow.riemann import junction_fluxes
 
 from divergeflow import (
     BoundaryCondition,
@@ -53,11 +54,13 @@ def initial_arrays(cfg):
 
 
 def advance(cfg, rho, x, k=0):
-    """Step k of the kernel on a batch of one: the new (rho, x) and the
-    member's record row (q0, q1, q2, D0, S1, S2, x1, inflow, outflow)."""
-    record = np.empty((1, 9))
-    rho, x = ctm._Ensemble([cfg]).advance(rho, x, k, record)
-    return rho, x, record[0]
+    """Step k of the kernel on a batch of one from (rho, x): the new (rho,
+    x) and the member's record row (q0, q1, q2, D0, S1, S2, x1, inflow,
+    outflow)."""
+    kernel = ctm._Ensemble([cfg])
+    kernel.rho[...], kernel.x[...] = rho, x
+    row = kernel.advance(k)
+    return kernel.rho.copy(), kernel.x.copy(), row[0].copy()
 
 
 def update_cells(rho_old, rho_new, xi_old, xi_up, q_in, q_out, ratio):
@@ -66,7 +69,10 @@ def update_cells(rho_old, rho_new, xi_old, xi_up, q_in, q_out, ratio):
     rho_old, rho_new, xi_old, xi_up, q_in, q_out = (
         np.array(v, dtype=float, ndmin=1) for v in (rho_old, rho_new, xi_old, xi_up, q_in, q_out)
     )
-    return ctm._proportion_update(rho_old, rho_new, xi_old, xi_up, q_in, q_out, ratio, xi_old * q_out)
+    return ctm._proportion_update(
+        rho_old, rho_new, xi_old, xi_up, q_in, q_out, ratio, xi_old * q_out,
+        np.empty_like(xi_old), ctm._proportion_work(xi_old.shape, rho_new.shape),
+    )
 
 
 class TestConfigValidation:
@@ -210,6 +216,15 @@ class TestStepBasics:
         got = run(cfg)
         np.testing.assert_array_equal(got.densities, want.densities)
         np.testing.assert_array_equal(got.proportions, want.proportions)
+
+    def test_advance_leaves_the_state_it_is_given_unmodified(self, trio):
+        cfg = diverge_config(trio, partial_evacuation((0.3, 0.2), (0.55, 0.45)), cells=20, initial_proportions=(0.3, 0.2))
+        rho, x = initial_arrays(cfg)
+        given = rho.copy(), x.copy()
+        new_rho, new_x, _ = advance(cfg, rho, x)
+        np.testing.assert_array_equal(rho, given[0])
+        np.testing.assert_array_equal(x, given[1])
+        assert not (np.array_equal(new_rho, rho) or np.shares_memory(new_rho, rho) or np.shares_memory(new_x, x))
 
     def test_guard_names_the_link_and_step(self, trio):
         # the step no longer range-checks its input, so a state above jam on
@@ -499,20 +514,28 @@ class TestRunBatch:
         for got, cfg in zip(run_batch(pair), pair):
             assert_same_trajectory(got, run(cfg))
 
-    @pytest.mark.parametrize("order", [(0, 1, 2), (0, 2, 1)], ids=["adjacent", "apart"])
-    def test_links_sharing_a_diagram_share_one_flux_evaluation(self, trio, monkeypatch, order):
-        # two mainlines and a ramp cost two flux-law calls per step whatever
-        # the batch size or the links' order; only the junction rule runs
-        # per member, on each link's own diagram
-        from divergeflow import FundamentalDiagram
+    @pytest.mark.parametrize(
+        "order, families",
+        [((0, 1, 2), 1), ((0, 2, 1), 1), (None, 2)],
+        ids=["adjacent", "apart", "triangular-greenshields"],
+    )
+    def test_links_of_one_flux_law_family_share_one_evaluation(self, trio, monkeypatch, order, families):
+        # the del Castillo mainlines and ramp are one exponential family, so
+        # they cost one flux-law call per step whatever the batch size or the
+        # links' order, and no diagram evaluates its own flow in the loop;
+        # only the junction rule runs per member, on each link's own diagram
+        from divergeflow import FundamentalDiagram, fundamental_diagram
 
-        diagrams = tuple(trio[i] for i in order)
+        diagrams = (
+            tuple(trio[i] for i in order) if order
+            else (triangular(1.0, 2.0), greenshields(1.0, 1.0), triangular(0.5, 1.0))
+        )
         densities = (np.linspace(0.2, 1.9, 10), np.linspace(0.9, 0.1, 10), np.linspace(0.05, 0.6, 10))
         members = [
             diverge_config(diagrams, model, cells=10, time_steps=400, initial_densities=densities)
             for model in (lebacque((0.7, 0.3)), daganzo_fifo((0.6, 0.4)), priority_based((0.6, 0.4)))
         ]
-        calls = {"flow": 0, "junction": 0}
+        calls = {"law": 0, "flow": 0, "junction": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -521,10 +544,13 @@ class TestRunBatch:
 
             return wrapper
 
+        laws = {law: counted("law", law) for law in set(fundamental_diagram._FLOW_LAWS.values())}
+        for kind, law in list(fundamental_diagram._FLOW_LAWS.items()):
+            monkeypatch.setitem(fundamental_diagram._FLOW_LAWS, kind, laws[law])
         monkeypatch.setattr(FundamentalDiagram, "_flow", counted("flow", FundamentalDiagram._flow))
         monkeypatch.setattr(ctm, "junction_fluxes", counted("junction", ctm.junction_fluxes))
         trajectories = run_batch(members)
-        assert calls == {"flow": 2 * 400, "junction": 3 * 400}
+        assert calls == {"law": families * 400, "flow": 0, "junction": 3 * 400}
         want = (diagrams[0].demand(1.9), diagrams[1].supply(0.9), diagrams[2].supply(0.05))
         for t in trajectories:
             j = t.junction
@@ -537,6 +563,50 @@ class TestRunBatch:
         bad.initial_densities = (1.0, trio[1].jam_density + 5e-9, 0.1)
         with pytest.raises(NumericalStabilityError, match="in member 1 on link 1 at step 0"):
             run_batch([ok, bad])
+
+    def test_guard_fires_after_the_buffers_have_rotated(self, trio, monkeypatch):
+        # from step 5 on, member 1's junction sends link 1 far more than it
+        # can hold; the guard must name the member, link and step although
+        # the step reads and writes the kernel's alternating buffers
+        members = [diverge_config(trio, model, cells=20) for model in (lebacque((0.7, 0.3)), daganzo_fifo((0.7, 0.3)))]
+        calls = []
+
+        def flooding(model, *args):
+            q0, q1, q2 = junction_fluxes(model, *args)
+            calls.append(model)
+            if len(calls) > 2 * 5 and model is members[1].model:
+                return q0, q1 + 10.0, q2
+            return q0, q1, q2
+
+        monkeypatch.setattr(ctm, "junction_fluxes", flooding)
+        with pytest.raises(NumericalStabilityError, match="in member 1 on link 1 at step 5$"):
+            run_batch(members)
+
+    def test_reruns_in_one_process_are_bitwise_equal(self, trio):
+        members = dict(digest_cases(trio))["mixed_batch"]
+        for got, want in zip(run_batch(members), run_batch(members)):
+            assert_same_trajectory(got, want)
+
+    def test_snapshots_are_copies_of_the_state_not_kernel_buffers(self, trio, monkeypatch):
+        kernels = []
+
+        class Recorded(ctm._Ensemble):
+            def __init__(self, configs):
+                super().__init__(configs)
+                kernels.append(self)
+
+        monkeypatch.setattr(ctm, "_Ensemble", Recorded)
+        cfg = diverge_config(trio, lebacque((0.7, 0.3)), cells=10, time_steps=40, horizon=36.0, snapshot_every=1)
+        (traj,) = run_batch([cfg])
+        (kernel,) = kernels
+        for buffer in kernel._rho + kernel._x:
+            assert not np.shares_memory(traj.densities, buffer)
+            assert not np.shares_memory(traj.proportions, buffer)
+        # the state moves every step, so snapshots that shared a buffer
+        # would repeat one state
+        assert all(not np.array_equal(a, b) for a, b in zip(traj.densities, traj.densities[1:]))
+        np.testing.assert_array_equal(traj.densities[-1], kernel.rho[0])
+        np.testing.assert_array_equal(traj.proportions[-1], kernel.x[0])
 
     def test_conservation_is_checked_per_member(self, trio, monkeypatch):
         members = [diverge_config(trio, model, cells=10) for model in (lebacque((0.7, 0.3)), daganzo_fifo((0.7, 0.3)))]

@@ -26,12 +26,14 @@ One step kernel advances a batch of B scenarios.  Its state is a (B, 3, M)
 density array and a (B, C, M) proportion array, C the tracked-commodity
 count, stepped through one (B, 3, M + 1) face array.  The members share the
 grid, the diagrams, the boundaries and C, and may differ in model, initial
-data and inflow mix.  Links that share a diagram share one evaluation of its
-flux law, and each boundary is evaluated once per step for the whole batch;
-only the junction rule runs once per member.  run_batch(configs) gives one
-Trajectory per member, each bitwise the trajectory of that config alone, and
-run(config) is run_batch([config])[0]; a trajectory's last snapshot is the
-state after step N.  The step records the junction row (q0, q1, q2, D0, S1,
+data and inflow mix.  Links whose diagrams share a flux-law family share
+one evaluation of it per step, written into work arrays and read through
+views that are built once per run; every constant or sinusoid boundary is
+evaluated for all N steps before the loop.  Only the junction rule runs once
+per member.  run_batch(configs) gives one Trajectory per member, each bitwise
+the trajectory of that config alone, and run(config) is
+run_batch([config])[0]; a trajectory's last snapshot is the state after step
+N.  The step records the junction row (q0, q1, q2, D0, S1,
 S2, x1) followed by the boundary in-flux and out-flux.  Densities are
 validated when the SimConfig is built, not in the step; the density guard and
 a clip keep them in [0, jam_density], and the guard and the conservation
@@ -273,7 +275,10 @@ class SimConfig:
 def _proportion_work(xi_shape, rho_shape):
     """The scratch arrays of _proportion_update for proportions of xi_shape
     and densities of rho_shape."""
-    return np.empty(xi_shape), np.empty(xi_shape, bool), np.empty(xi_shape, bool), np.empty(rho_shape, bool), np.empty(rho_shape)
+    return (
+        np.empty(xi_shape), np.empty(xi_shape, bool), np.empty(xi_shape, bool),
+        np.empty(rho_shape, bool), np.empty(rho_shape),
+    )
 
 
 def _proportion_update(rho_old, rho_new, xi_old, xi_upstream, q_in, q_out, dt_over_dx, commodity_outflux, out, work):
@@ -384,16 +389,20 @@ class _Ensemble:
         self.row = row = np.empty((len(configs), 9))
         passes = _law_passes(diagrams)
         v_f = per_cell("free_flow_speed")
-        self.passes = [(law, v_f[:, links], self.jam[:, links], demand[:, links]) for law, links in passes]
+        law_work = np.empty_like(rho)
+        self.passes = [
+            (law, v_f[:, links], self.jam[:, links], demand[:, links], law_work[:, links]) for law, links in passes
+        ]
         # (demand, supply, face) of the interior faces, the upstream end and
         # the two downstream ends
         self.interior = demand[:, :, :-1], supply[:, :, 1:], faces[:, :, 1:-1]
         self.inlet = demand[:, 0, 0], supply[:, 0, 0], faces[:, 0, 0]
         self.outlets = [(demand[:, i, -1], supply[:, i, -1], faces[:, i, -1]) for i in (1, 2)]
         # the junction's inputs (D0, S1, S2), its faces on the upstream and
-        # the downstream links, and the row's q0, q1, (q1, q2) and D0 columns
+        # the downstream links with the row's fluxes they take, and the row's
+        # q0, q1, (q1, q2) and D0 columns
         self.junction_inputs = demand[:, 0, -1], supply[:, 1, 0], supply[:, 2, 0]
-        self.junction_faces = faces[:, 0, -1], faces[:, 1:, 0]
+        self.junction_faces = (faces[:, 0, -1], row[:, 0]), (faces[:, 1:, 0], row[:, 1:3])
         self.q0, self.q1, self.q12, self.d0 = row[:, :1], row[:, 1:2], row[:, 1:3], row[:, 3:4]
         # each cell's in-face and out-face, those of the upstream link, and the
         # commodity out-flux of the junction cell
@@ -423,8 +432,8 @@ class _Ensemble:
         inflow, outflow), a buffer that the next step overwrites."""
         rho, rho_new, law_inputs, rho_up, rho_up_new, x, x_up, x_new, last = self.views[self._parity]
         demand, supply, row = self.demand, self.supply, self.row
-        for (law, v_f, rho_jam, flow), rho_links in zip(self.passes, law_inputs):
-            law(rho_links, v_f, rho_jam, out=flow)
+        for (law, v_f, rho_jam, flow, work), rho_links in zip(self.passes, law_inputs):
+            law(rho_links, v_f, rho_jam, out=flow, work=work)
         over, under = self.masks
         np.copyto(supply, demand)
         np.putmask(demand, np.greater(rho, self.critical, out=over), self.capacity)
@@ -444,9 +453,8 @@ class _Ensemble:
         np.minimum(d if ghost is None else ghost[k], s, out=inflow)
         for (d, s, face), ghost in zip(self.outlets, self.ghosts[1:]):
             np.minimum(d, s if ghost is None else ghost[k], out=face)
-        face_out, faces_in = self.junction_faces
-        np.copyto(face_out, row[:, 0])
-        np.copyto(faces_in, self.q12)
+        for face, q in self.junction_faces:
+            np.copyto(face, q)
 
         net = self.net
         np.subtract(*self.cell_faces, out=net)

@@ -173,7 +173,7 @@ class SimConfig:
     commodities are tracked).  inflow_proportions is the commodity mix of
     traffic entering the upstream boundary, a scalar or a commodity pair (a
     pair when two commodities are tracked); it defaults to the initial mix of
-    the first upstream cell.  inflow_mix and jam_column are derived from them.
+    the first upstream cell.  inflow_mix is derived from them.
     """
 
     model: DivergeModel
@@ -188,7 +188,6 @@ class SimConfig:
     boundaries: BoundarySpec = field(default_factory=BoundarySpec)
     snapshot_every: int = 50
     inflow_mix: np.ndarray = field(init=False, repr=False, compare=False)
-    jam_column: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.diagrams = tuple(self.diagrams)
@@ -217,9 +216,8 @@ class SimConfig:
                 0.0 <= bc.value <= self.diagrams[1 + i].capacity
             ):
                 raise ValueError("constant boundary supply outside [0, capacity]")
-        self.jam_column = np.array([[fd.jam_density] for fd in self.diagrams])
         densities, props = self._initial_arrays()
-        if not (densities.min() >= 0.0 and np.all(densities <= self.jam_column)):
+        if not (densities.min() >= 0.0 and np.all(densities <= [[fd.jam_density] for fd in self.diagrams])):
             raise ValueError("initial density outside [0, jam_density]")
         self.inflow_mix = inflow = self._inflow_mix(props)
         if not (props.min() >= 0.0 and props.sum(axis=0).max() <= 1.0 + 1e-12
@@ -382,7 +380,7 @@ class _Ensemble:
         self.demand = demand = np.empty_like(rho)
         self.supply = supply = np.empty_like(rho)
         self.masks = np.empty(rho.shape, bool), np.empty(rho.shape, bool)
-        self.faces = faces = np.empty(rho.shape[:2] + (m + 1,))
+        faces = np.empty(rho.shape[:2] + (m + 1,))
         self.net = np.empty_like(rho)
         self.commodity_out = commodity_out = np.empty_like(x)
         self.work = _proportion_work(x.shape, rho[:, :1].shape)

@@ -329,7 +329,7 @@ def _law_passes(diagrams):
 class _Ensemble:
     """The step kernel of a batch of B configs: its state, its work arrays
     and the views the step reads, all built once, so that a step allocates
-    no array of cells.
+    no array of cells outside the flux-law evaluation.
 
     The state is a (B, 3, M) density array and a (B, C, M) proportion
     array, C the tracked-commodity count, each held in two buffers that the
@@ -387,10 +387,7 @@ class _Ensemble:
         self.row = row = np.empty((len(configs), 9))
         passes = _law_passes(diagrams)
         v_f = per_cell("free_flow_speed")
-        law_work = np.empty_like(rho)
-        self.passes = [
-            (law, v_f[:, links], self.jam[:, links], demand[:, links], law_work[:, links]) for law, links in passes
-        ]
+        self.passes = [(law, v_f[:, links], self.jam[:, links], demand[:, links]) for law, links in passes]
         # (demand, supply, face) of the interior faces, the upstream end and
         # the two downstream ends
         self.interior = demand[:, :, :-1], supply[:, :, 1:], faces[:, :, 1:-1]
@@ -430,8 +427,8 @@ class _Ensemble:
         inflow, outflow), a buffer that the next step overwrites."""
         rho, rho_new, law_inputs, rho_up, rho_up_new, x, x_up, x_new, last = self.views[self._parity]
         demand, supply, row = self.demand, self.supply, self.row
-        for (law, v_f, rho_jam, flow, work), rho_links in zip(self.passes, law_inputs):
-            law(rho_links, v_f, rho_jam, out=flow, work=work)
+        for (law, v_f, rho_jam, flow), rho_links in zip(self.passes, law_inputs):
+            law(rho_links, v_f, rho_jam, out=flow)
         over, under = self.masks
         np.copyto(supply, demand)
         np.putmask(demand, np.greater(rho, self.critical, out=over), self.capacity)

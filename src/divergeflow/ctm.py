@@ -387,7 +387,10 @@ class _Ensemble:
         self.row = row = np.empty((len(configs), 9))
         passes = _law_passes(diagrams)
         v_f = per_cell("free_flow_speed")
-        self.passes = [(law, v_f[:, links], self.jam[:, links], demand[:, links]) for law, links in passes]
+        law_work = np.empty_like(rho)
+        self.passes = [
+            (law, v_f[:, links], self.jam[:, links], demand[:, links], law_work[:, links]) for law, links in passes
+        ]
         # (demand, supply, face) of the interior faces, the upstream end and
         # the two downstream ends
         self.interior = demand[:, :, :-1], supply[:, :, 1:], faces[:, :, 1:-1]
@@ -427,8 +430,8 @@ class _Ensemble:
         inflow, outflow), a buffer that the next step overwrites."""
         rho, rho_new, law_inputs, rho_up, rho_up_new, x, x_up, x_new, last = self.views[self._parity]
         demand, supply, row = self.demand, self.supply, self.row
-        for (law, v_f, rho_jam, flow), rho_links in zip(self.passes, law_inputs):
-            law(rho_links, v_f, rho_jam, out=flow)
+        for (law, v_f, rho_jam, flow, work), rho_links in zip(self.passes, law_inputs):
+            law(rho_links, v_f, rho_jam, out=flow, work=work)
         over, under = self.masks
         np.copyto(supply, demand)
         np.putmask(demand, np.greater(rho, self.critical, out=over), self.capacity)

@@ -75,28 +75,34 @@ def _plain(out):
     return out if isinstance(out, np.ndarray) and out.ndim else float(out)
 
 
-def _exponential_flow(rho, v_f, rho_jam, out=None):
+def _exponential_flow(rho, v_f, rho_jam, out=None, work=None):
     """Q of the exponential family,
     v_f rho (1 - exp(1 - exp((rho_jam / max(rho, rho_jam / 1000) - 1) / 4)))."""
     # exp(1 - exp(249.75)) is exactly 0, so Q = v_f * rho below the floor
-    floored = np.maximum(rho, rho_jam / 1000.0)
-    return np.multiply(v_f * rho, 1.0 - np.exp(1.0 - np.exp(0.25 * (rho_jam / floored - 1.0))), out=out)
+    g = np.divide(rho_jam, np.maximum(rho, rho_jam / 1000.0, out=work), out=work)
+    g = np.exp(np.multiply(0.25, np.subtract(g, 1.0, out=work), out=work), out=work)
+    g = np.subtract(1.0, np.exp(np.subtract(1.0, g, out=work), out=work), out=work)
+    return np.multiply(np.multiply(v_f, rho, out=out), g, out=out)
 
 
-def _triangular_flow(rho, v_f, rho_jam, out=None):
+def _triangular_flow(rho, v_f, rho_jam, out=None, work=None):
     """Q of the triangular family, min(v_f rho, w (rho_jam - rho)) with
     w = v_f / 4."""
-    return np.minimum(v_f * rho, _TRIANGULAR_WAVE_RATIO * v_f * (rho_jam - rho), out=out)
+    w = np.multiply(_TRIANGULAR_WAVE_RATIO, v_f, out=out)
+    congested = np.multiply(w, np.subtract(rho_jam, rho, out=work), out=work)
+    return np.minimum(np.multiply(v_f, rho, out=out), congested, out=out)
 
 
-def _greenshields_flow(rho, v_f, rho_jam, out=None):
+def _greenshields_flow(rho, v_f, rho_jam, out=None, work=None):
     """Q of the parabolic family, v_f rho (1 - rho / rho_jam)."""
-    return np.multiply(v_f * rho, 1.0 - rho / rho_jam, out=out)
+    room = np.subtract(1.0, np.divide(rho, rho_jam, out=work), out=work)
+    return np.multiply(np.multiply(v_f, rho, out=out), room, out=out)
 
 
 # The flux law of each kind.  A law takes the densities, then v_f and rho_jam
 # as floats or as arrays that broadcast against the densities, so that one
-# call evaluates every link of a family; out receives the flow.
+# call evaluates every link of a family.  Given out, and work of out's shape,
+# it writes the flow into out and its intermediate values into work.
 _FLOW_LAWS = {
     DiagramKind.DEL_CASTILLO_MAINLINE: _exponential_flow,
     DiagramKind.DEL_CASTILLO_RAMP: _exponential_flow,

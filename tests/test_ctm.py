@@ -218,7 +218,8 @@ class TestStepBasics:
         np.testing.assert_array_equal(got.proportions, want.proportions)
 
     def test_advance_leaves_the_state_it_is_given_unmodified(self, trio):
-        cfg = diverge_config(trio, partial_evacuation((0.3, 0.2), (0.55, 0.45)), cells=20, initial_proportions=(0.3, 0.2))
+        model = partial_evacuation((0.3, 0.2), (0.55, 0.45))
+        cfg = diverge_config(trio, model, cells=20, initial_proportions=(0.3, 0.2))
         rho, x = initial_arrays(cfg)
         given = rho.copy(), x.copy()
         new_rho, new_x, _ = advance(cfg, rho, x)

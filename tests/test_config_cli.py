@@ -634,6 +634,45 @@ class TestCli:
             "epsilon_M20.csv": "1807c67421eca2dd294fe7103aa14b02efe419017e4adc29a2da081c240ec347",
         }
 
+    def test_shipped_converge_run_matches_golden(self, tmp_path):
+        # the shipped study as it is: three batched pairs of CTM runs
+        out = tmp_path / "out"
+        assert main(["converge", "--config", str(CONFIGS / "convergence.yaml"), "--out", str(out)]) == 0
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("epsilon_M40.csv", "epsilon_M80.csv", "epsilon_M160.csv")
+        }
+        assert digests == {
+            "epsilon_M40.csv": "87a5aca729a6c41006ec45412da9f13032e577e35b759b8d46edfb98c28a81a7",
+            "epsilon_M80.csv": "fe6d1079e8751aa7ee5c095a281fd0e4f36a030f376932e95baa9b4fefea6301",
+            "epsilon_M160.csv": "567b33624eab375487029e417b4905d0f0b9cb6f4827a1ad13f2b02a6d813aaf",
+        }
+
+    @pytest.mark.parametrize(
+        "model, digest",
+        [
+            ("{kind: daganzo_fifo, xi: [0.7, 0.3]}", "6b35a92a6463049f33615aef5fd16e8fdd6e63121d0d4593b3fa1181d3d69b20"),
+            ("{kind: lebacque, xi: [0.7, 0.3]}", "6b35a92a6463049f33615aef5fd16e8fdd6e63121d0d4593b3fa1181d3d69b20"),
+            ("{kind: supply_proportional}", "52fd439b48c2ec596dec81e1dd8b563ef505611ef791ea13f60db268181edb14"),
+            ("{kind: priority_based, alpha: [0.6, 0.4]}", "e85943e180c1f24ede1f8f85796effb2a1c736fb64deb9cdaa626f6b59788a49"),
+            (
+                "{kind: partial_evacuation, xi: [0.3, 0.2], alpha: [0.55, 0.45]}",
+                "42e71153f8022afe4ff3db42003fa796668ecddda8f8f4fd39e088903958af8f",
+            ),
+        ],
+        ids=["daganzo_fifo", "lebacque", "supply_proportional", "priority_based", "partial_evacuation"],
+    )
+    def test_shipped_flux_map_matches_golden_for_each_rule(self, tmp_path, model, digest):
+        # the shipped sweep with the model swapped for each props oracle fixture
+        text = (CONFIGS / "flux_map.yaml").read_text(encoding="utf-8")
+        shipped = "model:\n  kind: daganzo_fifo\n  xi: [0.7, 0.3]\n"
+        assert text.count(shipped) == 1
+        cfg = tmp_path / "map.yaml"
+        cfg.write_text(text.replace(shipped, f"model: {model}\n"), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["flux-map", "--config", str(cfg), "--out", str(out)]) == 0
+        assert hashlib.sha256((out / "flux_map.csv").read_bytes()).hexdigest() == digest
+
     @pytest.mark.parametrize(
         "command, old, new, message",
         [

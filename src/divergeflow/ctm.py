@@ -22,18 +22,18 @@ where the commodity out-flux is xi[m] * q_out inside the link and the
 commodity's own junction flux at the last cell.  Empty cells keep their
 previous proportion.
 
-One step kernel advances a batch of B scenarios.  Its state is a (B, 3, M)
-density array and a (B, C, M) proportion array, C the tracked-commodity
-count, stepped through one (B, 3, M + 1) face array.  The members share the
-grid, the diagrams, the boundaries and C, and may differ in model, initial
-data and inflow mix.  Links whose diagrams share a flux-law family share
-one evaluation of it per step, written into work arrays and read through
-views that are built once per run; every constant or sinusoid boundary is
-evaluated for all N steps before the loop.  Only the junction rule runs once
-per member.  run_batch(configs) gives one Trajectory per member, each bitwise
-the trajectory of that config alone, and run(config) is
-run_batch([config])[0]; a trajectory's last snapshot is the state after step
-N.  The step records the junction row (q0, q1, q2, D0, S1,
+One step kernel advances a batch of B scenarios.  Its state is one (B, 3, M)
+density array and one (B, C, M) proportion array, C the tracked-commodity
+count, which each step updates in place through one (B, 3, M + 1) face
+array.  The members share the grid, the diagrams, the boundaries and C, and
+may differ in model, initial data and inflow mix.  Links whose diagrams
+share a flux-law family share one evaluation of it per step, written into
+work arrays and read through views that are built once per run; every
+constant or sinusoid boundary is evaluated for all N steps before the loop.
+Only the junction rule runs once per member.  run_batch(configs) gives one
+Trajectory per member, each bitwise the trajectory of that config alone, and
+run(config) is run_batch([config])[0]; a trajectory's last snapshot is the
+state after step N.  The step records the junction row (q0, q1, q2, D0, S1,
 S2, x1) followed by the boundary in-flux and out-flux.  Densities are
 validated when the SimConfig is built, not in the step; the density guard and
 a clip keep them in [0, jam_density], and the guard and the conservation
@@ -119,9 +119,8 @@ class BoundaryCondition:
             period=float(period),
         )
 
-    def evaluate(self, time, capacity, neumann_value):
-        if self.kind is BoundaryKind.NEUMANN:
-            return neumann_value
+    def evaluate(self, time, capacity):
+        """The ghost value of a CONSTANT or TIME_VARYING boundary at time."""
         if self.kind is BoundaryKind.CONSTANT:
             v = self.value
         else:
@@ -279,34 +278,33 @@ def _proportion_work(xi_shape, rho_shape):
     )
 
 
-def _proportion_update(rho_old, rho_new, xi_old, xi_upstream, q_in, q_out, dt_over_dx, commodity_outflux, out, work):
-    """One conservative update of the commodity proportions of the cells,
-    written into out, which must not overlap xi_old; work is the scratch of
-    _proportion_work.
+def _proportion_update(rho_new, x, x_up, q_in, q_out, dt_over_dx, commodity_outflux, mass, work):
+    """One conservative update of the cells' commodity proportions x, in
+    place, from mass = rho_old * x, which it overwrites; x_up may be x's
+    buffer shifted by one cell, as it is read before x is written.  work is
+    the scratch of _proportion_work.
 
-    commodity_outflux is xi_old * q_out where the commodity advects with the
+    commodity_outflux is x * q_out where the commodity advects with the
     total flow, and the diverge rule's own commodity flux at the junction
-    cell.  Cells with rho_new below EMPTY_CELL_TOL keep xi_old, as does any
-    cell whose inflow mix and outflow split leave the mix unchanged (this
-    keeps uniform proportions bitwise constant).  The result is clipped to
-    [0, 1].
+    cell.  Only cells with rho_new at least EMPTY_CELL_TOL whose inflow mix
+    or outflow split changes their mix are written (this keeps uniform
+    proportions bitwise constant), clipped to [0, 1].
     """
-    flux, keep, same, empty, safe_rho = work
-    np.equal(xi_upstream, xi_old, out=keep)
-    np.equal(commodity_outflux, np.multiply(xi_old, q_out, out=flux), out=same)
-    np.logical_and(keep, same, out=keep)
-    np.logical_or(keep, np.less(rho_new, EMPTY_CELL_TOL, out=empty), out=keep)
-    # an empty cell keeps xi_old, so its divisor only has to be positive
+    flux, change, split, full, safe_rho = work
+    np.not_equal(x_up, x, out=change)
+    np.not_equal(commodity_outflux, np.multiply(x, q_out, out=flux), out=split)
+    np.logical_or(change, split, out=change)
+    np.logical_and(change, np.greater_equal(rho_new, EMPTY_CELL_TOL, out=full), out=change)
+    # an empty cell keeps its mix, so its divisor only has to be positive
     np.maximum(rho_new, EMPTY_CELL_TOL, out=safe_rho)
-    np.multiply(q_in, xi_upstream, out=flux)
+    np.multiply(q_in, x_up, out=flux)
     np.subtract(flux, commodity_outflux, out=flux)
     np.multiply(dt_over_dx, flux, out=flux)
-    np.multiply(rho_old, xi_old, out=out)
-    np.add(out, flux, out=out)
-    np.divide(out, safe_rho, out=out)
-    np.minimum(np.maximum(out, 0.0, out=out), 1.0, out=out)
-    np.putmask(out, keep, xi_old)
-    return out
+    np.add(mass, flux, out=mass)
+    np.divide(mass, safe_rho, out=mass)
+    np.minimum(np.maximum(mass, 0.0, out=mass), 1.0, out=mass)
+    np.copyto(x, mass, where=change)
+    return x
 
 
 # Fields every member of a batch shares; run_batch checks them first.
@@ -331,15 +329,14 @@ class _Ensemble:
     and the views the step reads, all built once, so that a step allocates
     no array of cells outside the flux-law evaluation.
 
-    The state is a (B, 3, M) density array and a (B, C, M) proportion
-    array, C the tracked-commodity count, each held in two buffers that the
-    steps alternate between, so that no step writes over its input.  rho
-    and x are the current state; writing into them sets it.  The proportion
-    buffers carry the inflow mix as a leading column, so that each cell's
-    upstream mix is a view.  The diagram constants are held per cell, as
-    numpy is fastest on operands of one shape.  Members share the grid, the
-    diagrams, the boundaries and C; they may differ in model, initial data
-    and inflow mix.
+    The state is a (B, 3, M) density array rho and a (B, C, M) proportion
+    array x, C the tracked-commodity count; each step updates both in
+    place, and writing into them sets the state.  x is a view of a buffer
+    that carries the inflow mix as a leading column, so that each cell's
+    upstream mix x_up is a view too.  The diagram constants are held per
+    cell, as numpy is fastest on operands of one shape.  Members share the
+    grid, the diagrams, the boundaries and C; they may differ in model,
+    initial data and inflow mix.
     """
 
     def __init__(self, configs):
@@ -366,16 +363,17 @@ class _Ensemble:
         bcs = (first.boundaries.upstream_demand, *first.boundaries.downstream_supplies)
         self.ghosts = [
             None if bc.kind is BoundaryKind.NEUMANN
-            else np.array([bc.evaluate(k * first.dt, fd.capacity, None) for k in range(first.time_steps)])
+            else np.array([bc.evaluate(k * first.dt, fd.capacity) for k in range(first.time_steps)])
             for bc, fd in zip(bcs, diagrams)
         ]
 
-        self._rho = [rho, np.empty_like(rho)]
-        self._x = [np.empty(x.shape[:2] + (m + 1,)) for _ in range(2)]
-        for buf in self._x:
-            buf[:, :, 0] = np.stack([cfg.inflow_mix for cfg in configs])
-        self._x[0][:, :, 1:] = x
-        self._parity = 0
+        # the state and its views: the upstream link's densities, each
+        # cell's upstream mix and the junction cell's mix
+        self.rho, self.rho_up = rho, rho[:, :1]
+        mixes = np.empty(x.shape[:2] + (m + 1,))
+        mixes[:, :, 0] = np.stack([cfg.inflow_mix for cfg in configs])
+        mixes[:, :, 1:] = x
+        self.x, self.x_up, self.last = mixes[:, :, 1:], mixes[:, :, :-1], mixes[:, :, -1]
 
         self.demand = demand = np.empty_like(rho)
         self.supply = supply = np.empty_like(rho)
@@ -383,13 +381,14 @@ class _Ensemble:
         faces = np.empty(rho.shape[:2] + (m + 1,))
         self.net = np.empty_like(rho)
         self.commodity_out = commodity_out = np.empty_like(x)
+        self.mass = np.empty_like(x)
         self.work = _proportion_work(x.shape, rho[:, :1].shape)
         self.row = row = np.empty((len(configs), 9))
-        passes = _law_passes(diagrams)
         v_f = per_cell("free_flow_speed")
         law_work = np.empty_like(rho)
         self.passes = [
-            (law, v_f[:, links], self.jam[:, links], demand[:, links], law_work[:, links]) for law, links in passes
+            (law, rho[:, links], v_f[:, links], self.jam[:, links], demand[:, links], law_work[:, links])
+            for law, links in _law_passes(diagrams)
         ]
         # (demand, supply, face) of the interior faces, the upstream end and
         # the two downstream ends
@@ -407,30 +406,14 @@ class _Ensemble:
         self.cell_faces = faces[:, :, :-1], faces[:, :, 1:]
         self.upstream_faces = faces[:, :1, :-1], faces[:, :1, 1:]
         self.junction_out = commodity_out[:, :, -1]
-        # the state's views at each parity: rho, rho_new, each pass's
-        # densities, rho and rho_new on the upstream link, x, x_up, x_new and
-        # x at the junction cell
-        self.views = [
-            (rho_a, rho_b, [rho_a[:, links] for _, links in passes], rho_a[:, :1], rho_b[:, :1],
-             x_a[:, :, 1:], x_a[:, :, :-1], x_b[:, :, 1:], x_a[:, :, -1])
-            for rho_a, rho_b, x_a, x_b in ((*self._rho, *self._x), (*self._rho[::-1], *self._x[::-1]))
-        ]
-
-    @property
-    def rho(self):
-        return self._rho[self._parity]
-
-    @property
-    def x(self):
-        return self._x[self._parity][:, :, 1:]
 
     def advance(self, k):
         """Step k from the current state, which becomes the state after it;
         returns each member's row (B, 9) of (q0, q1, q2, D0, S1, S2, x1,
         inflow, outflow), a buffer that the next step overwrites."""
-        rho, rho_new, law_inputs, rho_up, rho_up_new, x, x_up, x_new, last = self.views[self._parity]
+        rho, x, last = self.rho, self.x, self.last
         demand, supply, row = self.demand, self.supply, self.row
-        for (law, v_f, rho_jam, flow, work), rho_links in zip(self.passes, law_inputs):
+        for law, rho_links, v_f, rho_jam, flow, work in self.passes:
             law(rho_links, v_f, rho_jam, out=flow, work=work)
         over, under = self.masks
         np.copyto(supply, demand)
@@ -454,18 +437,19 @@ class _Ensemble:
         for face, q in self.junction_faces:
             np.copyto(face, q)
 
-        net = self.net
+        net, mass = self.net, self.mass
         np.subtract(*self.cell_faces, out=net)
-        np.add(rho, np.multiply(self.ratio, net, out=net), out=rho_new)
-        link_max = rho_new.max(axis=(0, 2)).tolist()
-        if not (rho_new.min() >= -DENSITY_GUARD and all(map(float.__le__, link_max, self.jam_guard))):
-            outside = ~((rho_new >= -DENSITY_GUARD) & (rho_new <= self.jam + DENSITY_GUARD))
+        np.multiply(self.rho_up, x, out=mass)  # the proportion update's input
+        np.add(rho, np.multiply(self.ratio, net, out=net), out=rho)
+        link_max = rho.max(axis=(0, 2)).tolist()
+        if not (rho.min() >= -DENSITY_GUARD and all(map(float.__le__, link_max, self.jam_guard))):
+            outside = ~((rho >= -DENSITY_GUARD) & (rho <= self.jam + DENSITY_GUARD))
             member, link = np.argwhere(outside.any(axis=2))[0]
             raise NumericalStabilityError(
                 f"density left [0, {self.jam[0, link, 0]}] in member {member}"
                 f" on link {link} at step {k}"
             )
-        np.minimum(np.maximum(rho_new, 0.0, out=rho_new), self.jam, out=rho_new)
+        np.minimum(np.maximum(rho, 0.0, out=rho), self.jam, out=rho)
 
         q_in, q_out = self.upstream_faces
         commodity_out, junction = self.commodity_out, self.junction_out
@@ -477,11 +461,10 @@ class _Ensemble:
             # all flow entering link 1 is routed commodity 1; without routes
             # the one commodity rides along
             np.copyto(np.multiply(last, self.q0, out=junction), self.q1, where=self.fifo)
-        _proportion_update(rho_up, rho_up_new, x, x_up, q_in, q_out, self.ratio, commodity_out, x_new, self.work)
+        _proportion_update(self.rho_up, x, self.x_up, q_in, q_out, self.ratio, commodity_out, mass, self.work)
 
         row[:, 7] = inflow
         np.add(self.outlets[0][2], self.outlets[1][2], out=row[:, 8])
-        self._parity ^= 1
         return row
 
 
@@ -592,16 +575,13 @@ def run(config):
     return run_batch([config])[0]
 
 
-def solution_difference(traj_a, traj_b, dx):
+def solution_difference(traj_a, traj_b):
     """L1 density distance sum_links sum_cells |rho_a - rho_b| * dx at every
-    recorded snapshot.  The trajectories must share the grid and snapshot
-    schedule."""
-    if traj_a.densities.shape != traj_b.densities.shape:
+    recorded snapshot, dx the cell size of traj_a's config.  The trajectories
+    must share the grid and snapshot schedule."""
+    if traj_a.densities.shape != traj_b.densities.shape or traj_a.config.dx != traj_b.config.dx:
         raise ValueError("trajectories use different grids")
     if not np.array_equal(traj_a.snapshot_steps, traj_b.snapshot_steps):
         raise ValueError("trajectories recorded different snapshot steps")
-    for traj in (traj_a, traj_b):
-        if abs(traj.config.dx - dx) > 1e-12:
-            raise ValueError(f"dx {dx} does not match trajectory dx {traj.config.dx}")
     diff = np.abs(traj_a.densities - traj_b.densities)
-    return diff.sum(axis=(1, 2)) * dx
+    return diff.sum(axis=(1, 2)) * traj_a.config.dx

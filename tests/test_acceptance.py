@@ -137,7 +137,7 @@ def test_criterion_3_model_convergence(trio):
                 boundaries=boundaries,
             )
             runs.append(run(cfg))
-        eps = solution_difference(runs[0], runs[1], runs[0].config.dx)
+        eps = solution_difference(runs[0], runs[1])
         finals.append(float(eps[-1]))
     ok = finals[0] > finals[1] > finals[2]
     _report(

@@ -70,8 +70,8 @@ def update_cells(rho_old, rho_new, xi_old, xi_up, q_in, q_out, ratio):
         np.array(v, dtype=float, ndmin=1) for v in (rho_old, rho_new, xi_old, xi_up, q_in, q_out)
     )
     return ctm._proportion_update(
-        rho_old, rho_new, xi_old, xi_up, q_in, q_out, ratio, xi_old * q_out,
-        np.empty_like(xi_old), ctm._proportion_work(xi_old.shape, rho_new.shape),
+        rho_new, xi_old.copy(), xi_up, q_in, q_out, ratio, xi_old * q_out,
+        rho_old * xi_old, ctm._proportion_work(xi_old.shape, rho_new.shape),
     )
 
 
@@ -166,6 +166,34 @@ class TestProportionUpdate:
         out = update_cells([0.5, 0.5], [0.5, 0.5], [0.7, 0.4], [0.7, 0.7], [0.1, 0.1], [0.1, 0.1], 0.9)
         assert out[0] == 0.7  # uniform entry stays put
         assert 0.4 < out[1] <= 0.7  # mixing pulls toward the inflow mix
+
+    def test_in_place_update_of_shifted_views_matches_the_out_of_place_formula(self):
+        # the kernel's layout: x and its upstream mix x_up are one buffer,
+        # shifted by one cell behind a leading inflow column
+        rng = np.random.default_rng(16)
+        m, ratio = 12, 0.9
+        mixes = rng.random((2, 2, m + 1)) * 0.5
+        mixes[:, :, 3:7] = mixes[:, :, 3:4]  # a uniform run
+        x, x_up = mixes[:, :, 1:], mixes[:, :, :-1]
+        rho_old = rng.random((2, 1, m))
+        rho_new = rng.random((2, 1, m))
+        rho_new[:, :, [0, 8]] = 0.0, 0.5 * ctm.EMPTY_CELL_TOL  # two empty cells
+        faces = rng.random((2, 1, m + 1)) * 0.3
+        q_in, q_out = faces[:, :, :-1], faces[:, :, 1:]
+        outflux = x * q_out
+        outflux[:, :, -1] = 0.6 * q_out[:, :, -1]  # the junction rule's own flux
+        old, inflow = x.copy(), mixes[:, :, 0].copy()
+
+        keep = ((x_up == old) & (outflux == old * q_out)) | (rho_new < ctm.EMPTY_CELL_TOL)
+        moved = (rho_old * old + ratio * (q_in * x_up - outflux)) / np.maximum(rho_new, ctm.EMPTY_CELL_TOL)
+        want = np.where(keep, old, np.minimum(np.maximum(moved, 0.0), 1.0))
+        assert keep[:, :, [0, 4, 5, 8]].all() and not keep[:, :, [1, 2, 9, m - 1]].any()
+
+        work = ctm._proportion_work(x.shape, rho_new.shape)
+        got = ctm._proportion_update(rho_new, x, x_up, q_in, q_out, ratio, outflux, rho_old * old, work)
+        assert got is x
+        assert x.tobytes() == want.tobytes()
+        assert mixes[:, :, 0].tobytes() == inflow.tobytes()
 
 
 class TestStepBasics:
@@ -565,10 +593,10 @@ class TestRunBatch:
         with pytest.raises(NumericalStabilityError, match="in member 1 on link 1 at step 0"):
             run_batch([ok, bad])
 
-    def test_guard_fires_after_the_buffers_have_rotated(self, trio, monkeypatch):
+    def test_guard_fires_on_a_state_updated_in_place_over_several_steps(self, trio, monkeypatch):
         # from step 5 on, member 1's junction sends link 1 far more than it
-        # can hold; the guard must name the member, link and step although
-        # the step reads and writes the kernel's alternating buffers
+        # can hold; the guard must name the member, link and step after five
+        # steps have each updated the kernel's one state in place
         members = [diverge_config(trio, model, cells=20) for model in (lebacque((0.7, 0.3)), daganzo_fifo((0.7, 0.3)))]
         calls = []
 
@@ -600,7 +628,7 @@ class TestRunBatch:
         cfg = diverge_config(trio, lebacque((0.7, 0.3)), cells=10, time_steps=40, horizon=36.0, snapshot_every=1)
         (traj,) = run_batch([cfg])
         (kernel,) = kernels
-        for buffer in kernel._rho + kernel._x:
+        for buffer in (kernel.rho, kernel.x, kernel.mass):
             assert not np.shares_memory(traj.densities, buffer)
             assert not np.shares_memory(traj.proportions, buffer)
         # the state moves every step, so snapshots that shared a buffer
@@ -788,7 +816,7 @@ class TestSolutionDifference:
     def test_identical_runs_have_zero_difference(self, trio):
         cfg = diverge_config(trio, lebacque((0.7, 0.3)), cells=20, time_steps=800)
         ta, tb = run(cfg), run(cfg)
-        eps = solution_difference(ta, tb, cfg.dx)
+        eps = solution_difference(ta, tb)
         assert np.all(eps == 0.0)
 
     def test_single_cell_perturbation(self, trio):
@@ -797,11 +825,18 @@ class TestSolutionDifference:
         tb = run(cfg)
         delta = 3e-3
         tb.densities[-1][1][4] += delta
-        eps = solution_difference(ta, tb, cfg.dx)
+        eps = solution_difference(ta, tb)
         assert eps[-1] == pytest.approx(delta * cfg.dx, abs=1e-15)
 
     def test_grid_mismatch_rejected(self, trio):
         ta = run(diverge_config(trio, lebacque((0.7, 0.3)), cells=20, time_steps=800))
         tb = run(diverge_config(trio, lebacque((0.7, 0.3)), cells=10, time_steps=400))
         with pytest.raises(ValueError):
-            solution_difference(ta, tb, ta.config.dx)
+            solution_difference(ta, tb)
+
+    def test_cell_size_mismatch_rejected(self, trio):
+        # the same cell count on links of another length: the shapes agree
+        ta = run(diverge_config(trio, lebacque((0.7, 0.3)), cells=20, time_steps=800))
+        tb = run(diverge_config(trio, lebacque((0.7, 0.3)), cells=20, time_steps=800, link_length=20.0))
+        with pytest.raises(ValueError, match="different grids"):
+            solution_difference(ta, tb)

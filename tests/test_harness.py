@@ -120,7 +120,7 @@ class TestConvergenceStudy:
         sim = sim_61(trio, 20, boundaries=periodic_boundaries())
         ta = ctm.run(sim)
         tb = ctm.run(sim)
-        eps = ctm.solution_difference(ta, tb, sim.dx)
+        eps = ctm.solution_difference(ta, tb)
         assert np.all(eps == 0.0)
 
     def test_resolved_epsilon_series_matches_golden(self, trio):
@@ -171,6 +171,32 @@ class TestFluxMap:
                 assert q1 == pytest.approx(s1, abs=1e-12)
             elif region == "III":
                 assert q2 == pytest.approx(s2, abs=1e-12)
+
+    def test_region_check_compares_the_kernel_q0_with_the_minimum_term(self, trio, monkeypatch):
+        sweep = SweepSpec(
+            demand_upstream=(0.0, trio[0].capacity, 5),
+            supply_1=(0.0, trio[1].capacity, 5),
+            supply_2=(0.0, trio[2].capacity, 5),
+        )
+        sim = SimConfig(
+            model=lebacque((0.7, 0.3)), diagrams=trio, cells_per_link=1,
+            time_steps=1, link_length=1.0, horizon=0.5,
+        )
+        spec = ExperimentSpec(kind=ExperimentKind.FLUX_MAP, sim=sim, sweep=sweep)
+        check = "check region-labels-consistent: {} (q0 is off min(D0, S1/x1, S2/x2) by more than 1e-12 at {} of 125 points)"
+        assert check.format("pass", 0) in flux_map(spec)[0].render().splitlines()
+        true_fluxes = harness.solve_fluxes_batch
+
+        def raised(*args):
+            q0, q1, q2 = true_fluxes(*args)
+            q0 = q0.copy()
+            q0[62] += 1e-9
+            return q0, q1, q2
+
+        monkeypatch.setattr(harness, "solve_fluxes_batch", raised)
+        report, _ = flux_map(spec)
+        assert check.format("FAIL", 1) in report.render().splitlines()
+        assert not report.passed
 
     def test_fair_share_region(self, trio):
         c1, c2 = trio[1].capacity, trio[2].capacity

@@ -5,10 +5,11 @@
     divergeflow flux-map       --config cfg.yaml --out results/
     divergeflow props          --config cfg.yaml --out results/ --seed 7
 
-Exit status: 0 when every check passes, 1 on a verification failure, 2 on a
-usage or configuration error.  Each run writes `report.txt` plus the
-experiment's data files (see README for the column layouts); all numbers use
-12 significant digits and reruns with the same config are byte-identical.
+Exit status: 0 when every check passes, 1 on a verification failure or a run
+that a numerical guard stops, 2 on a usage or configuration error.  Each run
+writes `report.txt` plus the experiment's data files (see README for the
+column layouts); all numbers use 12 significant digits and reruns with the
+same config are byte-identical.
 Every data file is a table of columns (a dict from CSV header to an
 equal-length array) written by `_write_table` a block of rows at a time.
 """
@@ -22,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, build_spec, load_config
+from .ctm import NumericalStabilityError
 from .harness import (
     ExperimentKind,
     convergence_study,
@@ -29,6 +31,7 @@ from .harness import (
     property_suite,
     riemann_verify,
 )
+from .waves import WaveConsistencyError
 
 _FMT = "%.12g"
 # Rows formatted per write: bounds the text held in memory at any length.
@@ -130,6 +133,9 @@ def main(argv=None):
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
+    except (NumericalStabilityError, WaveConsistencyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -34,10 +34,10 @@ Only the junction rule runs once per member.  run_batch(configs) gives one
 Trajectory per member, each bitwise the trajectory of that config alone, and
 run(config) is run_batch([config])[0]; a trajectory's last snapshot is the
 state after step N.  The step records the junction row (q0, q1, q2, D0, S1,
-S2, x1) followed by the boundary in-flux and out-flux.  Densities are
-validated when the SimConfig is built, not in the step; the density guard and
-a clip keep them in [0, jam_density], and the guard and the conservation
-check name the member that fails.
+S2, x1) followed by the boundary in-flux and out-flux.  A frozen SimConfig
+builds and checks its initial state once, which the kernel stacks; in the
+step the density guard and a clip keep densities in [0, jam_density], and the
+guard and the conservation check name the member that fails.
 """
 
 from __future__ import annotations
@@ -154,25 +154,42 @@ def _require_count(name, value):
 
 def _as_cell_array(value, cells):
     arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        return np.full(cells, float(arr))
-    if arr.shape != (cells,):
+    if arr.shape not in ((), (cells,)):
         raise ValueError(f"expected scalar or array of {cells} cells, got shape {arr.shape}")
-    return arr.copy()
+    return np.full(cells, arr)
 
 
-@dataclass
+def _proportions(raw, name, commodities, cells=None):
+    """The (commodities, cells) array that raw gives the proportion field
+    name: one tracked commodity takes one entry and two a pair (a tuple, list
+    or array) of entries, each a scalar or, given cells, one value per cell.
+    Without cells it reads one column of scalars, the inflow mix."""
+    entries = (raw,) if commodities == 1 else raw
+    try:
+        if (isinstance(entries, (tuple, list, np.ndarray)) and len(entries) == commodities
+                and (cells or all(np.ndim(v) == 0 for v in entries))):
+            return np.stack([_as_cell_array(v, cells or 1) for v in entries])
+    except (TypeError, ValueError):
+        pass
+    entry = "a scalar or one value per cell" if cells else "a scalar"
+    need = f"{entry} for one tracked commodity" if commodities == 1 else f"a pair, each {entry}"
+    raise ValueError(f"{name} must be {need}, got {raw!r}")
+
+
+@dataclass(frozen=True)
 class SimConfig:
-    """Discretization, physics, and boundary data for one simulation.
+    """Discretization, physics, and boundary data for one simulation; frozen,
+    it builds and checks the initial state the CTM steps once.
 
     initial_densities holds one scalar or per-cell array for each of the three
-    links (upstream, downstream 1, downstream 2).  initial_proportions is the
-    commodity-1 proportion on the upstream link (scalar or per-cell), or a
-    pair of proportions when the model is PARTIAL_EVACUATION (both routed
-    commodities are tracked).  inflow_proportions is the commodity mix of
-    traffic entering the upstream boundary, a scalar or a commodity pair (a
-    pair when two commodities are tracked); it defaults to the initial mix of
-    the first upstream cell.  inflow_mix is derived from them.
+    links (upstream, downstream 1, downstream 2).  initial_proportions (default
+    the model's xi, 1.0 without one) and inflow_proportions (default the first
+    upstream cell's) are the mix of the C tracked commodities on the upstream
+    link and in its inflow: C is 2 for PARTIAL_EVACUATION, which takes a pair
+    of entries, else 1, which takes one entry.  An initial entry is a scalar or
+    one value per cell, an inflow entry a scalar.  The read-only initial_state
+    holds the (3, M) densities, initial_mix the (C, M + 1) proportions with
+    the inflow mix as column 0.
     """
 
     model: DivergeModel
@@ -186,10 +203,11 @@ class SimConfig:
     inflow_proportions: object = None
     boundaries: BoundarySpec = field(default_factory=BoundarySpec)
     snapshot_every: int = 50
-    inflow_mix: np.ndarray = field(init=False, repr=False, compare=False)
+    initial_state: np.ndarray = field(init=False, repr=False, compare=False)
+    initial_mix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.diagrams = tuple(self.diagrams)
+        object.__setattr__(self, "diagrams", tuple(self.diagrams))
         if len(self.diagrams) != 3:
             raise ValueError("exactly three fundamental diagrams are required")
         if len(self.initial_densities) != 3:
@@ -198,8 +216,8 @@ class SimConfig:
             )
         for name in ("cells_per_link", "time_steps", "snapshot_every"):
             _require_count(name, getattr(self, name))
-        if not (self.link_length > 0.0 and self.horizon > 0.0):
-            raise ValueError("link_length and horizon must be positive")
+        if not (0.0 < self.link_length < math.inf and 0.0 < self.horizon < math.inf):
+            raise ValueError("link_length and horizon must be positive and finite")
         vmax = max(fd.max_wave_speed for fd in self.diagrams)
         if vmax * self.dt / self.dx > 1.0 + 1e-12:
             raise ValueError(
@@ -215,13 +233,21 @@ class SimConfig:
                 0.0 <= bc.value <= self.diagrams[1 + i].capacity
             ):
                 raise ValueError("constant boundary supply outside [0, capacity]")
-        densities, props = self._initial_arrays()
-        if not (densities.min() >= 0.0 and np.all(densities <= [[fd.jam_density] for fd in self.diagrams])):
+        m, c = self.cells_per_link, self.tracked_commodities
+        state = np.stack([_as_cell_array(rho, m) for rho in self.initial_densities])
+        if not (state.min() >= 0.0 and np.all(state <= [[fd.jam_density] for fd in self.diagrams])):
             raise ValueError("initial density outside [0, jam_density]")
-        self.inflow_mix = inflow = self._inflow_mix(props)
-        if not (props.min() >= 0.0 and props.sum(axis=0).max() <= 1.0 + 1e-12
-                and inflow.min() >= 0.0 and inflow.sum() <= 1.0 + 1e-12):
+        raw = self.initial_proportions
+        if raw is None:
+            raw = self.model.xi if c == 2 else (self.model.xi or (1.0,))[0]
+        x = _proportions(raw, "initial_proportions", c, m)
+        raw = self.inflow_proportions
+        mix = np.concatenate([x[:, :1] if raw is None else _proportions(raw, "inflow_proportions", c), x], axis=1)
+        if not (mix.min() >= 0.0 and mix.sum(axis=0).max() <= 1.0 + 1e-12):
             raise ValueError("proportions must lie in [0, 1] with sum at most 1")
+        for name, value in (("initial_state", state), ("initial_mix", mix)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def dt(self):
@@ -234,39 +260,6 @@ class SimConfig:
     @property
     def tracked_commodities(self):
         return 2 if self.model.kind is DivergeModelKind.PARTIAL_EVACUATION else 1
-
-    def _default_proportions(self):
-        if self.model.xi is not None:
-            return self.model.xi if self.tracked_commodities == 2 else self.model.xi[0]
-        return 1.0
-
-    def _initial_arrays(self):
-        m = self.cells_per_link
-        densities = np.stack([_as_cell_array(rho, m) for rho in self.initial_densities])
-        raw = self.initial_proportions
-        if raw is None:
-            raw = self._default_proportions()
-        if self.tracked_commodities == 2:
-            if not isinstance(raw, (tuple, list, np.ndarray)) or len(raw) != 2:
-                raise ValueError(f"two tracked commodities need a pair of proportions, got {raw!r}")
-            props = np.stack([_as_cell_array(raw[0], m), _as_cell_array(raw[1], m)])
-        else:
-            if isinstance(raw, (tuple, list)) and len(raw) == 2:
-                raw = raw[0]  # commodity 2 is the complement
-            props = _as_cell_array(raw, m)[None, :]
-        return densities, props
-
-    def _inflow_mix(self, props):
-        raw = self.inflow_proportions
-        if raw is None:
-            return props[:, 0].copy()
-        mix = np.array(raw, dtype=float)
-        if mix.shape == (2,):
-            return mix[: self.tracked_commodities]
-        if mix.shape == () and self.tracked_commodities == 1:
-            return mix[None]
-        need = "a pair" if self.tracked_commodities == 2 else "a scalar or a pair"
-        raise ValueError(f"inflow_proportions must be {need} of commodity proportions, got {raw!r}")
 
 
 def _proportion_work(xi_shape, rho_shape):
@@ -330,13 +323,13 @@ class _Ensemble:
     no array of cells outside the flux-law evaluation.
 
     The state is a (B, 3, M) density array rho and a (B, C, M) proportion
-    array x, C the tracked-commodity count; each step updates both in
-    place, and writing into them sets the state.  x is a view of a buffer
-    that carries the inflow mix as a leading column, so that each cell's
-    upstream mix x_up is a view too.  The diagram constants are held per
-    cell, as numpy is fastest on operands of one shape.  Members share the
-    grid, the diagrams, the boundaries and C; they may differ in model,
-    initial data and inflow mix.
+    array x, C the tracked-commodity count, stacked from the configs'
+    initial_state and initial_mix; each step updates both in place, and
+    writing into them sets the state.  x is a view of the stacked mixes, whose
+    inflow-mix column 0 makes each cell's upstream mix x_up a view too.  The
+    diagram constants are held per cell, as numpy is fastest on operands of
+    one shape.  Members share the grid, the diagrams, the boundaries and C;
+    they may differ in model, initial data and inflow mix.
     """
 
     def __init__(self, configs):
@@ -348,7 +341,8 @@ class _Ensemble:
                 if getattr(cfg, name) != getattr(first, name):
                     raise ValueError(f"batch members must share {name}; member {member} differs from member 0")
         diagrams, m = first.diagrams, first.cells_per_link
-        rho, x = map(np.stack, zip(*(cfg._initial_arrays() for cfg in configs)))
+        rho = np.stack([cfg.initial_state for cfg in configs])
+        mixes = np.stack([cfg.initial_mix for cfg in configs])
 
         def per_cell(name):
             return np.broadcast_to(np.array([[getattr(fd, name)] for fd in diagrams]), rho.shape).copy()
@@ -370,10 +364,8 @@ class _Ensemble:
         # the state and its views: the upstream link's densities, each
         # cell's upstream mix and the junction cell's mix
         self.rho, self.rho_up = rho, rho[:, :1]
-        mixes = np.empty(x.shape[:2] + (m + 1,))
-        mixes[:, :, 0] = np.stack([cfg.inflow_mix for cfg in configs])
-        mixes[:, :, 1:] = x
-        self.x, self.x_up, self.last = mixes[:, :, 1:], mixes[:, :, :-1], mixes[:, :, -1]
+        x = mixes[:, :, 1:]
+        self.x, self.x_up, self.last = x, mixes[:, :, :-1], mixes[:, :, -1]
 
         self.demand = demand = np.empty_like(rho)
         self.supply = supply = np.empty_like(rho)
@@ -424,8 +416,8 @@ class _Ensemble:
         # upstream cell's mix; the row is record's (q0, q1, q2, D0, S1, S2, x1)
         d0, s1, s2 = self.junction_inputs
         row[:, :7] = [
-            (*junction_fluxes(model, d, (a, b), xi if self.evacuating else (xi[0], 1.0 - xi[0])), d, a, b, xi[0])
-            for model, d, a, b, xi in zip(self.models, d0.tolist(), s1.tolist(), s2.tolist(), last.tolist())
+            (*junction_fluxes(model, d, (a, b), (x1, 1.0 - x1)), d, a, b, x1)
+            for model, d, a, b, x1 in zip(self.models, d0.tolist(), s1.tolist(), s2.tolist(), last[:, 0].tolist())
         ]
 
         demand_left, supply_right, interior = self.interior

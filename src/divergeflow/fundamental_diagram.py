@@ -207,11 +207,7 @@ class FundamentalDiagram:
         """(D(rho), S(rho)) from one range check and one evaluation of Q:
         the maximum sending flow D = Q(min(rho, rho_c)), nondecreasing, and
         the maximum receiving flow S = Q(max(rho, rho_c)), nonincreasing."""
-        return self._demand_supply(self._checked(rho))
-
-    def _demand_supply(self, rho):
-        """demand_supply without the range check, for a float or a float
-        array already known to lie in [0, jam_density]."""
+        rho = self._checked(rho)
         q, rho_c = self._flow(rho), self.critical_density
         return _plain(np.where(rho <= rho_c, q, self.capacity)), _plain(np.where(rho >= rho_c, q, self.capacity))
 

@@ -157,13 +157,10 @@ class Report:
 
 
 def _riemann_input_from_sim(sim):
-    densities = []
-    for rho in sim.initial_densities:
-        arr = np.asarray(rho, dtype=float)
-        if arr.ndim != 0 and np.ptp(arr) > 0.0:
-            raise ValueError("riemann-verify needs uniform initial densities per link")
-        densities.append(float(arr) if arr.ndim == 0 else float(arr.flat[0]))
-    return RiemannInput.from_densities(sim.diagrams, densities)
+    state = sim.initial_state
+    if np.ptp(state, axis=1).max() > 0.0:
+        raise ValueError("riemann-verify needs uniform initial densities per link")
+    return RiemannInput.from_densities(sim.diagrams, state[:, 0].tolist())
 
 
 def shock_front_position(densities, dx):

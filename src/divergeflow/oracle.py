@@ -102,20 +102,16 @@ def _rule_pair(model, d0, s1, s2):
         room = total > d0
         scale = np.where(room, d0 / np.where(room, total, 1.0), 1.0)
         return scale * s1, scale * s2
-    if kind is DivergeModelKind.PRIORITY_BASED:
-        a1, a2 = model.alpha
-        q1 = np.minimum(s1, np.maximum(d0 - s2, a1 * d0))
-        q2 = np.minimum(s2, np.maximum(d0 - s1, a2 * d0))
-        return q1, q2
-    if kind is DivergeModelKind.PARTIAL_EVACUATION:
-        x1, x2 = model.xi
-        a1, a2 = model.alpha
-        cap1 = s2 * (1.0 - x2) / x2 if x2 > 0.0 else np.inf
-        cap2 = s1 * (1.0 - x1) / x1 if x1 > 0.0 else np.inf
-        q1 = np.minimum(s1, np.minimum(cap1, np.maximum(d0 - s2, a1 * d0)))
-        q2 = np.minimum(s2, np.minimum(cap2, np.maximum(d0 - s1, a2 * d0)))
-        return q1, q2
-    raise ValueError(f"no evacuation rule for {kind}")
+    if kind not in (DivergeModelKind.PRIORITY_BASED, DivergeModelKind.PARTIAL_EVACUATION):
+        raise ValueError(f"no evacuation rule for {kind}")
+    # the priority rule is partial evacuation with xi = 0: both routed caps are +inf
+    x1, x2 = model.xi if kind is DivergeModelKind.PARTIAL_EVACUATION else (0.0, 0.0)
+    a1, a2 = model.alpha
+    cap1 = s2 * (1.0 - x2) / x2 if x2 > 0.0 else np.inf
+    cap2 = s1 * (1.0 - x1) / x1 if x1 > 0.0 else np.inf
+    q1 = np.minimum(s1, np.minimum(cap1, np.maximum(d0 - s2, a1 * d0)))
+    q2 = np.minimum(s2, np.minimum(cap2, np.maximum(d0 - s1, a2 * d0)))
+    return q1, q2
 
 
 def _linspace_rows(start, stop, n):

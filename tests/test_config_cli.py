@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from divergeflow import config, del_castillo_mainline, del_castillo_ramp, greenshields, triangular
+from divergeflow import config, ctm, del_castillo_mainline, del_castillo_ramp, greenshields, triangular, waves
 from divergeflow.cli import main
 from divergeflow.config import ConfigError, build_spec, config_hash, load_config
 from divergeflow.ctm import BoundaryCondition, BoundarySpec, SimConfig
@@ -449,6 +449,55 @@ class TestCli:
         cfg.write_text(text, encoding="utf-8")
         assert main(["converge", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == "error: expected scalar or array of 80 cells, got shape (40,)\n"
+
+    def test_two_cell_proportion_list_is_read_per_cell(self, tmp_path):
+        cfg = tmp_path / "two_cells.yaml"
+        text = SMALL_VERIFY.replace("cells_per_link: 20", "cells_per_link: 2")
+        cfg.write_text(text.replace("initial_proportions: 0.7", "initial_proportions: [0.3, 0.8]"), encoding="utf-8")
+        sim = build_spec(load_config(cfg), ExperimentKind.RIEMANN_VERIFY).sim
+        assert sim.initial_mix.tolist() == [[0.3, 0.3, 0.8]]
+
+    @pytest.mark.parametrize(
+        "new, message",
+        [
+            ("initial_proportions: [0.6, 0.9]", "initial_proportions must be a scalar or one value per cell"),
+            ("initial_proportions: 0.7\n  inflow_proportions: [0.6, 0.9]", "inflow_proportions must be a scalar"),
+            ("initial_proportions: 0.7\n  inflow_proportions: [0.5]", "inflow_proportions must be a scalar"),
+        ],
+        ids=["initial-pair", "inflow-pair", "inflow-list-of-one"],
+    )
+    def test_one_commodity_proportion_pair_exits_two(self, tmp_path, capsys, new, message):
+        cfg = tmp_path / "pair.yaml"
+        cfg.write_text(SMALL_VERIFY.replace("initial_proportions: 0.7", new), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["riemann-verify", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message} for one tracked commodity, got ")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("old", ["link_length: 10.0", "horizon: 360.0"])
+    def test_infinite_link_length_or_horizon_exits_two(self, tmp_path, capsys, old):
+        cfg = tmp_path / "inf.yaml"
+        cfg.write_text(SMALL_VERIFY.replace(old, old.split(":")[0] + ": .inf"), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["riemann-verify", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: link_length and horizon must be positive and finite\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "module, name, error",
+        [(ctm, "run_batch", ctm.NumericalStabilityError), (waves, "link_waves", waves.WaveConsistencyError)],
+        ids=["stability", "wave-consistency"],
+    )
+    def test_runtime_error_exits_one_with_one_line(self, verify_config, tmp_path, capsys, monkeypatch,
+                                                   module, name, error):
+        def raising(*args):
+            raise error("the run stopped")
+
+        monkeypatch.setattr(module, name, raising)
+        assert main(["riemann-verify", "--config", str(verify_config), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "error: the run stopped\n"
 
     def test_out_naming_an_existing_file_exits_two(self, verify_config, tmp_path, capsys):
         out = tmp_path / "taken"

@@ -1,5 +1,5 @@
 import hashlib
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -48,9 +48,8 @@ def diverge_config(trio, model, cells=40, **kwargs):
 
 def initial_arrays(cfg):
     """The (1, 3, M) densities and (1, C, M) proportions of cfg as a batch
-    of one."""
-    rho, x = cfg._initial_arrays()
-    return rho[None], x[None]
+    of one, writable copies of its read-only initial state."""
+    return cfg.initial_state[None].copy(), cfg.initial_mix[None, :, 1:].copy()
 
 
 def advance(cfg, rho, x, k=0):
@@ -121,9 +120,49 @@ class TestConfigValidation:
         model = partial_evacuation((0.3, 0.2), (0.55, 0.45))
         per_cell = (np.linspace(0.1, 0.4, 20), 0.2)
         cfg = diverge_config(trio, model, cells=20, initial_proportions=per_cell)
-        assert cfg.inflow_mix.tolist() == [0.1, 0.2]
+        assert cfg.initial_mix[:, 0].tolist() == [0.1, 0.2]
         cfg = diverge_config(trio, lebacque((0.7, 0.3)), cells=20, initial_proportions=per_cell[0])
-        assert cfg.inflow_mix.tolist() == [0.1]
+        assert cfg.initial_mix[:, 0].tolist() == [0.1]
+
+    def test_a_two_cell_list_is_read_per_cell(self, trio):
+        # one tracked commodity: a list as long as the link is one value per
+        # cell, not a commodity pair whose second entry is dropped
+        cfg = diverge_config(trio, lebacque((0.7, 0.3)), cells=2, initial_proportions=[0.3, 0.8])
+        assert cfg.initial_mix.tolist() == [[0.3, 0.3, 0.8]]
+        assert run(cfg).proportions[0].tolist() == [[0.3, 0.8]]
+
+    @pytest.mark.parametrize("cells", [1, 3, 20])
+    def test_one_tracked_commodity_rejects_a_proportion_pair(self, trio, cells):
+        model = lebacque((0.7, 0.3))
+        with pytest.raises(ValueError, match=r"^initial_proportions must be a scalar or one value per cell"):
+            diverge_config(trio, model, cells=cells, initial_proportions=(0.6, 0.9))
+        for mix in ((0.6, 0.9), [0.5]):  # a list of one is no scalar, even on a one-cell link
+            with pytest.raises(ValueError, match=r"^inflow_proportions must be a scalar for one"):
+                diverge_config(trio, model, cells=cells, inflow_proportions=mix)
+
+    def test_two_tracked_commodities_need_a_pair(self, trio):
+        model = partial_evacuation((0.3, 0.2), (0.55, 0.45))
+        for name, value in (("initial_proportions", 0.3), ("initial_proportions", (0.3, 0.2, 0.1)),
+                            ("inflow_proportions", 0.3), ("inflow_proportions", (np.full(20, 0.3), 0.2))):
+            with pytest.raises(ValueError, match=f"^{name} must be a pair"):
+                diverge_config(trio, model, cells=20, **{"initial_proportions": (0.3, 0.2), name: value})
+
+    def test_config_and_its_initial_state_are_read_only(self, trio):
+        cfg = diverge_config(trio, partial_evacuation((0.3, 0.2), (0.55, 0.45)), initial_proportions=(0.3, 0.2))
+        assert cfg.initial_state.shape == (3, 40) and cfg.initial_mix.shape == (2, 41)
+        with pytest.raises(FrozenInstanceError):
+            cfg.initial_densities = (3.0, 0.0, 0.0)
+        with pytest.raises(FrozenInstanceError):
+            cfg.initial_state = np.zeros((3, 40))
+        for derived in (cfg.initial_state, cfg.initial_mix):
+            with pytest.raises(ValueError, match="read-only"):
+                derived[0, 0] = 0.5
+
+    @pytest.mark.parametrize("name", ["link_length", "horizon"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), 0.0, -1.0])
+    def test_link_length_and_horizon_must_be_positive_and_finite(self, trio, name, value):
+        with pytest.raises(ValueError, match="link_length and horizon must be positive and finite"):
+            diverge_config(trio, lebacque((0.7, 0.3)), **{name: value})
 
     @pytest.mark.parametrize("period", [0.0, -60.0, float("inf"), float("nan")])
     def test_sinusoid_period_validated(self, period):
@@ -240,7 +279,8 @@ class TestStepBasics:
             raise AssertionError("called inside the CTM loop")
 
         monkeypatch.setattr(FundamentalDiagram, "_checked", forbidden)
-        monkeypatch.setattr(SimConfig, "_inflow_mix", forbidden)
+        monkeypatch.setattr(ctm, "_proportions", forbidden)
+        monkeypatch.setattr(ctm, "_as_cell_array", forbidden)
         got = run(cfg)
         np.testing.assert_array_equal(got.densities, want.densities)
         np.testing.assert_array_equal(got.proportions, want.proportions)
@@ -588,8 +628,10 @@ class TestRunBatch:
     def test_guard_names_the_member_link_and_step(self, trio):
         ok = diverge_config(trio, lebacque((0.7, 0.3)), cells=20)
         bad = diverge_config(trio, daganzo_fifo((0.7, 0.3)), cells=20)
-        # set after construction, past the range check, as a runaway state
-        bad.initial_densities = (1.0, trio[1].jam_density + 5e-9, 0.1)
+        # planted after construction, past the range check, as a runaway state
+        state = bad.initial_state.copy()
+        state[1] = trio[1].jam_density + 5e-9
+        object.__setattr__(bad, "initial_state", state)
         with pytest.raises(NumericalStabilityError, match="in member 1 on link 1 at step 0"):
             run_batch([ok, bad])
 

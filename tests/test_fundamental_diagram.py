@@ -171,14 +171,6 @@ class TestOneFluxPath:
         assert (type(d), type(s)) == (float, float)
         assert d == s == fd.capacity
 
-    @pytest.mark.parametrize("fd", LAWS)
-    def test_unchecked_demand_supply_matches_the_checked_one(self, fd):
-        grid = np.linspace(0.0, fd.jam_density, 101)
-        for got, want in zip(fd._demand_supply(grid), fd.demand_supply(grid)):
-            np.testing.assert_array_equal(got, want)
-        for rho in (0.0, fd.critical_density, float(grid[77]), fd.jam_density):
-            assert fd._demand_supply(rho) == fd.demand_supply(rho)
-
     @pytest.mark.parametrize("fd", [del_castillo_mainline(), del_castillo_ramp()])
     def test_exponential_laws_are_free_flow_below_the_floor(self, fd):
         floor = fd.jam_density / 1000.0

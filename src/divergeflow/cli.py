@@ -12,6 +12,9 @@ column layouts); all numbers use 12 significant digits and reruns with the
 same config are byte-identical.
 Every data file is a table of columns (a dict from CSV header to an
 equal-length array) written by `_write_table` a block of rows at a time.
+It formats each distinct value of a block's column once and gathers the
+text into the rows, or formats field by field where more than half of the
+values are distinct; the bytes are those of formatting every field alone.
 """
 
 from __future__ import annotations
@@ -36,17 +39,26 @@ from .waves import WaveConsistencyError
 _FMT = "%.12g"
 # Rows formatted per write: bounds the text held in memory at any length.
 _BLOCK_ROWS = 4096
+# A block of a column with more distinct values than this share of its rows
+# is formatted field by field: there the sort that finds them costs more
+# than it saves.
+_DISTINCT_SHARE = 0.5
 
 
-def _block_format(column):
+def _block_fields(column):
     """(%-format, Python values) of a block of a column: floats at 12
-    significant digits and NaN as an empty field, the rest as str."""
-    values = column.tolist()
-    if column.dtype.kind != "f":
-        return "%s", values
-    if not np.isnan(column).any():
-        return _FMT, values
-    return "%s", ["" if v != v else _FMT % v for v in values]
+    significant digits and NaN as an empty field, the rest as str.  Each
+    distinct value (a float by its bit pattern, so -0.0 stays -0) is
+    formatted once and gathered into its rows, unless more than half are
+    distinct."""
+    floats = column.dtype.kind == "f"
+    distinct, inverse = np.unique(column.view(f"i{column.itemsize}") if floats else column, return_inverse=True)
+    per_field = len(distinct) > _DISTINCT_SHARE * len(column)
+    if per_field and not (floats and np.isnan(column).any()):
+        return _FMT if floats else "%s", column.tolist()
+    values = (column if per_field else distinct.view(column.dtype)).tolist()
+    text = ["" if v != v else _FMT % v for v in values] if floats else [str(v) for v in values]
+    return "%s", text if per_field else np.array(text, dtype=object)[inverse].tolist()
 
 
 def _write_table(path, table):
@@ -57,7 +69,7 @@ def _write_table(path, table):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(table) + "\n")
         for start in range(0, len(columns[0]), _BLOCK_ROWS):
-            formats, values = zip(*(_block_format(column[start:start + _BLOCK_ROWS]) for column in columns))
+            formats, values = zip(*(_block_fields(column[start:start + _BLOCK_ROWS]) for column in columns))
             rows = len(values[0])
             fields = [None] * (width * rows)
             for j, block in enumerate(values):

@@ -235,8 +235,13 @@ class SimConfig:
                 raise ValueError("constant boundary supply outside [0, capacity]")
         m, c = self.cells_per_link, self.tracked_commodities
         state = np.stack([_as_cell_array(rho, m) for rho in self.initial_densities])
-        if not (state.min() >= 0.0 and np.all(state <= [[fd.jam_density] for fd in self.diagrams])):
+        jam = np.broadcast_to([[fd.jam_density] for fd in self.diagrams], state.shape)
+        if not (state.min() >= 0.0 and np.all(state <= jam)):
             raise ValueError("initial density outside [0, jam_density]")
+        with np.errstate(over="ignore"):
+            if not math.isfinite(_vehicles(jam, self.dx)):
+                raise ValueError(f"link_length {self.link_length!r} is too large: a jam-full network's "
+                                 "vehicle count overflows")
         raw = self.initial_proportions
         if raw is None:
             raw = self.model.xi if c == 2 else (self.model.xi or (1.0,))[0]

@@ -4,10 +4,11 @@ import hashlib
 from dataclasses import MISSING, fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from divergeflow import config, ctm, del_castillo_mainline, del_castillo_ramp, greenshields, triangular, waves
-from divergeflow.cli import main
+from divergeflow.cli import _BLOCK_ROWS, _write_table, main
 from divergeflow.config import ConfigError, build_spec, config_hash, load_config
 from divergeflow.ctm import BoundaryCondition, BoundarySpec, SimConfig
 from divergeflow.fundamental_diagram import DiagramKind, FundamentalDiagram
@@ -46,6 +47,25 @@ SHIPPED = {
     "props.yaml": ExperimentKind.PROPERTY_SUITE,
     "props_triangular.yaml": ExperimentKind.PROPERTY_SUITE,
 }
+
+
+# Every CSV file the data-writing experiments write on their shipped config.
+SHIPPED_CSVS = {
+    "riemann-verify": ("diverge_verify.yaml", ("fields.csv", "junction.csv")),
+    "converge": ("convergence.yaml", ("epsilon_M40.csv", "epsilon_M80.csv", "epsilon_M160.csv")),
+    "flux-map": ("flux_map.yaml", ("flux_map.csv",)),
+}
+
+
+@pytest.fixture(scope="module")
+def shipped_outputs(tmp_path_factory):
+    """The output directory of each data-writing experiment run once on its
+    shipped config."""
+    outs = {}
+    for command, (name, _) in SHIPPED_CSVS.items():
+        outs[command] = tmp_path_factory.mktemp(command)
+        assert main([command, "--config", str(CONFIGS / name), "--out", str(outs[command])]) == 0
+    return outs
 
 
 @pytest.fixture
@@ -485,6 +505,19 @@ class TestCli:
         assert capsys.readouterr().err == "config error: link_length and horizon must be positive and finite\n"
         assert not out.exists()
 
+    def test_link_length_too_large_to_count_vehicles_exits_two(self, tmp_path, capsys):
+        # finite, but a jam-full network's vehicle count overflows to inf
+        text = (CONFIGS / "diverge_verify.yaml").read_text(encoding="utf-8")
+        assert text.count("link_length: 10.0") == 1
+        cfg = tmp_path / "huge.yaml"
+        cfg.write_text(text.replace("link_length: 10.0", "link_length: 1.0e+308"), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["riemann-verify", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "error: link_length 1e+308 is too large" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "module, name, error",
         [(ctm, "run_batch", ctm.NumericalStabilityError), (waves, "link_waves", waves.WaveConsistencyError)],
@@ -640,6 +673,18 @@ class TestCli:
         assert header == ["demand_upstream", "supply_1", "supply_2", "q0", "q1", "q2", "region"]
         assert len(rows) == 64
         assert all(len(row) == len(header) for row in rows)
+
+    @pytest.mark.parametrize(
+        "command, name", [(command, name) for command, (_, names) in SHIPPED_CSVS.items() for name in names]
+    )
+    def test_shipped_csv_rows_have_the_header_field_count(self, shipped_outputs, command, name):
+        with open(shipped_outputs[command] / name, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert rows
+        assert all(len(row) == len(header) for row in rows)
+        if name == "fields.csv":
+            # the downstream links' proportion is an empty last field
+            assert {row[-1] == "" for row in rows} == {True, False}
 
     @pytest.mark.parametrize(
         "command, key, old, value",
@@ -860,3 +905,58 @@ properties: {samples: 60, wave_samples: 15, oracle_grid: 2}
         value = line.split(",")[1]
         digits = value.replace("-", "").replace(".", "").lstrip("0")
         assert 0 < len(digits) <= 12
+
+
+def reference_csv(table):
+    """The CSV of `table` formatted row by row and field by field: floats at
+    12 significant digits and NaN as an empty field, the rest as str."""
+    def field(value, floats):
+        return ("" if value != value else "%.12g" % value) if floats else "%s" % value
+
+    kinds = [column.dtype.kind == "f" for column in table.values()]
+    lines = [",".join(table)]
+    for row in zip(*(column.tolist() for column in table.values())):
+        lines.append(",".join(field(value, floats) for value, floats in zip(row, kinds)))
+    return "\n".join(lines) + "\n"
+
+
+class TestWriteTable:
+    """_write_table writes the bytes the field-by-field reference writes,
+    whichever way each block of each column is formatted."""
+
+    ROWS = 2 * _BLOCK_ROWS + 1
+    TABLES = {
+        "signed-zeros": {"x": np.array([0.0, -0.0, 0.0, -0.0, 1.5, -0.0])},
+        "nan": {"x": np.array([np.nan, 0.25, np.nan, -0.0, 0.25, 1e300]), "n": np.array([3, -1, 3, 0, 7, 3])},
+        "all-nan-block": {
+            "x": np.concatenate([np.full(_BLOCK_ROWS, np.nan), [0.1, np.nan, -0.0]]),
+            "step": np.arange(_BLOCK_ROWS + 3),
+        },
+        "int-and-str": {
+            "i": np.array([5, -2, 5, 5, 0, -2]), "region": np.array(["I", "II/III", "I", "", "I", "II/III"]),
+        },
+        "repeats-across-blocks": {
+            "x": np.arange(ROWS) % 7 * 0.1 - 0.3,
+            "zero": np.where(np.arange(ROWS) % 3 == 0, -0.0, 0.0),
+            "nan": np.where(np.arange(ROWS) % 5 == 0, np.nan, 1.0 / 3.0),
+            "i": np.arange(ROWS) % 11,
+            "region": np.array(["I", "II", "III/IV"])[np.arange(ROWS) % 3],
+        },
+        "all-distinct": {
+            "x": np.random.default_rng(0).random(ROWS),
+            "nan": np.where(np.arange(ROWS) % 9 == 0, np.nan, np.random.default_rng(1).random(ROWS)),
+            "i": np.arange(ROWS),
+            "s": np.arange(ROWS).astype(str),
+        },
+        "empty": {"x": np.array([]), "i": np.array([], dtype=int), "s": np.array([], dtype=str)},
+    }
+
+    @pytest.mark.parametrize("name", list(TABLES))
+    def test_matches_the_field_by_field_reference(self, tmp_path, name):
+        table = self.TABLES[name]
+        _write_table(tmp_path / "t.csv", table)
+        assert (tmp_path / "t.csv").read_bytes() == reference_csv(table).encode("utf-8")
+
+    def test_signed_zeros_keep_their_sign(self, tmp_path):
+        _write_table(tmp_path / "t.csv", self.TABLES["signed-zeros"])
+        assert (tmp_path / "t.csv").read_text(encoding="utf-8").split() == ["x", "0", "-0", "0", "-0", "1.5", "-0"]

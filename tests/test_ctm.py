@@ -164,6 +164,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="link_length and horizon must be positive and finite"):
             diverge_config(trio, lebacque((0.7, 0.3)), **{name: value})
 
+    def test_link_length_whose_jam_full_vehicle_count_overflows_is_rejected(self, trio):
+        with pytest.raises(ValueError, match="link_length 1e\\+308 is too large"):
+            diverge_config(trio, lebacque((0.7, 0.3)), link_length=1.0e308)
+        # huge, but its jam-full vehicle count is finite
+        assert diverge_config(trio, lebacque((0.7, 0.3)), link_length=1.0e300).link_length == 1.0e300
+
     @pytest.mark.parametrize("period", [0.0, -60.0, float("inf"), float("nan")])
     def test_sinusoid_period_validated(self, period):
         with pytest.raises(ValueError):

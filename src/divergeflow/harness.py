@@ -8,8 +8,9 @@ inputs reproduce identical reports byte for byte.
 The property battery draws its samples a block at a time, as the columns of
 rng.random((block, 8)) (bitwise the sequential rng.uniform draws), and
 checks each property with one array call per rule and block
-(solve_fluxes_batch, solve_batch, batch_waves).  The oracle comparison
-makes one brute_force_batch call per model fixture over its whole grid.
+(solve_fluxes_batch, solve_batch); the waves of all five rules take one
+batch_waves call per block.  The oracle comparison makes one
+brute_force_batch call per model fixture over its whole grid.
 """
 
 from __future__ import annotations
@@ -436,9 +437,10 @@ def flux_map(spec):
 
 
 # Samples per array call of the batteries: bounds their working set (about
-# 1 kB per sample) whatever the sample count.  Blocks draw from the generator
-# in turn, so the draws do not depend on the block size.
-_BLOCK = 256
+# 1 kB per sample, so about 1 MB per pass) whatever the sample count.  Blocks
+# draw from the generator in turn, so the draws do not depend on the block
+# size.
+_BLOCK = 1024
 
 
 def _uniform(u, lo, hi):
@@ -604,23 +606,28 @@ def _flux_battery(counterexamples, rng, n, diagrams):
 
 def _wave_battery(counterexamples, rng, n, diagrams):
     """n random initial densities, each with five random models: no wave
-    travels toward the junction."""
+    travels toward the junction.  The five models' stationary states are
+    joined model after model, so each link's states invert to densities in
+    one call and wave m * n + i is model m's at sample i."""
     caps = tuple(fd.capacity for fd in diagrams)
     u = rng.random((n, 8))
     densities = [_uniform(u[:, k], 0.0, fd.jam_density) for k, fd in enumerate(diagrams)]
     d0 = diagrams[0].demand(densities[0])
     s1, s2 = (diagrams[k].supply(densities[k]) for k in (1, 2))
     models = _random_models(u[:, 3:])
-    triplets = [
-        waves.batch_waves(solve_batch(model, d0, s1, s2, caps), diagrams, densities) for model in models
+    solutions = [solve_batch(model, d0, s1, s2, caps) for model in models]
+    stationary = [
+        TrafficState(np.concatenate([state.demand for state in link]), np.concatenate([state.supply for state in link]))
+        for link in zip(*((sol.stationary_upstream, *sol.stationary_downstream) for sol in solutions))
     ]
-    wrong = [waves.wrong_signs(triplet) for triplet in triplets]
+    triplet = waves.batch_waves(stationary, diagrams, [np.tile(rho, len(models)) for rho in densities])
+    wrong = waves.wrong_signs(triplet).reshape(len(models), n)
 
     def detail(i, m):
-        row = tuple(w.row(i) for w in triplets[m])
-        return f"{models[m].kind.value}: {waves.sign_error(row, int(wrong[m][i]))}"
+        row = tuple(w.row(m * n + i) for w in triplet)
+        return f"{models[m].kind.value}: {waves.sign_error(row, int(wrong[m, i]))}"
 
-    _record_first(counterexamples, "wave-speed-signs", [link < 0 for link in wrong], detail)
+    _record_first(counterexamples, "wave-speed-signs", list(wrong < 0), detail)
 
 
 def _oracle_battery(counterexamples, grid, diagrams):

@@ -27,9 +27,10 @@ re-evaluated.
 
 `brute_force_batch` runs the whole procedure as array code over the points
 (D0[k], S1[k], S2[k]) of a grid, a block of points at a time: the routed
-candidates form a (points, candidates) array, every bisection is one masked
-array bisection, and each tie pattern's coarse scan mesh and zoom steps are
-one evaluation of the entropy rule for all the block's points.  Each point
+candidates form a (points, candidates) array, the three tie patterns with
+one bound tight share one masked array bisection, and each scanned tie
+pattern's coarse mesh and zoom steps are one evaluation of the entropy rule
+for all the block's points.  Each point
 takes the same candidates, midpoints, meshes and zoom steps it would take
 alone, so its survivors do not depend on the batch; `brute_force_fluxes` is
 the batch of one.
@@ -322,6 +323,27 @@ def _scaled_specials(capacities, d0, s1, s2, t1, t2):
     return np.stack(plain + ratios, axis=1)
 
 
+def _one_bound_ties(model, d0, s1, s2, capacities):
+    """The tie patterns with one bound tight alone (q0 = D0, q1 = S1, q2 =
+    S2) by one masked bisection: row k frees interior coordinate k (the
+    demand, supply 1 or supply 2) over [0, Ck] and holds the other two at
+    capacity.  Returns the roots, NaN where a pattern has none, and the
+    rule's pair (q1, q2) at them, each (3, points)."""
+    caps = np.array(capacities, dtype=float)[:, None]
+    free = np.eye(3, dtype=bool)[:, :, None]
+
+    def pair(x):
+        coords = np.where(free, np.broadcast_to(x, (3, d0.size))[:, None, :], caps)
+        return _rule_pair(model, *coords.transpose(1, 0, 2))
+
+    def excess(x):
+        q1, q2 = pair(x)
+        return np.stack([q1[0] + q2[0] - d0, q1[1] - s1, q2[2] - s2])
+
+    root = _bisect_monotone(excess, 0.0, caps)
+    return (root, *pair(root))
+
+
 def _evacuation_survivors(model, d0, s1, s2, capacities):
     """Per point, one candidate triple per tie pattern and whether it
     survives, as (points, patterns) arrays in enumeration order."""
@@ -333,18 +355,11 @@ def _evacuation_survivors(model, d0, s1, s2, capacities):
     q1, q2 = _rule_pair(model, c0, c1, c2)
     found.append(((q1 < s1 - eps) & (q2 < s2 - eps) & (q1 + q2 < d0 - eps), q1 + q2, q1, q2))
 
-    # q0 = D0 tight only: scan the free interior demand
-    root = _bisect_monotone(lambda d: sum(_rule_pair(model, d, c1, c2)) - d0, 0.0, c0)
-    q1, q2 = _rule_pair(model, root, c1, c2)
-    found.append((~np.isnan(root) & (q1 < s1 - eps) & (q2 < s2 - eps), q1 + q2, q1, q2))
-
-    # one downstream bound tight: scan that link's free interior supply
-    root = _bisect_monotone(lambda x: _rule_pair(model, c0, x, c2)[0] - s1, 0.0, c1)
-    q1, q2 = _rule_pair(model, c0, root, c2)
-    found.append((~np.isnan(root) & (q2 < s2 - eps) & (q1 + q2 < d0 - eps), q1 + q2, q1, q2))
-    root = _bisect_monotone(lambda x: _rule_pair(model, c0, c1, x)[1] - s2, 0.0, c2)
-    q1, q2 = _rule_pair(model, c0, c1, root)
-    found.append((~np.isnan(root) & (q1 < s1 - eps) & (q2 + q1 < d0 - eps), q2 + q1, q1, q2))
+    # one bound tight alone: the two bounds a row does not tie must be strict
+    root, q1, q2 = _one_bound_ties(model, d0, s1, s2, capacities)
+    q0 = q1 + q2
+    strict = np.stack([q0 < d0 - eps, q1 < s1 - eps, q2 < s2 - eps]) | np.eye(3, dtype=bool)[:, :, None]
+    found += zip(~np.isnan(root) & strict.all(axis=0), q0, q1, q2)
 
     def scanned(candidate, targets, boxes, fixed, n_grid):
         """Scan the candidate points toward their targets; False elsewhere."""

@@ -11,10 +11,10 @@ downstream link the roles swap.  Waves emitted by an admissible Riemann
 solution never travel toward the junction: upstream speeds are nonpositive
 and downstream speeds nonnegative, up to a small tolerance.
 
-classify_wave and batch_waves take arrays (a solve_batch solution and the
-links' initial densities) as well as floats; wrong_signs then finds each
-sample's first wave with the wrong sign.  link_waves is batch_waves on one
-solution, raising on a wrong sign.
+classify_wave and batch_waves take arrays (the stationary states of a
+solve_batch solution and the links' initial densities) as well as floats;
+wrong_signs then finds each sample's first wave with the wrong sign.
+link_waves is batch_waves on one solution, raising on a wrong sign.
 """
 
 from __future__ import annotations
@@ -113,12 +113,11 @@ def classify_wave(fd, rho_left, rho_right):
     return wave if np.ndim(rho_left) or np.ndim(rho_right) else wave.row(0)
 
 
-def batch_waves(solution, diagrams, densities):
-    """Waves (upstream, down 1, down 2) of a solution from its stationary
-    states and the links' initial densities: floats for a solve solution,
-    arrays for a solve_batch one.  Signs are not checked; wrong_signs does
-    that."""
-    stationary = (solution.stationary_upstream, *solution.stationary_downstream)
+def batch_waves(stationary, diagrams, densities):
+    """Waves (upstream, down 1, down 2) from the links' stationary states
+    (upstream, down 1, down 2) and initial densities: floats, as of a solve
+    solution, or arrays, as of a solve_batch one.  Signs are not checked;
+    wrong_signs does that."""
     rho_stat = [fd.density_from_state(u) for fd, u in zip(diagrams, stationary)]
     up = classify_wave(diagrams[0], densities[0], rho_stat[0])
     down = [classify_wave(diagrams[i], rho_stat[i], densities[i]) for i in (1, 2)]
@@ -150,7 +149,8 @@ def link_waves(solution: RiemannSolution, inp: RiemannInput, speed_tol=SPEED_TOL
     indicate a solver defect rather than bad input.
     """
     diagrams = (inp.upstream_diagram, *inp.downstream_diagrams)
-    waves = batch_waves(solution, diagrams, [inp.initial_density(k) for k in range(3)])
+    stationary = (solution.stationary_upstream, *solution.stationary_downstream)
+    waves = batch_waves(stationary, diagrams, [inp.initial_density(k) for k in range(3)])
     link = int(wrong_signs(waves, speed_tol))
     if link >= 0:
         raise WaveConsistencyError(sign_error(waves, link))

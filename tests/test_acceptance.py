@@ -261,7 +261,8 @@ def test_criterion_6_wave_admissibility(trio):
         densities = [_uniform(u[:, k], 0.0, fd.jam_density) for k, fd in enumerate(trio)]
         d0 = trio[0].demand(densities[0])
         s1, s2 = (trio[k].supply(densities[k]) for k in (1, 2))
-        up, d1, d2 = batch_waves(solve_batch(model, d0, s1, s2, caps), trio, densities)
+        sol = solve_batch(model, d0, s1, s2, caps)
+        up, d1, d2 = batch_waves((sol.stationary_upstream, *sol.stationary_downstream), trio, densities)
         worst_up = max(worst_up, float(np.max(up.max_speed)))
         worst_down = min(worst_down, float(np.min(d1.min_speed)), float(np.min(d2.min_speed)))
     signs_ok = worst_up <= 1e-4 and worst_down >= -1e-4

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from divergeflow import config, ctm, del_castillo_mainline, del_castillo_ramp, greenshields, triangular, waves
 from divergeflow.cli import _BLOCK_ROWS, _write_table, main
@@ -104,6 +105,24 @@ class TestConfig:
         assert f"divergeflow {kind.value} --config configs/{name} " in header
         spec = build_spec(load_config(path), kind)
         assert spec.kind is kind
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED))
+    def test_every_shipped_config_loads_to_the_pure_python_document(self, name):
+        """Whichever loader PyYAML offers, a shipped config reads as the
+        document (and so the hash) of the pure-Python safe_load."""
+        path = CONFIGS / name
+        reference = yaml.safe_load(path.read_text(encoding="utf-8"))
+        doc = load_config(path)
+        assert doc == reference
+        assert config_hash(doc) == config_hash(reference)
+
+    def test_malformed_yaml_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "unclosed.yaml"
+        cfg.write_text(SMALL_VERIFY.replace("xi: [0.7, 0.3]", "xi: [0.7, 0.3"), encoding="utf-8")
+        with pytest.raises(ConfigError, match="cannot parse config"):
+            load_config(cfg)
+        assert main(["riemann-verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "cannot parse config" in capsys.readouterr().err
 
     def test_number_string_reads_as_a_number(self, tmp_path):
         # PyYAML reads 5e-3 (no dot) as a string

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -496,3 +497,36 @@ class TestPropertySuite:
                 f"(0.025276992897497103, 0.021830135999494193, 0.003446856898002911) vs {dag}"
             ),
         }
+
+    @pytest.mark.parametrize("block", [7, harness._BLOCK])
+    def test_first_wave_counterexample_follows_sample_then_model_order(self, trio, monkeypatch, block):
+        """Stationary states put in the wrong regime on the first downstream
+        link (Daganzo where S1 < 0.1, priority where S1 < 0.3) send waves
+        toward the junction.  wave-speed-signs must report the first failing
+        sample and, within it, the first failing model, whatever the block
+        size: priority at sample 2, before Daganzo's first failure at sample
+        3.  The expected string is the one a per-model loop over the same
+        draws reports, sample by sample, with solve and batch_waves on
+        floats."""
+        true_solve = harness.solve_batch
+        limits = {DivergeModelKind.DAGANZO_FIFO: 0.1, DivergeModelKind.PRIORITY_BASED: 0.3}
+
+        def defective(model, d0, s1, s2, capacities):
+            sol = true_solve(model, d0, s1, s2, capacities)
+            if model.kind in limits:
+                first, second = sol.stationary_downstream
+                swap = s1 < limits[model.kind]
+                first = TrafficState(np.where(swap, first.supply, first.demand),
+                                     np.where(swap, first.demand, first.supply))
+                sol = replace(sol, stationary_downstream=(first, second))
+            return sol
+
+        monkeypatch.setattr(harness, "solve_batch", defective)
+        monkeypatch.setattr(harness, "_BLOCK", block)
+        spec = props_spec(trio, samples=300, wave_samples=60, oracle_grid=2, seed=0)
+        report, _ = property_suite(spec)
+        failed = {c.name: c.detail for c in report.checks if not c.passed}
+        assert failed["wave-speed-signs"] == (
+            "counterexample: priority_based: downstream wave speed -0.2344406583181095 < 0 "
+            "for rarefaction on link 1"
+        )

@@ -1,7 +1,8 @@
 """The brute-force oracle as array code: survivors pinned bitwise on the
 acceptance, dense and props grids, a point's answer independent of the batch
-it comes in, the scan's zoom refinement reaching an off-grid target, and the
-oracle's independence from the closed forms it checks."""
+it comes in, the shared bisection of the one-bound tie patterns against one
+bisection per pattern, the scan's zoom refinement reaching an off-grid
+target, and the oracle's independence from the closed forms it checks."""
 
 import ast
 import hashlib
@@ -16,14 +17,17 @@ from divergeflow import (
     RiemannInput,
     TrafficState,
     daganzo_fifo,
+    greenshields,
     lebacque,
     partial_evacuation,
     priority_based,
     supply_proportional,
+    triangular,
 )
 from divergeflow.oracle import (
     _FEAS_TOL,
     _bisect_monotone,
+    _one_bound_ties,
     _rule_pair,
     _scan_feasible,
     brute_force_batch,
@@ -119,6 +123,50 @@ def test_array_bisection_takes_each_elements_scalar_steps():
 
     got = _bisect_monotone(lambda x: x - roots, 0.0, 1.0)
     np.testing.assert_array_equal(got, [scalar(r) for r in roots])
+
+
+def _per_pattern_roots(model, d0, s1, s2, caps):
+    """The reference for _one_bound_ties: one bisection per tie pattern,
+    each over one interior coordinate with the other two at capacity."""
+    c0, c1, c2 = caps
+    return np.stack([
+        _bisect_monotone(lambda d: sum(_rule_pair(model, d, c1, c2)) - d0, 0.0, c0),
+        _bisect_monotone(lambda x: _rule_pair(model, c0, x, c2)[0] - s1, 0.0, c1),
+        _bisect_monotone(lambda x: _rule_pair(model, c0, c1, x)[1] - s2, 0.0, c2),
+    ])
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        supply_proportional(),
+        priority_based((0.6, 0.4)),
+        priority_based((0.0, 1.0)),
+        partial_evacuation((0.3, 0.2), (0.55, 0.45)),
+    ],
+    ids=["supply_proportional", "priority_based", "priority_based-alpha01", "partial_evacuation"],
+)
+@pytest.mark.parametrize("diagrams", ["del-castillo", "triangular"])
+def test_one_bisection_finds_each_tie_patterns_own_roots(trio, model, diagrams):
+    """The shared bisection's roots, and the rule's pair at them, are bitwise
+    (NaN included) those of the three per-pattern bisections, on the 5^3 and
+    7^3 grids and on 500 random draws."""
+    if diagrams == "triangular":
+        trio = (triangular(1.0, 1.0), triangular(1.0, 1.0), greenshields(1.0, 1.0))
+    caps = capacities(trio)
+    rng = np.random.default_rng(3)
+    draws = [rng.uniform(0.0, c, 500) for c in caps]
+    for d0, s1, s2 in (grid(caps, 5), grid(caps, 7), draws):
+        root, q1, q2 = _one_bound_ties(model, d0, s1, s2, caps)
+        reference = _per_pattern_roots(model, d0, s1, s2, caps)
+        assert np.isnan(reference).any() and not np.isnan(reference).all()
+        np.testing.assert_array_equal(root.view(np.int64), reference.view(np.int64))
+        c0, c1, c2 = caps
+        pairs = [_rule_pair(model, reference[0], c1, c2), _rule_pair(model, c0, reference[1], c2),
+                 _rule_pair(model, c0, c1, reference[2])]
+        for k, (r1, r2) in enumerate(pairs):
+            np.testing.assert_array_equal(q1[k], r1)
+            np.testing.assert_array_equal(q2[k], r2)
 
 
 @pytest.mark.parametrize(

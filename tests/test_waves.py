@@ -134,7 +134,7 @@ class TestLinkWaves:
         s1, s2 = trio[1].supply(rho[1]), trio[2].supply(rho[2])
         for model in (lebacque((0.6, 0.4)), partial_evacuation((0.25, 0.15), (0.5, 0.5))):
             batch = solve_batch(model, d0, s1, s2, caps)
-            waves = batch_waves(batch, trio, rho)
+            waves = batch_waves((batch.stationary_upstream, *batch.stationary_downstream), trio, rho)
             assert np.all(wrong_signs(waves) == -1)
             for k in range(200):
                 inp = RiemannInput.from_densities(trio, [r[k] for r in rho])

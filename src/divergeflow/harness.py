@@ -616,9 +616,10 @@ def _wave_battery(counterexamples, rng, n, diagrams):
     s1, s2 = (diagrams[k].supply(densities[k]) for k in (1, 2))
     models = _random_models(u[:, 3:])
     solutions = [solve_batch(model, d0, s1, s2, caps) for model in models]
+    per_model = [(sol.stationary_upstream, *sol.stationary_downstream) for sol in solutions]
     stationary = [
         TrafficState(np.concatenate([state.demand for state in link]), np.concatenate([state.supply for state in link]))
-        for link in zip(*((sol.stationary_upstream, *sol.stationary_downstream) for sol in solutions))
+        for link in zip(*per_model)
     ]
     triplet = waves.batch_waves(stationary, diagrams, [np.tile(rho, len(models)) for rho in densities])
     wrong = waves.wrong_signs(triplet).reshape(len(models), n)

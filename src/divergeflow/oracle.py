@@ -30,10 +30,9 @@ re-evaluated.
 candidates form a (points, candidates) array, the three tie patterns with
 one bound tight share one masked array bisection, and each scanned tie
 pattern's coarse mesh and zoom steps are one evaluation of the entropy rule
-for all the block's points.  Each point
-takes the same candidates, midpoints, meshes and zoom steps it would take
-alone, so its survivors do not depend on the batch; `brute_force_fluxes` is
-the batch of one.
+for all the block's points.  Each point takes the same candidates,
+midpoints, meshes and zoom steps it would take alone, so its survivors do
+not depend on the batch; `brute_force_fluxes` is the batch of one.
 
 `probe_interior_unique_batch` cross-checks the closed-form interior
 uniqueness flags of `riemann.solve_batch` the same way: it scans each tight
@@ -329,18 +328,21 @@ def _one_bound_ties(model, d0, s1, s2, capacities):
     demand, supply 1 or supply 2) over [0, Ck] and holds the other two at
     capacity.  Returns the roots, NaN where a pattern has none, and the
     rule's pair (q1, q2) at them, each (3, points)."""
-    caps = np.array(capacities, dtype=float)[:, None]
-    free = np.eye(3, dtype=bool)[:, :, None]
+    caps = np.array(capacities, dtype=float)
+    # coords[j, k] is coordinate j of row k: capacity except on the diagonal,
+    # which each call overwrites (the rule returns new arrays)
+    coords = np.broadcast_to(caps[:, None, None], (3, 3, d0.size)).copy()
+    diagonal = np.arange(3)
 
     def pair(x):
-        coords = np.where(free, np.broadcast_to(x, (3, d0.size))[:, None, :], caps)
-        return _rule_pair(model, *coords.transpose(1, 0, 2))
+        coords[diagonal, diagonal] = x
+        return _rule_pair(model, *coords)
 
     def excess(x):
         q1, q2 = pair(x)
         return np.stack([q1[0] + q2[0] - d0, q1[1] - s1, q2[2] - s2])
 
-    root = _bisect_monotone(excess, 0.0, caps)
+    root = _bisect_monotone(excess, 0.0, caps[:, None])
     return (root, *pair(root))
 
 

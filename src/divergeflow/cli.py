@@ -13,8 +13,7 @@ same config are byte-identical.
 Every data file is a table of columns (a dict from CSV header to an
 equal-length array) written by `_write_table` a block of rows at a time.
 It formats each distinct value of a block's column once and gathers the
-text into the rows, or formats field by field where more than half of the
-values are distinct; the bytes are those of formatting every field alone.
+text into the rows; the bytes are those of formatting every field alone.
 """
 
 from __future__ import annotations
@@ -39,42 +38,29 @@ from .waves import WaveConsistencyError
 _FMT = "%.12g"
 # Rows formatted per write: bounds the text held in memory at any length.
 _BLOCK_ROWS = 4096
-# A block of a column with more distinct values than this share of its rows
-# is formatted field by field: there the sort that finds them costs more
-# than it saves.
-_DISTINCT_SHARE = 0.5
 
 
 def _block_fields(column):
-    """(%-format, Python values) of a block of a column: floats at 12
-    significant digits and NaN as an empty field, the rest as str.  Each
-    distinct value (a float by its bit pattern, so -0.0 stays -0) is
-    formatted once and gathered into its rows, unless more than half are
-    distinct."""
+    """Text of each field of a block of a column: floats at 12 significant
+    digits and NaN as an empty field, the rest as str.  Each distinct value
+    (a float by its bit pattern, so -0.0 stays -0) is formatted once and
+    gathered into its rows."""
     floats = column.dtype.kind == "f"
     distinct, inverse = np.unique(column.view(f"i{column.itemsize}") if floats else column, return_inverse=True)
-    per_field = len(distinct) > _DISTINCT_SHARE * len(column)
-    if per_field and not (floats and np.isnan(column).any()):
-        return _FMT if floats else "%s", column.tolist()
-    values = (column if per_field else distinct.view(column.dtype)).tolist()
+    values = distinct.view(column.dtype).tolist()
     text = ["" if v != v else _FMT % v for v in values] if floats else [str(v) for v in values]
-    return "%s", text if per_field else np.array(text, dtype=object)[inverse].tolist()
+    return np.array(text, dtype=object)[inverse].tolist()
 
 
 def _write_table(path, table):
     """Write `table`, a dict from CSV header to an equal-length array, as
     CSV, formatting and writing a block of rows at a time."""
     columns = list(table.values())
-    width = len(columns)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(table) + "\n")
         for start in range(0, len(columns[0]), _BLOCK_ROWS):
-            formats, values = zip(*(_block_fields(column[start:start + _BLOCK_ROWS]) for column in columns))
-            rows = len(values[0])
-            fields = [None] * (width * rows)
-            for j, block in enumerate(values):
-                fields[j::width] = block
-            fh.write((",".join(formats) + "\n") * rows % tuple(fields))
+            fields = [_block_fields(column[start:start + _BLOCK_ROWS]) for column in columns]
+            fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
 
 def _fields_table(traj):
@@ -112,8 +98,9 @@ def _run(kind, args):
 
     for name, table in tables.items():
         _write_table(out_dir / name, table)
-    (out_dir / "report.txt").write_text(report.render(), encoding="utf-8")
-    sys.stdout.write(report.render())
+    text = report.render()
+    (out_dir / "report.txt").write_text(text, encoding="utf-8")
+    sys.stdout.write(text)
     return 0 if report.passed else 1
 
 

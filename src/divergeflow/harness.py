@@ -120,6 +120,25 @@ class ExperimentSpec:
             raise ValueError("flux map needs a sweep grid")
         if self.sim is None:
             raise ValueError(f"{self.kind.value} needs a simulation config")
+        if self.kind is ExperimentKind.RIEMANN_VERIFY:
+            _check_riemann_problem(self.sim)
+
+
+def _check_riemann_problem(sim):
+    """Reject a simulation whose Riemann problem differs from the one
+    riemann_verify solves: densities that are not uniform on each link, or,
+    for the routed rules, an upstream mix other than the model's x1 (the CTM
+    routes by the mix, solve by xi)."""
+    if np.ptp(sim.initial_state, axis=1).max() > 0.0:
+        raise ValueError("riemann-verify needs initial_densities uniform on each link")
+    if sim.model.kind in _FIFO_KINDS:
+        x1 = float(sim.model.xi[0])
+        mix = sim.initial_mix[0]
+        for name, part in (("initial_proportions", mix[1:]), ("inflow_proportions", mix[:1])):
+            off = part[part != x1]
+            if off.size:
+                raise ValueError(f"riemann-verify solves with the model's x1 = {x1!r}, so {name} must "
+                                 f"equal it, got {off[0].item()!r}")
 
 
 @dataclass
@@ -155,13 +174,6 @@ class Report:
             lines.append(f"check {c.name}: {status}{suffix}")
         lines.append(f"verdict: {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines) + "\n"
-
-
-def _riemann_input_from_sim(sim):
-    state = sim.initial_state
-    if np.ptp(state, axis=1).max() > 0.0:
-        raise ValueError("riemann-verify needs uniform initial densities per link")
-    return RiemannInput.from_densities(sim.diagrams, state[:, 0].tolist())
 
 
 def shock_front_position(densities, dx):
@@ -249,7 +261,7 @@ def riemann_verify(spec):
     junction-adjacent states, fluxes, and kinematic waves."""
     sim = spec.sim
     tol = spec.tolerance
-    inp = _riemann_input_from_sim(sim)
+    inp = RiemannInput.from_densities(sim.diagrams, sim.initial_state[:, 0].tolist())
     solution = solve(sim.model, inp)
     wave_triplet = waves.link_waves(solution, inp)
     traj = ctm.run(sim)

@@ -493,7 +493,7 @@ class TestCli:
         cfg = tmp_path / "two_cells.yaml"
         text = SMALL_VERIFY.replace("cells_per_link: 20", "cells_per_link: 2")
         cfg.write_text(text.replace("initial_proportions: 0.7", "initial_proportions: [0.3, 0.8]"), encoding="utf-8")
-        sim = build_spec(load_config(cfg), ExperimentKind.RIEMANN_VERIFY).sim
+        sim = build_spec(load_config(cfg), ExperimentKind.CONVERGENCE).sim
         assert sim.initial_mix.tolist() == [[0.3, 0.3, 0.8]]
 
     @pytest.mark.parametrize(
@@ -513,6 +513,93 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {message} for one tracked commodity, got ")
         assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["lebacque", "daganzo_fifo"])
+    @pytest.mark.parametrize(
+        "new, name",
+        [
+            ("initial_proportions: 0.5", "initial_proportions"),
+            ("initial_proportions: 0.7\n  inflow_proportions: 0.5", "inflow_proportions"),
+            ("initial_proportions: [" + ", ".join(["0.7"] * 19 + ["0.5"]) + "]", "initial_proportions"),
+        ],
+        ids=["initial", "inflow", "per-cell"],
+    )
+    def test_verify_rejects_an_upstream_mix_other_than_the_model_x1(self, tmp_path, capsys, kind, new, name):
+        # the CTM routes by the mix and solve by xi: with another mix the two
+        # would answer different Riemann problems
+        text = SMALL_VERIFY.replace("kind: lebacque", f"kind: {kind}")
+        cfg = tmp_path / "mix.yaml"
+        cfg.write_text(text.replace("initial_proportions: 0.7", new), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["riemann-verify", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: riemann-verify solves with the model's x1 = 0.7, so {name} must equal it, got 0.5\n"
+        )
+        assert not out.exists()
+
+    def test_verify_rejects_nonuniform_initial_densities_before_creating_the_output(self, tmp_path, capsys):
+        cfg = tmp_path / "per_cell.yaml"
+        per_cell = "[" + ", ".join(["1.0"] * 19 + ["0.5"]) + "]"
+        cfg.write_text(SMALL_VERIFY.replace("[1.0, 1.0, 0.1]", f"[{per_cell}, 1.0, 0.1]"), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["riemann-verify", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: riemann-verify needs initial_densities uniform on each link\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, old, new, message",
+        [
+            ("riemann-verify", SMALL_VERIFY, "- 1\n- 2\n", "config must be a mapping"),
+            ("riemann-verify", "  kind: lebacque\n", "", "model section needs a kind"),
+            ("riemann-verify", "{kind: del_castillo_ramp}", "{jam_density: 1.0}", "each diagram needs a kind"),
+            ("riemann-verify", "{kind: del_castillo_ramp}", "{kind: cubic}", "unknown diagram kind 'cubic'"),
+            (
+                "riemann-verify", "{kind: del_castillo_ramp}", "{kind: del_castillo_ramp, jam_density: -1.0}",
+                "del_castillo_ramp diagram: jam_density must be positive and finite, got -1.0",
+            ),
+            (
+                "riemann-verify", "verify:", "  boundaries: {upstream_demand: 5}\nverify:",
+                "upstream_demand: a boundary condition must be a mapping, got 5",
+            ),
+            (
+                "riemann-verify", "verify:", "  boundaries: {upstream_demand: {kind: bogus}}\nverify:",
+                "upstream_demand: bad boundary condition {'kind': 'bogus'}",
+            ),
+            ("riemann-verify", "  time_steps: 800\n", "", "simulation section is missing time_steps"),
+            (
+                "riemann-verify", "verify:", "  boundaries: {downstream_supplies: [{kind: neumann}]}\nverify:",
+                "downstream_supplies needs exactly two entries",
+            ),
+            (
+                "flux-map", "verify:", "flux_map:\n  demand_upstream: 0.25\n  supply_1: {start: 0.0, stop: 0.3}\n"
+                "  supply_2: 0.05\nverify:",
+                "supply_1 axis needs start/stop/count, missing 'count'",
+            ),
+            ("riemann-verify", "  - {kind: del_castillo_ramp}\n", "", "diagrams must list exactly three entries"),
+            ("flux-map", "verify:", "verify:", "flux-map needs a flux_map section"),
+            (
+                "riemann-verify", "verify:",
+                "  boundaries: {downstream_supplies: [{kind: neumann}, {kind: constant, value: 0.5}]}\nverify:",
+                "constant boundary supply outside [0, capacity]",
+            ),
+        ],
+        ids=[
+            "not-a-mapping", "model-without-kind", "diagram-without-kind", "unknown-diagram-kind",
+            "diagram-parameter", "boundary-not-a-mapping", "unknown-boundary-kind", "simulation-missing-key",
+            "one-downstream-supply", "axis-without-count", "two-diagrams", "no-flux-map-section",
+            "supply-above-ramp-capacity",
+        ],
+    )
+    def test_config_error_exits_two_with_one_line_and_no_output(self, tmp_path, capsys, command, old, new, message):
+        # each case edits SMALL_VERIFY, which flux-map reads without a
+        # flux_map section unless the case adds one
+        assert old in SMALL_VERIFY
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(SMALL_VERIFY.replace(old, new), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("old", ["link_length: 10.0", "horizon: 360.0"])

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import divergeflow.harness as harness
+from divergeflow import ctm, waves
+from divergeflow.oracle import OracleResult
 from divergeflow import (
     BoundaryCondition,
     BoundarySpec,
@@ -100,6 +102,55 @@ class TestRiemannVerify:
             return sum(errs)
 
         assert total_error(160) < total_error(40)
+
+
+def fan_trajectory(trio, final_link2):
+    """A hand-built two-snapshot trajectory on sim_61's 20-cell grid (dx =
+    0.5, dt = 0.45) whose final snapshot, at step 40 (t = 18), holds
+    final_link2 on link 2."""
+    densities = np.zeros((2, 3, 20))
+    densities[-1, 2] = final_link2
+    return ctm.Trajectory(
+        config=sim_61(trio, 20), snapshot_steps=np.array([0, 40]), densities=densities,
+        proportions=np.full((2, 1, 20), 0.7), junction=None,
+        inflow_total=0.0, outflow_total=0.0, initial_vehicles=0.0, final_vehicles=0.0,
+    )
+
+
+class TestWaveChecks:
+    # a fan on downstream link 2 with edge speeds 0.1 and 0.3: at t = 18 it
+    # spans [1.8, 5.4], inside the link
+    FAN = waves.WaveDescription(waves.WaveKind.RAREFACTION, (0.1, 0.3), 0.6, 0.1)
+    CENTRES = (np.arange(20) + 0.5) * 0.5
+
+    def checks(self, trio, final_link2, check, link, wave):
+        report = harness.Report("waves", "unhashed", 0)
+        check(report, fan_trajectory(trio, final_link2), link, wave)
+        return [(c.name, c.passed, c.detail) for c in report.checks]
+
+    def test_fan_zone_inside_the_predicted_extent_passes(self, trio):
+        rho = np.interp(self.CENTRES, [1.8, 5.4], [0.6, 0.1])
+        assert self.checks(trio, rho, harness._rarefaction_check, 2, self.FAN) == [
+            ("link2-rarefaction-extent", True, "zone [2, 5] vs fan [1.8, 5.4] +/- 2 cells"),
+        ]
+
+    def test_flat_profile_has_no_transition_zone(self, trio):
+        assert self.checks(trio, np.full(20, 0.6), harness._rarefaction_check, 2, self.FAN) == [
+            ("link2-rarefaction-extent", False, "no transition zone found"),
+        ]
+
+    def test_zone_wider_than_two_cells_beyond_the_fan_fails(self, trio):
+        rho = np.interp(self.CENTRES, [0.0, 9.0], [0.6, 0.1])
+        assert self.checks(trio, rho, harness._rarefaction_check, 2, self.FAN) == [
+            ("link2-rarefaction-extent", False, "zone [0.5, 8.5] vs fan [1.8, 5.4] +/- 2 cells"),
+        ]
+
+    def test_shock_that_never_enters_the_link_is_skipped(self, trio):
+        # a shock leaving link 1 backwards through the junction
+        shock = waves.WaveDescription(waves.WaveKind.SHOCK, (-0.2, -0.2), 0.1, 0.6)
+        assert self.checks(trio, np.zeros(20), harness._front_check, 1, shock) == [
+            ("link1-shock-position", True, "front not inside the link at any recorded snapshot; skipped"),
+        ]
 
 
 class TestConvergenceStudy:
@@ -530,3 +581,83 @@ class TestPropertySuite:
             "counterexample: priority_based: downstream wave speed -0.2344406583181095 < 0 "
             "for rarefaction on link 1"
         )
+
+
+class TestPropsCounterexampleLines:
+    """Planted defects that the props CLI must report as the whole
+    counterexample line of the check they trip, with exit status 1.  The
+    run is configs/props.yaml at 300 flux samples, 60 wave samples and a
+    2^3 oracle grid, seed 0."""
+
+    AT = "at (0.21433507053251824, 0.09078215452247937, 0.003446856898002911)"
+
+    def fail_lines(self, tmp_path):
+        from divergeflow.cli import main
+
+        config = Path(__file__).resolve().parent.parent / "configs" / "props.yaml"
+        text = config.read_text(encoding="utf-8")
+        for old, new in (("samples: 2000", "samples: 300"), ("wave_samples: 400", "wave_samples: 60"),
+                         ("oracle_grid: 5", "oracle_grid: 2")):
+            assert old in text
+            text = text.replace(old, new)
+        cfg = tmp_path / "props.yaml"
+        cfg.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["props", "--config", str(cfg), "--out", str(out), "--seed", "0"])
+        report = (out / "report.txt").read_text(encoding="utf-8")
+        return code, [line for line in report.splitlines() if line.startswith("check ") and ": FAIL" in line]
+
+    def test_conservation_residual(self, tmp_path, monkeypatch):
+        # Lebacque's q0 raised by 1e-15 where D0 > 0.2: within every 1e-12
+        # tolerance, so only the exact balance fails
+        true_solve = harness.solve_batch
+
+        def defective(model, d0, s1, s2, capacities):
+            sol = true_solve(model, d0, s1, s2, capacities)
+            if model.kind is DivergeModelKind.LEBACQUE:
+                q0, q1, q2 = sol.fluxes
+                sol = replace(sol, fluxes=(q0 + np.where(d0 > 0.2, 1e-15, 0.0), q1, q2))
+            return sol
+
+        monkeypatch.setattr(harness, "solve_batch", defective)
+        assert self.fail_lines(tmp_path) == (1, [
+            f"check conservation-exact: FAIL (counterexample: lebacque {self.AT}: q0-q1-q2=1.0000680839006293e-15)",
+        ])
+
+    def test_oracle_survivor_count(self, tmp_path, monkeypatch, trio):
+        # the priority oracle's last grid point, (C0, C1, C2), left with its
+        # one survivor twice
+        true_oracle = harness.brute_force_batch
+
+        def defective(model, d0, s1, s2, capacities):
+            results = true_oracle(model, d0, s1, s2, capacities)
+            if model.kind is DivergeModelKind.PRIORITY_BASED:
+                results[-1] = OracleResult(results[-1].survivors * 2)
+            return results
+
+        monkeypatch.setattr(harness, "brute_force_batch", defective)
+        at = tuple(float(fd.capacity) for fd in trio)
+        assert self.fail_lines(tmp_path) == (1, [
+            f"check oracle-agreement: FAIL (counterexample: priority_based at {at}: 2 survivors)",
+        ])
+
+    def test_upstream_wave_sign(self, tmp_path, monkeypatch):
+        # Lebacque's upstream stationary state moved to the other branch
+        # where D0 < 0.2, which also breaks its admissibility
+        true_solve = harness.solve_batch
+
+        def defective(model, d0, s1, s2, capacities):
+            sol = true_solve(model, d0, s1, s2, capacities)
+            if model.kind is DivergeModelKind.LEBACQUE:
+                up, swap = sol.stationary_upstream, d0 < 0.2
+                up = TrafficState(np.where(swap, up.supply, up.demand), np.where(swap, up.demand, up.supply))
+                sol = replace(sol, stationary_upstream=up)
+            return sol
+
+        monkeypatch.setattr(harness, "solve_batch", defective)
+        assert self.fail_lines(tmp_path) == (1, [
+            "check admissibility: FAIL (counterexample: lebacque "
+            "at (0.18292764417112917, 0.3146481458694376, 0.06863286777976764))",
+            "check wave-speed-signs: FAIL (counterexample: lebacque: upstream wave speed 0.9999999999988137 > 0 "
+            "for rarefaction)",
+        ])

@@ -1,9 +1,10 @@
 """The package's public surface: every exported name resolves, the package
-exports exactly what its __init__ imports, and the call sites the benchmark's
-tracer wraps stay where it looks them up."""
+exports exactly what its __init__ imports, the call sites the benchmark's
+tracer wraps stay where it looks them up, and README's examples run."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -72,3 +73,15 @@ def test_package_exports_exactly_what_it_imports():
         for alias in node.names
     ]
     assert sorted(imported) == sorted(divergeflow.__all__)
+
+
+def test_readme_examples_run_and_give_the_values_their_comments_state():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 3
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(readme), "exec"), namespace)
+    assert namespace["sol"].fluxes == pytest.approx((0.2804, 0.1963, 0.0841), abs=1e-4)
+    assert namespace["traj"].densities[-1, 0, -1] == pytest.approx(0.8555, abs=1e-4)
+    assert namespace["batch"].row(0) == namespace["solve"](namespace["lebacque"]((0.7, 0.3)), namespace["inp"])

@@ -152,10 +152,10 @@ def _require_count(name, value):
         raise ValueError(f"{name} must be at least 1, got {value}")
 
 
-def _as_cell_array(value, cells):
+def _as_cell_array(value, cells, name):
     arr = np.asarray(value, dtype=float)
     if arr.shape not in ((), (cells,)):
-        raise ValueError(f"expected scalar or array of {cells} cells, got shape {arr.shape}")
+        raise ValueError(f"{name} must be a scalar or an array of {cells} cells, got shape {arr.shape}")
     return np.full(cells, arr)
 
 
@@ -168,7 +168,7 @@ def _proportions(raw, name, commodities, cells=None):
     try:
         if (isinstance(entries, (tuple, list, np.ndarray)) and len(entries) == commodities
                 and (cells or all(np.ndim(v) == 0 for v in entries))):
-            return np.stack([_as_cell_array(v, cells or 1) for v in entries])
+            return np.stack([_as_cell_array(v, cells or 1, name) for v in entries])
     except (TypeError, ValueError):
         pass
     entry = "a scalar or one value per cell" if cells else "a scalar"
@@ -234,7 +234,9 @@ class SimConfig:
             ):
                 raise ValueError("constant boundary supply outside [0, capacity]")
         m, c = self.cells_per_link, self.tracked_commodities
-        state = np.stack([_as_cell_array(rho, m) for rho in self.initial_densities])
+        state = np.stack([
+            _as_cell_array(rho, m, f"initial_densities[{i}]") for i, rho in enumerate(self.initial_densities)
+        ])
         jam = np.broadcast_to([[fd.jam_density] for fd in self.diagrams], state.shape)
         if not (state.min() >= 0.0 and np.all(state <= jam)):
             raise ValueError("initial density outside [0, jam_density]")

@@ -122,6 +122,8 @@ class ExperimentSpec:
             raise ValueError(f"{self.kind.value} needs a simulation config")
         if self.kind is ExperimentKind.RIEMANN_VERIFY:
             _check_riemann_problem(self.sim)
+        if self.kind is ExperimentKind.CONVERGENCE:
+            _convergence_pairs(self.sim, self.resolutions)
 
 
 def _check_riemann_problem(sim):
@@ -256,9 +258,24 @@ def _rarefaction_check(report, traj, link, wave):
     )
 
 
+def _state_checks(report, name, fd, rho, want, tol):
+    """The `{name}-state` and `{name}-density` checks of a cell's density rho
+    against the state `want` on the diagram fd."""
+    got = state_of(fd, rho)
+    err = max(abs(got.demand - want.demand), abs(got.supply - want.supply))
+    report.add(
+        f"{name}-state",
+        err <= tol,
+        f"({got.demand:.6f}, {got.supply:.6f}) vs ({want.demand:.6f}, {want.supply:.6f})",
+    )
+    rho_want = fd.density_from_state(want)
+    report.add(f"{name}-density", abs(rho - rho_want) <= tol, f"|{rho:.6f} - {rho_want:.6f}| <= {tol:g}")
+
+
 def riemann_verify(spec):
     """Solve the Riemann problem analytically, simulate it, and compare
-    junction-adjacent states, fluxes, and kinematic waves."""
+    fluxes, the interior and stationary states next to the junction, and
+    kinematic waves."""
     sim = spec.sim
     tol = spec.tolerance
     inp = RiemannInput.from_densities(sim.diagrams, sim.initial_state[:, 0].tolist())
@@ -275,27 +292,27 @@ def riemann_verify(spec):
             f"|{got:.6f} - {want:.6f}| <= {tol:g}",
         )
 
+    # each link's junction cell holds its interior state and the next cell its
+    # stationary state; a non-unique interior is checked through the local
+    # rule on the three junction cells instead
     final = traj.densities[-1]
-    adjacent = [
-        (0, float(final[0, -1]), solution.stationary_upstream),
-        (1, float(final[1, 0]), solution.stationary_downstream[0]),
-        (2, float(final[2, 0]), solution.stationary_downstream[1]),
-    ]
-    for link, rho, stationary in adjacent:
-        fd = sim.diagrams[link]
-        got = state_of(fd, rho)
-        err = max(abs(got.demand - stationary.demand), abs(got.supply - stationary.supply))
-        report.add(
-            f"link{link}-adjacent-state",
-            err <= tol,
-            f"({got.demand:.6f}, {got.supply:.6f}) vs ({stationary.demand:.6f}, {stationary.supply:.6f})",
-        )
-        rho_want = fd.density_from_state(stationary)
-        report.add(
-            f"link{link}-adjacent-density",
-            abs(rho - rho_want) <= tol,
-            f"|{rho:.6f} - {rho_want:.6f}| <= {tol:g}",
-        )
+    cells = [(final[0, -1], final[0, -2]), (final[1, 0], final[1, 1]), (final[2, 0], final[2, 1])]
+    up, down1, down2 = (state_of(fd, float(rho)) for fd, (rho, _) in zip(sim.diagrams, cells))
+    share = float(traj.proportions[-1, 0, -1])
+    local = junction_fluxes(sim.model, up.demand, (down1.supply, down2.supply), (share, 1.0 - share))
+    reproduced = max(abs(got - want) for got, want in zip(local, solution.fluxes)) <= tol
+    local_detail = (f"interior not unique; junction cells give ({', '.join(f'{q:.6f}' for q in local)}) "
+                    f"vs ({', '.join(f'{q:.6f}' for q in solution.fluxes)})")
+    interiors = (solution.interior_upstream, *solution.interior_downstream)
+    stationaries = (solution.stationary_upstream, *solution.stationary_downstream)
+    for link, fd in enumerate(sim.diagrams):
+        junction_rho, next_rho = (float(rho) for rho in cells[link])
+        if solution.interior_unique[link]:
+            _state_checks(report, f"link{link}-adjacent", fd, junction_rho, interiors[link], tol)
+        else:
+            report.add(f"link{link}-adjacent-state", reproduced, local_detail)
+            report.add(f"link{link}-adjacent-density", reproduced, local_detail)
+        _state_checks(report, f"link{link}-stationary", fd, next_rho, stationaries[link], tol)
 
     if sim.model.kind in _FIFO_KINDS:
         proportions = traj.proportions[-1, 0]
@@ -328,25 +345,32 @@ def _invariant_counterpart(model):
         return daganzo_fifo(model.xi)
     if model.kind is DivergeModelKind.DAGANZO_FIFO:
         return lebacque(model.xi)
-    raise ValueError("convergence study compares the routed models")
+    raise ValueError(f"convergence study compares the routed models, got {model.kind.value}")
 
 
-def _rescaled(sim, cells, model):
-    steps = int(round(sim.time_steps * cells / sim.cells_per_link))
-    return replace(sim, model=model, cells_per_link=cells, time_steps=steps)
+def _convergence_pairs(sim, resolutions):
+    """The configs of the routed model and its invariant counterpart at each
+    resolution, dt/dx kept fixed; an error names the resolution whose config
+    cannot be built."""
+    models = (sim.model, _invariant_counterpart(sim.model))
+    pairs = []
+    for cells in resolutions:
+        steps = int(round(sim.time_steps * cells / sim.cells_per_link))
+        try:
+            pairs.append([replace(sim, model=m, cells_per_link=cells, time_steps=steps) for m in models])
+        except ValueError as exc:
+            raise ValueError(f"converge at M={cells}: {exc}") from exc
+    return pairs
 
 
 def convergence_study(spec):
     """Compare a routed model with its invariant counterpart across grid
     resolutions, both simulated as one batch per resolution; the solution
     difference at the final time must shrink as the cells do."""
-    sim = spec.sim
-    other = _invariant_counterpart(sim.model)
     report = Report("converge", spec.config_hash, spec.seed)
     series = {}
     finals = []
-    # every rescaled config is built, and so validated, before any step runs
-    pairs = [(_rescaled(sim, cells, sim.model), _rescaled(sim, cells, other)) for cells in spec.resolutions]
+    pairs = _convergence_pairs(spec.sim, spec.resolutions)
     for cells, (cfg_a, cfg_b) in zip(spec.resolutions, pairs):
         traj_a, traj_b = ctm.run_batch([cfg_a, cfg_b])
         eps = ctm.solution_difference(traj_a, traj_b)

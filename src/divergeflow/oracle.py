@@ -25,14 +25,14 @@ solution.  Everything here is deliberately decoupled from the closed forms
 under test; only the local entropy rules themselves are (independently)
 re-evaluated.
 
-`brute_force_batch` runs the whole procedure as array code over the points
-(D0[k], S1[k], S2[k]) of a grid, a block of points at a time: the routed
-candidates form a (points, candidates) array, the three tie patterns with
-one bound tight share one masked array bisection, and each scanned tie
-pattern's coarse mesh and zoom steps are one evaluation of the entropy rule
-for all the block's points.  Each point takes the same candidates,
-midpoints, meshes and zoom steps it would take alone, so its survivors do
-not depend on the batch; `brute_force_fluxes` is the batch of one.
+`brute_force_batch` runs the whole procedure as array code over all the
+points (D0[k], S1[k], S2[k]) of a grid: the routed candidates form a
+(points, candidates) array, the three tie patterns with one bound tight
+share one masked array bisection, and each scanned tie pattern evaluates
+the entropy rule on at most _MESH_BUDGET mesh entries at a time, coarse or
+zoom.  Each point takes the same candidates, midpoints, meshes and zoom
+steps it would take alone, so its survivors do not depend on the batch;
+`brute_force_fluxes` is the batch of one.
 
 `probe_interior_unique_batch` cross-checks the closed-form interior
 uniqueness flags of `riemann.solve_batch` the same way: it scans each tight
@@ -59,20 +59,18 @@ __all__ = [
 _BOUND_TOL = 1e-9  # tight-versus-strict decision for candidate bounds
 _FEAS_TOL = 5e-8  # residual below which an entropy equality counts as met
 _DEDUP_TOL = 1e-7
-# flux-grid candidates per routed point, and coarse scan mesh points per free
-# axis of the evacuation rules (fewer when all three interior axes are free)
+# flux-grid candidates per routed point, and coarse scan mesh points per axis
+# of the evacuation rules, keyed by the number of free interior axes
 _FLUX_GRID = 41
-_SCAN_GRID = 21
-_SCAN_GRID_3D = 13
+_SCAN_GRID = {2: 21, 3: 13}
 # interior uniqueness probe: scan points per link, the flux residual accepted
 # as a match, and the distance below which a point is the canonical interior
 _PROBE_POINTS = 33
 _PROBE_TOL = 1e-10
 _PROBE_EXCLUDE = 1e-9
 _PROBE_TIGHT_TOL = 1e-12  # the solver's tight-bound decision
-# Points per array pass, and scan mesh entries per evaluation of the rule:
-# together they bound the working set whatever the grid size.
-_BLOCK = 256
+# scan mesh entries per evaluation of the rule, coarse or zoom; every other
+# array holds a few dozen floats per point
 _MESH_BUDGET = 1 << 14
 
 
@@ -203,24 +201,23 @@ def _axes(lo, hi, specials, n, points):
     return axis, length
 
 
-def _scan_feasible(model, targets, boxes, fixed, specials, n_grid):
+def _scan_feasible(model, targets, boxes, fixed, specials):
     """Per point, minimize the entropy residual over the free interior
     coordinates; True where it reaches _FEAS_TOL.
 
     `boxes` maps coordinate name (d, s1, s2) to its interval; the remaining
     coordinates are pinned in `fixed`.  The targets (t1, t2) are floats or
-    (points,) arrays, and `specials` maps a box coordinate to values known
-    to sit at kinks, shared (m,) or per point (points, m).  Each point's
-    coarse grid, with its specials, is refined by zooming around its three
-    best mesh points when its best residual is small but above _FEAS_TOL.
+    (points,) arrays, and `specials` holds values known to sit at kinks,
+    shared (m,) or per point (points, m), joined to every box axis.  Each
+    axis has _SCAN_GRID[len(boxes)] grid points; each point's coarse mesh is
+    refined by zooming around its three best mesh points when its best
+    residual is small but above _FEAS_TOL.
     """
     t1, t2 = np.broadcast_arrays(*(np.atleast_1d(np.asarray(t, dtype=float)) for t in targets))
     points = t1.size
     names = list(boxes)
     ndim = len(names)
-    axes, lengths = zip(*(
-        _axes(*boxes[name], specials.get(name, np.empty(0)), n_grid, points) for name in names
-    ))
+    axes, lengths = zip(*(_axes(*boxes[name], specials, _SCAN_GRID[ndim], points) for name in names))
 
     def residual(coords, rows):
         """Residuals on the grids coords[k] (shaped to broadcast against each
@@ -363,14 +360,14 @@ def _evacuation_survivors(model, d0, s1, s2, capacities):
     strict = np.stack([q0 < d0 - eps, q1 < s1 - eps, q2 < s2 - eps]) | np.eye(3, dtype=bool)[:, :, None]
     found += zip(~np.isnan(root) & strict.all(axis=0), q0, q1, q2)
 
-    def scanned(candidate, targets, boxes, fixed, n_grid):
+    def scanned(candidate, targets, boxes, fixed):
         """Scan the candidate points toward their targets; False elsewhere."""
         ok = np.zeros(d0.shape, dtype=bool)
         at = np.flatnonzero(candidate)
         if at.size:
             t1, t2 = (np.broadcast_to(t, d0.shape)[at] for t in targets)
             sp = _scaled_specials(capacities, d0[at], s1[at], s2[at], t1, t2)
-            ok[at] = _scan_feasible(model, (t1, t2), boxes, fixed, dict.fromkeys(boxes, sp), n_grid)
+            ok[at] = _scan_feasible(model, (t1, t2), boxes, fixed, sp)
         return ok
 
     # q0 = D0 and one downstream bound tight: fluxes are pinned, scan 2-D
@@ -379,17 +376,17 @@ def _evacuation_survivors(model, d0, s1, s2, capacities):
         targets = (si, qj) if i == 0 else (qj, si)
         boxes = {"d": (0.0, c0), "s1" if i == 0 else "s2": (0.0, (c1, c2)[i])}
         fixed = {"s2" if i == 0 else "s1": (c2, c1)[i]}
-        ok = scanned(~((qj < -eps) | (qj >= sj - eps)), targets, boxes, fixed, _SCAN_GRID)
+        ok = scanned(~((qj < -eps) | (qj >= sj - eps)), targets, boxes, fixed)
         found.append((ok, d0, *targets))
 
     # both downstream bounds tight, q0 strict
     boxes = {"s1": (0.0, c1), "s2": (0.0, c2)}
-    ok = scanned(s1 + s2 < d0 - eps, (s1, s2), boxes, {"d": c0}, _SCAN_GRID)
+    ok = scanned(s1 + s2 < d0 - eps, (s1, s2), boxes, {"d": c0})
     found.append((ok, s1 + s2, s1, s2))
 
     # everything tight
     boxes = {"d": (0.0, c0), "s1": (0.0, c1), "s2": (0.0, c2)}
-    ok = scanned(abs(s1 + s2 - d0) <= eps, (s1, s2), boxes, {}, _SCAN_GRID_3D)
+    ok = scanned(abs(s1 + s2 - d0) <= eps, (s1, s2), boxes, {})
     found.append((ok, d0, s1, s2))
 
     return tuple(np.stack(np.broadcast_arrays(*column), axis=1) for column in zip(*found))
@@ -418,15 +415,8 @@ def brute_force_batch(model, d0, s1, s2, capacities):
     parameters are floats."""
     d0, s1, s2 = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float)) for v in (d0, s1, s2)))
     routed = model.kind in (DivergeModelKind.DAGANZO_FIFO, DivergeModelKind.LEBACQUE)
-    results = []
-    for start in range(0, d0.size, _BLOCK):
-        block = (model, d0[start:start + _BLOCK], s1[start:start + _BLOCK], s2[start:start + _BLOCK], capacities)
-        if routed:
-            found = _routed_survivors(*block)
-        else:
-            found = _evacuation_survivors(*block)
-        results += _deduplicated(*found)
-    return results
+    survivors = _routed_survivors if routed else _evacuation_survivors
+    return _deduplicated(*survivors(model, d0, s1, s2, capacities))
 
 
 def brute_force_fluxes(model, inp: RiemannInput):

@@ -44,6 +44,7 @@ verify:
 SHIPPED = {
     "convergence.yaml": ExperimentKind.CONVERGENCE,
     "diverge_verify.yaml": ExperimentKind.RIEMANN_VERIFY,
+    "diverge_verify_interior.yaml": ExperimentKind.RIEMANN_VERIFY,
     "flux_map.yaml": ExperimentKind.FLUX_MAP,
     "props.yaml": ExperimentKind.PROPERTY_SUITE,
     "props_triangular.yaml": ExperimentKind.PROPERTY_SUITE,
@@ -150,7 +151,7 @@ class TestConfig:
             "  boundaries: {upstream_demand: {kind: time_varying}}\n",
             encoding="utf-8",
         )
-        spec = build_spec(load_config(path), ExperimentKind.CONVERGENCE)
+        spec = build_spec(load_config(path), ExperimentKind.RIEMANN_VERIFY)
 
         def declared(cls, skip=()):
             return {
@@ -469,7 +470,7 @@ class TestCli:
 
     def test_converge_rejects_data_it_cannot_rescale_before_a_step(self, tmp_path, capsys, monkeypatch):
         # per-cell data fit the configured 40 cells but not the 80 of the
-        # second resolution: the run must stop before the first batch steps
+        # second resolution: the config is rejected before --out is created
         from divergeflow import ctm
 
         def forbidden(*args):
@@ -486,12 +487,30 @@ class TestCli:
             text = text.replace(old, new)
         cfg = tmp_path / "per_cell.yaml"
         cfg.write_text(text, encoding="utf-8")
-        assert main(["converge", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err == "error: expected scalar or array of 80 cells, got shape (40,)\n"
+        out = tmp_path / "o"
+        assert main(["converge", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: converge at M=80: initial_densities[0] must be a scalar or an array of 80 cells, "
+            "got shape (40,)\n"
+        )
+        assert not out.exists()
+
+    def test_converge_rejects_an_evacuation_model_at_load(self, tmp_path, capsys):
+        text = (CONFIGS / "convergence.yaml").read_text(encoding="utf-8")
+        old = "model:\n  kind: lebacque\n  xi: [0.7, 0.3]\n"
+        assert old in text
+        cfg = tmp_path / "evacuation.yaml"
+        cfg.write_text(text.replace(old, "model: {kind: supply_proportional}\n"), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["converge", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: convergence study compares the routed models, got supply_proportional\n"
+        )
+        assert not out.exists()
 
     def test_two_cell_proportion_list_is_read_per_cell(self, tmp_path):
         cfg = tmp_path / "two_cells.yaml"
-        text = SMALL_VERIFY.replace("cells_per_link: 20", "cells_per_link: 2")
+        text = SMALL_VERIFY.replace("cells_per_link: 20", "cells_per_link: 2") + "convergence:\n  resolutions: [2]\n"
         cfg.write_text(text.replace("initial_proportions: 0.7", "initial_proportions: [0.3, 0.8]"), encoding="utf-8")
         sim = build_spec(load_config(cfg), ExperimentKind.CONVERGENCE).sim
         assert sim.initial_mix.tolist() == [[0.3, 0.3, 0.8]]
@@ -723,6 +742,22 @@ class TestCli:
         assert digests == {
             "fields.csv": "a8fcf9158345efcafbb0602f4e64788ca4f1ec45668e81f233e54ad96a9c1a6c",
             "junction.csv": "41e42ec4e292968e7881c6fc5cda41ad584122e3517bb4da136fb9ec76ce1fa8",
+        }
+
+    def test_interior_verify_run_matches_golden(self, tmp_path):
+        # the ramp's junction cell holds the interior state and the cell
+        # behind it the stationary state, two different states here
+        out = tmp_path / "out"
+        config = CONFIGS / "diverge_verify_interior.yaml"
+        assert main(["riemann-verify", "--config", str(config), "--out", str(out)]) == 0
+        assert (out / "report.txt").read_bytes() == (GOLDEN_DIR / "verify_interior_report.txt").read_bytes()
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("fields.csv", "junction.csv")
+        }
+        assert digests == {
+            "fields.csv": "64390cd2757e5c697af0d3ef163173537bdf387b88c6361a6c98f9f3b7f689c6",
+            "junction.csv": "e126fe15781bf8c5d7bb6ec78b92dc4ec5c9043cecd45ddcd6b721043a57b00d",
         }
 
     @pytest.mark.parametrize(

@@ -536,9 +536,7 @@ class TestFiveRuleGolden:
             for name, values in arrays:
                 lines.append(f"{case},{name}," + " ".join("%.12g" % v for v in values) + "\n")
         text = "".join(lines)
-        if not GOLDEN.exists():
-            GOLDEN.write_text(text, encoding="utf-8")
-            pytest.skip("golden file created; rerun to verify")
+        assert GOLDEN.exists(), f"missing golden file {GOLDEN}"
         assert GOLDEN.read_text(encoding="utf-8") == text
 
 

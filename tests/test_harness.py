@@ -189,10 +189,7 @@ class TestConvergenceStudy:
             "%d,%.17g\n" % (int(s), float(e)) for s, e in zip(steps, eps)
         )
         golden = GOLDEN_DIR / "epsilon_M160.csv"
-        if not golden.exists():
-            GOLDEN_DIR.mkdir(exist_ok=True)
-            golden.write_text(text, encoding="utf-8")
-            pytest.skip("golden file created; rerun to verify")
+        assert golden.exists(), f"missing golden file {golden}"
         assert golden.read_text(encoding="utf-8") == text
 
 
@@ -583,6 +580,148 @@ class TestPropertySuite:
         )
 
 
+def cli_fail_lines(tmp_path, command, name, replacements, *extra):
+    """Exit status and FAIL check lines of the CLI `command` run on the
+    shipped config `name` with each (old, new) of `replacements` applied."""
+    from divergeflow.cli import main
+
+    text = (Path(__file__).resolve().parent.parent / "configs" / name).read_text(encoding="utf-8")
+    for old, new in replacements:
+        assert old in text
+        text = text.replace(old, new)
+    cfg = tmp_path / name
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    code = main([command, "--config", str(cfg), "--out", str(out), *extra])
+    report = (out / "report.txt").read_text(encoding="utf-8")
+    return code, [line for line in report.splitlines() if line.startswith("check ") and ": FAIL" in line]
+
+
+class TestVerifyFailLines:
+    """Planted defects that riemann-verify must report as the whole line of
+    the check they trip, with exit status 1.  The runs are the shipped
+    verify configs at M = 40 and N = 1,600, where every check passes."""
+
+    M40 = (("cells_per_link: 160", "cells_per_link: 40"), ("time_steps: 6400", "time_steps: 1600"))
+
+    def fail_lines(self, tmp_path, name="diverge_verify.yaml"):
+        return cli_fail_lines(tmp_path, "riemann-verify", name, self.M40)
+
+    def solved_with(self, monkeypatch, defect):
+        true_solve = harness.solve
+        monkeypatch.setattr(harness, "solve", lambda model, inp: defect(true_solve(model, inp)))
+
+    def run_with(self, monkeypatch, defect):
+        """ctm.run with defect(traj) applied to the trajectory it returns."""
+        true_run = ctm.run
+
+        def run(sim):
+            traj = true_run(sim)
+            defect(traj)
+            return traj
+
+        monkeypatch.setattr(ctm, "run", run)
+
+    def ramp_cell_copied(self, monkeypatch, cell, source):
+        """ctm.run whose final density in ramp cell `cell` is that of cell `source`."""
+
+        def copy(traj):
+            traj.densities[-1, 2, cell] = traj.densities[-1, 2, source]
+
+        self.run_with(monkeypatch, copy)
+
+    def test_unplanted_runs_pass(self, tmp_path):
+        assert self.fail_lines(tmp_path) == (0, [])
+        assert self.fail_lines(tmp_path, "diverge_verify_interior.yaml") == (0, [])
+
+    @pytest.mark.parametrize("k, line", [
+        (0, "check junction-flux-q0: FAIL (|0.280413 - 0.290413| <= 0.005)"),
+        (1, "check junction-flux-q1: FAIL (|0.196289 - 0.206289| <= 0.005)"),
+        (2, "check junction-flux-q2: FAIL (|0.084124 - 0.094124| <= 0.005)"),
+    ])
+    def test_junction_flux(self, tmp_path, monkeypatch, k, line):
+        # one closed-form flux raised by 0.01
+        self.solved_with(monkeypatch, lambda sol: replace(
+            sol, fluxes=tuple(q + 0.01 if j == k else q for j, q in enumerate(sol.fluxes))))
+        assert self.fail_lines(tmp_path) == (1, [line])
+
+    def test_junction_cell_proportion(self, tmp_path, monkeypatch):
+        self.solved_with(monkeypatch, lambda sol: replace(
+            sol, interior_proportions=tuple(p + d for p, d in zip(sol.interior_proportions, (0.01, -0.01)))))
+        assert self.fail_lines(tmp_path) == (1, [
+            "check junction-cell-proportion: FAIL (|0.583333 - 0.593333| <= 0.005)",
+        ])
+
+    def test_upstream_proportions_constant(self, tmp_path, monkeypatch):
+        def nudge(traj):  # the first upstream cell's final share moved by 1e-12
+            traj.proportions[-1, 0, 0] += 1e-12
+
+        self.run_with(monkeypatch, nudge)
+        assert self.fail_lines(tmp_path) == (1, [
+            "check upstream-proportions-constant: FAIL (cells 1..M-1 hold 0.7 exactly)",
+        ])
+
+    def test_measured_shock_position(self, tmp_path, monkeypatch):
+        # link 1's shock predicted 1.5 times as fast as it is
+        true_waves = waves.link_waves
+
+        def fast(solution, inp):
+            up, down1, down2 = true_waves(solution, inp)
+            return up, replace(down1, speed_range=tuple(1.5 * v for v in down1.speed_range)), down2
+
+        monkeypatch.setattr(waves, "link_waves", fast)
+        assert self.fail_lines(tmp_path) == (1, [
+            "check link1-shock-position: FAIL (|6.25 - 9.63067| = 3.38 vs 1 cell(s) at t=101.25)",
+        ])
+
+    def test_junction_cell_against_the_interior_state(self, tmp_path, monkeypatch):
+        # solve returning the stationary states as the interior states
+        self.solved_with(monkeypatch, lambda sol: replace(
+            sol, interior_upstream=sol.stationary_upstream, interior_downstream=sol.stationary_downstream))
+        assert self.fail_lines(tmp_path, "diverge_verify_interior.yaml") == (1, [
+            "check link2-adjacent-state: FAIL ((0.084124, 0.022435) vs (0.084124, 0.012498))",
+            "check link2-adjacent-density: FAIL (|0.820430 - 0.900000| <= 0.005)",
+        ])
+
+    def test_junction_cell_holding_the_stationary_state(self, tmp_path, monkeypatch):
+        # the ramp's junction cell ends with the density of the cell behind it
+        self.ramp_cell_copied(monkeypatch, 0, 1)
+        assert self.fail_lines(tmp_path, "diverge_verify_interior.yaml") == (1, [
+            "check link2-adjacent-state: FAIL ((0.084124, 0.012498) vs (0.084124, 0.022435))",
+            "check link2-adjacent-density: FAIL (|0.900000 - 0.820430| <= 0.005)",
+        ])
+
+    def test_non_unique_interior_is_checked_through_the_local_rule(self, tmp_path, monkeypatch):
+        # with link 2's interior flagged not unique, the junction cells pass
+        # while they reproduce the fluxes and fail once the ramp's does not
+        self.solved_with(monkeypatch, lambda sol: replace(sol, interior_unique=(True, True, False)))
+        assert self.fail_lines(tmp_path, "diverge_verify_interior.yaml") == (0, [])
+        self.ramp_cell_copied(monkeypatch, 0, 1)
+        detail = "interior not unique; junction cells give (0.199959, 0.192798, 0.007161) vs (0.199959, 0.187460, 0.012498)"
+        assert self.fail_lines(tmp_path, "diverge_verify_interior.yaml") == (1, [
+            f"check link2-adjacent-state: FAIL ({detail})",
+            f"check link2-adjacent-density: FAIL ({detail})",
+        ])
+
+    def test_next_cell_against_the_stationary_state(self, tmp_path, monkeypatch):
+        # the cell behind the ramp's junction cell ends with its density
+        self.ramp_cell_copied(monkeypatch, 1, 0)
+        assert self.fail_lines(tmp_path, "diverge_verify_interior.yaml") == (1, [
+            "check link2-stationary-state: FAIL ((0.084124, 0.022435) vs (0.084124, 0.012498))",
+            "check link2-stationary-density: FAIL (|0.820430 - 0.900000| <= 0.005)",
+        ])
+
+
+def test_converge_reports_an_epsilon_that_does_not_decrease(tmp_path, monkeypatch):
+    # the model compared with itself: epsilon is 0 at every resolution
+    monkeypatch.setattr(harness, "_invariant_counterpart", lambda model: model)
+    resolutions = ("resolutions: [40, 80, 160]", "resolutions: [10, 20, 40]")
+    assert cli_fail_lines(tmp_path, "converge", "convergence.yaml", [resolutions]) == (1, [
+        "check epsilon-decreases-M10-to-M20: FAIL (0 < 0)",
+        "check epsilon-decreases-M20-to-M40: FAIL (0 < 0)",
+    ])
+
+
 class TestPropsCounterexampleLines:
     """Planted defects that the props CLI must report as the whole
     counterexample line of the check they trip, with exit status 1.  The
@@ -592,20 +731,9 @@ class TestPropsCounterexampleLines:
     AT = "at (0.21433507053251824, 0.09078215452247937, 0.003446856898002911)"
 
     def fail_lines(self, tmp_path):
-        from divergeflow.cli import main
-
-        config = Path(__file__).resolve().parent.parent / "configs" / "props.yaml"
-        text = config.read_text(encoding="utf-8")
-        for old, new in (("samples: 2000", "samples: 300"), ("wave_samples: 400", "wave_samples: 60"),
-                         ("oracle_grid: 5", "oracle_grid: 2")):
-            assert old in text
-            text = text.replace(old, new)
-        cfg = tmp_path / "props.yaml"
-        cfg.write_text(text, encoding="utf-8")
-        out = tmp_path / "out"
-        code = main(["props", "--config", str(cfg), "--out", str(out), "--seed", "0"])
-        report = (out / "report.txt").read_text(encoding="utf-8")
-        return code, [line for line in report.splitlines() if line.startswith("check ") and ": FAIL" in line]
+        small = (("samples: 2000", "samples: 300"), ("wave_samples: 400", "wave_samples: 60"),
+                 ("oracle_grid: 5", "oracle_grid: 2"))
+        return cli_fail_lines(tmp_path, "props", "props.yaml", small, "--seed", "0")
 
     def test_conservation_residual(self, tmp_path, monkeypatch):
         # Lebacque's q0 raised by 1e-15 where D0 > 0.2: within every 1e-12
@@ -639,6 +767,34 @@ class TestPropsCounterexampleLines:
         at = tuple(float(fd.capacity) for fd in trio)
         assert self.fail_lines(tmp_path) == (1, [
             f"check oracle-agreement: FAIL (counterexample: priority_based at {at}: 2 survivors)",
+        ])
+
+    def test_partial_route_guarantee(self, tmp_path, monkeypatch):
+        # partial evacuation's route-1 flux moved by 1e-9 onto route 2: the
+        # route guarantee fails where it binds, and the moved flux also
+        # breaks the exact balance, a tight ramp bound and invariance
+        true_solve = harness.solve_batch
+
+        def defective(model, d0, s1, s2, capacities):
+            sol = true_solve(model, d0, s1, s2, capacities)
+            if model.kind is DivergeModelKind.PARTIAL_EVACUATION:
+                q0, q1, q2 = sol.fluxes
+                sol = replace(sol, fluxes=(q0, q1 - 1e-9, q2 + 1e-9))
+            return sol
+
+        monkeypatch.setattr(harness, "solve_batch", defective)
+        assert self.fail_lines(tmp_path) == (1, [
+            "check conservation-exact: FAIL (counterexample: partial_evacuation "
+            "at (0.0020784782813434957, 0.24266941436147188, 0.056918676679746906): q0-q1-q2=-2.168404344971009e-19)",
+            f"check flux-bounds: FAIL (counterexample: partial_evacuation {self.AT}: "
+            "(0.035843567173412846, 0.032396709275409934, 0.003446857898002911))",
+            "check partial-route-guarantee: FAIL (counterexample: xi=(0.8012469168043131, 0.04060512021540424) "
+            "alpha=(0.8998026942919094, 0.1001973057080906) "
+            "at (0.1923175114284075, 0.1083077679736564, 0.04999489821200401): "
+            "(0.13517402151839816, 0.1083077669736564, 0.02686625454474175))",
+            f"check invariance-at-interior-states: FAIL (counterexample: partial_evacuation {self.AT}: "
+            "(0.035843567173412846, 0.03239671027540993, 0.003446856898002911) "
+            "vs (0.035843567173412846, 0.032396709275409934, 0.003446857898002911))",
         ])
 
     def test_upstream_wave_sign(self, tmp_path, monkeypatch):

@@ -85,12 +85,12 @@ def test_survivors_are_bitwise_the_pinned_ones(trio, n, kind):
 
 @pytest.mark.parametrize("model", list(FIXTURES.values()), ids=list(FIXTURES))
 def test_a_point_answers_the_same_in_any_batch(trio, model, monkeypatch):
-    """Reversed, in blocks of 7, or alone: every point keeps its survivors,
-    and they are plain floats."""
+    """Reversed, one point per scan pass and one row per zoom pass, or alone:
+    every point keeps its survivors, and they are plain floats."""
     caps = capacities(trio)
     d0, s1, s2 = grid(caps, 5)
     whole = [repr(r) for r in brute_force_batch(model, d0, s1, s2, caps)]
-    monkeypatch.setattr(oracle, "_BLOCK", 7)
+    monkeypatch.setattr(oracle, "_MESH_BUDGET", 7)
     backwards = brute_force_batch(model, d0[::-1], s1[::-1], s2[::-1], caps)
     assert [repr(r) for r in backwards[::-1]] == whole
     assert all(type(v) is float for r in backwards for trip in r.survivors for v in trip)
@@ -174,10 +174,12 @@ def test_one_bisection_finds_each_tie_patterns_own_roots(trio, model, diagrams):
     [supply_proportional(), priority_based((0.6, 0.4)), partial_evacuation((0.3, 0.2), (0.55, 0.45))],
     ids=lambda m: m.kind.value,
 )
-def test_zoom_reaches_a_target_the_coarse_mesh_misses(trio, model):
+def test_zoom_reaches_a_target_the_coarse_mesh_misses(trio, model, monkeypatch):
     """The fluxes of an irrational interior demand and supply are reached
     only between the 21 x 21 mesh points, so only the zoom can accept them;
-    a pair whose second flux exceeds the pinned supply stays out of reach."""
+    a pair whose second flux exceeds the pinned supply stays out of reach.
+    Scanned together, each point keeps its answer, whether its zoom rows
+    share a pass or (a mesh budget of 7) take one pass each."""
     c0, c1, c2 = capacities(trio)
     d, s = c0 * (math.sqrt(2.0) - 1.0), c1 / math.sqrt(3.0)
     target = tuple(float(q) for q in _rule_pair(model, d, s, c2))
@@ -186,8 +188,12 @@ def test_zoom_reaches_a_target_the_coarse_mesh_misses(trio, model):
     q1, q2 = _rule_pair(model, *mesh, c2)
     coarse = np.min(np.abs(q1 - target[0]) + np.abs(q2 - target[1]))
     assert _FEAS_TOL < coarse <= 0.08
-    assert np.all(_scan_feasible(model, target, boxes, {"s2": c2}, {}, 21))
-    assert not np.any(_scan_feasible(model, (target[0], c2 + 1e-6), boxes, {"s2": c2}, {}, 21))
+    assert np.all(_scan_feasible(model, target, boxes, {"s2": c2}, np.empty(0)))
+    assert not np.any(_scan_feasible(model, (target[0], c2 + 1e-6), boxes, {"s2": c2}, np.empty(0)))
+    targets = (np.full(3, target[0]), np.array([target[1], c2 + 1e-6, target[1]]))
+    for budget in (oracle._MESH_BUDGET, 7):
+        monkeypatch.setattr(oracle, "_MESH_BUDGET", budget)
+        assert _scan_feasible(model, targets, boxes, {"s2": c2}, np.empty(0)).tolist() == [True, False, True]
 
 
 def test_oracle_imports_nothing_from_the_closed_forms():

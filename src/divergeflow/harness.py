@@ -24,7 +24,7 @@ from . import ctm, waves
 from .riemann import (
     _FIFO_KINDS,
     TIE_TOL,
-    _evacuation_terms,
+    _evacuation_binding,
     DivergeModelKind,
     RiemannInput,
     Side,
@@ -106,6 +106,9 @@ class ExperimentSpec:
     oracle_grid: int = 7
     seed: int = 0
     config_hash: str = "unhashed"
+    # converge's (routed, invariant) config pair per resolution, built and
+    # checked once here; None for the other experiments
+    convergence_pairs: list | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.tolerance < np.inf:
@@ -122,8 +125,9 @@ class ExperimentSpec:
             raise ValueError(f"{self.kind.value} needs a simulation config")
         if self.kind is ExperimentKind.RIEMANN_VERIFY:
             _check_riemann_problem(self.sim)
+        self.convergence_pairs = None
         if self.kind is ExperimentKind.CONVERGENCE:
-            _convergence_pairs(self.sim, self.resolutions)
+            self.convergence_pairs = _convergence_pairs(self.sim, self.resolutions)
 
 
 def _check_riemann_problem(sim):
@@ -370,8 +374,7 @@ def convergence_study(spec):
     report = Report("converge", spec.config_hash, spec.seed)
     series = {}
     finals = []
-    pairs = _convergence_pairs(spec.sim, spec.resolutions)
-    for cells, (cfg_a, cfg_b) in zip(spec.resolutions, pairs):
+    for cells, (cfg_a, cfg_b) in zip(spec.resolutions, spec.convergence_pairs):
         traj_a, traj_b = ctm.run_batch([cfg_a, cfg_b])
         eps = ctm.solution_difference(traj_a, traj_b)
         series[cells] = (traj_a.snapshot_steps, eps)
@@ -413,25 +416,6 @@ def _routed_codes(model, d0, s1, s2):
     return _code(*(t <= bound + TIE_TOL for t in terms)), bound
 
 
-def _evacuation_codes(model, d0, s1, s2, capacities):
-    """Per-link region codes of an evacuation rule: which _evacuation_terms of
-    its riemann_rule counterpart bind the link's flux, F = the routed-remainder
-    cap, P = the share D0 ai, R = the residual D0 - Sj, S = the link supply."""
-    codes = []
-    for si, cap, residual, share in _evacuation_terms(riemann_rule(model, capacities), d0, s1, s2):
-        # R or P always attains the composite, so the flux is min(S, composite, F)
-        composite = np.maximum(residual, share)
-        bound = np.minimum(np.minimum(si, composite), cap) + TIE_TOL
-        tied = composite <= bound
-        codes.append(_code(
-            cap <= bound,
-            tied & (share >= composite - TIE_TOL),
-            tied & (residual >= composite - TIE_TOL),
-            si <= bound,
-        ))
-    return codes
-
-
 def flux_map(spec):
     """Evaluate the closed-form fluxes over a sweep grid in one kernel call
     and label each point by its binding constraints, all as array code.
@@ -440,8 +424,10 @@ def flux_map(spec):
     dict from CSV header to an equal-length array.  A routed rule's region
     names the binding terms of min(D0, S1/x1, S2/x2) as I, II, III, ties
     joined by "/" (such as "I/II"); an evacuation rule's region gives each
-    downstream link the letters of its binding terms in FPRS order, the two
-    links joined by "|" (such as "PS|R").
+    downstream link the letters of the terms of its riemann_rule counterpart
+    that bind (riemann._evacuation_binding) in FPRS order: F the routed-
+    remainder cap, P the share D0 ai, R the residual D0 - Sj, S the supply.
+    The two links are joined by "|" (such as "PS|R").
     """
     model = spec.sim.model
     caps = tuple(fd.capacity for fd in spec.sim.diagrams)
@@ -462,7 +448,7 @@ def flux_map(spec):
             f"q0 is off min(D0, S1/x1, S2/x2) by more than {TIE_TOL:g} at {mismatches} of {d0.size} points",
         )
     else:
-        link1, link2 = _evacuation_codes(model, d0, s1, s2, caps)
+        link1, link2 = (_code(*binds) for binds in _evacuation_binding(riemann_rule(model, caps), d0, s1, s2))
         region = _EVACUATION_LABELS[16 * link1 + link2]
     header = ("demand_upstream", "supply_1", "supply_2", "q0", "q1", "q2", "region")
     return report, {"table": dict(zip(header, (d0, s1, s2, q0, q1, q2, region)))}

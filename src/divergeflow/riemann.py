@@ -27,8 +27,9 @@ where x are turning proportions of routed traffic and a are priority weights;
 Sj/xj and Sj (1 - xj) / xj read as +inf when xj = 0.  junction_fluxes is the
 one kernel of all five rules and takes scalars or arrays.  The priority rule
 is partial evacuation without routed traffic (xi = 0): _evacuation_terms
-states the terms of both once, for junction_fluxes, the uniqueness slopes
-below and harness's flux-map regions.
+states the terms of both once, and _evacuation_binding alone decides which
+of them bind (within TIE_TOL); the uniqueness slopes below and harness's
+flux-map regions both read that decision.
 
 Each Riemann flux is a local rule evaluated at the initial (D0, S1, S2):
 Lebacque's rule gives the fluxes of Daganzo's with the same xi, and the
@@ -50,17 +51,18 @@ capacity) and the fluxes do not move as it rises from its canonical value:
     evacuation rules         q1 and q2 have zero right-hand slope in that
                              coordinate at the canonical interiors
 
-The slopes come from the binding min/max terms (_evacuation_terms on _Sided
-values for the priority and partial-evacuation rules), every term within
-TIE_TOL of the min or max counting as tied; the three coordinates' slopes
-are carried together.  oracle.probe_interior_unique_batch checks these flags
-by scanning.
+For the priority and partial-evacuation rules a flux's slope is that of
+its binding terms (_evacuation_binding), the slowest-growing at the min and
+the fastest-growing at the max; every term is linear in (D0, S1, S2), so
+its slopes are _evacuation_terms evaluated at the unit rows.  The
+supply-proportional rule, the one nonlinear local rule, has its slopes in
+closed form.  The three coordinates' slopes are carried together as rows.
+oracle.probe_interior_unique_batch checks these flags by scanning.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
@@ -305,9 +307,7 @@ class RiemannSolution:
 
 
 def _per_share(s, x):
-    """s / x, read as +inf where the share x is 0 (the x -> 0 limit); maps a _Sided s."""
-    if isinstance(s, _Sided):
-        return _Sided(_per_share(s.value, x), _per_share(s.slope, x))
+    """s / x, read as +inf where the share x is 0 (the x -> 0 limit)."""
     if np.ndim(x) == 0:
         return s / x if x > 0.0 else math.inf
     shape = np.broadcast_shapes(np.shape(s), np.shape(x))
@@ -351,9 +351,10 @@ def junction_fluxes(model, demand_upstream, supplies, proportions):
 
 def _evacuation_terms(model, d0, s1, s2):
     """Per downstream link i, the terms (Si, Fi, Ri, Pi) of the priority or
-    partial-evacuation rule qi = min(Si, Fi, max(Ri, Pi)) on floats, arrays
-    or _Sided values: the supply, the routed-remainder cap Sj (1 - xj) / xj,
-    the residual D0 - Sj and the share D0 ai; the priority rule has xi = 0."""
+    partial-evacuation rule qi = min(Si, Fi, max(Ri, Pi)) on floats or
+    arrays: the supply, the routed-remainder cap Sj (1 - xj) / xj, the
+    residual D0 - Sj and the share D0 ai; the priority rule has xi = 0.
+    Each term is linear in (D0, S1, S2)."""
     x1, x2 = model.xi if model.kind is DivergeModelKind.PARTIAL_EVACUATION else (0.0, 0.0)
     a1, a2 = model.alpha
     return tuple(
@@ -493,68 +494,23 @@ def _canonical_interiors(model, d0, s1, s2, capacities, tight, stationary_down):
     return tuple(interior)
 
 
-class _Sided:
-    """A value with its right-hand slope as an interior coordinate grows
-    from its canonical value (that coordinate carries slope 1).  Values and
-    slopes are floats or arrays; a (3, n) slope holds the slopes along the
-    three coordinates (d0, s1, s2) as rows."""
-
-    __slots__ = ("value", "slope")
-
-    def __init__(self, value, slope=0.0):
-        self.value = value
-        self.slope = slope
-
-    def __add__(self, other):
-        return _Sided(self.value + other.value, self.slope + other.slope)
-
-    def __sub__(self, other):
-        return _Sided(self.value - other.value, self.slope - other.slope)
-
-    def __mul__(self, other):
-        if isinstance(other, _Sided):
-            return _Sided(
-                self.value * other.value, self.slope * other.value + self.value * other.slope
-            )
-        return _Sided(self.value * other, self.slope * other)
-
-    def __truediv__(self, other):
-        ratio = self.value / other.value
-        return _Sided(ratio, (self.slope - ratio * other.slope) / other.value)
-
-
-def _sided_min(*terms):
-    """min of the terms; of those within TIE_TOL of it, the slowest-growing
-    one leads."""
-    low = functools.reduce(np.minimum, [t.value for t in terms])
-    slopes = [np.where(t.value <= low + TIE_TOL, t.slope, math.inf) for t in terms]
-    return _Sided(low, functools.reduce(np.minimum, slopes))
-
-
-def _sided_max(*terms):
-    """max of the terms; of those within TIE_TOL of it, the fastest-growing
-    one leads."""
-    high = functools.reduce(np.maximum, [t.value for t in terms])
-    slopes = [np.where(t.value >= high - TIE_TOL, t.slope, -math.inf) for t in terms]
-    return _Sided(high, functools.reduce(np.maximum, slopes))
-
-
-def _sided_where(mask, a, b):
-    return _Sided(np.where(mask, a.value, b.value), np.where(mask, a.slope, b.slope))
-
-
-def _sided_evacuation_fluxes(model, d0, s1, s2):
-    """(q1, q2) of an evacuation rule on _Sided quantities: the values are
-    junction_fluxes', the slopes its right-hand derivatives."""
-    if model.kind is DivergeModelKind.SUPPLY_PROPORTIONAL:
-        total = s1 + s2
-        empty = total.value <= 0.0
-        scale = _sided_min(_Sided(1.0), d0 / _Sided(np.where(empty, 1.0, total.value), total.slope))
-        return (
-            _sided_where(empty, _sided_min(s1, d0), scale * s1),
-            _sided_where(empty, _sided_min(s2, d0), scale * s2),
-        )
-    return tuple(_sided_min(s, f, _sided_max(r, p)) for s, f, r, p in _evacuation_terms(model, d0, s1, s2))
+def _evacuation_binding(model, d0, s1, s2):
+    """Per downstream link, the masks (F, P, R, S) of the _evacuation_terms
+    that bind its flux min(Si, Fi, max(Ri, Pi)): the terms within TIE_TOL of
+    the min, where R and P count only within TIE_TOL of the max too."""
+    binding = []
+    for si, cap, residual, share in _evacuation_terms(model, d0, s1, s2):
+        # R or P always attains the composite, so the flux is min(S, composite, F)
+        composite = np.maximum(residual, share)
+        bound = np.minimum(np.minimum(si, composite), cap) + TIE_TOL
+        tied = composite <= bound
+        binding.append((
+            cap <= bound,
+            tied & (share >= composite - TIE_TOL),
+            tied & (residual >= composite - TIE_TOL),
+            si <= bound,
+        ))
+    return binding
 
 
 def _interior_unique_flags(model, capacities, tight, interior_up, interior_down):
@@ -577,12 +533,50 @@ def _interior_unique_flags(model, capacities, tight, interior_up, interior_down)
 
 
 def _fluxes_flat(model, point):
-    """Row k: do both fluxes have zero slope as coordinate k of the interior
-    point (d0, s1, s2) grows?  The three coordinates' slopes are carried as
-    the rows of one (3, n) slope array."""
+    """Row k: do both fluxes have zero right-hand slope as coordinate k of
+    the interior point (d0, s1, s2) grows?  Each flux takes the slowest-
+    growing of its binding terms, and of R and P the fastest-growing; the
+    terms are linear, so their slopes are the terms at the unit rows."""
     unit = np.eye(3)[:, :, None]
-    q1, q2 = _sided_evacuation_fluxes(model, *(_Sided(v, unit[m]) for m, v in enumerate(point)))
-    return (abs(q1.slope) <= _SLOPE_TOL) & (abs(q2.slope) <= _SLOPE_TOL)
+    if model.kind is DivergeModelKind.SUPPLY_PROPORTIONAL:
+        slopes = _supply_proportional_slopes(*point, unit)
+    else:
+        slopes = []
+        binding = _evacuation_binding(model, *point)
+        for (f, p, r, s), (ts, tf, tr, tp) in zip(binding, _evacuation_terms(model, *unit)):
+            composite = np.maximum(np.where(r, tr, -math.inf), np.where(p, tp, -math.inf))
+            least = np.minimum(np.where(s, ts, math.inf), np.where(f, tf, math.inf))
+            slopes.append(np.minimum(least, np.where(r | p, composite, math.inf)))
+    q1, q2 = slopes
+    return (abs(q1) <= _SLOPE_TOL) & (abs(q2) <= _SLOPE_TOL)
+
+
+def _supply_proportional_slopes(d0, s1, s2, unit):
+    """Right-hand slopes along the unit rows of the supply-proportional
+    (q1, q2) = min(1, D0 / T) (S1, S2) with T = S1 + S2, or min(Si, D0)
+    where T is 0; of a min's terms within TIE_TOL of it, the slowest-growing
+    leads.  A subnormal T overflows D0 / T and its slope: the warnings are
+    silenced, as an infinite ratio never leads the min and a NaN slope
+    (inf * 0) counts as moving."""
+    total = s1 + s2
+    empty = total <= 0.0
+    safe = np.where(empty, 1.0, total)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = d0 / safe
+        ratio_slope = (unit[0] - ratio * (unit[1] + unit[2])) / safe
+        scale = np.minimum(1.0, ratio)
+        scale_slope = np.minimum(
+            np.where(1.0 <= scale + TIE_TOL, 0.0, math.inf),
+            np.where(ratio <= scale + TIE_TOL, ratio_slope, math.inf),
+        )
+        slopes = []
+        for si, ui in ((s1, unit[1]), (s2, unit[2])):
+            low = np.minimum(si, d0)
+            least = np.minimum(
+                np.where(si <= low + TIE_TOL, ui, math.inf), np.where(d0 <= low + TIE_TOL, unit[0], math.inf)
+            )
+            slopes.append(np.where(empty, least, scale_slope * si + scale * ui))
+    return slopes
 
 
 def solve_batch(model, d0, s1, s2, capacities):

@@ -416,6 +416,18 @@ class TestSubnormalSupplies:
         np.testing.assert_array_equal(q1, want1)
         np.testing.assert_array_equal(q2, want2)
 
+    def test_solve_batch_slopes(self, trio):
+        # the uniqueness slopes divide by the same totals; the suite turns
+        # the overflow warning this once raised into an error
+        caps = tuple(fd.capacity for fd in trio)
+        d0 = np.concatenate([[0.1, 0.1, 0.0], self.D0])
+        s1 = np.concatenate([[5e-324, 1e-310, 5e-324], self.S1])
+        s2 = np.concatenate([[0.0, 1e-310, 0.0], self.S2])
+        batch = solve_batch(supply_proportional(), d0, s1, s2, caps)
+        flags = [tuple(f[k].item() for f in batch.interior_unique) for k in range(d0.size)]
+        unique, up_only, none = (True, True, True), (True, False, False), (False, False, False)
+        assert flags == [unique, unique, up_only, unique, unique, none, (False, True, True), unique]
+
 
 class TestOracleBisection:
     @staticmethod
@@ -614,7 +626,111 @@ GRID_DIGESTS = {
 }
 
 
+# SHA-256 of the (12000, 20) float64 array of every solve_batch field (in
+# GRID_DIGESTS' column order) on snapped_points(caps, 12000, seed 11) with
+# row_models' per-row parameters, for the del Castillo trio's capacities and
+# for those of (triangular, triangular, greenshields).  They pin the
+# uniqueness flags where terms tie; they were computed with the forward-mode
+# slope class that riemann._evacuation_binding's masks replaced.
+SNAPPED_DIGESTS = {
+    "del_castillo": {
+        "daganzo_fifo": "79106d503006f971b7bf58d63381b63b695ac1d0f6f5915c4e4b12f01017cde8",
+        "lebacque": "ab23162335a480deee9c29816c1545899d059a26c3e47b270f0b2751ae3ff42a",
+        "supply_proportional": "187743236bd6ec652a9b8e4bff5cac5d83d2abc8428886a117c966c3781980b6",
+        "priority_based": "2006cec560ad74529c553c3c4138eea405eb0e96e8bf1ee49c628cdaf18bb22f",
+        "partial_evacuation": "b23e6927275d229d68b74614e8440ebce5951a41980df450d95220a4094d5c44",
+    },
+    "triangular": {
+        "daganzo_fifo": "32f76902514b979f5f406038edff2be4bdf13938791b531e996224c71ad83e2c",
+        "lebacque": "2475b6538c9bd89cbd0e98c275b00d989962bcba242253a36c015a688d001177",
+        "supply_proportional": "bd4b116711674c62bdbe2217299b61f251ce48746c277bf367f99f0e58477776",
+        "priority_based": "4dfba9c0315245a7b632cae017ae9a5dd1b294625a43ef2774ed52a42e9b2b4e",
+        "partial_evacuation": "60f721baa5f976368fb7f314ee21c87ee078da45466b88ccbafea97a65709d8a",
+    },
+}
+
+
+def snapped_points(caps, n, rng):
+    """n uniform (D0, S1, S2) points in the capacity box.  One coordinate
+    in 24 is snapped to 0 and one in 24 to its capacity; one D0 in 24 onto
+    D0 = S1 + S2 and one S2 in 24 onto S2 = D0 - S1, where that fits the
+    box.  Supply totals are 0 or normal numbers."""
+    c0, c1, c2 = caps
+    d0, s1, s2 = (c * rng.random(n) for c in caps)
+    snap = rng.integers(0, 24, (3, n))
+    for k, (v, c) in enumerate(zip((d0, s1, s2), caps)):
+        v[snap[k] == 0] = 0.0
+        v[snap[k] == 1] = c
+    total = s1 + s2
+    on_sum = (snap[0] == 2) & (total <= c0)
+    d0[on_sum] = total[on_sum]
+    residual = d0 - s1
+    on_residual = (snap[2] == 2) & (residual >= 0.0) & (residual <= c2)
+    s2[on_residual] = residual[on_residual]
+    total = s1 + s2
+    assert np.all((total == 0.0) | (total >= np.finfo(float).tiny))
+    return d0, s1, s2
+
+
+def row_models(n, rng):
+    """The five rules with per-row parameters.  In one row of four each,
+    the priority weight a1 is 0 or 1; partial evacuation has xi1 = 0 in one
+    row of four, a1 = 0 (with xi1 = 0) or a1 = 1 (with xi2 = 0) in one of
+    eight each, and a1 on either end of its box in one of eight each."""
+    x1 = rng.uniform(0.05, 0.95, n)
+    a1 = rng.random(n)
+    pick = rng.integers(0, 8, n)
+    a1[pick < 2] = 0.0
+    a1[(pick >= 2) & (pick < 4)] = 1.0
+    y1 = rng.uniform(0.0, 0.5, n)
+    y2 = rng.uniform(0.0, 0.45, n)
+    y1[pick == 4] = 0.0
+    y1[pick == 0] = 0.0
+    y2[pick == 2] = 0.0
+    b1 = y1 + rng.random(n) * (1.0 - y2 - y1)
+    b1[pick == 0] = 0.0
+    b1[pick == 2] = 1.0
+    b1[pick == 5] = y1[pick == 5]
+    b1[pick == 6] = 1.0 - y2[pick == 6]
+    return (
+        daganzo_fifo((x1, 1.0 - x1)),
+        lebacque((x1, 1.0 - x1)),
+        supply_proportional(),
+        priority_based((a1, 1.0 - a1)),
+        partial_evacuation((y1, y2), (b1, 1.0 - b1)),
+    )
+
+
+def solution_bits(batch):
+    """Every field of a batch solution as the columns of one float array."""
+    states = (
+        batch.stationary_upstream, *batch.stationary_downstream,
+        batch.interior_upstream, *batch.interior_downstream,
+    )
+    fields = [
+        *batch.fluxes, *(x for u in states for x in (u.demand, u.supply)),
+        *batch.interior_proportions, *batch.interior_unique,
+    ]
+    return np.column_stack([np.asarray(f, dtype=float) for f in fields])
+
+
 class TestSolveBatch:
+    @pytest.mark.parametrize("trio_name", sorted(SNAPPED_DIGESTS))
+    def test_snapped_points_with_row_parameters_are_pinned(self, all_diagrams, trio_name):
+        import hashlib
+
+        mainline, ramp, tri, green = all_diagrams
+        trio = (mainline, mainline, ramp) if trio_name == "del_castillo" else (tri, tri, green)
+        caps = tuple(fd.capacity for fd in trio)
+        rng = np.random.default_rng(11)
+        n = 12000
+        d0, s1, s2 = snapped_points(caps, n, rng)
+        got = {}
+        for model in row_models(n, rng):
+            bits = solution_bits(solve_batch(model, d0, s1, s2, caps))
+            got[model.kind.value] = hashlib.sha256(bits.tobytes()).hexdigest()
+        assert got == SNAPPED_DIGESTS[trio_name]
+
     @pytest.mark.parametrize("model", PROPS_FIXTURES, ids=lambda m: m.kind.value)
     def test_fixture_grid_is_bitwise_the_per_point_solutions(self, trio, model):
         import hashlib

@@ -6,10 +6,11 @@
     divergeflow props          --config cfg.yaml --out results/ --seed 7
 
 Exit status: 0 when every check passes, 1 on a verification failure or a run
-that a numerical guard stops, 2 on a usage or configuration error.  Each run
-writes `report.txt` plus the experiment's data files (see README for the
-column layouts); all numbers use 12 significant digits and reruns with the
-same config are byte-identical.
+that a numerical guard stops, 2 on a usage or configuration error or a run
+too big for memory.  Each run writes `report.txt` plus the data files its
+experiment returns as `artifacts["tables"]` (see README for the column
+layouts); all numbers use 12 significant digits and reruns with the same
+config are byte-identical.
 Every data file is a table of columns (a dict from CSV header to an
 equal-length array) written by `_write_table` a block of rows at a time.
 It formats each distinct value of a block's column once and gathers the
@@ -63,40 +64,17 @@ def _write_table(path, table):
             fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
 
-def _fields_table(traj):
-    """fields.csv: one row per snapshot, link and cell; the proportion is
-    the upstream link's commodity-1 share, empty on the downstream links."""
-    k, link, cell = np.indices(traj.densities.shape).reshape(3, -1)
-    proportion = np.full(traj.densities.shape, np.nan)
-    proportion[:, 0] = traj.proportions[:, 0]
-    columns = (traj.snapshot_steps[k], link, cell, traj.densities.ravel(), proportion.ravel())
-    return dict(zip(("step", "link", "cell", "density", "proportion"), columns))
-
-
 def _run(kind, args):
     doc = load_config(args.config)
     spec = build_spec(doc, kind, seed=args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    if kind is ExperimentKind.RIEMANN_VERIFY:
-        report, artifacts = riemann_verify(spec)
-        traj = artifacts["trajectory"]
-        tables = {"fields.csv": _fields_table(traj), "junction.csv": vars(traj.junction)}
-    elif kind is ExperimentKind.CONVERGENCE:
-        report, artifacts = convergence_study(spec)
-        tables = {
-            f"epsilon_M{cells}.csv": {"step": steps, "epsilon": eps}
-            for cells, (steps, eps) in artifacts["series"].items()
-        }
-    elif kind is ExperimentKind.FLUX_MAP:
-        report, artifacts = flux_map(spec)
-        tables = {"flux_map.csv": artifacts["table"]}
-    else:
-        report, _ = property_suite(spec)
-        tables = {}
-
-    for name, table in tables.items():
+    # looked up at each call, so that an experiment replaced in this module
+    # after import (perfbench's tracer does so) is the one called
+    experiment = {ExperimentKind.RIEMANN_VERIFY: riemann_verify, ExperimentKind.CONVERGENCE: convergence_study,
+                  ExperimentKind.FLUX_MAP: flux_map, ExperimentKind.PROPERTY_SUITE: property_suite}[kind]
+    report, artifacts = experiment(spec)
+    for name, table in artifacts["tables"].items():
         _write_table(out_dir / name, table)
     text = report.render()
     (out_dir / "report.txt").write_text(text, encoding="utf-8")
@@ -131,6 +109,9 @@ def main(argv=None):
         return 2
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except (NumericalStabilityError, WaveConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

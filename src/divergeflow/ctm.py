@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,6 +153,11 @@ def _require_count(name, value):
         raise ValueError(f"{name} must be at least 1, got {value}")
 
 
+def _physical_memory():
+    """Bytes of physical memory of the machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def _as_cell_array(value, cells, name):
     arr = np.asarray(value, dtype=float)
     if arr.shape not in ((), (cells,)):
@@ -189,7 +195,8 @@ class SimConfig:
     of entries, else 1, which takes one entry.  An initial entry is a scalar or
     one value per cell, an inflow entry a scalar.  The read-only initial_state
     holds the (3, M) densities, initial_mix the (C, M + 1) proportions with
-    the inflow mix as column 0.
+    the inflow mix as column 0.  A config whose run would hold more float64
+    bytes than the machine's physical memory is rejected before any is built.
     """
 
     model: DivergeModel
@@ -233,7 +240,13 @@ class SimConfig:
                 0.0 <= bc.value <= self.diagrams[1 + i].capacity
             ):
                 raise ValueError("constant boundary supply outside [0, capacity]")
-        m, c = self.cells_per_link, self.tracked_commodities
+        m, n, c = self.cells_per_link, self.time_steps, self.tracked_commodities
+        # float64 bytes of a run's initial state and mix, snapshots and junction record
+        need = 8 * (3 * m + c * (m + 1) + (-(-n // self.snapshot_every) + 1) * (3 + c) * m + 9 * n)
+        memory = _physical_memory()
+        if need > memory:
+            raise ValueError(f"a run with M={m} cells per link and N={n} steps needs {need / 2**30:.3g} GiB, "
+                             f"more than the machine's {memory / 2**30:.3g} GiB of memory")
         state = np.stack([
             _as_cell_array(rho, m, f"initial_densities[{i}]") for i, rho in enumerate(self.initial_densities)
         ])

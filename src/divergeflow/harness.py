@@ -3,7 +3,9 @@ convergence studies, flux-region maps, and the randomized property battery.
 
 Every experiment produces a Report: a deterministic, timestamp-free list of
 named pass/fail checks plus the configuration hash and seed, so identical
-inputs reproduce identical reports byte for byte.
+inputs reproduce identical reports byte for byte.  Its artifacts hold its
+data files as "tables", a dict from file name to a table of columns (a dict
+from CSV header to an equal-length array), which the CLI writes.
 
 The property battery draws its samples a block at a time, as the columns of
 rng.random((block, 8)) (bitwise the sequential rng.uniform draws), and
@@ -276,10 +278,21 @@ def _state_checks(report, name, fd, rho, want, tol):
     report.add(f"{name}-density", abs(rho - rho_want) <= tol, f"|{rho:.6f} - {rho_want:.6f}| <= {tol:g}")
 
 
+def _fields_table(traj):
+    """fields.csv: one row per snapshot, link and cell; the proportion is
+    the upstream link's commodity-1 share, empty on the downstream links."""
+    k, link, cell = np.indices(traj.densities.shape).reshape(3, -1)
+    proportion = np.full(traj.densities.shape, np.nan)
+    proportion[:, 0] = traj.proportions[:, 0]
+    columns = (traj.snapshot_steps[k], link, cell, traj.densities.ravel(), proportion.ravel())
+    return dict(zip(("step", "link", "cell", "density", "proportion"), columns))
+
+
 def riemann_verify(spec):
     """Solve the Riemann problem analytically, simulate it, and compare
     fluxes, the interior and stationary states next to the junction, and
-    kinematic waves."""
+    kinematic waves; its tables are fields.csv and junction.csv (the
+    junction trace)."""
     sim = spec.sim
     tol = spec.tolerance
     inp = RiemannInput.from_densities(sim.diagrams, sim.initial_state[:, 0].tolist())
@@ -341,7 +354,8 @@ def riemann_verify(spec):
             _front_check(report, traj, link, wave)
         elif wave.kind is waves.WaveKind.RAREFACTION:
             _rarefaction_check(report, traj, link, wave)
-    return report, {"trajectory": traj, "solution": solution, "waves": wave_triplet}
+    tables = {"fields.csv": _fields_table(traj), "junction.csv": vars(traj.junction)}
+    return report, {"trajectory": traj, "solution": solution, "tables": tables}
 
 
 def _invariant_counterpart(model):
@@ -370,14 +384,15 @@ def _convergence_pairs(sim, resolutions):
 def convergence_study(spec):
     """Compare a routed model with its invariant counterpart across grid
     resolutions, both simulated as one batch per resolution; the solution
-    difference at the final time must shrink as the cells do."""
+    difference at the final time must shrink as the cells do; its tables
+    are the differences at each snapshot step, epsilon_M<cells>.csv."""
     report = Report("converge", spec.config_hash, spec.seed)
-    series = {}
+    tables = {}
     finals = []
     for cells, (cfg_a, cfg_b) in zip(spec.resolutions, spec.convergence_pairs):
         traj_a, traj_b = ctm.run_batch([cfg_a, cfg_b])
         eps = ctm.solution_difference(traj_a, traj_b)
-        series[cells] = (traj_a.snapshot_steps, eps)
+        tables[f"epsilon_M{cells}.csv"] = {"step": traj_a.snapshot_steps, "epsilon": eps}
         finals.append(float(eps[-1]))
         report.add(
             f"epsilon-final-M{cells}",
@@ -392,7 +407,7 @@ def convergence_study(spec):
             e_next < e_prev,
             f"{e_next:.6g} < {e_prev:.6g}",
         )
-    return report, {"series": series}
+    return report, {"tables": tables}
 
 
 # Labels of the region codes (see flux_map), bit k set where term k binds;
@@ -420,14 +435,13 @@ def flux_map(spec):
     """Evaluate the closed-form fluxes over a sweep grid in one kernel call
     and label each point by its binding constraints, all as array code.
 
-    Returns the report and {"table": columns}: the flux_map.csv columns, a
-    dict from CSV header to an equal-length array.  A routed rule's region
-    names the binding terms of min(D0, S1/x1, S2/x2) as I, II, III, ties
-    joined by "/" (such as "I/II"); an evacuation rule's region gives each
-    downstream link the letters of the terms of its riemann_rule counterpart
-    that bind (riemann._evacuation_binding) in FPRS order: F the routed-
-    remainder cap, P the share D0 ai, R the residual D0 - Sj, S the supply.
-    The two links are joined by "|" (such as "PS|R").
+    Returns the report and {"tables": {"flux_map.csv": columns}}.  A routed
+    rule's region names the binding terms of min(D0, S1/x1, S2/x2) as I, II,
+    III, ties joined by "/" (such as "I/II"); an evacuation rule's region
+    gives each downstream link the letters of the terms of its riemann_rule
+    counterpart that bind (riemann._evacuation_binding) in FPRS order: F
+    the routed-remainder cap, P the share D0 ai, R the residual D0 - Sj, S
+    the supply.  The two links are joined by "|" (such as "PS|R").
     """
     model = spec.sim.model
     caps = tuple(fd.capacity for fd in spec.sim.diagrams)
@@ -451,7 +465,7 @@ def flux_map(spec):
         link1, link2 = (_code(*binds) for binds in _evacuation_binding(riemann_rule(model, caps), d0, s1, s2))
         region = _EVACUATION_LABELS[16 * link1 + link2]
     header = ("demand_upstream", "supply_1", "supply_2", "q0", "q1", "q2", "region")
-    return report, {"table": dict(zip(header, (d0, s1, s2, q0, q1, q2, region)))}
+    return report, {"tables": {"flux_map.csv": dict(zip(header, (d0, s1, s2, q0, q1, q2, region)))}}
 
 
 # ---------------------------------------------------------------------------
@@ -712,4 +726,4 @@ def property_suite(spec):
             report.add(name, True, extents.get(name, f"{n} samples"))
         else:
             report.add(name, False, f"counterexample: {counterexample}")
-    return report, {}
+    return report, {"tables": {}}

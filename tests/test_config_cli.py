@@ -1,6 +1,7 @@
 import ast
 import csv
 import hashlib
+import re
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from divergeflow import config, ctm, del_castillo_mainline, del_castillo_ramp, greenshields, triangular, waves
+from divergeflow import cli, config, ctm, del_castillo_mainline, del_castillo_ramp, greenshields, triangular, waves
 from divergeflow.cli import _BLOCK_ROWS, _write_table, main
 from divergeflow.config import ConfigError, build_spec, config_hash, load_config
 from divergeflow.ctm import BoundaryCondition, BoundarySpec, SimConfig
@@ -56,6 +57,50 @@ SHIPPED_CSVS = {
     "riemann-verify": ("diverge_verify.yaml", ("fields.csv", "junction.csv")),
     "converge": ("convergence.yaml", ("epsilon_M40.csv", "epsilon_M80.csv", "epsilon_M160.csv")),
     "flux-map": ("flux_map.yaml", ("flux_map.csv",)),
+}
+
+
+# Every check name of the shipped reports, its link and resolution numbers
+# read as *, and what makes it read FAIL: the tier-1 test that plants its
+# defect (file::class::function), "by design" for a record that always
+# passes, or "cannot fail today" with the CHANGES.md FOUND line that says why.
+_HARNESS = "test_harness.py::"
+_VERIFY = _HARNESS + "TestVerifyFailLines::"
+_PROPS = _HARNESS + "TestPropsCounterexampleLines::"
+_KERNEL_DEFECT = _HARNESS + "TestPropertySuite::test_first_counterexamples_follow_sample_then_case_order"
+_SELF_COMPARED = "cannot fail today: FOUND: `src/divergeflow/harness.py` `_flux_battery`"
+CHECK_DEFECTS = {
+    "junction-flux-q0": _VERIFY + "test_junction_flux",
+    "junction-flux-q1": _VERIFY + "test_junction_flux",
+    "junction-flux-q2": _VERIFY + "test_junction_flux",
+    "link*-adjacent-state": _VERIFY + "test_junction_cell_against_the_interior_state",
+    "link*-adjacent-density": _VERIFY + "test_junction_cell_against_the_interior_state",
+    "link*-stationary-state": _VERIFY + "test_next_cell_against_the_stationary_state",
+    "link*-stationary-density": _VERIFY + "test_next_cell_against_the_stationary_state",
+    "junction-cell-proportion": _VERIFY + "test_junction_cell_proportion",
+    "upstream-proportions-constant": _VERIFY + "test_upstream_proportions_constant",
+    "link*-wave-kind": "by design",
+    "link*-shock-position": _VERIFY + "test_measured_shock_position",
+    "link*-rarefaction-extent": _HARNESS + "TestWaveChecks::test_zone_wider_than_two_cells_beyond_the_fan_fails",
+    "epsilon-final-M*": "by design",
+    "epsilon-decreases-M*-to-M*": _HARNESS + "test_converge_reports_an_epsilon_that_does_not_decrease",
+    "grid-evaluated": "by design",
+    "region-labels-consistent": (
+        _HARNESS + "TestFluxMap::test_region_check_compares_the_kernel_q0_with_the_minimum_term"
+    ),
+    "conservation-exact": _PROPS + "test_conservation_residual",
+    "flux-bounds": _KERNEL_DEFECT,
+    "fifo-split": _KERNEL_DEFECT,
+    "daganzo-lebacque-equal": _SELF_COMPARED,
+    "supply-proportional-is-capacity-priority": _SELF_COMPARED,
+    "partial-reduces-to-daganzo": _KERNEL_DEFECT,
+    "partial-reduces-to-priority": _SELF_COMPARED,
+    "partial-route-guarantee": _PROPS + "test_partial_route_guarantee",
+    "evacuation-optimality": _KERNEL_DEFECT,
+    "invariance-at-interior-states": _KERNEL_DEFECT,
+    "admissibility": _PROPS + "test_upstream_wave_sign",
+    "wave-speed-signs": _PROPS + "test_upstream_wave_sign",
+    "oracle-agreement": _PROPS + "test_oracle_survivor_count",
 }
 
 
@@ -657,6 +702,71 @@ class TestCli:
         assert main(["riemann-verify", "--config", str(verify_config), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == "error: the run stopped\n"
 
+    def test_memory_error_exits_two_with_one_line(self, verify_config, tmp_path, capsys, monkeypatch):
+        def raising(spec):
+            raise MemoryError("Unable to allocate 201. GiB for an array with shape (3000, 3000, 3000)")
+
+        monkeypatch.setattr(cli, "riemann_verify", raising)
+        assert main(["riemann-verify", "--config", str(verify_config), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: Unable to allocate 201. GiB for an array with shape (3000, 3000, 3000)\n"
+        )
+
+    def test_converge_too_big_for_memory_exits_two_at_load(self, tmp_path, capsys, monkeypatch):
+        # at M = 100000 a member holds 80,001 snapshots of 4 x 100000 floats;
+        # the config is rejected while it loads, before a batch runs
+        def forbidden(*args):
+            raise AssertionError("a batch ran")
+
+        monkeypatch.setattr(ctm, "run_batch", forbidden)
+        text = (CONFIGS / "convergence.yaml").read_text(encoding="utf-8")
+        assert text.count("resolutions: [40, 80, 160]") == 1
+        cfg = tmp_path / "huge.yaml"
+        cfg.write_text(text.replace("resolutions: [40, 80, 160]", "resolutions: [40, 80, 100000]"), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["converge", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: converge at M=100000: a run with M=100000 cells per link and "
+                              "N=4000000 steps needs 239 GiB, more than the machine's ")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_each_experiment_is_called_through_the_cli_attribute(self, tmp_path, monkeypatch):
+        """perfbench traces an experiment by replacing its name in cli, so
+        the CLI must look the name up when it runs: each replaced experiment
+        is called once and writes the report of the unpatched run."""
+        configs = {
+            "riemann-verify": SMALL_VERIFY,
+            "converge": SMALL_VERIFY + "convergence:\n  resolutions: [10, 20]\n",
+            "flux-map": "model: {kind: daganzo_fifo, xi: [0.7, 0.3]}\n"
+                        "flux_map: {demand_upstream: 0.2, supply_1: 0.1,\n"
+                        "           supply_2: {start: 0.0, stop: 0.08, count: 3}}\n",
+            "props": "model: {kind: lebacque, xi: [0.7, 0.3]}\n"
+                     "properties: {samples: 60, wave_samples: 15, oracle_grid: 2}\n",
+        }
+
+        def report(command, out):
+            cfg = tmp_path / f"{command}.yaml"
+            cfg.write_text(configs[command], encoding="utf-8")
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+            return (out / "report.txt").read_bytes()
+
+        unpatched = {command: report(command, tmp_path / f"{command}-plain") for command in configs}
+        calls = dict.fromkeys(("riemann_verify", "convergence_study", "flux_map", "property_suite"), 0)
+
+        def counting(name, experiment):
+            def counted(spec):
+                calls[name] += 1
+                return experiment(spec)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+        for ran, (command, name) in enumerate(zip(configs, calls), start=1):
+            assert report(command, tmp_path / f"{command}-counted") == unpatched[command]
+            assert calls[name] == 1 and sum(calls.values()) == ran
+
     def test_out_naming_an_existing_file_exits_two(self, verify_config, tmp_path, capsys):
         out = tmp_path / "taken"
         out.write_text("not a directory\n", encoding="utf-8")
@@ -826,6 +936,31 @@ class TestCli:
         if name == "fields.csv":
             # the downstream links' proportion is an empty last field
             assert {row[-1] == "" for row in rows} == {True, False}
+
+    def test_every_report_check_names_what_makes_it_fail(self, shipped_outputs):
+        reports = [out / "report.txt" for out in shipped_outputs.values()]
+        reports += [GOLDEN_DIR / name for name in ("verify_report.txt", "verify_interior_report.txt")]
+        reports += sorted(GOLDEN_DIR.glob("props_seed*.txt"))
+        names = {
+            re.sub(r"(link|M)\d+", r"\1*", line[len("check "):].split(":")[0])
+            for path in reports for line in path.read_text(encoding="utf-8").splitlines() if line.startswith("check ")
+        }
+        assert sorted(names - set(CHECK_DEFECTS)) == [], "a check the table lacks"
+        assert sorted(set(CHECK_DEFECTS) - names) == [], "a table entry no report holds"
+        tests_dir = Path(__file__).resolve().parent
+        found = [line for line in (tests_dir.parent / "CHANGES.md").read_text(encoding="utf-8").splitlines()
+                 if line.startswith("FOUND: ")]
+        for name, entry in CHECK_DEFECTS.items():
+            if entry.startswith("cannot fail today: "):
+                cited = entry[len("cannot fail today: "):]
+                assert any(line.startswith(cited) for line in found), f"{name}: no CHANGES.md line {cited}"
+            elif entry != "by design":
+                path, *scope, test = entry.split("::")
+                tree = ast.parse((tests_dir / path).read_text(encoding="utf-8"))
+                for owner in scope:
+                    tree = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == owner)
+                functions = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+                assert test in functions, f"{name}: no test {entry}"
 
     @pytest.mark.parametrize(
         "command, key, old, value",

@@ -170,6 +170,25 @@ class TestConfigValidation:
         # huge, but its jam-full vehicle count is finite
         assert diverge_config(trio, lebacque((0.7, 0.3)), link_length=1.0e300).link_length == 1.0e300
 
+    @pytest.mark.parametrize("model, need", [
+        (lebacque((0.7, 0.3)), 158728),
+        (partial_evacuation((0.3, 0.2), (0.55, 0.45)), 169616),
+    ], ids=["one-commodity", "two-commodity"])
+    def test_run_bigger_than_memory_is_rejected_before_an_array_is_built(self, trio, monkeypatch, model, need):
+        # M = 40, N = 1,600 and 33 snapshots: 8 bytes times the initial state
+        # and mix, 3M + C(M + 1), the snapshots, 33 (3 + C) M, and the
+        # junction record, 9N
+        monkeypatch.setattr(ctm, "_physical_memory", lambda: need)
+        assert diverge_config(trio, model, initial_proportions=None).cells_per_link == 40
+
+        def forbidden(*args):
+            raise AssertionError("an array was built")
+
+        monkeypatch.setattr(ctm, "_physical_memory", lambda: need - 1)
+        monkeypatch.setattr(ctm, "_as_cell_array", forbidden)
+        with pytest.raises(ValueError, match=r"^a run with M=40 cells per link and N=1600 steps needs "):
+            diverge_config(trio, model, initial_proportions=None)
+
     @pytest.mark.parametrize("period", [0.0, -60.0, float("inf"), float("nan")])
     def test_sinusoid_period_validated(self, period):
         with pytest.raises(ValueError):

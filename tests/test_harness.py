@@ -162,7 +162,7 @@ class TestConvergenceStudy:
         )
         report, artifacts = convergence_study(spec)
         assert report.passed, report.render()
-        assert set(artifacts["series"]) == {20, 40}
+        assert set(artifacts["tables"]) == {"epsilon_M20.csv", "epsilon_M40.csv"}
 
     def test_identical_models_yield_zero_difference(self, trio):
         # degenerate pairing: comparing a model against itself through the
@@ -184,7 +184,7 @@ class TestConvergenceStudy:
             resolutions=(160,),
         )
         _, artifacts = convergence_study(spec)
-        steps, eps = artifacts["series"][160]
+        steps, eps = artifacts["tables"]["epsilon_M160.csv"].values()
         text = "".join(
             "%d,%.17g\n" % (int(s), float(e)) for s, e in zip(steps, eps)
         )
@@ -195,7 +195,7 @@ class TestConvergenceStudy:
 
 def table_rows(artifacts):
     """The rows of a flux map's column table, as tuples of Python values."""
-    return list(zip(*(column.tolist() for column in artifacts["table"].values())))
+    return list(zip(*(column.tolist() for column in artifacts["tables"]["flux_map.csv"].values())))
 
 
 class TestFluxMap:
@@ -317,7 +317,7 @@ class TestFluxMap:
         sweep = SweepSpec(*((0.0, c, 9) for c in caps))
         sim = SimConfig(model=model, diagrams=trio, cells_per_link=1, time_steps=1, link_length=1.0, horizon=0.5)
         _, artifacts = flux_map(ExperimentSpec(kind=ExperimentKind.FLUX_MAP, sim=sim, sweep=sweep))
-        table = artifacts["table"]
+        table = artifacts["tables"]["flux_map.csv"]
         d0, s1, s2 = (table[name] for name in ("demand_upstream", "supply_1", "supply_2"))
         rule = riemann_rule(model, caps)
         xi = rule.xi if rule.kind is DivergeModelKind.PARTIAL_EVACUATION else (0.0, 0.0)

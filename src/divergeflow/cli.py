@@ -67,13 +67,14 @@ def _write_table(path, table):
 def _run(kind, args):
     doc = load_config(args.config)
     spec = build_spec(doc, kind, seed=args.seed)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     # looked up at each call, so that an experiment replaced in this module
     # after import (perfbench's tracer does so) is the one called
     experiment = {ExperimentKind.RIEMANN_VERIFY: riemann_verify, ExperimentKind.CONVERGENCE: convergence_study,
                   ExperimentKind.FLUX_MAP: flux_map, ExperimentKind.PROPERTY_SUITE: property_suite}[kind]
     report, artifacts = experiment(spec)
+    # created only once the run has finished, so a run that stops leaves none
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for name, table in artifacts["tables"].items():
         _write_table(out_dir / name, table)
     text = report.render()

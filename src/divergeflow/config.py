@@ -15,7 +15,8 @@ Every mapping is checked for keys the loader does not read where it is
 read, so a misspelt key is a ConfigError rather than a silent default; a key
 left out or null takes the default its type or diagram factory declares.
 _number reads every number field: a string such as 5e-3 (as PyYAML reads it)
-is a number, a boolean an error; the types reject counts that are not integers.
+is a number, a boolean an error.  Every other rule (integer counts, three
+diagrams, two downstream supplies, ranges) is checked by the receiving type.
 
 The configuration hash recorded in reports is the SHA-256 of the parsed
 document re-serialized canonically, so formatting and comments do not affect
@@ -183,14 +184,11 @@ def _build_sim(doc, model, diagrams):
         raise ConfigError(f"simulation section is missing {', '.join(missing)}")
     _section(section, "initial_densities", list)  # a list, though _number would read a scalar
     bsec = _section(section, "boundaries", dict, {}, ("upstream_demand", "downstream_supplies"))
+    up = _build_boundary(bsec.get("upstream_demand"), "upstream_demand")
     down = _section(bsec, "downstream_supplies", list, [None, None])
-    if len(down) != 2:
-        raise ConfigError("downstream_supplies needs exactly two entries")
-    boundaries = BoundarySpec(
-        _build_boundary(bsec.get("upstream_demand"), "upstream_demand"),
-        tuple(_build_boundary(bc, f"downstream_supplies[{i}]") for i, bc in enumerate(down)),
-    )
+    down = [_build_boundary(bc, f"downstream_supplies[{i}]") for i, bc in enumerate(down)]
     try:
+        boundaries = BoundarySpec(up, down)
         return SimConfig(model, diagrams, **dict(_numbers(section, "simulation"), boundaries=boundaries))
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -216,8 +214,6 @@ def build_spec(doc, kind, seed=0):
     if dsec is None:
         diagrams = (del_castillo_mainline(), del_castillo_mainline(), del_castillo_ramp())
     else:
-        if len(dsec) != 3:
-            raise ConfigError("diagrams must list exactly three entries")
         diagrams = tuple(_build_diagram(d, f"diagrams[{i}]") for i, d in enumerate(dsec))
     sim = _build_sim(doc, model, diagrams)
 
@@ -230,16 +226,16 @@ def build_spec(doc, kind, seed=0):
         if missing:
             raise ConfigError(f"flux_map section is missing {', '.join(missing)}")
         sweep_axes = [_build_axis(fsec[name], name) for name in _AXES]
-    if sim is None and kind in (ExperimentKind.FLUX_MAP, ExperimentKind.PROPERTY_SUITE):
-        # flux maps and the property battery evaluate closed forms only on
-        # the config's diagrams; the placeholder grid is never stepped
-        sim = SimConfig(model, diagrams, cells_per_link=1, time_steps=1, link_length=1.0, horizon=1e-9)
 
     verify = _numbers(_section(doc, "verify", dict, {}, ("tolerance",)), "verify")
     csec = _section(doc, "convergence", dict, {}, ("resolutions",))
     convergence = {"resolutions": tuple(_section(csec, "resolutions", list))} if csec else {}
     properties = _section(doc, "properties", dict, {}, ("samples", "wave_samples", "oracle_grid"))
     try:
+        if sim is None and kind in (ExperimentKind.FLUX_MAP, ExperimentKind.PROPERTY_SUITE):
+            # flux maps and the property battery evaluate closed forms only
+            # on the config's diagrams; the placeholder grid is never stepped
+            sim = SimConfig(model, diagrams, cells_per_link=1, time_steps=1, link_length=1.0, horizon=1e-9)
         return ExperimentSpec(
             kind, sim, SweepSpec(*sweep_axes) if sweep_axes else None, seed=seed, config_hash=config_hash(doc),
             **verify, **convergence, **properties,

@@ -131,11 +131,19 @@ class BoundaryCondition:
 
 @dataclass(frozen=True)
 class BoundarySpec:
+    """Ghost conditions in link order: the upstream demand and exactly two
+    downstream supplies (any sequence, stored as a tuple)."""
+
     upstream_demand: BoundaryCondition = field(default_factory=BoundaryCondition.neumann)
     downstream_supplies: tuple[BoundaryCondition, BoundaryCondition] = (
         BoundaryCondition.neumann(),
         BoundaryCondition.neumann(),
     )
+
+    def __post_init__(self):
+        object.__setattr__(self, "downstream_supplies", tuple(self.downstream_supplies))
+        if len(self.downstream_supplies) != 2:
+            raise ValueError("downstream_supplies needs exactly two entries")
 
 
 def _is_integer(value):
@@ -216,7 +224,7 @@ class SimConfig:
     def __post_init__(self):
         object.__setattr__(self, "diagrams", tuple(self.diagrams))
         if len(self.diagrams) != 3:
-            raise ValueError("exactly three fundamental diagrams are required")
+            raise ValueError("diagrams must list exactly three entries")
         if len(self.initial_densities) != 3:
             raise ValueError(
                 f"initial_densities needs one entry per link (three), got {len(self.initial_densities)}"
@@ -230,16 +238,10 @@ class SimConfig:
             raise ValueError(
                 f"CFL violated: max|Q'| * dt/dx = {vmax * self.dt / self.dx:.6f} > 1"
             )
-        bc = self.boundaries.upstream_demand
-        if bc.kind is BoundaryKind.CONSTANT and not (
-            0.0 <= bc.value <= self.diagrams[0].capacity
-        ):
-            raise ValueError("constant boundary demand outside [0, capacity]")
-        for i, bc in enumerate(self.boundaries.downstream_supplies):
-            if bc.kind is BoundaryKind.CONSTANT and not (
-                0.0 <= bc.value <= self.diagrams[1 + i].capacity
-            ):
-                raise ValueError("constant boundary supply outside [0, capacity]")
+        bcs = (self.boundaries.upstream_demand, *self.boundaries.downstream_supplies)
+        for link, (bc, fd) in enumerate(zip(bcs, self.diagrams)):
+            if bc.kind is BoundaryKind.CONSTANT and not 0.0 <= bc.value <= fd.capacity:
+                raise ValueError(f"constant boundary {'supply' if link else 'demand'} outside [0, capacity]")
         m, n, c = self.cells_per_link, self.time_steps, self.tracked_commodities
         # float64 bytes of a run's initial state and mix, snapshots and junction record
         need = 8 * (3 * m + c * (m + 1) + (-(-n // self.snapshot_every) + 1) * (3 + c) * m + 9 * n)

@@ -279,20 +279,20 @@ def _scan_feasible(model, targets, boxes, fixed, specials):
     return feasible
 
 
-def _bisect_monotone(fn, lo, hi, iters=100):
+def _bisect_monotone(fn, lo, hi):
     """Elementwise root of a nondecreasing fn on [lo, hi] by one masked
     array bisection; NaN where fn(hi) < 0 or fn(lo) > 0.
 
     fn maps an array of abscissae to an array of values.  An element stops
     once its midpoint rounds onto an end of its bracket (every later step
     would return that same midpoint), and fn is called once per step while
-    any element still moves."""
+    any element still moves, for at most 100 steps."""
     f_lo, f_hi = np.asarray(fn(lo)), np.asarray(fn(hi))
     shape = np.broadcast(lo, hi, f_lo, f_hi).shape
     lo, hi = (np.broadcast_to(np.asarray(v, dtype=float), shape) for v in (lo, hi))
     moving = np.broadcast_to(~(f_hi < -_FEAS_TOL) & ~(f_lo > _FEAS_TOL), shape)
     root = np.full(shape, np.nan)
-    for _ in range(iters):
+    for _ in range(100):
         mid = 0.5 * (lo + hi)
         stalled = moving & ((mid == lo) | (mid == hi))
         root = np.where(stalled, mid, root)

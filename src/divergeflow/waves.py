@@ -124,11 +124,11 @@ def batch_waves(stationary, diagrams, densities):
     return (up, *down)
 
 
-def wrong_signs(waves, speed_tol=SPEED_TOL):
+def wrong_signs(waves):
     """Per wave triplet of batch_waves, the link (0, 1 or 2) of the first
     wave that travels toward the junction, or -1 where none does."""
     up, down1, down2 = waves
-    wrong = np.array([up.max_speed > speed_tol, down1.min_speed < -speed_tol, down2.min_speed < -speed_tol])
+    wrong = np.array([up.max_speed > SPEED_TOL, down1.min_speed < -SPEED_TOL, down2.min_speed < -SPEED_TOL])
     return np.where(wrong.any(axis=0), wrong.argmax(axis=0), -1)
 
 
@@ -141,7 +141,7 @@ def sign_error(waves, link):
     return f"downstream wave speed {w.min_speed} < 0 for {w.kind.value} on link {link}"
 
 
-def link_waves(solution: RiemannSolution, inp: RiemannInput, speed_tol=SPEED_TOL):
+def link_waves(solution: RiemannSolution, inp: RiemannInput):
     """Waves on the three links of a Riemann solution.
 
     Returns (upstream_wave, down1_wave, down2_wave).  Raises
@@ -151,7 +151,7 @@ def link_waves(solution: RiemannSolution, inp: RiemannInput, speed_tol=SPEED_TOL
     diagrams = (inp.upstream_diagram, *inp.downstream_diagrams)
     stationary = (solution.stationary_upstream, *solution.stationary_downstream)
     waves = batch_waves(stationary, diagrams, [inp.initial_density(k) for k in range(3)])
-    link = int(wrong_signs(waves, speed_tol))
+    link = int(wrong_signs(waves))
     if link >= 0:
         raise WaveConsistencyError(sign_error(waves, link))
     return waves

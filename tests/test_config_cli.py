@@ -39,6 +39,8 @@ simulation:
 verify:
   tolerance: 5.0e-3
 """
+# SMALL_VERIFY's simulation section, which some cases remove
+SMALL_SIMULATION = SMALL_VERIFY[SMALL_VERIFY.index("simulation:"):SMALL_VERIFY.index("verify:")]
 
 
 # Every shipped config and the experiment its header comment runs it with.
@@ -647,12 +649,24 @@ class TestCli:
                 "  boundaries: {downstream_supplies: [{kind: neumann}, {kind: constant, value: 0.5}]}\nverify:",
                 "constant boundary supply outside [0, capacity]",
             ),
+            ("riemann-verify", SMALL_SIMULATION, "", "riemann-verify needs a simulation config"),
+            ("converge", SMALL_SIMULATION, "", "converge needs a simulation config"),
+            (
+                "flux-map", "  - {kind: del_castillo_ramp}\n" + SMALL_SIMULATION,
+                "flux_map: {demand_upstream: 0.25, supply_1: 0.1, supply_2: 0.05}\n",
+                "diagrams must list exactly three entries",
+            ),
+            (
+                "props", "  - {kind: del_castillo_ramp}\n" + SMALL_SIMULATION, "",
+                "diagrams must list exactly three entries",
+            ),
         ],
         ids=[
             "not-a-mapping", "model-without-kind", "diagram-without-kind", "unknown-diagram-kind",
             "diagram-parameter", "boundary-not-a-mapping", "unknown-boundary-kind", "simulation-missing-key",
             "one-downstream-supply", "axis-without-count", "two-diagrams", "no-flux-map-section",
-            "supply-above-ramp-capacity",
+            "supply-above-ramp-capacity", "verify-without-simulation", "converge-without-simulation",
+            "flux-map-two-diagrams", "props-two-diagrams",
         ],
     )
     def test_config_error_exits_two_with_one_line_and_no_output(self, tmp_path, capsys, command, old, new, message):
@@ -699,18 +713,32 @@ class TestCli:
             raise error("the run stopped")
 
         monkeypatch.setattr(module, name, raising)
-        assert main(["riemann-verify", "--config", str(verify_config), "--out", str(tmp_path / "o")]) == 1
+        out = tmp_path / "o"
+        assert main(["riemann-verify", "--config", str(verify_config), "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: the run stopped\n"
+        assert not out.exists()
 
     def test_memory_error_exits_two_with_one_line(self, verify_config, tmp_path, capsys, monkeypatch):
         def raising(spec):
             raise MemoryError("Unable to allocate 201. GiB for an array with shape (3000, 3000, 3000)")
 
         monkeypatch.setattr(cli, "riemann_verify", raising)
-        assert main(["riemann-verify", "--config", str(verify_config), "--out", str(tmp_path / "o")]) == 2
+        out = tmp_path / "o"
+        assert main(["riemann-verify", "--config", str(verify_config), "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
             "error: Unable to allocate 201. GiB for an array with shape (3000, 3000, 3000)\n"
         )
+        assert not out.exists()
+
+    def test_value_error_in_a_run_exits_two_with_one_line(self, verify_config, tmp_path, capsys, monkeypatch):
+        def raising(spec):
+            raise ValueError("the run met a bad value")
+
+        monkeypatch.setattr(cli, "riemann_verify", raising)
+        out = tmp_path / "o"
+        assert main(["riemann-verify", "--config", str(verify_config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: the run met a bad value\n"
+        assert not out.exists()
 
     def test_converge_too_big_for_memory_exits_two_at_load(self, tmp_path, capsys, monkeypatch):
         # at M = 100000 a member holds 80,001 snapshots of 4 x 100000 floats;

@@ -200,13 +200,28 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             BoundaryCondition.constant(float("inf"))
 
-    def test_constant_boundary_range_checked(self, trio):
-        with pytest.raises(ValueError):
-            diverge_config(
-                trio,
-                lebacque((0.7, 0.3)),
-                boundaries=BoundarySpec(upstream_demand=BoundaryCondition.constant(0.9)),
-            )
+    @pytest.mark.parametrize(
+        "link, value, end", [(0, 0.9, "demand"), (1, 0.9, "supply"), (2, 0.2, "supply")],
+        ids=["upstream", "downstream-1", "downstream-2"],
+    )
+    def test_constant_boundary_range_checked(self, trio, link, value, end):
+        # 0.2 lies within the mainline's capacity but above the ramp's: link
+        # 2's case fails only when its supply meets link 2's own diagram
+        bcs = [BoundaryCondition.neumann()] * 3
+        bcs[link] = BoundaryCondition.constant(value)
+        with pytest.raises(ValueError) as info:
+            diverge_config(trio, lebacque((0.7, 0.3)), boundaries=BoundarySpec(bcs[0], bcs[1:]))
+        assert str(info.value) == f"constant boundary {end} outside [0, capacity]"
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_boundary_spec_needs_two_downstream_supplies(self, count):
+        with pytest.raises(ValueError) as info:
+            BoundarySpec(downstream_supplies=(BoundaryCondition.neumann(),) * count)
+        assert str(info.value) == "downstream_supplies needs exactly two entries"
+
+    def test_boundary_spec_stores_downstream_supplies_as_a_tuple(self):
+        supplies = [BoundaryCondition.neumann(), BoundaryCondition.constant(0.05)]
+        assert BoundarySpec(downstream_supplies=supplies).downstream_supplies == tuple(supplies)
 
 
 class TestProportionUpdate:

@@ -140,18 +140,19 @@ class TestLinkWaves:
                 inp = RiemannInput.from_densities(trio, [r[k] for r in rho])
                 assert tuple(w.row(k) for w in waves) == link_waves(batch.row(k), inp)
 
-    def test_first_wrong_sign_names_its_link(self, trio):
+    def test_first_wrong_sign_names_its_link(self, trio, monkeypatch):
         inp = RiemannInput.from_densities(trio, (1.0, 1.0, 0.1))
         sol = solve(lebacque((0.7, 0.3)), inp)
         up, down1, down2 = link_waves(sol, inp)
-        assert int(wrong_signs((up, down1, down2), speed_tol=1e-4)) == -1
+        assert int(wrong_signs((up, down1, down2))) == -1
         # down 1 carries a forward shock: a negative tolerance flags it first
-        assert int(wrong_signs((up, down1, down2), speed_tol=-0.1)) == 1
+        monkeypatch.setattr("divergeflow.waves.SPEED_TOL", -0.1)
+        assert int(wrong_signs((up, down1, down2))) == 1
         assert sign_error((up, down1, down2), 1) == (
             f"downstream wave speed {down1.min_speed} < 0 for shock on link 1"
         )
         with pytest.raises(WaveConsistencyError, match="on link 1"):
-            link_waves(sol, inp, speed_tol=-0.1)
+            link_waves(sol, inp)
 
     def test_randomized_sign_admissibility(self, trio):
         rng = np.random.default_rng(11)

@@ -148,7 +148,7 @@ def _build_diagram(section, name):
     params = _numbers(section, f"{kind.value} diagram")
     try:
         diagram = _FACTORIES[kind.value]()
-        # replace re-runs the diagram's checks and its capacity search
+        # replace re-runs the diagram's checks and recomputes its capacity
         return replace(diagram, **params) if params else diagram
     except ValueError as exc:
         raise ConfigError(f"{kind.value} diagram: {exc}") from exc
@@ -234,8 +234,11 @@ def build_spec(doc, kind, seed=0):
     try:
         if sim is None and kind in (ExperimentKind.FLUX_MAP, ExperimentKind.PROPERTY_SUITE):
             # flux maps and the property battery evaluate closed forms only
-            # on the config's diagrams; the placeholder grid is never stepped
-            sim = SimConfig(model, diagrams, cells_per_link=1, time_steps=1, link_length=1.0, horizon=1e-9)
+            # on the config's diagrams; the placeholder grid is never stepped,
+            # and its one step has CFL number 1 whatever the diagrams' speeds
+            # (SimConfig rejects a list without three diagrams)
+            horizon = 1.0 / max(fd.max_wave_speed for fd in diagrams) if diagrams else 1.0
+            sim = SimConfig(model, diagrams, cells_per_link=1, time_steps=1, link_length=1.0, horizon=horizon)
         return ExperimentSpec(
             kind, sim, SweepSpec(*sweep_axes) if sweep_axes else None, seed=seed, config_hash=config_hash(doc),
             **verify, **convergence, **properties,

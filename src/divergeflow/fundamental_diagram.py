@@ -20,9 +20,10 @@ link or per cell: a diagram evaluates it on its own scalars, and the CTM
 evaluates every link of a family in one call.  The exponential laws have an
 essential singularity at rho = 0; the physical limit Q -> v_f * rho is
 reached exactly by flooring rho at rho_jam / 1000 inside the congested
-factor.  Capacity and critical density have no closed form for the
-exponential family and are computed once at construction by golden-section
-search.
+factor.  Each law is one shape scaled by its parameters,
+Q(rho) = v_f rho_jam f(rho / rho_jam), so rho_c = u* rho_jam with u* a
+constant of the family, and a diagram computes C = Q(rho_c) once at
+construction, with no search.
 
 The demand transform D(rho) = Q(min(rho, rho_c)) is the maximum sending flow
 of a cell; the supply transform S(rho) = Q(max(rho, rho_c)) is the maximum
@@ -49,8 +50,9 @@ __all__ = [
     "greenshields",
 ]
 
-# Absolute tolerances: densities resolved to 1e-10 by the root finders below,
-# flux equality tested at 1e-12 throughout the package.
+# Absolute tolerances: densities resolved to 1e-10 by the Newton inverse of
+# the exponential laws (the one root finder below), flux equality tested at
+# 1e-12 throughout the package.
 DENSITY_TOL = 1e-10
 FLUX_TOL = 1e-12
 
@@ -110,23 +112,15 @@ _FLOW_LAWS = {
     DiagramKind.GREENSHIELDS: _greenshields_flow,
 }
 
-
-def _golden_section_argmax(f, a, b):
-    """Argmax of a unimodal f on [a, b] by golden-section search to 1e-12."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > 1e-12:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+# u* = rho_c / rho_jam of each kind: 1/2 for the parabola, w / (v_f + w) for
+# the triangle, and for the exponential laws the last float at which Q' is
+# positive when rho_jam = 1.
+_CRITICAL_FRACTION = {
+    DiagramKind.DEL_CASTILLO_MAINLINE: 0.24381516031928374,
+    DiagramKind.DEL_CASTILLO_RAMP: 0.24381516031928374,
+    DiagramKind.TRIANGULAR: _TRIANGULAR_WAVE_RATIO / (1.0 + _TRIANGULAR_WAVE_RATIO),
+    DiagramKind.GREENSHIELDS: 0.5,
+}
 
 
 @dataclass(frozen=True)
@@ -148,19 +142,14 @@ class FundamentalDiagram:
             raise ValueError(f"free_flow_speed must be positive and finite, got {self.free_flow_speed}")
         if not 0.0 < self.jam_density < math.inf:
             raise ValueError(f"jam_density must be positive and finite, got {self.jam_density}")
-        if self.kind in (DiagramKind.TRIANGULAR, DiagramKind.GREENSHIELDS):
-            rho_c = self._closed_form_critical_density()
-        else:
-            rho_c = _golden_section_argmax(self._flow, 0.0, self.jam_density)
+        rho_c = _CRITICAL_FRACTION[self.kind] * self.jam_density
+        # an extreme v_f or rho_jam overflows Q or rounds it to 0
+        with np.errstate(all="ignore"):
+            capacity = float(self._flow(rho_c))
+        if not 0.0 < capacity < math.inf:
+            raise ValueError(f"capacity must be positive and finite, got {capacity}")
         object.__setattr__(self, "critical_density", rho_c)
-        object.__setattr__(self, "capacity", float(self._flow(rho_c)))
-
-    def _closed_form_critical_density(self):
-        if self.kind is DiagramKind.GREENSHIELDS:
-            return self.jam_density / 2.0
-        # triangular: v_f * rho_c = w * (rho_jam - rho_c)
-        w = _TRIANGULAR_WAVE_RATIO * self.free_flow_speed
-        return self.jam_density * w / (self.free_flow_speed + w)
+        object.__setattr__(self, "capacity", capacity)
 
     def _flow(self, rho):
         """Q(rho) without a range check, for a float or a float array."""

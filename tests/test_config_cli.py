@@ -660,13 +660,19 @@ class TestCli:
                 "props", "  - {kind: del_castillo_ramp}\n" + SMALL_SIMULATION, "",
                 "diagrams must list exactly three entries",
             ),
+            (
+                "props", "  - {kind: del_castillo_mainline}\n  - {kind: del_castillo_mainline}\n",
+                "  - {kind: greenshields, free_flow_speed: 1.0e-200, jam_density: 1.0e-200}\n"
+                "  - {kind: del_castillo_mainline}\n",
+                "greenshields diagram: capacity must be positive and finite, got 0.0",
+            ),
         ],
         ids=[
             "not-a-mapping", "model-without-kind", "diagram-without-kind", "unknown-diagram-kind",
             "diagram-parameter", "boundary-not-a-mapping", "unknown-boundary-kind", "simulation-missing-key",
             "one-downstream-supply", "axis-without-count", "two-diagrams", "no-flux-map-section",
             "supply-above-ramp-capacity", "verify-without-simulation", "converge-without-simulation",
-            "flux-map-two-diagrams", "props-two-diagrams",
+            "flux-map-two-diagrams", "props-two-diagrams", "zero-capacity",
         ],
     )
     def test_config_error_exits_two_with_one_line_and_no_output(self, tmp_path, capsys, command, old, new, message):
@@ -1161,6 +1167,30 @@ flux_map:
         lines = (out / "flux_map.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == "demand_upstream,supply_1,supply_2,q0,q1,q2,region"
         assert len(lines) == 26
+
+    @pytest.mark.parametrize("command", ["flux-map", "props"])
+    def test_fast_diagram_passes_where_no_grid_is_stepped(self, tmp_path, command):
+        # flux-map and props build a one-step placeholder grid they never
+        # step, with CFL number 1 at any free-flow speed
+        cfg = tmp_path / "fast.yaml"
+        cfg.write_text(
+            """\
+model: {kind: daganzo_fifo, xi: [0.7, 0.3]}
+diagrams:
+  - {kind: del_castillo_mainline, free_flow_speed: 2.0e+9}
+  - {kind: del_castillo_mainline}
+  - {kind: del_castillo_ramp}
+flux_map:
+  demand_upstream: 0.2
+  supply_1: {start: 0.0, stop: 0.3365, count: 5}
+  supply_2: {start: 0.0, stop: 0.0841, count: 5}
+properties: {samples: 20, wave_samples: 5, oracle_grid: 2}
+""",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "report.txt").read_text(encoding="utf-8").endswith("verdict: PASS\n")
 
     def test_converge_run_writes_epsilon_series(self, tmp_path):
         cfg = tmp_path / "conv.yaml"

@@ -14,7 +14,7 @@ from divergeflow import (
     state_of,
     triangular,
 )
-from divergeflow.fundamental_diagram import DENSITY_TOL, FLUX_TOL
+from divergeflow.fundamental_diagram import _CRITICAL_FRACTION, _FLOW_LAWS, DENSITY_TOL, FLUX_TOL
 
 # the four laws, two of them off their default parameters, for tests
 # parametrized per law
@@ -42,8 +42,8 @@ class TestClosedForms:
         assert ramp.critical_density == pytest.approx(0.2438, abs=FOUR_DP)
 
     def test_ramp_is_quarter_of_mainline(self, mainline, ramp):
-        assert ramp.capacity == pytest.approx(mainline.capacity / 4.0, abs=1e-12)
-        assert ramp.critical_density == pytest.approx(mainline.critical_density / 2.0, abs=1e-9)
+        assert ramp.capacity == mainline.capacity / 4.0
+        assert ramp.critical_density == mainline.critical_density / 2.0
 
     def test_mainline_congested_flow(self, mainline):
         assert mainline.flow(1.0) == pytest.approx(0.2473, abs=FOUR_DP)
@@ -97,6 +97,15 @@ class TestClosedForms:
             greenshields(0.0, 1.0)
         with pytest.raises(ValueError):
             triangular(1.0, -1.0)
+        # each parameter is positive and finite, but Q(rho_c) is not
+        for kind, free_flow_speed, jam_density, capacity in (
+            (DiagramKind.GREENSHIELDS, 1e-200, 1e-200, "0.0"),
+            (DiagramKind.GREENSHIELDS, 1e200, 1e200, "inf"),
+            (DiagramKind.TRIANGULAR, 1.0, 5e-324, "0.0"),
+            (DiagramKind.DEL_CASTILLO_MAINLINE, 1e300, 1e10, "inf"),
+        ):
+            with pytest.raises(ValueError, match=f"^capacity must be positive and finite, got {capacity}$"):
+                FundamentalDiagram(kind, free_flow_speed, jam_density)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     @pytest.mark.parametrize("kind", list(DiagramKind))
@@ -293,6 +302,53 @@ def test_triangular_slope_is_one_sided_at_the_kink():
     assert fd._slope(rc, -1.0) == fd._slope(rc) == 2.0 == pytest.approx(left, abs=1e-7)
     sides = np.array([1.0, -1.0, 0.0])
     assert fd._slope(np.full(3, rc), sides).tolist() == [-0.5, 2.0, 2.0]
+
+
+def _last_rising_density(fd):
+    """The last float density at which fd's closed-form slope is positive,
+    by bisecting the slope's sign on [0, rho_jam] down to adjacent floats."""
+    lo, hi = 0.0, fd.jam_density
+    while True:
+        mid = lo + 0.5 * (hi - lo)
+        if not lo < mid < hi:
+            break
+        if fd._slope(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    assert np.nextafter(lo, hi) == hi
+    return lo
+
+
+def test_every_kind_has_a_flow_law_and_a_critical_fraction():
+    assert set(_FLOW_LAWS) == set(_CRITICAL_FRACTION) == set(DiagramKind)
+
+
+def test_exponential_critical_fraction_is_the_root_of_the_slope():
+    # rho_c = u* rho_jam: at rho_jam = 1 the bisection finds u* itself, and
+    # the shipped diagrams' rho_jam of 2 and 1 scale it without rounding
+    for kind in (DiagramKind.DEL_CASTILLO_MAINLINE, DiagramKind.DEL_CASTILLO_RAMP):
+        unit = FundamentalDiagram(kind, 1.0, 1.0)
+        assert _CRITICAL_FRACTION[kind] == _last_rising_density(unit) == unit.critical_density
+    for fd in (del_castillo_mainline(), del_castillo_ramp()):
+        assert fd.critical_density == _last_rising_density(fd)
+
+
+@pytest.mark.parametrize(
+    "free_flow_speed, jam_density",
+    [(3.7, 0.013), (0.02, 45.0), (120.0, 7.3), (1e-3, 1e3), (1e3, 1e-3), (0.61, 0.29)],
+)
+def test_exponential_critical_density_is_within_two_ulp_of_the_slope_root(free_flow_speed, jam_density):
+    fd = FundamentalDiagram(DiagramKind.DEL_CASTILLO_MAINLINE, free_flow_speed, jam_density)
+    root = _last_rising_density(fd)
+    assert abs(fd.critical_density - root) <= 2 * np.spacing(root)
+
+
+@pytest.mark.parametrize("fd", LAWS, ids=lambda fd: fd.kind.value)
+def test_slope_changes_sign_at_the_critical_density(fd):
+    rho_c = fd.critical_density
+    assert fd._slope(np.nextafter(rho_c, 0.0)) > 0.0
+    assert fd._slope(np.nextafter(rho_c, np.inf)) <= 0.0
 
 
 @pytest.mark.parametrize("fd", LAWS, ids=lambda fd: fd.kind.value)

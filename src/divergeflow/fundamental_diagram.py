@@ -148,6 +148,10 @@ class FundamentalDiagram:
             capacity = float(self._flow(rho_c))
         if not 0.0 < capacity < math.inf:
             raise ValueError(f"capacity must be positive and finite, got {capacity}")
+        # a state within FLUX_TOL of C is bound to the diagram, so (0, 0)
+        # would be too
+        if capacity <= FLUX_TOL:
+            raise ValueError(f"capacity {capacity!r} is not above the flux tolerance {FLUX_TOL:g}")
         object.__setattr__(self, "critical_density", rho_c)
         object.__setattr__(self, "capacity", capacity)
 
@@ -227,9 +231,11 @@ class FundamentalDiagram:
         Under-critical states (supply equal to capacity) map to the density
         with Q(rho) = demand on the rising branch; over-critical states map to
         Q(rho) = supply on the falling branch.  The triangular and Greenshields
-        laws invert in closed form, the exponential laws by safeguarded Newton
-        to within DENSITY_TOL.  Raises InvalidStateError when max(demand, supply)
-        differs from the capacity beyond FLUX_TOL.
+        laws invert in closed form.  The exponential laws invert by Newton to
+        within DENSITY_TOL from the triangular inverse, a start on the far
+        side of the root, since these concave laws lie under the triangular
+        one.  Raises InvalidStateError when max(demand, supply) differs from
+        the capacity beyond FLUX_TOL.
         """
         d, s = np.broadcast_arrays(np.atleast_1d(state.demand), np.atleast_1d(state.supply))
         peak = np.maximum(d, s)
@@ -242,57 +248,40 @@ class FundamentalDiagram:
         rising = s > d  # under-critical: rising branch
         target = np.where(rising, d, s)
         v_f, rho_c, rho_jam = self.free_flow_speed, self.critical_density, self.jam_density
-        if self.kind is DiagramKind.TRIANGULAR:
-            rho = np.where(rising, target / v_f, rho_jam - target / (_TRIANGULAR_WAVE_RATIO * v_f))
-        elif self.kind is DiagramKind.GREENSHIELDS:
+        rho = np.where(rising, target / v_f, rho_jam - target / (_TRIANGULAR_WAVE_RATIO * v_f))
+        if self.kind is DiagramKind.GREENSHIELDS:
             # Q = C (1 - (rho / rho_c - 1)^2) with C = v_f * rho_jam / 4
             root = np.sqrt(np.maximum(0.0, 1.0 - target / self.capacity))
             rho = np.where(rising, rho_c * (target / self.capacity) / (1.0 + root), rho_c * (1.0 + root))
-        else:
-            rho = np.full(target.shape, rho_c)
+        elif self.kind is not DiagramKind.TRIANGULAR:
             run = ~critical
-            rho[run] = self._newton_flow(target[run], rising[run])
+            rho[run] = self._newton_flow(rho[run], target[run])
         rho = np.where(critical, rho_c, rho)
         return rho if np.ndim(state.demand) or np.ndim(state.supply) else float(rho[0])
 
-    def _newton_flow(self, target, increasing):
-        """Densities with Q(rho) = target on the rising (increasing) or
-        falling branch of an exponential law, each to within DENSITY_TOL.
+    def _newton_flow(self, rho, target):
+        """Densities with Q(rho) = target on an exponential law by Newton's
+        method from the starts rho, each to within DENSITY_TOL.
 
-        Both laws are concave with slope v_f at 0 and -v_f / 4 at jam, so the
-        starts below sit on the far side of the root from the peak and Newton
-        approaches it monotonically.  Q - target changes sign once on each
-        bracket [a, b]; a Newton step that leaves the shrinking bracket (or
-        meets a zero slope) becomes a bisection.  Each entry iterates until it
-        converges, at most 200 times; converged entries leave the loop.
+        Each start is the triangular inverse of its target, and the concave
+        exponential law lies under the triangular one, so the start sits on
+        the far side of the root from the peak, where Newton moves to the
+        root monotonically and the slope is never zero.  Each entry iterates
+        until it converges, at most 200 times; converged entries leave the
+        loop.
         """
-        v_f, rho_c, rho_jam = self.free_flow_speed, self.critical_density, self.jam_density
-        a = np.where(increasing, 0.0, rho_c)
-        b = np.where(increasing, rho_c, rho_jam)
-        rho = np.where(increasing, target / v_f, rho_jam - target / (_TRIANGULAR_WAVE_RATIO * v_f))
-        rho = np.minimum(np.maximum(rho, a), b)
         out = np.empty_like(rho)
         left = np.arange(rho.size)
-        # a zero slope gives an infinite or NaN step, which fails the
-        # bracket test below
-        with np.errstate(all="ignore"):
-            for _ in range(200):
-                if not left.size:
-                    break
-                flow, slope = self._flow(rho), self._slope(rho)
-                below = (flow < target) == increasing
-                a = np.where(below, rho, a)
-                b = np.where(below, b, rho)
-                step = rho - (flow - target) / slope
-                step = np.where((a <= step) & (step <= b), step, 0.5 * (a + b))
-                done = (abs(step - rho) <= DENSITY_TOL) | (b - a <= DENSITY_TOL)
-                if done.any():
-                    out[left[done]] = step[done]
-                    going = ~done
-                    left, step, a, b, target, increasing = (
-                        v[going] for v in (left, step, a, b, target, increasing)
-                    )
-                rho = step
+        for _ in range(200):
+            if not left.size:
+                break
+            step = rho - (self._flow(rho) - target) / self._slope(rho)
+            done = abs(step - rho) <= DENSITY_TOL
+            if done.any():
+                out[left[done]] = step[done]
+                going = ~done
+                left, step, target = left[going], step[going], target[going]
+            rho = step
         out[left] = rho
         return out
 

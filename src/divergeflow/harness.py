@@ -121,6 +121,8 @@ class ExperimentSpec:
         positive = all(ctm._is_integer(m) and m >= 1 for m in res)
         if self.kind is ExperimentKind.CONVERGENCE and not (res and positive and res == sorted(set(res))):
             raise ValueError(f"convergence resolutions must be strictly increasing positive integers, got {res}")
+        if self.kind is ExperimentKind.CONVERGENCE and len(res) < 2:
+            raise ValueError(f"converge compares at least two resolutions, got {res}")
         if self.kind is ExperimentKind.FLUX_MAP and self.sweep is None:
             raise ValueError("flux map needs a sweep grid")
         if self.sim is None:

@@ -559,7 +559,7 @@ class TestCli:
         cfg = tmp_path / "two_cells.yaml"
         text = SMALL_VERIFY.replace("cells_per_link: 20", "cells_per_link: 2") + "convergence:\n  resolutions: [2]\n"
         cfg.write_text(text.replace("initial_proportions: 0.7", "initial_proportions: [0.3, 0.8]"), encoding="utf-8")
-        sim = build_spec(load_config(cfg), ExperimentKind.CONVERGENCE).sim
+        sim = build_spec(load_config(cfg), ExperimentKind.PROPERTY_SUITE).sim
         assert sim.initial_mix.tolist() == [[0.3, 0.3, 0.8]]
 
     @pytest.mark.parametrize(
@@ -666,6 +666,12 @@ class TestCli:
                 "  - {kind: del_castillo_mainline}\n",
                 "greenshields diagram: capacity must be positive and finite, got 0.0",
             ),
+            (
+                "props", "  - {kind: del_castillo_mainline}\n  - {kind: del_castillo_mainline}\n",
+                "  - {kind: greenshields, free_flow_speed: 1.0e-300, jam_density: 1.0e-10}\n"
+                "  - {kind: del_castillo_mainline}\n",
+                "greenshields diagram: capacity 2.5e-311 is not above the flux tolerance 1e-12",
+            ),
         ],
         ids=[
             "not-a-mapping", "model-without-kind", "diagram-without-kind", "unknown-diagram-kind",
@@ -673,6 +679,7 @@ class TestCli:
             "one-downstream-supply", "axis-without-count", "two-diagrams", "no-flux-map-section",
             "supply-above-ramp-capacity", "verify-without-simulation", "converge-without-simulation",
             "flux-map-two-diagrams", "props-two-diagrams", "zero-capacity",
+            "capacity-within-flux-tolerance",
         ],
     )
     def test_config_error_exits_two_with_one_line_and_no_output(self, tmp_path, capsys, command, old, new, message):
@@ -684,6 +691,23 @@ class TestCli:
         out = tmp_path / "o"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    def test_props_on_a_capacity_within_the_flux_tolerance_exits_two(self, tmp_path, capsys):
+        # C = 2.5e-311: every flux check of the battery would pass within
+        # FLUX_TOL of the state (0, 0)
+        text = (CONFIGS / "props.yaml").read_text(encoding="utf-8")
+        old = "  - {kind: del_castillo_mainline}\n  - {kind: del_castillo_mainline}\n"
+        assert text.count(old) == 1
+        cfg = tmp_path / "tiny.yaml"
+        cfg.write_text(text.replace(old, old.replace(
+            "{kind: del_castillo_mainline}", "{kind: greenshields, free_flow_speed: 1.0e-300, jam_density: 1.0e-10}", 1
+        )), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["props", "--config", str(cfg), "--out", str(out), "--seed", "0"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: greenshields diagram: capacity 2.5e-311 is not above the flux tolerance 1e-12\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("old", ["link_length: 10.0", "horizon: 360.0"])
@@ -1092,13 +1116,17 @@ class TestCli:
             ),
             ("converge", "resolutions: [10, 20]", "resolutions: 40", "resolutions must be a list, got 40"),
             (
+                "converge", "resolutions: [10, 20]", "resolutions: [40]",
+                "converge compares at least two resolutions, got [40]",
+            ),
+            (
                 "converge", "resolutions: [10, 20]", "resolutions: [true, 20]",
                 "convergence resolutions must be strictly increasing positive integers, got [True, 20]",
             ),
         ],
         ids=[
             "tolerance-nan", "tolerance-inf", "resolution-zero", "resolution-repeated", "resolutions-not-a-list",
-            "resolution-boolean",
+            "one-resolution", "resolution-boolean",
         ],
     )
     def test_bad_tolerance_or_resolutions_exit_two_before_running(self, tmp_path, capsys, command, old, new, message):

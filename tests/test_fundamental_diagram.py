@@ -106,6 +106,15 @@ class TestClosedForms:
         ):
             with pytest.raises(ValueError, match=f"^capacity must be positive and finite, got {capacity}$"):
                 FundamentalDiagram(kind, free_flow_speed, jam_density)
+        # positive, but within FLUX_TOL of the state (0, 0)
+        for kind, free_flow_speed, jam_density, capacity in (
+            (DiagramKind.GREENSHIELDS, 1e-300, 1e-10, "2.5e-311"),
+            (DiagramKind.TRIANGULAR, 1.0, 5e-12, "1e-12"),
+            (DiagramKind.DEL_CASTILLO_RAMP, 1e-7, 1e-6, "1.6824800831729625e-14"),
+        ):
+            with pytest.raises(ValueError, match=f"^capacity {capacity} is not above the flux tolerance 1e-12$"):
+                FundamentalDiagram(kind, free_flow_speed, jam_density)
+        assert triangular(1.0, 5.000000000000001e-12).capacity > FLUX_TOL
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     @pytest.mark.parametrize("kind", list(DiagramKind))
@@ -253,6 +262,58 @@ def test_array_inversion_is_the_float_inversion_per_entry(fd):
     assert inverted.tolist() == expected
     with pytest.raises(InvalidStateError):
         fd.density_from_state(TrafficState(demand, np.minimum(supply, 0.5 * fd.capacity)))
+
+
+# (v_f, rho_jam) of the shipped mainline and ramp, and of five others
+EXPONENTIAL_PARAMETERS = [(1.0, 2.0), (0.5, 1.0), (3.7, 0.013), (0.02, 45.0), (120.0, 7.3), (1e3, 1e-3), (1e-3, 1e3)]
+
+
+@pytest.mark.parametrize("free_flow_speed, jam_density", EXPONENTIAL_PARAMETERS)
+@pytest.mark.parametrize("kind", [DiagramKind.DEL_CASTILLO_MAINLINE, DiagramKind.DEL_CASTILLO_RAMP])
+def test_exponential_law_lies_under_the_triangular_law(kind, free_flow_speed, jam_density):
+    fd = FundamentalDiagram(kind, free_flow_speed, jam_density)
+    tri = triangular(free_flow_speed, jam_density)
+    rho = np.linspace(0.0, jam_density, 200001)
+    assert np.all(fd.flow(rho) <= tri.flow(rho) + 1e-15 * free_flow_speed * jam_density)
+
+
+@pytest.mark.parametrize("free_flow_speed, jam_density", EXPONENTIAL_PARAMETERS)
+@pytest.mark.parametrize("kind", [DiagramKind.DEL_CASTILLO_MAINLINE, DiagramKind.DEL_CASTILLO_RAMP])
+def test_triangular_inverse_starts_newton_on_the_far_side_of_the_root(kind, free_flow_speed, jam_density):
+    # the triangular law with the same v_f and rho_jam inverts a flow q in
+    # closed form to rho0 with Q(rho0) <= q on q's own branch, so Newton on
+    # the concave exponential law moves from rho0 to the root monotonically
+    fd = FundamentalDiagram(kind, free_flow_speed, jam_density)
+    tri = triangular(free_flow_speed, jam_density)
+    rng = np.random.default_rng(8)
+    rho = np.concatenate([rng.uniform(0.0, jam_density, 20000), rng.uniform(0.0, jam_density / 1000.0, 2000)])
+    demand, supply = fd.demand_supply(rho)
+    rising = supply > demand
+    target = np.where(rising, demand, supply)
+    assert target.max() < tri.capacity
+    start = tri.density_from_state(
+        TrafficState(np.where(rising, target, tri.capacity), np.where(rising, tri.capacity, target))
+    )
+    assert np.array_equal(rising, start < fd.critical_density)
+    assert np.all(fd.flow(start) <= target + 1e-15 * free_flow_speed * jam_density)
+
+
+# SHA-256 of density_from_state's float64 output bytes on the states of a
+# 20,001-point density grid and of 2,001 densities within 1e-6 of rho_c
+INVERSE_DIGESTS = {
+    "del_castillo_mainline": "2748df353cb5d4e06ee59a974a5033dea59db005996bf8b4c0130a95275fb11a",
+    "del_castillo_ramp": "e51138d7e1fb5b61d018a868477ce7d82c4cffc01c400827ba2ff8863edc407f",
+}
+
+
+@pytest.mark.parametrize("fd", LAWS[:2], ids=lambda fd: fd.kind.value)
+def test_exponential_inverse_is_pinned(fd):
+    import hashlib
+
+    rho_c = fd.critical_density
+    rho = np.concatenate([np.linspace(0.0, fd.jam_density, 20001), rho_c + np.linspace(-1e-6, 1e-6, 2001)])
+    inverted = fd.density_from_state(TrafficState(*fd.demand_supply(rho)))
+    assert hashlib.sha256(inverted.tobytes()).hexdigest() == INVERSE_DIGESTS[fd.kind.value]
 
 
 @pytest.mark.parametrize("fd", LAWS[:2], ids=lambda fd: fd.kind.value)

@@ -181,7 +181,7 @@ class TestConvergenceStudy:
         spec = ExperimentSpec(
             kind=ExperimentKind.CONVERGENCE,
             sim=sim_61(trio, 160, boundaries=periodic_boundaries()),
-            resolutions=(160,),
+            resolutions=(80, 160),
         )
         _, artifacts = convergence_study(spec)
         steps, eps = artifacts["tables"]["epsilon_M160.csv"].values()

@@ -51,8 +51,9 @@ __all__ = [
 ]
 
 # Absolute tolerances: densities resolved to 1e-10 by the Newton inverse of
-# the exponential laws (the one root finder below), flux equality tested at
-# 1e-12 throughout the package.
+# the exponential laws (the one root finder below) where the jam density is
+# of order 1, as on the shipped laws (see density_from_state), flux equality
+# tested at 1e-12 throughout the package.
 DENSITY_TOL = 1e-10
 FLUX_TOL = 1e-12
 
@@ -236,6 +237,15 @@ class FundamentalDiagram:
         side of the root, since these concave laws lie under the triangular
         one.  Raises InvalidStateError when max(demand, supply) differs from
         the capacity beyond FLUX_TOL.
+
+        DENSITY_TOL is absolute.  The shipped exponential laws (jam
+        densities 1 and 2) meet it within 17 Newton passes, with density
+        errors up to 1.2e-12.  With a large jam density, the rounding of Q
+        near its peak divided by the small slope there, or the float spacing
+        of the density, can exceed it, and such entries return at the
+        200-pass cap short of it: of 20,000 uniform random states (seed 0)
+        of a mainline-kind law, 7 at (v_f, rho_jam) = (1, 1e4), with errors
+        up to 3.5e-9, and 2,453 at (1e-6, 1e6), with errors up to 8.4e-7.
         """
         d, s = np.broadcast_arrays(np.atleast_1d(state.demand), np.atleast_1d(state.supply))
         peak = np.maximum(d, s)
@@ -261,7 +271,8 @@ class FundamentalDiagram:
 
     def _newton_flow(self, rho, target):
         """Densities with Q(rho) = target on an exponential law by Newton's
-        method from the starts rho, each to within DENSITY_TOL.
+        method from the starts rho, each to within DENSITY_TOL where it
+        converges (see density_from_state).
 
         Each start is the triangular inverse of its target, and the concave
         exponential law lies under the triangular one, so the start sits on

@@ -322,16 +322,14 @@ def riemann_verify(spec):
     reproduced = max(abs(got - want) for got, want in zip(local, solution.fluxes)) <= tol
     local_detail = (f"interior not unique; junction cells give ({', '.join(f'{q:.6f}' for q in local)}) "
                     f"vs ({', '.join(f'{q:.6f}' for q in solution.fluxes)})")
-    interiors = (solution.interior_upstream, *solution.interior_downstream)
-    stationaries = (solution.stationary_upstream, *solution.stationary_downstream)
     for link, fd in enumerate(sim.diagrams):
         junction_rho, next_rho = (float(rho) for rho in cells[link])
         if solution.interior_unique[link]:
-            _state_checks(report, f"link{link}-adjacent", fd, junction_rho, interiors[link], tol)
+            _state_checks(report, f"link{link}-adjacent", fd, junction_rho, solution.interior[link], tol)
         else:
             report.add(f"link{link}-adjacent-state", reproduced, local_detail)
             report.add(f"link{link}-adjacent-density", reproduced, local_detail)
-        _state_checks(report, f"link{link}-stationary", fd, next_rho, stationaries[link], tol)
+        _state_checks(report, f"link{link}-stationary", fd, next_rho, solution.stationary[link], tol)
 
     if sim.model.kind in _FIFO_KINDS:
         proportions = traj.proportions[-1, 0]
@@ -621,16 +619,10 @@ def _flux_battery(counterexamples, rng, n, diagrams):
     sides = (Side.UPSTREAM, Side.DOWNSTREAM, Side.DOWNSTREAM)
     local, admissible = [], []
     for model, sol in zip(models, solutions):
-        down1, down2 = sol.interior_downstream
-        supplies = (down1.supply, down2.supply)
-        local.append(junction_fluxes(model, sol.interior_upstream.demand, supplies, sol.interior_proportions))
+        up, down1, down2 = sol.interior
+        local.append(junction_fluxes(model, up.demand, (down1.supply, down2.supply), sol.interior_proportions))
         ok = True
-        links = zip(
-            (sol.stationary_upstream, *sol.stationary_downstream),
-            (sol.interior_upstream, *sol.interior_downstream),
-            initial, sides, caps,
-        )
-        for stationary, interior, state, side, cap in links:
+        for stationary, interior, state, side, cap in zip(sol.stationary, sol.interior, initial, sides, caps):
             ok = ok & check_stationary_admissible(stationary, state, side, cap)
             ok = ok & check_interior_admissible(interior, stationary, side, cap)
         admissible.append(ok)
@@ -654,10 +646,9 @@ def _wave_battery(counterexamples, rng, n, diagrams):
     s1, s2 = (diagrams[k].supply(densities[k]) for k in (1, 2))
     models = _random_models(u[:, 3:])
     solutions = [solve_batch(model, d0, s1, s2, caps) for model in models]
-    per_model = [(sol.stationary_upstream, *sol.stationary_downstream) for sol in solutions]
     stationary = [
         TrafficState(np.concatenate([state.demand for state in link]), np.concatenate([state.supply for state in link]))
-        for link in zip(*per_model)
+        for link in zip(*(sol.stationary for sol in solutions))
     ]
     triplet = waves.batch_waves(stationary, diagrams, [np.tile(rho, len(models)) for rho in densities])
     wrong = waves.wrong_signs(triplet).reshape(len(models), n)

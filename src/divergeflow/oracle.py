@@ -459,11 +459,8 @@ def probe_interior_unique_batch(model, d0, s1, s2, capacities, solution):
         return np.reshape(np.asarray(v, dtype=float), (-1, 1))
 
     fluxes = [column(q) for q in solution.fluxes]
-    point = [
-        column(solution.interior_upstream.demand),
-        column(solution.interior_downstream[0].supply),
-        column(solution.interior_downstream[1].supply),
-    ]
+    up, down1, down2 = solution.interior
+    point = [column(up.demand), column(down1.supply), column(down2.supply)]
     bounds = [column(v) for v in (d0, s1, s2)]
     flags = []
     for k, cap in enumerate(capacities):

@@ -2,11 +2,13 @@
 downstream links 1 and 2).
 
 Given constant initial states on the three links, the solution consists of a
-boundary flux triple (q0, q1, q2) with q0 = q1 + q2, one stationary state per
-link, and one interior state per link.  Stationary states prevail next to the
-junction as t grows and emit the kinematic waves; interior states occupy one
-cell in discretizations and carry no wave.  A stationary state is admissible
-when the wave it emits travels away from the junction, which pins it to
+boundary flux triple (q0, q1, q2) with q0 = q1 + q2 and, per link, a
+stationary state and an interior state; every per-link quantity of input and
+solution is a triple in link order (0 upstream, 1 and 2 downstream).
+Stationary states prevail next to the junction as t grows and emit the
+kinematic waves; interior states occupy one cell in discretizations and carry
+no wave.  A stationary state is admissible when the wave it emits travels
+away from the junction, which pins it to
 
     upstream:    (D0, C0)          (flux q0 = D0), or
                  (C0, q0)          with q0 < D0;
@@ -218,22 +220,23 @@ def partial_evacuation(xi, alpha):
 
 @dataclass(frozen=True)
 class RiemannInput:
-    """Initial states of the three links, each bound to its diagram, and the
-    initial densities when the states were built from them."""
+    """Initial states of the three links in link order (0 upstream, 1 and 2
+    downstream), each bound to its diagram, and the initial densities when
+    the states were built from them."""
 
-    upstream_diagram: FundamentalDiagram
-    upstream_state: TrafficState
-    downstream_diagrams: tuple[FundamentalDiagram, FundamentalDiagram]
-    downstream_states: tuple[TrafficState, TrafficState]
+    diagrams: tuple[FundamentalDiagram, FundamentalDiagram, FundamentalDiagram]
+    states: tuple[TrafficState, TrafficState, TrafficState]
     densities: tuple[float, float, float] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "downstream_diagrams", tuple(self.downstream_diagrams))
-        object.__setattr__(self, "downstream_states", tuple(self.downstream_states))
-        pairs = [(self.upstream_state, self.upstream_diagram)] + list(
-            zip(self.downstream_states, self.downstream_diagrams)
-        )
-        for state, fd in pairs:
+        names = ("diagrams", "states") if self.densities is None else ("diagrams", "states", "densities")
+        triples = [tuple(getattr(self, name)) for name in names]
+        if any(len(triple) != 3 for triple in triples):
+            counts = ", ".join(f"{len(triple)} {name}" for name, triple in zip(names, triples))
+            raise ValueError(f"a Riemann input takes one entry per link (3 of each), got {counts}")
+        for name, triple in zip(names, triples):
+            object.__setattr__(self, name, triple)
+        for state, fd in zip(self.states, self.diagrams):
             if abs(max(state.demand, state.supply) - fd.capacity) > FLUX_TOL:
                 raise InvalidStateError(
                     f"state ({state.demand}, {state.supply}) not bound to capacity {fd.capacity}"
@@ -242,50 +245,40 @@ class RiemannInput:
     @classmethod
     def from_densities(cls, diagrams, densities):
         """Build the input from three diagrams and three initial densities."""
-        fd0, fd1, fd2 = diagrams
-        r0, r1, r2 = (float(r) for r in densities)
-        return cls(
-            fd0, state_of(fd0, r0), (fd1, fd2), (state_of(fd1, r1), state_of(fd2, r2)), (r0, r1, r2)
-        )
+        densities = tuple(float(r) for r in densities)
+        return cls(diagrams, tuple(map(state_of, diagrams, densities)), densities)
 
     def initial_density(self, link):
-        """Initial density of link 0 (upstream), 1 or 2: the one the input
-        was built from, else the inverse of the link's state."""
+        """Initial density of link 0, 1 or 2: the one the input was built
+        from, else the inverse of the link's state."""
         if self.densities is not None:
             return self.densities[link]
-        if link == 0:
-            return self.upstream_diagram.density_from_state(self.upstream_state)
-        return self.downstream_diagrams[link - 1].density_from_state(self.downstream_states[link - 1])
+        return self.diagrams[link].density_from_state(self.states[link])
 
     @property
     def demand_upstream(self):
-        return self.upstream_state.demand
+        return self.states[0].demand
 
     @property
     def supplies(self):
-        return (self.downstream_states[0].supply, self.downstream_states[1].supply)
+        return (self.states[1].supply, self.states[2].supply)
 
     @property
     def capacities(self):
-        return (
-            self.upstream_diagram.capacity,
-            self.downstream_diagrams[0].capacity,
-            self.downstream_diagrams[1].capacity,
-        )
+        return tuple(fd.capacity for fd in self.diagrams)
 
 
 @dataclass(frozen=True)
 class RiemannSolution:
     """Fluxes, stationary states, interior states, interior turning
-    proportions, and per-link interior uniqueness flags (upstream, down 1,
-    down 2).  solve gives floats and bools; solve_batch gives equal-length
-    arrays in every field, one entry per point, and row(k) picks point k."""
+    proportions, and interior uniqueness flags; every per-link field is a
+    triple in link order (0 upstream, 1 and 2 downstream).  solve gives
+    floats and bools; solve_batch gives equal-length arrays in every field,
+    one entry per point, and row(k) picks point k."""
 
     fluxes: tuple[float, float, float]
-    stationary_upstream: TrafficState
-    stationary_downstream: tuple[TrafficState, TrafficState]
-    interior_upstream: TrafficState
-    interior_downstream: tuple[TrafficState, TrafficState]
+    stationary: tuple[TrafficState, TrafficState, TrafficState]
+    interior: tuple[TrafficState, TrafficState, TrafficState]
     interior_proportions: tuple[float, float]
     interior_unique: tuple[bool, bool, bool]
 
@@ -297,10 +290,8 @@ class RiemannSolution:
 
         return RiemannSolution(
             fluxes=tuple(q[k].item() for q in self.fluxes),
-            stationary_upstream=state(self.stationary_upstream),
-            stationary_downstream=tuple(map(state, self.stationary_downstream)),
-            interior_upstream=state(self.interior_upstream),
-            interior_downstream=tuple(map(state, self.interior_downstream)),
+            stationary=tuple(map(state, self.stationary)),
+            interior=tuple(map(state, self.interior)),
             interior_proportions=tuple(p[k].item() for p in self.interior_proportions),
             interior_unique=tuple(f[k].item() for f in self.interior_unique),
         )
@@ -392,9 +383,7 @@ def solve_fluxes(model, inp):
     demand and the downstream supplies.
     """
     s1, s2 = inp.supplies
-    _, q1, q2 = solve_fluxes_batch(model, inp.demand_upstream, s1, s2, inp.capacities)
-    q1, q2 = float(q1), float(q2)
-    return (q1 + q2, q1, q2)
+    return tuple(map(float, solve_fluxes_batch(model, inp.demand_upstream, s1, s2, inp.capacities)))
 
 
 # The two admissibility checks take floats or arrays.  A downstream link is
@@ -439,16 +428,15 @@ def check_interior_admissible(interior, stationary, side, capacity):
 
 
 def _stationary_states(d0, s1, s2, capacities, fluxes, tight):
-    """Stationary states per link: (D0, C0) or (C0, q0) upstream, (Ci, Si)
-    or (qi, Ci) downstream, by whether the link's bound is tight."""
-    c0, c1, c2 = capacities
-    q0, q1, q2 = fluxes
+    """Stationary states in link order: (D0, C0) or (C0, q0) upstream,
+    (Ci, Si) or (qi, Ci) downstream, by whether the link's bound is tight."""
+    c0, q0 = capacities[0], fluxes[0]
     up = TrafficState(np.where(tight[0], d0, c0), np.where(tight[0], c0, q0))
-    down = tuple(
+    down = (
         TrafficState(np.where(t, c, q), np.where(t, s, c))
-        for t, c, q, s in zip(tight[1:], (c1, c2), (q1, q2), (s1, s2))
+        for t, c, q, s in zip(tight[1:], capacities[1:], fluxes[1:], (s1, s2))
     )
-    return up, down
+    return (up, *down)
 
 
 def _interior_proportions(model, d0, s1, s2, capacities, fluxes):
@@ -475,22 +463,20 @@ def _interior_proportions(model, d0, s1, s2, capacities, fluxes):
     return tuple(np.where(moving, q / safe, a) for q, a in zip((q1, q2), riemann_rule(model, capacities).alpha))
 
 
-def _canonical_interiors(model, d0, s1, s2, capacities, tight, stationary_down):
-    """Downstream interior states: the stationary states, except where the
-    entropy rule forces a distinct interior (supply-proportional rule, one
-    congested and one free downstream link).  Upstream interiors are the
-    stationary states."""
+def _canonical_interiors(model, d0, s1, s2, capacities, tight, stationary):
+    """Interior states in link order: the stationary states, except where
+    the entropy rule forces a distinct downstream interior (supply-
+    proportional rule, one congested and one free downstream link)."""
     if model.kind is not DivergeModelKind.SUPPLY_PROPORTIONAL:
-        return stationary_down
+        return stationary
     split = tight[0] & (s1 + s2 > d0 + TIE_TOL) & (tight[1] != tight[2])
-    interior = []
+    interior = [stationary[0]]
     _, c1, c2 = capacities
-    for i, (si, ci, cj) in enumerate(((s1, c1, c2), (s2, c2, c1))):
-        stationary = stationary_down[i]
+    for i, si, ci, cj in ((1, s1, c1, c2), (2, s2, c2, c1)):
         room = d0 - si
-        distinct = split & tight[1 + i] & (room > TIE_TOL)
+        distinct = split & tight[i] & (room > TIE_TOL)
         supply = np.minimum(ci, si * cj / np.where(distinct, room, 1.0))
-        interior.append(TrafficState(stationary.demand, np.where(distinct, supply, stationary.supply)))
+        interior.append(TrafficState(stationary[i].demand, np.where(distinct, supply, stationary[i].supply)))
     return tuple(interior)
 
 
@@ -513,16 +499,16 @@ def _evacuation_binding(model, d0, s1, s2):
     return binding
 
 
-def _interior_unique_flags(model, capacities, tight, interior_up, interior_down):
-    """Per link (upstream, down 1, down 2): is its interior state the only one
-    the entropy rule accepts?  The rule is stated in the module docstring.
+def _interior_unique_flags(model, capacities, tight, interior):
+    """Per link, in link order: is its interior state the only one the
+    entropy rule accepts?  The rule is stated in the module docstring.
 
     Only raising a tight link's coordinate above its canonical value can
     leave the fluxes in place: lowering it lowers q0 <= D or qi <= Si, which
     bind there, or, at a distinct supply-proportional interior, the strictly
     rising qi = D Si / (S1 + S2).
     """
-    point = (interior_up.demand, interior_down[0].supply, interior_down[1].supply)
+    point = (interior[0].demand, interior[1].supply, interior[2].supply)
     free = [tight[k] & (capacities[k] - point[k] > _ROOM) for k in range(3)]
     if model.kind in _FIFO_KINDS:
         free = [free[k] & (tight[(k + 1) % 3] | tight[(k + 2) % 3]) for k in range(3)]
@@ -589,19 +575,11 @@ def solve_batch(model, d0, s1, s2, capacities):
     fluxes = solve_fluxes_batch(model, d0, s1, s2, capacities)
     q0, q1, q2 = fluxes
     tight = (q0 >= d0 - TIE_TOL, q1 >= s1 - TIE_TOL, q2 >= s2 - TIE_TOL)
-    stationary_up, stationary_down = _stationary_states(d0, s1, s2, capacities, fluxes, tight)
-    interior_down = _canonical_interiors(model, d0, s1, s2, capacities, tight, stationary_down)
+    stationary = _stationary_states(d0, s1, s2, capacities, fluxes, tight)
+    interior = _canonical_interiors(model, d0, s1, s2, capacities, tight, stationary)
     proportions = _interior_proportions(model, d0, s1, s2, capacities, fluxes)
-    unique = _interior_unique_flags(model, capacities, tight, stationary_up, interior_down)
-    return RiemannSolution(
-        fluxes=fluxes,
-        stationary_upstream=stationary_up,
-        stationary_downstream=stationary_down,
-        interior_upstream=stationary_up,
-        interior_downstream=interior_down,
-        interior_proportions=proportions,
-        interior_unique=unique,
-    )
+    unique = _interior_unique_flags(model, capacities, tight, interior)
+    return RiemannSolution(fluxes, stationary, interior, proportions, unique)
 
 
 def solve(model, inp):

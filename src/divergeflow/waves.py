@@ -12,8 +12,9 @@ solution never travel toward the junction: upstream speeds are nonpositive
 and downstream speeds nonnegative, up to a small tolerance.
 
 classify_wave and batch_waves take arrays (the stationary states of a
-solve_batch solution and the links' initial densities) as well as floats;
-wrong_signs then finds each sample's first wave with the wrong sign.
+solve_batch solution and the links' initial densities, each in link order)
+as well as floats; wrong_signs then finds each sample's first wave with the
+wrong sign.
 link_waves is batch_waves on one solution, raising on a wrong sign.
 """
 
@@ -114,10 +115,10 @@ def classify_wave(fd, rho_left, rho_right):
 
 
 def batch_waves(stationary, diagrams, densities):
-    """Waves (upstream, down 1, down 2) from the links' stationary states
-    (upstream, down 1, down 2) and initial densities: floats, as of a solve
-    solution, or arrays, as of a solve_batch one.  Signs are not checked;
-    wrong_signs does that."""
+    """Waves in link order (0 upstream, 1 and 2 downstream) from the links'
+    stationary states, diagrams and initial densities, each a triple in link
+    order: floats, as of a solve solution, or arrays, as of a solve_batch
+    one.  Signs are not checked; wrong_signs does that."""
     rho_stat = [fd.density_from_state(u) for fd, u in zip(diagrams, stationary)]
     up = classify_wave(diagrams[0], densities[0], rho_stat[0])
     down = [classify_wave(diagrams[i], rho_stat[i], densities[i]) for i in (1, 2)]
@@ -144,13 +145,11 @@ def sign_error(waves, link):
 def link_waves(solution: RiemannSolution, inp: RiemannInput):
     """Waves on the three links of a Riemann solution.
 
-    Returns (upstream_wave, down1_wave, down2_wave).  Raises
+    Returns the three waves in link order (upstream, down 1, down 2).  Raises
     WaveConsistencyError when a wave speed has the wrong sign, which would
     indicate a solver defect rather than bad input.
     """
-    diagrams = (inp.upstream_diagram, *inp.downstream_diagrams)
-    stationary = (solution.stationary_upstream, *solution.stationary_downstream)
-    waves = batch_waves(stationary, diagrams, [inp.initial_density(k) for k in range(3)])
+    waves = batch_waves(solution.stationary, inp.diagrams, [inp.initial_density(k) for k in range(3)])
     link = int(wrong_signs(waves))
     if link >= 0:
         raise WaveConsistencyError(sign_error(waves, link))

@@ -234,8 +234,8 @@ def test_criterion_5_property_suites(trio):
     gaps["invariance"] = 0.0
     for m in models:
         sol = solve_batch(m, d0, s1, s2, caps)
-        down1, down2 = sol.interior_downstream
-        local = junction_fluxes(m, sol.interior_upstream.demand, (down1.supply, down2.supply), sol.interior_proportions)
+        up, down1, down2 = sol.interior
+        local = junction_fluxes(m, up.demand, (down1.supply, down2.supply), sol.interior_proportions)
         gaps["invariance"] = max(gaps["invariance"], gap(local, sol.fluxes))
     ok = gaps["conservation"] == 0.0 and all(v <= 1e-12 for v in gaps.values())
     detail = ", ".join(f"{k}={v:.1e}" for k, v in gaps.items())
@@ -262,7 +262,7 @@ def test_criterion_6_wave_admissibility(trio):
         d0 = trio[0].demand(densities[0])
         s1, s2 = (trio[k].supply(densities[k]) for k in (1, 2))
         sol = solve_batch(model, d0, s1, s2, caps)
-        up, d1, d2 = batch_waves((sol.stationary_upstream, *sol.stationary_downstream), trio, densities)
+        up, d1, d2 = batch_waves(sol.stationary, trio, densities)
         worst_up = max(worst_up, float(np.max(up.max_speed)))
         worst_down = min(worst_down, float(np.min(d1.min_speed)), float(np.min(d2.min_speed)))
     signs_ok = worst_up <= 1e-4 and worst_down >= -1e-4

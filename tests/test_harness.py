@@ -91,11 +91,7 @@ class TestRiemannVerify:
             final = traj.densities[-1]
             fd_list = traj.config.diagrams
             errs = []
-            for link, stationary in (
-                (0, sol.stationary_upstream),
-                (1, sol.stationary_downstream[0]),
-                (2, sol.stationary_downstream[1]),
-            ):
+            for link, stationary in enumerate(sol.stationary):
                 rho = float(final[link][-1] if link == 0 else final[link][0])
                 want = fd_list[link].density_from_state(stationary)
                 errs.append(abs(rho - want))
@@ -293,8 +289,7 @@ class TestFluxMap:
         assert len(rows) == 6 * 7 * 5
         for d0, s1, s2, q0, q1, q2, _ in rows:
             inp = RiemannInput(
-                trio[0], TrafficState(d0, caps[0]),
-                (trio[1], trio[2]), (TrafficState(caps[1], s1), TrafficState(caps[2], s2)),
+                trio, (TrafficState(d0, caps[0]), TrafficState(caps[1], s1), TrafficState(caps[2], s2)),
             )
             assert (q0, q1, q2) == solve_fluxes(model, inp)
 
@@ -562,11 +557,11 @@ class TestPropertySuite:
         def defective(model, d0, s1, s2, capacities):
             sol = true_solve(model, d0, s1, s2, capacities)
             if model.kind in limits:
-                first, second = sol.stationary_downstream
+                up, first, second = sol.stationary
                 swap = s1 < limits[model.kind]
                 first = TrafficState(np.where(swap, first.supply, first.demand),
                                      np.where(swap, first.demand, first.supply))
-                sol = replace(sol, stationary_downstream=(first, second))
+                sol = replace(sol, stationary=(up, first, second))
             return sol
 
         monkeypatch.setattr(harness, "solve_batch", defective)
@@ -676,8 +671,7 @@ class TestVerifyFailLines:
 
     def test_junction_cell_against_the_interior_state(self, tmp_path, monkeypatch):
         # solve returning the stationary states as the interior states
-        self.solved_with(monkeypatch, lambda sol: replace(
-            sol, interior_upstream=sol.stationary_upstream, interior_downstream=sol.stationary_downstream))
+        self.solved_with(monkeypatch, lambda sol: replace(sol, interior=sol.stationary))
         assert self.fail_lines(tmp_path, "diverge_verify_interior.yaml") == (1, [
             "check link2-adjacent-state: FAIL ((0.084124, 0.022435) vs (0.084124, 0.012498))",
             "check link2-adjacent-density: FAIL (|0.820430 - 0.900000| <= 0.005)",
@@ -805,9 +799,9 @@ class TestPropsCounterexampleLines:
         def defective(model, d0, s1, s2, capacities):
             sol = true_solve(model, d0, s1, s2, capacities)
             if model.kind is DivergeModelKind.LEBACQUE:
-                up, swap = sol.stationary_upstream, d0 < 0.2
+                up, swap = sol.stationary[0], d0 < 0.2
                 up = TrafficState(np.where(swap, up.supply, up.demand), np.where(swap, up.demand, up.supply))
-                sol = replace(sol, stationary_upstream=up)
+                sol = replace(sol, stationary=(up, *sol.stationary[1:]))
             return sol
 
         monkeypatch.setattr(harness, "solve_batch", defective)

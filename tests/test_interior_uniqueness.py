@@ -31,12 +31,7 @@ PROPS_FIXTURES = (
 
 def make_input(trio, d0, s1, s2):
     c0, c1, c2 = (fd.capacity for fd in trio)
-    return RiemannInput(
-        trio[0],
-        TrafficState(d0, c0),
-        (trio[1], trio[2]),
-        (TrafficState(c1, s1), TrafficState(c2, s2)),
-    )
+    return RiemannInput(trio, (TrafficState(d0, c0), TrafficState(c1, s1), TrafficState(c2, s2)))
 
 
 def assert_flags_agree(model, inp, sol):

@@ -96,10 +96,7 @@ def test_a_point_answers_the_same_in_any_batch(trio, model, monkeypatch):
     assert all(type(v) is float for r in backwards for trip in r.survivors for v in trip)
     for k in range(0, d0.size, 11):
         inp = RiemannInput(
-            trio[0],
-            TrafficState(d0[k], caps[0]),
-            (trio[1], trio[2]),
-            (TrafficState(caps[1], s1[k]), TrafficState(caps[2], s2[k])),
+            trio, (TrafficState(d0[k], caps[0]), TrafficState(caps[1], s1[k]), TrafficState(caps[2], s2[k]))
         )
         assert repr(brute_force_fluxes(model, inp)) == whole[k]
 

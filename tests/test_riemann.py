@@ -31,18 +31,16 @@ def flux_input(trio, d0, s1, s2):
     """(D0, S1, S2) input; the remaining state components never matter."""
     c0, c1, c2 = (fd.capacity for fd in trio)
     return RiemannInput(
-        trio[0],
-        TrafficState(min(d0, c0), c0),
-        (trio[1], trio[2]),
-        (TrafficState(c1, min(s1, c1)), TrafficState(c2, min(s2, c2))),
+        trio,
+        (TrafficState(min(d0, c0), c0), TrafficState(c1, min(s1, c1)), TrafficState(c2, min(s2, c2))),
     )
 
 
 def at_interiors(model, sol):
     """The model's local rule on a solution's interior (D0, S1, S2) and
     interior proportions."""
-    down1, down2 = sol.interior_downstream
-    return junction_fluxes(model, sol.interior_upstream.demand, (down1.supply, down2.supply), sol.interior_proportions)
+    up, down1, down2 = sol.interior
+    return junction_fluxes(model, up.demand, (down1.supply, down2.supply), sol.interior_proportions)
 
 
 class TestModelParameters:
@@ -104,11 +102,30 @@ class TestModelParameters:
     def test_input_state_must_bind_to_diagram(self, trio):
         with pytest.raises(ValueError):
             RiemannInput(
-                trio[0],
-                TrafficState(0.1, 0.1),
-                (trio[1], trio[2]),
-                (TrafficState(trio[1].capacity, 0.1), TrafficState(trio[2].capacity, 0.05)),
+                trio,
+                (TrafficState(0.1, 0.1), TrafficState(trio[1].capacity, 0.1), TrafficState(trio[2].capacity, 0.05)),
             )
+
+    @pytest.mark.parametrize("count", [2, 4])
+    @pytest.mark.parametrize("field", ["diagrams", "states", "densities"])
+    def test_input_takes_one_entry_per_link(self, trio, field, count):
+        base = RiemannInput.from_densities(trio, (1.0, 1.0, 0.1))
+        fields = {"diagrams": base.diagrams, "states": base.states, "densities": base.densities}
+        fields[field] = (fields[field] * 2)[:count]
+        counts = ", ".join(f"{count if name == field else 3} {name}" for name in fields)
+        message = f"a Riemann input takes one entry per link (3 of each), got {counts}"
+        with pytest.raises(ValueError) as raised:
+            RiemannInput(**fields)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize(("densities", "counts"), [
+        ((1.0, 0.1), "3 diagrams, 2 states, 2 densities"),
+        ((1.0, 1.0, 0.1, 0.1), "3 diagrams, 3 states, 4 densities"),
+    ])
+    def test_from_densities_takes_one_density_per_link(self, trio, densities, counts):
+        with pytest.raises(ValueError) as raised:
+            RiemannInput.from_densities(trio, densities)
+        assert str(raised.value) == f"a Riemann input takes one entry per link (3 of each), got {counts}"
 
 
 class TestWorkedExample:
@@ -124,12 +141,12 @@ class TestWorkedExample:
 
     def test_stationary_states(self, congested_diverge_input, trio):
         sol = solve(lebacque((0.7, 0.3)), congested_diverge_input)
-        assert sol.stationary_upstream.demand == pytest.approx(0.3365, abs=FOUR_DP)
-        assert sol.stationary_upstream.supply == pytest.approx(0.2804, abs=FOUR_DP)
-        assert sol.stationary_downstream[0].demand == pytest.approx(0.1963, abs=FOUR_DP)
-        assert sol.stationary_downstream[0].supply == pytest.approx(0.3365, abs=FOUR_DP)
-        assert sol.stationary_downstream[1].demand == pytest.approx(0.0841, abs=FOUR_DP)
-        assert sol.stationary_downstream[1].supply == pytest.approx(0.0841, abs=FOUR_DP)
+        assert sol.stationary[0].demand == pytest.approx(0.3365, abs=FOUR_DP)
+        assert sol.stationary[0].supply == pytest.approx(0.2804, abs=FOUR_DP)
+        assert sol.stationary[1].demand == pytest.approx(0.1963, abs=FOUR_DP)
+        assert sol.stationary[1].supply == pytest.approx(0.3365, abs=FOUR_DP)
+        assert sol.stationary[2].demand == pytest.approx(0.0841, abs=FOUR_DP)
+        assert sol.stationary[2].supply == pytest.approx(0.0841, abs=FOUR_DP)
 
     def test_interior_proportions(self, congested_diverge_input):
         leb = solve(lebacque((0.7, 0.3)), congested_diverge_input)
@@ -154,22 +171,15 @@ class TestWorkedExample:
     def test_interior_states_equal_stationary_here(self, congested_diverge_input):
         for model in (daganzo_fifo((0.7, 0.3)), lebacque((0.7, 0.3))):
             sol = solve(model, congested_diverge_input)
-            assert sol.interior_upstream == sol.stationary_upstream
-            assert sol.interior_downstream == sol.stationary_downstream
+            assert sol.interior == sol.stationary
             assert sol.interior_unique == (True, True, True)
 
     def test_already_stationary_input_has_no_waves(self, trio):
         model = lebacque((0.7, 0.3))
         base = solve(model, RiemannInput.from_densities(trio, (1.0, 1.0, 0.1)))
-        consistent = RiemannInput(
-            trio[0],
-            base.stationary_upstream,
-            (trio[1], trio[2]),
-            base.stationary_downstream,
-        )
+        consistent = RiemannInput(trio, base.stationary)
         again = solve(model, consistent)
-        assert again.stationary_upstream == base.stationary_upstream
-        assert again.stationary_downstream == base.stationary_downstream
+        assert again.stationary == base.stationary
 
 
 class TestEvacuationFluxes:
@@ -207,9 +217,9 @@ class TestEvacuationFluxes:
         assert sol.fluxes[2] == pytest.approx(s2, abs=1e-12)
         assert sol.fluxes[1] == pytest.approx(d0 - s2, abs=1e-12)
         want = s2 * c1 / (d0 - s2)
-        assert sol.interior_downstream[1].demand == pytest.approx(c2, abs=1e-12)
-        assert sol.interior_downstream[1].supply == pytest.approx(want, abs=1e-12)
-        assert sol.interior_downstream[1] != sol.stationary_downstream[1]
+        assert sol.interior[2].demand == pytest.approx(c2, abs=1e-12)
+        assert sol.interior[2].supply == pytest.approx(want, abs=1e-12)
+        assert sol.interior[2] != sol.stationary[2]
         assert sol.interior_unique == (True, True, True)
         local = at_interiors(supply_proportional(), sol)
         assert max(abs(a - b) for a, b in zip(local, sol.fluxes)) <= 1e-12
@@ -257,10 +267,7 @@ class TestPriorityIsPartialEvacuationWithoutRoutes:
         caps, d0, s1, s2, alpha = self.grid(trio)
 
         def fields(sol):
-            states = (
-                sol.stationary_upstream, *sol.stationary_downstream,
-                sol.interior_upstream, *sol.interior_downstream,
-            )
+            states = (*sol.stationary, *sol.interior)
             return [
                 *sol.fluxes, *(x for u in states for x in (u.demand, u.supply)),
                 *sol.interior_proportions, *sol.interior_unique,
@@ -703,10 +710,7 @@ def row_models(n, rng):
 
 def solution_bits(batch):
     """Every field of a batch solution as the columns of one float array."""
-    states = (
-        batch.stationary_upstream, *batch.stationary_downstream,
-        batch.interior_upstream, *batch.interior_downstream,
-    )
+    states = (*batch.stationary, *batch.interior)
     fields = [
         *batch.fluxes, *(x for u in states for x in (u.demand, u.supply)),
         *batch.interior_proportions, *batch.interior_unique,
@@ -739,10 +743,7 @@ class TestSolveBatch:
         axes = [np.linspace(0.0, c, 15) for c in caps]
         d0, s1, s2 = (g.ravel() for g in np.meshgrid(*axes, indexing="ij"))
         batch = solve_batch(model, d0, s1, s2, caps)
-        states = (
-            batch.stationary_upstream, *batch.stationary_downstream,
-            batch.interior_upstream, *batch.interior_downstream,
-        )
+        states = (*batch.stationary, *batch.interior)
         fields = [
             *batch.fluxes, *(x for u in states for x in (u.demand, u.supply)),
             *batch.interior_proportions, *batch.interior_unique,

@@ -97,9 +97,7 @@ class TestLinkWaves:
     def test_stationary_input_produces_no_waves(self, trio):
         model = lebacque((0.7, 0.3))
         base = solve(model, RiemannInput.from_densities(trio, (1.0, 1.0, 0.1)))
-        consistent = RiemannInput(
-            trio[0], base.stationary_upstream, (trio[1], trio[2]), base.stationary_downstream
-        )
+        consistent = RiemannInput(trio, base.stationary)
         for w in link_waves(solve(model, consistent), consistent):
             assert w.kind is WaveKind.NONE
 
@@ -117,10 +115,9 @@ class TestLinkWaves:
 
         monkeypatch.setattr(FundamentalDiagram, "density_from_state", counting)
         kept = link_waves(sol, inp)
-        assert inverted == [sol.stationary_upstream, *sol.stationary_downstream]
+        assert inverted == list(sol.stationary)
         # an input given as states alone inverts them and finds the same waves
-        bare = RiemannInput(inp.upstream_diagram, inp.upstream_state,
-                            inp.downstream_diagrams, inp.downstream_states)
+        bare = RiemannInput(inp.diagrams, inp.states)
         assert bare.densities is None
         for a, b in zip(kept, link_waves(sol, bare)):
             assert a.kind is b.kind
@@ -134,7 +131,7 @@ class TestLinkWaves:
         s1, s2 = trio[1].supply(rho[1]), trio[2].supply(rho[2])
         for model in (lebacque((0.6, 0.4)), partial_evacuation((0.25, 0.15), (0.5, 0.5))):
             batch = solve_batch(model, d0, s1, s2, caps)
-            waves = batch_waves((batch.stationary_upstream, *batch.stationary_downstream), trio, rho)
+            waves = batch_waves(batch.stationary, trio, rho)
             assert np.all(wrong_signs(waves) == -1)
             for k in range(200):
                 inp = RiemannInput.from_densities(trio, [r[k] for r in rho])

@@ -29,7 +29,6 @@ from .riemann import (
     DivergeModelKind,
     RiemannInput,
     RiemannSolution,
-    Side,
     check_interior_admissible,
     check_stationary_admissible,
     daganzo_fifo,
@@ -81,7 +80,6 @@ __all__ = [
     "DivergeModelKind",
     "RiemannInput",
     "RiemannSolution",
-    "Side",
     "check_interior_admissible",
     "check_stationary_admissible",
     "daganzo_fifo",

@@ -29,7 +29,6 @@ from .riemann import (
     _evacuation_binding,
     DivergeModelKind,
     RiemannInput,
-    Side,
     check_interior_admissible,
     check_stationary_admissible,
     daganzo_fifo,
@@ -138,7 +137,10 @@ def _check_riemann_problem(sim):
     """Reject a simulation whose Riemann problem differs from the one
     riemann_verify solves: densities that are not uniform on each link, or,
     for the routed rules, an upstream mix other than the model's x1 (the CTM
-    routes by the mix, solve by xi)."""
+    routes by the mix, solve by xi); and one too short to hold each link's
+    junction cell and the stationary cell next to it."""
+    if sim.cells_per_link < 2:
+        raise ValueError(f"riemann-verify needs at least two cells per link, got {sim.cells_per_link}")
     if np.ptp(sim.initial_state, axis=1).max() > 0.0:
         raise ValueError("riemann-verify needs initial_densities uniform on each link")
     if sim.model.kind in _FIFO_KINDS:
@@ -616,15 +618,14 @@ def _flux_battery(counterexamples, rng, n, diagrams):
     )
 
     initial = (TrafficState(d0, c0), TrafficState(c1, s1), TrafficState(c2, s2))
-    sides = (Side.UPSTREAM, Side.DOWNSTREAM, Side.DOWNSTREAM)
     local, admissible = [], []
     for model, sol in zip(models, solutions):
         up, down1, down2 = sol.interior
         local.append(junction_fluxes(model, up.demand, (down1.supply, down2.supply), sol.interior_proportions))
         ok = True
-        for stationary, interior, state, side, cap in zip(sol.stationary, sol.interior, initial, sides, caps):
-            ok = ok & check_stationary_admissible(stationary, state, side, cap)
-            ok = ok & check_interior_admissible(interior, stationary, side, cap)
+        for link, (stationary, interior, state, cap) in enumerate(zip(sol.stationary, sol.interior, initial, caps)):
+            ok = ok & check_stationary_admissible(stationary, state, link, cap)
+            ok = ok & check_interior_admissible(interior, stationary, link, cap)
         admissible.append(ok)
     record(
         "invariance-at-interior-states",

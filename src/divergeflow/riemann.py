@@ -76,7 +76,6 @@ from .supply_demand import TrafficState, holds, state_of
 __all__ = [
     "DivergeModelKind",
     "DivergeModel",
-    "Side",
     "RiemannInput",
     "RiemannSolution",
     "riemann_rule",
@@ -113,11 +112,6 @@ class DivergeModelKind(enum.Enum):
 
 
 _FIFO_KINDS = (DivergeModelKind.DAGANZO_FIFO, DivergeModelKind.LEBACQUE)
-
-
-class Side(enum.Enum):
-    UPSTREAM = "upstream"
-    DOWNSTREAM = "downstream"
 
 
 @dataclass(frozen=True)
@@ -222,7 +216,8 @@ def partial_evacuation(xi, alpha):
 class RiemannInput:
     """Initial states of the three links in link order (0 upstream, 1 and 2
     downstream), each bound to its diagram, and the initial densities when
-    the states were built from them."""
+    the states were built from them; each density must map to its link's
+    state within FLUX_TOL."""
 
     diagrams: tuple[FundamentalDiagram, FundamentalDiagram, FundamentalDiagram]
     states: tuple[TrafficState, TrafficState, TrafficState]
@@ -241,6 +236,9 @@ class RiemannInput:
                 raise InvalidStateError(
                     f"state ({state.demand}, {state.supply}) not bound to capacity {fd.capacity}"
                 )
+        for link, (fd, state, rho) in enumerate(zip(self.diagrams, self.states, self.densities or ())):
+            if not state_of(fd, rho).is_close(state):
+                raise InvalidStateError(f"link {link}: density {rho!r} does not map to its state {state}")
 
     @classmethod
     def from_densities(cls, diagrams, densities):
@@ -386,33 +384,35 @@ def solve_fluxes(model, inp):
     return tuple(map(float, solve_fluxes_batch(model, inp.demand_upstream, s1, s2, inp.capacities)))
 
 
-# The two admissibility checks take floats or arrays.  A downstream link is
-# an upstream one with demand and supply swapped, so each check is written
-# once on (own, other): (demand, supply) upstream, (supply, demand)
-# downstream.
+# The two admissibility checks take floats or arrays and the link's index, 0
+# upstream or 1 and 2 downstream, as waves.wrong_signs does.  A downstream link
+# is an upstream one with demand and supply swapped, so each check is written
+# once on (own, other): (demand, supply) on link 0, (supply, demand) on 1 and 2.
 
 
-def _own_other(state, side):
-    if side is Side.UPSTREAM:
+def _own_other(state, link):
+    if link == 0:
         return state.demand, state.supply
-    return state.supply, state.demand
+    if link in (1, 2):
+        return state.supply, state.demand
+    raise ValueError(f"link must be 0 (upstream), 1 or 2 (downstream), got {link!r}")
 
 
-def check_stationary_admissible(candidate, initial, side, capacity):
-    """Admissibility of a stationary state against the link's initial state.
+def check_stationary_admissible(candidate, initial, link, capacity):
+    """Admissibility of a stationary state against the initial state of `link`.
 
-    Upstream stationary states are (D0, C0) or (C0, S) with S < D0; downstream
-    ones are (Ci, Si) or (D, Ci) with D < Si, where D0 and Si come from the
-    initial state.
+    Upstream (link 0) stationary states are (D0, C0) or (C0, S) with S < D0;
+    downstream (links 1, 2) ones are (Ci, Si) or (D, Ci) with D < Si, where
+    D0 and Si come from the initial state.
     """
-    own, other = _own_other(candidate, side)
-    bound = _own_other(initial, side)[0]
+    own, other = _own_other(candidate, link)
+    bound = _own_other(initial, link)[0]
     kept = (abs(own - bound) <= TIE_TOL) & (abs(other - capacity) <= TIE_TOL)
     return kept | ((abs(own - capacity) <= TIE_TOL) & (other < bound - TIE_TOL))
 
 
-def check_interior_admissible(interior, stationary, side, capacity):
-    """Admissibility of an interior state given the (admissible) stationary.
+def check_interior_admissible(interior, stationary, link, capacity):
+    """Admissibility of an interior state on `link` given the (admissible) stationary.
 
     Interior states live on the link's supply-demand diagram, so
     max(D, S) = capacity is required as well.  A strictly over-critical
@@ -420,8 +420,8 @@ def check_interior_admissible(interior, stationary, side, capacity):
     forces the interior to coincide with it; otherwise the interior is free up
     to a one-sided bound against the stationary flux component.
     """
-    own, other = _own_other(interior, side)
-    stat_own, stat_other = _own_other(stationary, side)
+    own, other = _own_other(interior, link)
+    stat_own, stat_other = _own_other(stationary, link)
     on_diagram = abs(np.maximum(own, other) - capacity) <= TIE_TOL
     forced = (stat_other < stat_own - TIE_TOL) & (abs(stat_own - capacity) <= TIE_TOL)
     return on_diagram & np.where(forced, interior.is_close(stationary, TIE_TOL), other >= stat_own - TIE_TOL)

@@ -650,6 +650,10 @@ class TestCli:
                 "constant boundary supply outside [0, capacity]",
             ),
             ("riemann-verify", SMALL_SIMULATION, "", "riemann-verify needs a simulation config"),
+            (
+                "riemann-verify", "  cells_per_link: 20\n  time_steps: 800\n", "  cells_per_link: 1\n  time_steps: 40\n",
+                "riemann-verify needs at least two cells per link, got 1",
+            ),
             ("converge", SMALL_SIMULATION, "", "converge needs a simulation config"),
             (
                 "flux-map", "  - {kind: del_castillo_ramp}\n" + SMALL_SIMULATION,
@@ -677,7 +681,8 @@ class TestCli:
             "not-a-mapping", "model-without-kind", "diagram-without-kind", "unknown-diagram-kind",
             "diagram-parameter", "boundary-not-a-mapping", "unknown-boundary-kind", "simulation-missing-key",
             "one-downstream-supply", "axis-without-count", "two-diagrams", "no-flux-map-section",
-            "supply-above-ramp-capacity", "verify-without-simulation", "converge-without-simulation",
+            "supply-above-ramp-capacity", "verify-without-simulation", "verify-one-cell-per-link",
+            "converge-without-simulation",
             "flux-map-two-diagrams", "props-two-diagrams", "zero-capacity",
             "capacity-within-flux-tolerance",
         ],

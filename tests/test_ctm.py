@@ -1,9 +1,12 @@
 import hashlib
+import re
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divergeflow import ctm
 from divergeflow.config import build_spec, load_config
@@ -13,10 +16,13 @@ from divergeflow.riemann import junction_fluxes
 from divergeflow import (
     BoundaryCondition,
     BoundarySpec,
+    DivergeModelKind,
     NumericalStabilityError,
     SimConfig,
     Trajectory,
     daganzo_fifo,
+    del_castillo_mainline,
+    del_castillo_ramp,
     greenshields,
     lebacque,
     partial_evacuation,
@@ -890,6 +896,224 @@ class TestStepDigests:
         (traj,) = run_batch(dict(digest_cases(trio))["emptying"])
         upstream = traj.densities[:, 0]
         assert np.any((upstream > 0.0) & (upstream < ctm.EMPTY_CELL_TOL))
+
+
+# The reference step: the CTM's equations cell by cell in Python floats, with
+# nothing of the kernel's buffers, views or masks.  It calls only the
+# diagrams' demand and supply, the boundaries' evaluate and the junction rule.
+# The digest cases run 40 to 800 steps; the reference takes the first 40 of
+# each, about 1 s for all 19 members.
+REFERENCE_STEPS = 40
+
+
+def reference_step(cfg, rho, x, inflow_mix, k, member, junction=junction_fluxes):
+    """Step k of one member from rho (three lists of M densities) and x (C
+    lists of M proportions), both replaced in place; returns its record row
+    (q0, q1, q2, D0, S1, S2, x1, inflow, outflow).  A density that leaves
+    [0, jam_density] by more than the guard raises, naming member, link and
+    step."""
+    m, dt = cfg.cells_per_link, cfg.dt
+    ratio = dt / cfg.dx
+    demand = [[fd.demand(r) for r in link] for fd, link in zip(cfg.diagrams, rho)]
+    supply = [[fd.supply(r) for r in link] for fd, link in zip(cfg.diagrams, rho)]
+    d0, s1, s2, x1 = demand[0][-1], supply[1][0], supply[2][0], x[0][-1]
+    q0, q1, q2 = (float(q) for q in junction(cfg.model, d0, (s1, s2), (x1, 1.0 - x1)))
+
+    # faces[i][j] lies between cells j - 1 and j of link i: min(D, S) inside,
+    # a ghost demand or supply at the network's ends, the junction rule at it
+    bcs = (cfg.boundaries.upstream_demand, *cfg.boundaries.downstream_supplies)
+    ghost = [
+        None if bc.kind is ctm.BoundaryKind.NEUMANN else bc.evaluate(k * dt, fd.capacity)
+        for bc, fd in zip(bcs, cfg.diagrams)
+    ]
+    faces = [[None, *(min(demand[i][j - 1], supply[i][j]) for j in range(1, m)), None] for i in range(3)]
+    faces[0][0] = min(demand[0][0] if ghost[0] is None else ghost[0], supply[0][0])
+    for i in (1, 2):
+        faces[i][m] = min(demand[i][-1], supply[i][-1] if ghost[i] is None else ghost[i])
+    faces[0][m], faces[1][0], faces[2][0] = q0, q1, q2
+
+    old = rho[0]
+    for i, fd in enumerate(cfg.diagrams):
+        new = [rho[i][j] + ratio * (faces[i][j] - faces[i][j + 1]) for j in range(m)]
+        if not all(-ctm.DENSITY_GUARD <= r <= fd.jam_density + ctm.DENSITY_GUARD for r in new):
+            raise NumericalStabilityError(
+                f"density left [0, {fd.jam_density}] in member {member} on link {i} at step {k}"
+            )
+        rho[i] = [min(max(r, 0.0), fd.jam_density) for r in new]
+
+    # the junction cell's commodity out-flux is the rule's own: routed
+    # vehicles first, all of link 1's inflow under a FIFO rule, else the mix
+    if len(x) == 2:
+        junction_out = [min(x[n][-1] * d0, q) for n, q in enumerate((q1, q2))]
+    elif cfg.model.kind in (DivergeModelKind.DAGANZO_FIFO, DivergeModelKind.LEBACQUE):
+        junction_out = [q1]
+    else:
+        junction_out = [x[0][-1] * q0]
+    for n, mix in enumerate(x):
+        up = [inflow_mix[n], *mix[:-1]]
+        new = []
+        for j, own in enumerate(mix):
+            q_in, q_out = faces[0][j], faces[0][j + 1]
+            out = own * q_out if j < m - 1 else junction_out[n]
+            # a cell keeps its mix when it is empty or nothing changes it
+            if (up[j] != own or out != own * q_out) and rho[0][j] >= ctm.EMPTY_CELL_TOL:
+                moved = (old[j] * own + ratio * (q_in * up[j] - out)) / max(rho[0][j], ctm.EMPTY_CELL_TOL)
+                own = min(max(moved, 0.0), 1.0)
+            new.append(own)
+        x[n] = new
+    return (q0, q1, q2, d0, s1, s2, x1, faces[0][0], faces[1][m] + faces[2][m])
+
+
+def reference_run(configs, steps, junction=junction_fluxes):
+    """The members' first steps, taken in turn at each step as the kernel
+    takes them together: per member, the densities and proportions after
+    each step from 0, the record rows, and the boundary totals."""
+    runs = []
+    for cfg in configs:
+        rho, x = cfg.initial_state.tolist(), cfg.initial_mix[:, 1:].tolist()
+        runs.append(dict(rho=rho, x=x, inflow_mix=cfg.initial_mix[:, 0].tolist(),
+                         densities=[rho[:]], proportions=[x[:]], rows=[], inflow=0.0, outflow=0.0))
+    for k in range(steps):
+        for member, (cfg, run_) in enumerate(zip(configs, runs)):
+            row = reference_step(cfg, run_["rho"], run_["x"], run_["inflow_mix"], k, member, junction)
+            run_["densities"].append(run_["rho"][:])
+            run_["proportions"].append(run_["x"][:])
+            run_["rows"].append(row[:7])
+            run_["inflow"] += row[7] * cfg.dt
+            run_["outflow"] += row[8] * cfg.dt
+    return runs
+
+
+def first_steps(configs, steps):
+    """The configs cut to their first steps, each recorded, on the same dt."""
+    cut = [replace(cfg, time_steps=steps, horizon=steps * cfg.dt, snapshot_every=1) for cfg in configs]
+    assert [c.dt for c in cut] == [cfg.dt for cfg in configs]
+    return cut
+
+
+def assert_matches_reference(traj, ref):
+    """A trajectory recorded at every step is the reference run bit for bit."""
+    assert traj.densities.tobytes() == np.array(ref["densities"]).tobytes()
+    assert traj.proportions.tobytes() == np.array(ref["proportions"]).tobytes()
+    rows = np.column_stack([getattr(traj.junction, name) for name in (
+        "q0", "q1", "q2", "demand_upstream", "supply_down1", "supply_down2", "proportion1"
+    )])
+    assert rows.tobytes() == np.array(ref["rows"]).tobytes()
+    assert (traj.inflow_total, traj.outflow_total) == (ref["inflow"], ref["outflow"])
+
+
+def flooding_junction(flooded):
+    """The junction rule, except that from step 5 on, in a batch of two,
+    the flooded model sends link 1 ten more than it can take."""
+    calls = []
+
+    def flooding(model, *args):
+        q0, q1, q2 = junction_fluxes(model, *args)
+        calls.append(model)
+        if len(calls) > 2 * 5 and model is flooded:
+            return q0, q1 + 10.0, q2
+        return q0, q1, q2
+
+    return flooding
+
+
+# Diagrams the drawn batches mix: both flux-law families' exponential laws,
+# two triangular laws and a parabola.
+DRAWN_DIAGRAMS = (del_castillo_mainline(), del_castillo_ramp(), triangular(1.0, 2.0), triangular(0.5, 1.0),
+                  greenshields(1.0, 1.0))
+
+
+@st.composite
+def drawn_models(draw, evacuating):
+    """A model with C = 2 tracked commodities (partial evacuation), or with
+    C = 1 of any of the other four rules."""
+    if evacuating:
+        x1 = draw(st.floats(0.0, 1.0))
+        x2 = draw(st.floats(0.0, 1.0 - x1))
+        a1 = draw(st.floats(x1, 1.0 - x2))
+        return partial_evacuation((x1, x2), (a1, 1.0 - a1))
+    x1 = draw(st.floats(0.05, 0.95))
+    return draw(st.sampled_from((
+        daganzo_fifo((x1, 1.0 - x1)), lebacque((x1, 1.0 - x1)), supply_proportional(), priority_based((x1, 1.0 - x1)),
+    )))
+
+
+@st.composite
+def drawn_batches(draw):
+    """Small batches that share a grid, diagrams and boundaries of every
+    kind, and whose members differ in rule, in scalar or per-cell initial
+    data and in inflow mix."""
+    cells, steps = draw(st.integers(3, 8)), draw(st.integers(1, 60))
+    diagrams = tuple(draw(st.sampled_from(DRAWN_DIAGRAMS)) for _ in range(3))
+    cfl = draw(st.floats(0.2, 1.0))
+    horizon = steps * cfl * (10.0 / cells) / max(fd.free_flow_speed for fd in diagrams)
+    ends = [
+        draw(st.one_of(
+            st.just(BoundaryCondition.neumann()),
+            st.floats(0.0, fd.capacity).map(BoundaryCondition.constant),
+            st.tuples(st.floats(-0.2, 0.4), st.floats(0.0, 0.3), st.floats(5.0, 90.0)).map(
+                lambda p: BoundaryCondition.sinusoid(*p)
+            ),
+        ))
+        for fd in diagrams
+    ]
+    evacuating = draw(st.booleans())
+    commodities = 2 if evacuating else 1
+
+    def mix(per_cell):
+        # C proportions summing to at most 1, as scalars or one per cell
+        first = draw(st.floats(0.0, 1.0))
+        pair = (first, draw(st.floats(0.0, 1.0 - first)))
+        if per_cell:
+            pair = (np.full(cells, pair[0]), np.linspace(0.0, pair[1], cells))
+        return pair if commodities == 2 else pair[0]
+
+    members = []
+    for _ in range(draw(st.integers(1, 3))):
+        densities = tuple(
+            draw(st.one_of(st.floats(0.0, fd.jam_density), st.lists(st.floats(0.0, fd.jam_density),
+                                                                     min_size=cells, max_size=cells)))
+            for fd in diagrams
+        )
+        members.append(SimConfig(
+            model=draw(drawn_models(evacuating)), diagrams=diagrams, cells_per_link=cells, time_steps=steps,
+            horizon=horizon, initial_densities=densities, initial_proportions=mix(draw(st.booleans())),
+            inflow_proportions=mix(False) if draw(st.booleans()) else None,
+            boundaries=BoundarySpec(ends[0], ends[1:]), snapshot_every=1,
+        ))
+    return members
+
+
+class TestReferenceStep:
+    @pytest.mark.parametrize("case", list(STEP_DIGESTS))
+    def test_kernel_matches_the_reference_step_bitwise(self, trio, case):
+        batch = first_steps(dict(digest_cases(trio))[case], REFERENCE_STEPS)
+        for traj, ref in zip(run_batch(batch), reference_run(batch, REFERENCE_STEPS), strict=True):
+            assert_matches_reference(traj, ref)
+
+    @settings(max_examples=40)
+    @given(batch=drawn_batches())
+    def test_kernel_matches_the_reference_step_on_drawn_batches(self, batch):
+        steps = batch[0].time_steps
+        try:
+            reference = reference_run(batch, steps)
+        except NumericalStabilityError as error:
+            with pytest.raises(NumericalStabilityError, match=f"{re.escape(str(error))}$"):
+                run_batch(batch)
+            return
+        for traj, ref in zip(run_batch(batch), reference, strict=True):
+            assert_matches_reference(traj, ref)
+
+    def test_guard_fires_at_the_same_member_link_and_step(self, trio, monkeypatch):
+        members = first_steps([
+            diverge_config(trio, model, cells=20) for model in (lebacque((0.7, 0.3)), daganzo_fifo((0.7, 0.3)))
+        ], REFERENCE_STEPS)
+        message = "in member 1 on link 1 at step 5$"
+        with pytest.raises(NumericalStabilityError, match=message):
+            reference_run(members, REFERENCE_STEPS, flooding_junction(members[1].model))
+        monkeypatch.setattr(ctm, "junction_fluxes", flooding_junction(members[1].model))
+        with pytest.raises(NumericalStabilityError, match=message):
+            run_batch(members)
 
 
 class TestSolutionDifference:

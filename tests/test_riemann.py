@@ -4,8 +4,8 @@ import pytest
 from divergeflow import (
     DivergeModel,
     DivergeModelKind,
+    InvalidStateError,
     RiemannInput,
-    Side,
     TrafficState,
     check_interior_admissible,
     check_stationary_admissible,
@@ -126,6 +126,17 @@ class TestModelParameters:
         with pytest.raises(ValueError) as raised:
             RiemannInput.from_densities(trio, densities)
         assert str(raised.value) == f"a Riemann input takes one entry per link (3 of each), got {counts}"
+
+
+    def test_densities_must_map_to_their_states(self, trio):
+        base = RiemannInput.from_densities(trio, (1.0, 1.0, 0.1))
+        with pytest.raises(InvalidStateError, match=r"link 0: density 0.2 does not map to its state TrafficState\("):
+            RiemannInput(base.diagrams, base.states, (0.2, 0.3, 0.9))
+
+    def test_density_above_jam_density_is_rejected(self, trio):
+        base = RiemannInput.from_densities(trio, (1.0, 1.0, 0.1))
+        with pytest.raises(ValueError, match="density out of range"):
+            RiemannInput(base.diagrams, base.states, (1.0, 1.0, trio[2].jam_density * 1.5))
 
 
 class TestWorkedExample:
@@ -504,49 +515,56 @@ class TestAdmissibilityChecks:
     def test_upstream_stationary(self, mainline):
         c = mainline.capacity
         initial = state_of(mainline, 1.0)  # D0 = c
-        assert check_stationary_admissible(TrafficState(c, 0.2), initial, Side.UPSTREAM, c)
+        assert check_stationary_admissible(TrafficState(c, 0.2), initial, 0, c)
         free = TrafficState(0.2, c)
         assert check_stationary_admissible(
-            TrafficState(0.2, c), free, Side.UPSTREAM, c
+            TrafficState(0.2, c), free, 0, c
         )
         # supply above the initial demand is not admissible
         assert not check_stationary_admissible(
-            TrafficState(c, 0.3), free, Side.UPSTREAM, c
+            TrafficState(c, 0.3), free, 0, c
         )
 
     def test_downstream_stationary(self, ramp):
         c = ramp.capacity
         initial = state_of(ramp, 0.1)  # S = c
-        assert check_stationary_admissible(TrafficState(c, c), initial, Side.DOWNSTREAM, c)
-        assert check_stationary_admissible(TrafficState(0.05, c), initial, Side.DOWNSTREAM, c)
+        assert check_stationary_admissible(TrafficState(c, c), initial, 1, c)
+        assert check_stationary_admissible(TrafficState(0.05, c), initial, 1, c)
         congested = TrafficState(c, 0.03)
-        assert check_stationary_admissible(congested, congested, Side.DOWNSTREAM, c)
+        assert check_stationary_admissible(congested, congested, 1, c)
         assert not check_stationary_admissible(
-            TrafficState(0.05, c), congested, Side.DOWNSTREAM, c
+            TrafficState(0.05, c), congested, 1, c
         )
 
     def test_interior_equals_stationary_is_always_admissible(self, mainline):
         c = mainline.capacity
         for stationary in (TrafficState(c, 0.2), TrafficState(0.2, c)):
-            for side in Side:
+            for side in range(3):
                 assert check_interior_admissible(stationary, stationary, side, c)
 
     def test_soc_upstream_pins_interior(self, mainline):
         c = mainline.capacity
         stationary = TrafficState(c, 0.2)
-        assert not check_interior_admissible(TrafficState(c, 0.25), stationary, Side.UPSTREAM, c)
+        assert not check_interior_admissible(TrafficState(c, 0.25), stationary, 0, c)
 
     def test_uc_upstream_needs_supply_at_least_demand(self, mainline):
         c = mainline.capacity
         stationary = TrafficState(0.2, c)
-        assert check_interior_admissible(TrafficState(c, 0.25), stationary, Side.UPSTREAM, c)
-        assert not check_interior_admissible(TrafficState(c, 0.15), stationary, Side.UPSTREAM, c)
+        assert check_interior_admissible(TrafficState(c, 0.25), stationary, 0, c)
+        assert not check_interior_admissible(TrafficState(c, 0.15), stationary, 0, c)
 
     def test_oc_downstream_needs_demand_at_least_supply(self, ramp):
         c = ramp.capacity
         stationary = TrafficState(c, 0.05)
-        assert check_interior_admissible(TrafficState(c, 0.07), stationary, Side.DOWNSTREAM, c)
-        assert not check_interior_admissible(TrafficState(0.04, c), stationary, Side.DOWNSTREAM, c)
+        assert check_interior_admissible(TrafficState(c, 0.07), stationary, 1, c)
+        assert not check_interior_admissible(TrafficState(0.04, c), stationary, 1, c)
+
+    def test_link_outside_zero_to_two_is_rejected(self, mainline):
+        c = mainline.capacity
+        state = TrafficState(c, 0.2)
+        for check in (check_stationary_admissible, check_interior_admissible):
+            with pytest.raises(ValueError, match="got 3"):
+                check(state, state, 3, c)
 
 
 class TestStructuralProperties:

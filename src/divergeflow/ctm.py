@@ -22,22 +22,25 @@ where the commodity out-flux is xi[m] * q_out inside the link and the
 commodity's own junction flux at the last cell.  Empty cells keep their
 previous proportion.
 
-One step kernel advances a batch of B scenarios.  Its state is one (B, 3, M)
-density array and one (B, C, M) proportion array, C the tracked-commodity
-count, which each step updates in place through one (B, 3, M + 1) face
-array.  The members share the grid, the diagrams, the boundaries and C, and
-may differ in model, initial data and inflow mix.  Links whose diagrams
+One step kernel advances a batch of B scenarios in lockstep, laid end to
+end on one position axis of P positions with a ghost before each member
+(LeVeque 2002, ch. 7): a (3, P) density state and the upstream link's (C, P)
+proportion state, C the tracked-commodity count, which each step updates in
+place.  The members share the diagrams, the boundaries and C, and may differ
+in grid, horizon, model, initial data and inflow mix.  Links whose diagrams
 share a flux-law family share one evaluation of it per step, written into
 work arrays and read through views that are built once per run; every
-constant or sinusoid boundary is evaluated for all N steps before the loop.
-Only the junction rule runs once per member.  run_batch(configs) gives one
-Trajectory per member, each bitwise the trajectory of that config alone, and
+constant or sinusoid boundary is evaluated for all of a member's steps
+before the loop.  Only the junction rule runs once per member, and a member
+that has taken its N steps freezes.  run_batch(configs) gives one Trajectory
+per member, each bitwise the trajectory of that config alone, and
 run(config) is run_batch([config])[0]; a trajectory's last snapshot is the
-state after step N.  The step records the junction row (q0, q1, q2, D0, S1,
-S2, x1) followed by the boundary in-flux and out-flux.  A frozen SimConfig
-builds and checks its initial state once, which the kernel stacks; in the
-step the density guard and a clip keep densities in [0, jam_density], and the
-guard and the conservation check name the member that fails.
+state after its step N.  The step records the junction row (q0, q1, q2, D0,
+S1, S2, x1) followed by the boundary in-flux and out-flux.  A frozen
+SimConfig builds and checks its initial state once, which the kernel lays
+out; in the step the density guard and a clip keep densities in [0,
+jam_density], and the guard and the conservation check name the member that
+fails.
 """
 
 from __future__ import annotations
@@ -166,6 +169,13 @@ def _physical_memory():
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def _run_bytes(cfg):
+    """The float64 bytes of a run of cfg: its initial state and mix, its
+    snapshots and its junction record."""
+    m, n, c = cfg.cells_per_link, cfg.time_steps, cfg.tracked_commodities
+    return 8 * (3 * m + c * (m + 1) + (-(-n // cfg.snapshot_every) + 1) * (3 + c) * m + 9 * n)
+
+
 def _as_cell_array(value, cells, name):
     arr = np.asarray(value, dtype=float)
     if arr.shape not in ((), (cells,)):
@@ -243,9 +253,7 @@ class SimConfig:
             if bc.kind is BoundaryKind.CONSTANT and not 0.0 <= bc.value <= fd.capacity:
                 raise ValueError(f"constant boundary {'supply' if link else 'demand'} outside [0, capacity]")
         m, n, c = self.cells_per_link, self.time_steps, self.tracked_commodities
-        # float64 bytes of a run's initial state and mix, snapshots and junction record
-        need = 8 * (3 * m + c * (m + 1) + (-(-n // self.snapshot_every) + 1) * (3 + c) * m + 9 * n)
-        memory = _physical_memory()
+        need, memory = _run_bytes(self), _physical_memory()
         if need > memory:
             raise ValueError(f"a run with M={m} cells per link and N={n} steps needs {need / 2**30:.3g} GiB, "
                              f"more than the machine's {memory / 2**30:.3g} GiB of memory")
@@ -323,9 +331,10 @@ def _proportion_update(rho_new, x, x_up, q_in, q_out, dt_over_dx, commodity_outf
 
 
 # Fields every member of a batch shares; run_batch checks them first.
-_SHARED_FIELDS = (
-    "cells_per_link", "time_steps", "dt", "dx", "diagrams", "boundaries", "snapshot_every", "tracked_commodities",
-)
+_SHARED_FIELDS = ("diagrams", "boundaries", "snapshot_every", "tracked_commodities")
+# Where a step's boundary faces (inflow, outflow 1, outflow 2) split into the
+# record's inflow and outflow columns.
+_INFLOW_OUTFLOWS = np.array([0, 1])
 
 
 def _law_passes(diagrams):
@@ -341,17 +350,27 @@ def _law_passes(diagrams):
 
 class _Ensemble:
     """The step kernel of a batch of B configs: its state, its work arrays
-    and the views the step reads, all built once, so that a step allocates
-    no array of cells outside the flux-law evaluation.
+    and the views and index arrays the step reads, all built once, so that a
+    step allocates no array of cells outside the flux-law evaluation.
 
-    The state is a (B, 3, M) density array rho and a (B, C, M) proportion
-    array x, C the tracked-commodity count, stacked from the configs'
-    initial_state and initial_mix; each step updates both in place, and
-    writing into them sets the state.  x is a view of the stacked mixes, whose
-    inflow-mix column 0 makes each cell's upstream mix x_up a view too.  The
-    diagram constants are held per cell, as numpy is fastest on operands of
-    one shape.  Members share the grid, the diagrams, the boundaries and C;
-    they may differ in model, initial data and inflow mix.
+    The members lie end to end on one position axis of P positions, in
+    ascending time_steps (order[b] is the input index of the b-th): each
+    takes a ghost position and then its M cells, and one trailing ghost
+    closes the axis.  The state is a (3, P) density array rho, one row per
+    link, and the upstream link's (C, P) proportion array mix, C the
+    tracked-commodity count, whose ghost before a member holds that member's
+    inflow mix, so that each cell's upstream mix x_up is a view.  Each step
+    updates both in place, and writing into them sets the state.  The
+    diagram constants and dt/dx are held per position, as numpy is fastest
+    on operands of one shape; a ghost's dt/dx is 0, so its density stays 0,
+    below EMPTY_CELL_TOL, and the proportion update never writes its mix.
+    The ghost before a member holds its inflow demand on the upstream link,
+    the ghost after it its outflow supply on each downstream link.  Every
+    per-member read and write is a take or put at flat indices built once.
+    A member that has taken its N steps freezes: its dt/dx becomes 0 and the
+    step drops it from the index arrays.  Members share the diagrams, the
+    boundaries and C; they may differ in grid, horizon, model, initial data
+    and inflow mix.
     """
 
     def __init__(self, configs):
@@ -362,124 +381,172 @@ class _Ensemble:
             for member, cfg in enumerate(configs[1:], start=1):
                 if getattr(cfg, name) != getattr(first, name):
                     raise ValueError(f"batch members must share {name}; member {member} differs from member 0")
-        diagrams, m = first.diagrams, first.cells_per_link
-        rho = np.stack([cfg.initial_state for cfg in configs])
-        mixes = np.stack([cfg.initial_mix for cfg in configs])
+        self.order = sorted(range(len(configs)), key=lambda b: configs[b].time_steps)
+        members = [configs[b] for b in self.order]
+        diagrams, c = first.diagrams, first.tracked_commodities
+        self.ends = [cfg.time_steps for cfg in members]
+        # each member's ghost position, then the trailing ghost; spans are
+        # the members' cells, the same on every link
+        ghosts = np.cumsum([0] + [cfg.cells_per_link + 1 for cfg in members]).tolist()
+        self.spans = [(g + 1, nxt) for g, nxt in zip(ghosts, ghosts[1:])]
+        p = ghosts[-1] + 1
+        n = 3 * p
 
-        def per_cell(name):
-            return np.broadcast_to(np.array([[getattr(fd, name)] for fd in diagrams]), rho.shape).copy()
+        self.rho, self.mix, self.ratio = rho, mix, ratio = np.zeros((3, p)), np.zeros((c, p)), np.zeros((3, p))
+        for cfg, g, (s, e) in zip(members, ghosts, self.spans):
+            rho[:, s:e], mix[:, g:e], ratio[:, s:e] = cfg.initial_state, cfg.initial_mix, cfg.dt / cfg.dx
 
-        self.models = [cfg.model for cfg in configs]
-        self.evacuating = first.tracked_commodities == 2
+        def per_position(name):
+            return np.repeat([[getattr(fd, name)] for fd in diagrams], p, axis=1)
+
+        self.models = [cfg.model for cfg in members]
+        self.evacuating = c == 2
         self.fifo = np.array([[model.kind in _FIFO_KINDS] for model in self.models])
-        self.ratio = first.dt / first.dx
-        self.critical, self.capacity, self.jam = map(per_cell, ("critical_density", "capacity", "jam_density"))
+        self.critical, self.capacity, self.jam = map(per_position, ("critical_density", "capacity", "jam_density"))
         self.jam_guard = [fd.jam_density + DENSITY_GUARD for fd in diagrams]
-        # every non-Neumann ghost value of the run, evaluated as a step would
+
+        # every non-Neumann ghost value of the run, evaluated as a step would,
+        # one column per link and distinct (N, dt); a step copies row k into
+        # the slots that follow the demand and supply in one buffer
         bcs = (first.boundaries.upstream_demand, *first.boundaries.downstream_supplies)
-        self.ghosts = [
-            None if bc.kind is BoundaryKind.NEUMANN
-            else np.array([bc.evaluate(k * first.dt, fd.capacity) for k in range(first.time_steps)])
-            for bc, fd in zip(bcs, diagrams)
-        ]
+        neumann = [bc.kind is BoundaryKind.NEUMANN for bc in bcs]
+        columns = {}
+        for cfg in members:
+            for i in range(3):
+                if not neumann[i]:
+                    columns.setdefault((cfg.time_steps, cfg.dt, i), len(columns))
+        self.series = np.zeros((self.ends[-1], len(columns))) if columns else None
+        for (steps, dt, i), column in columns.items():
+            self.series[:steps, column] = [bcs[i].evaluate(k * dt, diagrams[i].capacity) for k in range(steps)]
+        self.flows = np.empty(2 * n + len(columns))
+        self.demand, self.supply = (self.flows[i * n:(i + 1) * n].reshape(3, p) for i in (0, 1))
+        self.slots = self.flows[2 * n:]
 
-        # the state and its views: the upstream link's densities, each
-        # cell's upstream mix and the junction cell's mix
-        self.rho, self.rho_up = rho, rho[:, :1]
-        x = mixes[:, :, 1:]
-        self.x, self.x_up, self.last = x, mixes[:, :, :-1], mixes[:, :, -1]
+        # flat indices, one row per member, of its cells g (ghost), s (first)
+        # and j (junction) and the next ghost e; face f lies between
+        # positions f and f + 1
+        rows = []
+        for cfg, (s, e) in zip(members, self.spans):
+            g, j = s - 1, e - 1
+            ends = [s, n + p + j, n + 2 * p + j]  # in flows: the end cells' demand or supply
+            rows.append((
+                [g, n + p + e, n + 2 * p + e],  # in flows: the ghosts' demand or supply
+                [ends[i] if neumann[i] else 2 * n + columns[cfg.time_steps, cfg.dt, i] for i in range(3)],
+                [j, n + p + s, n + 2 * p + s],  # in flows: the junction's D0, S1, S2
+                [j, p + g, 2 * p + g],  # the junction faces
+                [g, p + j, 2 * p + j],  # the boundary faces: inflow, outflow 1, outflow 2
+                [i * p + j for i in range(c)],  # in mix: the junction cell's
+                [i * (p - 2) + j - 1 for i in range(c)],  # in commodity_out: the junction cell's
+            ))
+        self.index = [np.array(column) for column in zip(*rows)]
 
-        self.demand = demand = np.empty_like(rho)
-        self.supply = supply = np.empty_like(rho)
-        self.masks = np.empty(rho.shape, bool), np.empty(rho.shape, bool)
-        faces = np.empty(rho.shape[:2] + (m + 1,))
-        self.net = np.empty_like(rho)
-        self.commodity_out = commodity_out = np.empty_like(x)
-        self.mass = np.empty_like(x)
-        self.work = _proportion_work(x.shape, rho[:, :1].shape)
-        self.row = row = np.empty((len(configs), 9))
-        v_f = per_cell("free_flow_speed")
+        self.masks = np.empty((3, p), bool), np.empty((3, p), bool)
+        self.faces = faces = np.empty(n - 1)
+        self.rho_flat = rho.reshape(-1)
+        self.face_inputs = self.flows[:n - 1], self.flows[n + 1:2 * n]
+        self.net = np.empty(n - 2)
+        # the cells' in-faces and out-faces, and the positions between the
+        # axis' two end ghosts with their dt/dx
+        self.cell_faces = faces[:-1], faces[1:]
+        self.inner, self.inner_ratio = self.rho_flat[1:-1], ratio.reshape(-1)[1:-1]
+        # the upstream link between its end ghosts: densities, mix, upstream
+        # mix, faces and dt/dx, each a (1, P - 2) row or (C, P - 2) rows
+        self.rho_up, self.x, self.x_up = rho[:1, 1:-1], mix[:, 1:-1], mix[:, :-2]
+        self.upstream_faces = faces[None, :p - 2], faces[None, 1:p - 1]
+        self.ratio_up = ratio[:1, 1:-1]
+        self.commodity_out = np.empty_like(self.x)
+        self.mass = np.empty_like(self.x)
+        self.work = _proportion_work(self.x.shape, self.rho_up.shape)
+        self.row = np.empty((len(configs), 9))
+        v_f = per_position("free_flow_speed")
         law_work = np.empty_like(rho)
         self.passes = [
-            (law, rho[:, links], v_f[:, links], self.jam[:, links], demand[:, links], law_work[:, links])
+            (law, rho[links], v_f[links], self.jam[links], self.demand[links], law_work[links])
             for law, links in _law_passes(diagrams)
         ]
-        # (demand, supply, face) of the interior faces, the upstream end and
-        # the two downstream ends
-        self.interior = demand[:, :, :-1], supply[:, :, 1:], faces[:, :, 1:-1]
-        self.inlet = demand[:, 0, 0], supply[:, 0, 0], faces[:, 0, 0]
-        self.outlets = [(demand[:, i, -1], supply[:, i, -1], faces[:, i, -1]) for i in (1, 2)]
-        # the junction's inputs (D0, S1, S2), its faces on the upstream and
-        # the downstream links with the row's fluxes they take, and the row's
-        # q0, q1, (q1, q2) and D0 columns
-        self.junction_inputs = demand[:, 0, -1], supply[:, 1, 0], supply[:, 2, 0]
-        self.junction_faces = (faces[:, 0, -1], row[:, 0]), (faces[:, 1:, 0], row[:, 1:3])
-        self.q0, self.q1, self.q12, self.d0 = row[:, :1], row[:, 1:2], row[:, 1:3], row[:, 3:4]
-        # each cell's in-face and out-face, those of the upstream link, and the
-        # commodity out-flux of the junction cell
-        self.cell_faces = faces[:, :, :-1], faces[:, :, 1:]
-        self.upstream_faces = faces[:, :1, :-1], faces[:, :1, 1:]
-        self.junction_out = commodity_out[:, :, -1]
+        self._drop(0)
+
+    def _drop(self, active):
+        """Freeze the members before active, which have taken their steps,
+        and bind the step's index arrays and row views to the others."""
+        for s, e in self.spans[:active]:
+            self.ratio[:, s:e] = 0.0
+        self.active = active
+        row = self.row[active:]
+        self.live = (
+            self.models[active:], self.fifo[active:], [index[active:] for index in self.index],
+            # the rows' (q0 .. x1), (q0, q1, q2), q0, q1, (q1, q2), D0 and (inflow, outflow)
+            (row[:, :7], row[:, :3], row[:, :1], row[:, 1:2], row[:, 1:3], row[:, 3:4], row[:, 7:]),
+        )
 
     def advance(self, k):
-        """Step k from the current state, which becomes the state after it;
-        returns each member's row (B, 9) of (q0, q1, q2, D0, S1, S2, x1,
-        inflow, outflow), a buffer that the next step overwrites."""
-        rho, x, last = self.rho, self.x, self.last
-        demand, supply, row = self.demand, self.supply, self.row
+        """Step k of every member that has not taken its steps, from the
+        current state, which becomes the state after it; returns the rows
+        (B, 9) of (q0, q1, q2, D0, S1, S2, x1, inflow, outflow) in axis order,
+        those from active (as it was before the step) on step k's, a buffer
+        that the next step overwrites.  A member that has now taken its steps
+        freezes."""
+        rho, mix, flows, faces = self.rho, self.mix, self.flows, self.faces
+        models, fifo, (targets, sources, inputs, junction, ends, last_cells, own_cells), views = self.live
+        junction_row, q012, q0, q1, q12, d0, bounds = views
         for law, rho_links, v_f, rho_jam, flow, work in self.passes:
             law(rho_links, v_f, rho_jam, out=flow, work=work)
         over, under = self.masks
-        np.copyto(supply, demand)
-        np.putmask(demand, np.greater(rho, self.critical, out=over), self.capacity)
-        np.putmask(supply, np.less(rho, self.critical, out=under), self.capacity)
+        np.copyto(self.supply, self.demand)
+        np.putmask(self.demand, np.greater(rho, self.critical, out=over), self.capacity)
+        np.putmask(self.supply, np.less(rho, self.critical, out=under), self.capacity)
+        # the ghosts: each copies its end cell's demand or supply, or a slot
+        if self.series is not None:
+            np.copyto(self.slots, self.series[k])
+        flows.put(targets, flows.take(sources))
 
-        # the junction rule, once per member, on (D0, S1, S2) and the last
-        # upstream cell's mix; the row is record's (q0, q1, q2, D0, S1, S2, x1)
-        d0, s1, s2 = self.junction_inputs
-        row[:, :7] = [
+        # the junction rule, once per member, on (D0, S1, S2) and the junction
+        # cell's mix; the row is record's (q0, q1, q2, D0, S1, S2, x1)
+        last = mix.take(last_cells)
+        junction_row[...] = [
             (*junction_fluxes(model, d, (a, b), (x1, 1.0 - x1)), d, a, b, x1)
-            for model, d, a, b, x1 in zip(self.models, d0.tolist(), s1.tolist(), s2.tolist(), last[:, 0].tolist())
+            for model, (d, a, b), x1 in zip(models, flows.take(inputs).tolist(), last[:, 0].tolist())
         ]
-
-        demand_left, supply_right, interior = self.interior
-        np.minimum(demand_left, supply_right, out=interior)
-        (d, s, inflow), ghost = self.inlet, self.ghosts[0]
-        np.minimum(d if ghost is None else ghost[k], s, out=inflow)
-        for (d, s, face), ghost in zip(self.outlets, self.ghosts[1:]):
-            np.minimum(d, s if ghost is None else ghost[k], out=face)
-        for face, q in self.junction_faces:
-            np.copyto(face, q)
+        np.minimum(*self.face_inputs, out=faces)
+        faces.put(junction, q012)
 
         net, mass = self.net, self.mass
         np.subtract(*self.cell_faces, out=net)
-        np.multiply(self.rho_up, x, out=mass)  # the proportion update's input
-        np.add(rho, np.multiply(self.ratio, net, out=net), out=rho)
-        link_max = rho.max(axis=(0, 2)).tolist()
-        if not (rho.min() >= -DENSITY_GUARD and all(map(float.__le__, link_max, self.jam_guard))):
+        np.multiply(self.rho_up, self.x, out=mass)  # the proportion update's input
+        np.add(self.inner, np.multiply(self.inner_ratio, net, out=net), out=self.inner)
+        link_max = rho.max(axis=1).tolist()
+        if not (np.minimum.reduce(self.rho_flat) >= -DENSITY_GUARD
+                and all(map(float.__le__, link_max, self.jam_guard))):
             outside = ~((rho >= -DENSITY_GUARD) & (rho <= self.jam + DENSITY_GUARD))
-            member, link = np.argwhere(outside.any(axis=2))[0]
+            member, link = min(
+                (self.order[b], link) for b, (s, e) in enumerate(self.spans) for link in range(3)
+                if outside[link, s:e].any()
+            )
             raise NumericalStabilityError(
-                f"density left [0, {self.jam[0, link, 0]}] in member {member}"
-                f" on link {link} at step {k}"
+                f"density left [0, {self.jam[link, 0]}] in member {member} on link {link} at step {k}"
             )
         np.minimum(np.maximum(rho, 0.0, out=rho), self.jam, out=rho)
 
-        q_in, q_out = self.upstream_faces
-        commodity_out, junction = self.commodity_out, self.junction_out
-        np.multiply(x, q_out, out=commodity_out)
+        commodity_out, (q_in, q_out) = self.commodity_out, self.upstream_faces
+        np.multiply(self.x, q_out, out=commodity_out)
         if self.evacuating:
             # routed vehicles claim their share of the link flux first
-            np.minimum(np.multiply(last, self.d0, out=junction), self.q12, out=junction)
+            np.minimum(np.multiply(last, d0, out=last), q12, out=last)
         else:
             # all flow entering link 1 is routed commodity 1; without routes
             # the one commodity rides along
-            np.copyto(np.multiply(last, self.q0, out=junction), self.q1, where=self.fifo)
-        _proportion_update(self.rho_up, x, self.x_up, q_in, q_out, self.ratio, commodity_out, mass, self.work)
+            np.copyto(np.multiply(last, q0, out=last), q1, where=fifo)
+        commodity_out.put(own_cells, last)
+        _proportion_update(self.rho_up, self.x, self.x_up, q_in, q_out, self.ratio_up, commodity_out, mass, self.work)
 
-        row[:, 7] = inflow
-        np.add(self.outlets[0][2], self.outlets[1][2], out=row[:, 8])
-        return row
+        # the inflow face, and the two outflow faces' sum
+        np.add.reduceat(faces.take(ends), _INFLOW_OUTFLOWS, axis=1, out=bounds)
+        done = self.active
+        while done < len(self.ends) and self.ends[done] == k + 1:
+            done += 1
+        if done > self.active:
+            self._drop(done)
+        return self.row
 
 
 @dataclass
@@ -528,9 +595,12 @@ def _vehicles(densities, dx):
 
 
 def run_batch(configs):
-    """Run configs that share a grid, diagrams and boundaries as one batch,
-    stepping their (B, 3, M) state together; returns one Trajectory each,
-    bitwise the trajectory the config gives alone.
+    """Run configs that share diagrams, boundaries, snapshot_every and the
+    tracked-commodity count as one batch; returns one Trajectory each,
+    bitwise the trajectory the config gives alone.  The members may differ
+    in grid and horizon: they lie end to end on the kernel's one position
+    axis, each a ghost and its M cells on each link's row, and step together
+    until each has taken its own time_steps.
 
     Full fields are stored every snapshot_every steps (plus the initial and
     final step); junction quantities are stored every step.  Raises
@@ -541,39 +611,53 @@ def run_batch(configs):
     """
     configs = list(configs)
     kernel = _Ensemble(configs)
-    first = configs[0]
-    n = first.time_steps
+    members = [configs[b] for b in kernel.order]
+    schedules, due = [], {}  # each member's snapshot steps; the (member, snapshot) pairs after each step
+    for b, cfg in enumerate(members):
+        steps = list(range(0, cfg.time_steps + 1, cfg.snapshot_every))
+        if steps[-1] != cfg.time_steps:
+            steps.append(cfg.time_steps)
+        schedules.append(steps)
+        for i, step in enumerate(steps):
+            due.setdefault(step, []).append((b, i))
+    densities = [np.empty((len(steps), 3, cfg.cells_per_link)) for steps, cfg in zip(schedules, members)]
+    proportions = [
+        np.empty((len(steps), cfg.tracked_commodities, cfg.cells_per_link)) for steps, cfg in zip(schedules, members)
+    ]
 
-    snapshot_steps = list(range(0, n + 1, first.snapshot_every))
-    if snapshot_steps[-1] != n:
-        snapshot_steps.append(n)
-    densities = np.empty((len(snapshot_steps),) + kernel.rho.shape)
-    proportions = np.empty((len(snapshot_steps),) + kernel.x.shape)
-    densities[0], proportions[0] = kernel.rho, kernel.x
-    record = np.empty((n, len(configs), 9))
-    snap = 1
-    for k in range(n):
-        record[k] = kernel.advance(k)
-        if k + 1 == snapshot_steps[snap]:
-            densities[snap], proportions[snap] = kernel.rho, kernel.x
-            snap += 1
-    # boundary totals summed step by step from zero, as the steps ran
-    totals = np.add.accumulate(
-        np.concatenate([np.zeros((1, len(configs), 2)), record[:, :, 7:] * first.dt]), axis=0
-    )[-1]
+    def snapshot(step):
+        for b, i in due.get(step, ()):
+            s, e = kernel.spans[b]
+            densities[b][i], proportions[b][i] = kernel.rho[:, s:e], kernel.mix[:, s:e]
+
+    snapshot(0)
+    # member-major: member b's rows start at offsets[b]; cursor holds each
+    # member's flat record indices of the next step's row
+    offsets = np.cumsum([0] + kernel.ends)
+    record = np.empty((offsets[-1], 9))
+    cursor = 9 * offsets[:-1, None] + np.arange(9)
+    for k in range(kernel.ends[-1]):
+        active = kernel.active
+        record.put(cursor[active:], kernel.advance(k)[active:])
+        cursor += 9
+        snapshot(k + 1)
 
     trajectories = []
     for member, cfg in enumerate(configs):
+        b = kernel.order.index(member)
+        rows = record[offsets[b]:offsets[b + 1]]
+        # boundary totals summed step by step from zero, as the steps ran
+        totals = np.add.accumulate(np.concatenate([np.zeros((1, 2)), rows[:, 7:] * cfg.dt]), axis=0)[-1]
         trajectory = Trajectory(
             config=cfg,
-            snapshot_steps=np.array(snapshot_steps),
-            densities=densities[:, member],
-            proportions=proportions[:, member],
-            junction=JunctionTrace(np.arange(n), *record[:, member, :7].T),
-            inflow_total=float(totals[member, 0]),
-            outflow_total=float(totals[member, 1]),
-            initial_vehicles=_vehicles(densities[0, member], cfg.dx),
-            final_vehicles=_vehicles(densities[-1, member], cfg.dx),
+            snapshot_steps=np.array(schedules[b]),
+            densities=densities[b],
+            proportions=proportions[b],
+            junction=JunctionTrace(np.arange(cfg.time_steps), *rows[:, :7].T),
+            inflow_total=float(totals[0]),
+            outflow_total=float(totals[1]),
+            initial_vehicles=_vehicles(densities[b][0], cfg.dx),
+            final_vehicles=_vehicles(densities[b][-1], cfg.dx),
         )
         drift = trajectory.conservation_drift()
         if not drift <= 1e-8:  # NaN drift fails too

@@ -371,7 +371,7 @@ def _invariant_counterpart(model):
 def _convergence_pairs(sim, resolutions):
     """The configs of the routed model and its invariant counterpart at each
     resolution, dt/dx kept fixed; an error names the resolution whose config
-    cannot be built."""
+    cannot be built, or the memory that all of them, one batch, would need."""
     models = (sim.model, _invariant_counterpart(sim.model))
     pairs = []
     for cells in resolutions:
@@ -380,19 +380,23 @@ def _convergence_pairs(sim, resolutions):
             pairs.append([replace(sim, model=m, cells_per_link=cells, time_steps=steps) for m in models])
         except ValueError as exc:
             raise ValueError(f"converge at M={cells}: {exc}") from exc
+    need, memory = sum(ctm._run_bytes(cfg) for pair in pairs for cfg in pair), ctm._physical_memory()
+    if need > memory:
+        raise ValueError(f"converge's {2 * len(pairs)} runs, one batch, need {need / 2**30:.3g} GiB, "
+                         f"more than the machine's {memory / 2**30:.3g} GiB of memory")
     return pairs
 
 
 def convergence_study(spec):
     """Compare a routed model with its invariant counterpart across grid
-    resolutions, both simulated as one batch per resolution; the solution
-    difference at the final time must shrink as the cells do; its tables
-    are the differences at each snapshot step, epsilon_M<cells>.csv."""
+    resolutions, every run simulated in one batch; the solution difference
+    at the final time must shrink as the cells do; its tables are the
+    differences at each snapshot step, epsilon_M<cells>.csv."""
     report = Report("converge", spec.config_hash, spec.seed)
     tables = {}
     finals = []
-    for cells, (cfg_a, cfg_b) in zip(spec.resolutions, spec.convergence_pairs):
-        traj_a, traj_b = ctm.run_batch([cfg_a, cfg_b])
+    runs = ctm.run_batch([cfg for pair in spec.convergence_pairs for cfg in pair])
+    for cells, traj_a, traj_b in zip(spec.resolutions, runs[::2], runs[1::2]):
         eps = ctm.solution_difference(traj_a, traj_b)
         tables[f"epsilon_M{cells}.csv"] = {"step": traj_a.snapshot_steps, "epsilon": eps}
         finals.append(float(eps[-1]))

@@ -794,6 +794,29 @@ class TestCli:
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
+    def test_converge_batch_too_big_for_memory_exits_two_at_load(self, tmp_path, capsys, monkeypatch):
+        # the six runs of the shipped config step as one batch, so their
+        # bytes add up: with one byte less than the sum, every run fits on its
+        # own but the batch is rejected while the config loads
+        def forbidden(*args):
+            raise AssertionError("a batch ran")
+
+        config = CONFIGS / "convergence.yaml"
+        spec = build_spec(load_config(config), ExperimentKind.CONVERGENCE)
+        sizes = [ctm._run_bytes(cfg) for pair in spec.convergence_pairs for cfg in pair]
+        assert len(sizes) == 6 and max(sizes) < sum(sizes) - 1
+        monkeypatch.setattr(ctm, "_physical_memory", lambda: sum(sizes))
+        assert build_spec(load_config(config), ExperimentKind.CONVERGENCE).convergence_pairs is not None
+        monkeypatch.setattr(ctm, "_physical_memory", lambda: sum(sizes) - 1)
+        monkeypatch.setattr(ctm, "run_batch", forbidden)
+        out = tmp_path / "o"
+        assert main(["converge", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: converge's 6 runs, one batch, need {sum(sizes) / 2**30:.3g} GiB, "
+                              "more than the machine's ")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_each_experiment_is_called_through_the_cli_attribute(self, tmp_path, monkeypatch):
         """perfbench traces an experiment by replacing its name in cli, so
         the CLI must look the name up when it runs: each replaced experiment

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from divergeflow import ctm
 from divergeflow.config import build_spec, load_config
-from divergeflow.harness import ExperimentKind
+from divergeflow.harness import ExperimentKind, _convergence_pairs
 from divergeflow.riemann import junction_fluxes
 
 from divergeflow import (
@@ -63,9 +63,10 @@ def advance(cfg, rho, x, k=0):
     x) and the member's record row (q0, q1, q2, D0, S1, S2, x1, inflow,
     outflow)."""
     kernel = ctm._Ensemble([cfg])
-    kernel.rho[...], kernel.x[...] = rho, x
+    # a batch of one: a ghost, the M cells and the trailing ghost per link
+    kernel.rho[:, 1:-1], kernel.mix[:, 1:-1] = rho[0], x[0]
     row = kernel.advance(k)
-    return kernel.rho.copy(), kernel.x.copy(), row[0].copy()
+    return kernel.rho[None, :, 1:-1].copy(), kernel.mix[None, :, 1:-1].copy(), row[0].copy()
 
 
 def update_cells(rho_old, rho_new, xi_old, xi_up, q_in, q_out, ratio):
@@ -617,15 +618,69 @@ class TestRunBatch:
                 assert_same_trajectory(got, run(cfg))
 
     def test_converge_pair_is_its_two_runs_bitwise(self):
-        # the converge config at M = 20: Lebacque against Daganzo under the
-        # sinusoid ramp supply, as convergence_study batches them
+        # the converge config at M = 20, 40 and 80: Lebacque against Daganzo
+        # under the sinusoid ramp supply, all six runs one batch, as
+        # convergence_study batches them
         spec = build_spec(load_config(CONFIGS / "convergence.yaml"), ExperimentKind.CONVERGENCE)
-        pair = [
-            replace(spec.sim, model=model, cells_per_link=20, time_steps=800)
-            for model in (lebacque((0.7, 0.3)), daganzo_fifo((0.7, 0.3)))
-        ]
-        for got, cfg in zip(run_batch(pair), pair):
+        members = [cfg for pair in _convergence_pairs(spec.sim, (20, 40, 80)) for cfg in pair]
+        assert [(cfg.cells_per_link, cfg.time_steps) for cfg in members[::2]] == [(20, 800), (40, 1600), (80, 3200)]
+        for got, cfg in zip(run_batch(members), members, strict=True):
             assert_same_trajectory(got, run(cfg))
+
+    def test_members_of_other_grids_and_horizons_are_their_own_runs_bitwise(self, trio, monkeypatch):
+        # members that differ in cells_per_link, time_steps, horizon and
+        # link_length, out of time_steps order, two of them on one (N, dt)
+        # and two on one N with another dt; a sinusoid demand, two tracked
+        # commodities and the ramp between the mainlines
+        apart = (trio[0], trio[2], trio[0])
+        wave = BoundarySpec(upstream_demand=BoundaryCondition.sinusoid(0.2, 0.15, 45.0))
+        evacuation = partial_evacuation((0.3, 0.2), (0.55, 0.45))
+        grids = [
+            dict(cells=20, time_steps=800),
+            dict(cells=12, time_steps=300, horizon=120.0),
+            dict(cells=30, time_steps=500, link_length=6.0, horizon=90.0),
+            dict(cells=8, time_steps=800, link_length=4.0, horizon=200.0),
+            dict(cells=20, time_steps=800, inflow_proportions=(0.4, 0.1)),
+        ]
+        members = [
+            diverge_config(
+                apart, evacuation, boundaries=wave, initial_proportions=(np.linspace(0.1, 0.5, grid["cells"]), 0.25),
+                initial_densities=(1.2, np.linspace(0.9, 0.1, grid["cells"]), 0.3),
+                **{"inflow_proportions": (0.25, 0.3), **grid},
+            )
+            for grid in grids
+        ]
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return junction_fluxes(*args)
+
+        monkeypatch.setattr(ctm, "junction_fluxes", counted)
+        trajectories = run_batch(members)
+        assert len(calls) == sum(cfg.time_steps for cfg in members) == 3200
+        monkeypatch.undo()
+        for got, cfg in zip(trajectories, members, strict=True):
+            assert got.config is cfg
+            assert_same_trajectory(got, run(cfg))
+
+    @pytest.mark.parametrize("flooded", [(0, 1), (0,)], ids=["both", "member-0"])
+    def test_guard_names_the_lowest_input_member_of_members_of_other_grids(self, trio, monkeypatch, flooded):
+        # the flooded members flood link 1 from step 5 on; member 0 has more
+        # cells and steps, so it lies after member 1 on the kernel's axis,
+        # and the guard must still name it, as the reference step does
+        members = [
+            diverge_config(trio, model, cells=cells)
+            for model, cells in ((lebacque((0.7, 0.3)), 40), (daganzo_fifo((0.7, 0.3)), 20))
+        ]
+        assert ctm._Ensemble(members).order == [1, 0]
+        models = [members[i].model for i in flooded]
+        message = "in member 0 on link 1 at step 5$"
+        with pytest.raises(NumericalStabilityError, match=message):
+            reference_run(members, 6, flooding_junction(*models))
+        monkeypatch.setattr(ctm, "junction_fluxes", flooding_junction(*models))
+        with pytest.raises(NumericalStabilityError, match=message):
+            run_batch(members)
 
     @pytest.mark.parametrize(
         "order, families",
@@ -714,14 +769,33 @@ class TestRunBatch:
         cfg = diverge_config(trio, lebacque((0.7, 0.3)), cells=10, time_steps=40, horizon=36.0, snapshot_every=1)
         (traj,) = run_batch([cfg])
         (kernel,) = kernels
-        for buffer in (kernel.rho, kernel.x, kernel.mass):
+        for buffer in (kernel.rho, kernel.mix, kernel.mass):
             assert not np.shares_memory(traj.densities, buffer)
             assert not np.shares_memory(traj.proportions, buffer)
         # the state moves every step, so snapshots that shared a buffer
         # would repeat one state
         assert all(not np.array_equal(a, b) for a, b in zip(traj.densities, traj.densities[1:]))
-        np.testing.assert_array_equal(traj.densities[-1], kernel.rho[0])
-        np.testing.assert_array_equal(traj.proportions[-1], kernel.x[0])
+        # the one member's cells lie between the two ghosts of each row
+        np.testing.assert_array_equal(traj.densities[-1], kernel.rho[:, 1:-1])
+        np.testing.assert_array_equal(traj.proportions[-1], kernel.mix[:, 1:-1])
+
+    def test_a_member_that_has_taken_its_steps_stays_frozen(self, trio):
+        # the short member comes first on the axis; once it has taken its 400
+        # steps its densities stay bitwise as they are while the long one
+        # takes 400 more
+        short, long_ = (
+            diverge_config(trio, lebacque((0.7, 0.3)), cells=10, time_steps=n, horizon=0.9 * n) for n in (400, 800)
+        )
+        kernel = ctm._Ensemble([long_, short])
+        assert kernel.order == [1, 0]
+        for k in range(400):
+            kernel.advance(k)
+        s, e = kernel.spans[0]
+        frozen = kernel.rho[:, s:e].copy()
+        for k in range(400, 800):
+            kernel.advance(k)
+        assert kernel.rho[:, s:e].tobytes() == frozen.tobytes()
+        assert kernel.rho[:, slice(*kernel.spans[1])].tobytes() == run(long_).densities[-1].tobytes()
 
     def test_conservation_is_checked_per_member(self, trio, monkeypatch):
         members = [diverge_config(trio, model, cells=10) for model in (lebacque((0.7, 0.3)), daganzo_fifo((0.7, 0.3)))]
@@ -734,8 +808,6 @@ class TestRunBatch:
     @pytest.mark.parametrize(
         "field, change",
         [
-            ("cells_per_link", dict(cells_per_link=10, time_steps=400)),
-            ("time_steps", dict(time_steps=1000)),
             ("diagrams", dict(diagrams=(greenshields(1.0, 2.0),) * 3)),
             ("boundaries", dict(boundaries=BoundarySpec(upstream_demand=BoundaryCondition.constant(0.2)))),
             ("snapshot_every", dict(snapshot_every=40)),
@@ -965,9 +1037,10 @@ def reference_step(cfg, rho, x, inflow_mix, k, member, junction=junction_fluxes)
 
 
 def reference_run(configs, steps, junction=junction_fluxes):
-    """The members' first steps, taken in turn at each step as the kernel
-    takes them together: per member, the densities and proportions after
-    each step from 0, the record rows, and the boundary totals."""
+    """The members' first steps, each member's at most its own time_steps,
+    taken in turn at each step as the kernel takes them together: per
+    member, the densities and proportions after each step from 0, the
+    record rows, and the boundary totals."""
     runs = []
     for cfg in configs:
         rho, x = cfg.initial_state.tolist(), cfg.initial_mix[:, 1:].tolist()
@@ -975,6 +1048,8 @@ def reference_run(configs, steps, junction=junction_fluxes):
                          densities=[rho[:]], proportions=[x[:]], rows=[], inflow=0.0, outflow=0.0))
     for k in range(steps):
         for member, (cfg, run_) in enumerate(zip(configs, runs)):
+            if k >= cfg.time_steps:
+                continue
             row = reference_step(cfg, run_["rho"], run_["x"], run_["inflow_mix"], k, member, junction)
             run_["densities"].append(run_["rho"][:])
             run_["proportions"].append(run_["x"][:])
@@ -1002,15 +1077,15 @@ def assert_matches_reference(traj, ref):
     assert (traj.inflow_total, traj.outflow_total) == (ref["inflow"], ref["outflow"])
 
 
-def flooding_junction(flooded):
+def flooding_junction(*flooded):
     """The junction rule, except that from step 5 on, in a batch of two,
-    the flooded model sends link 1 ten more than it can take."""
+    the flooded models send link 1 ten more than it can take."""
     calls = []
 
     def flooding(model, *args):
         q0, q1, q2 = junction_fluxes(model, *args)
         calls.append(model)
-        if len(calls) > 2 * 5 and model is flooded:
+        if len(calls) > 2 * 5 and model in flooded:
             return q0, q1 + 10.0, q2
         return q0, q1, q2
 
@@ -1040,13 +1115,11 @@ def drawn_models(draw, evacuating):
 
 @st.composite
 def drawn_batches(draw):
-    """Small batches that share a grid, diagrams and boundaries of every
-    kind, and whose members differ in rule, in scalar or per-cell initial
-    data and in inflow mix."""
-    cells, steps = draw(st.integers(3, 8)), draw(st.integers(1, 60))
+    """Small batches that share diagrams and boundaries of every kind, and
+    whose members differ in cell count and step count, in rule, in scalar or
+    per-cell initial data and in inflow mix."""
     diagrams = tuple(draw(st.sampled_from(DRAWN_DIAGRAMS)) for _ in range(3))
     cfl = draw(st.floats(0.2, 1.0))
-    horizon = steps * cfl * (10.0 / cells) / max(fd.free_flow_speed for fd in diagrams)
     ends = [
         draw(st.one_of(
             st.just(BoundaryCondition.neumann()),
@@ -1060,7 +1133,7 @@ def drawn_batches(draw):
     evacuating = draw(st.booleans())
     commodities = 2 if evacuating else 1
 
-    def mix(per_cell):
+    def mix(per_cell, cells):
         # C proportions summing to at most 1, as scalars or one per cell
         first = draw(st.floats(0.0, 1.0))
         pair = (first, draw(st.floats(0.0, 1.0 - first)))
@@ -1070,6 +1143,8 @@ def drawn_batches(draw):
 
     members = []
     for _ in range(draw(st.integers(1, 3))):
+        cells, steps = draw(st.integers(3, 8)), draw(st.integers(1, 60))
+        horizon = steps * cfl * (10.0 / cells) / max(fd.free_flow_speed for fd in diagrams)
         densities = tuple(
             draw(st.one_of(st.floats(0.0, fd.jam_density), st.lists(st.floats(0.0, fd.jam_density),
                                                                      min_size=cells, max_size=cells)))
@@ -1077,8 +1152,8 @@ def drawn_batches(draw):
         )
         members.append(SimConfig(
             model=draw(drawn_models(evacuating)), diagrams=diagrams, cells_per_link=cells, time_steps=steps,
-            horizon=horizon, initial_densities=densities, initial_proportions=mix(draw(st.booleans())),
-            inflow_proportions=mix(False) if draw(st.booleans()) else None,
+            horizon=horizon, initial_densities=densities, initial_proportions=mix(draw(st.booleans()), cells),
+            inflow_proportions=mix(False, cells) if draw(st.booleans()) else None,
             boundaries=BoundarySpec(ends[0], ends[1:]), snapshot_every=1,
         ))
     return members
@@ -1094,7 +1169,7 @@ class TestReferenceStep:
     @settings(max_examples=40)
     @given(batch=drawn_batches())
     def test_kernel_matches_the_reference_step_on_drawn_batches(self, batch):
-        steps = batch[0].time_steps
+        steps = max(cfg.time_steps for cfg in batch)
         try:
             reference = reference_run(batch, steps)
         except NumericalStabilityError as error:

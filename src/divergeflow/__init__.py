@@ -62,7 +62,7 @@ from .ctm import (
     run_batch,
     solution_difference,
 )
-from .oracle import OracleResult, brute_force_batch, brute_force_fluxes
+from .oracle import OracleResult, brute_force_batch, brute_force_fluxes, brute_force_models
 
 __version__ = "0.1.0"
 
@@ -111,4 +111,5 @@ __all__ = [
     "OracleResult",
     "brute_force_batch",
     "brute_force_fluxes",
+    "brute_force_models",
 ]

@@ -8,8 +8,9 @@ of size dt = T / N with the conservative update
 Interface fluxes between cells are min(demand of the left cell, supply of the
 right cell).  The junction interface evaluates the diverge rule on the last
 upstream cell's demand, the first downstream cells' supplies, and the last
-upstream cell's commodity proportions; the upstream out-flux is the sum of
-the two downstream in-fluxes.  Boundary ghost cells copy the adjacent cell's
+upstream cell's commodity proportions; the upstream out-flux is the rule's
+q0, which is the sum of the two downstream in-fluxes for every rule but
+DAGANZO_FIFO (its in-fluxes x1 q0 and x2 q0 may sum to an ulp off q0).  Boundary ghost cells copy the adjacent cell's
 demand or supply (Neumann), hold a constant flux, or follow the sinusoid
 a + b * sin(pi * t / c), clamped to [0, capacity].
 
@@ -243,6 +244,10 @@ class SimConfig:
             _require_count(name, getattr(self, name))
         if not (0.0 < self.link_length < math.inf and 0.0 < self.horizon < math.inf):
             raise ValueError("link_length and horizon must be positive and finite")
+        for step, length, count in (("dx", "link_length", "cells_per_link"), ("dt", "horizon", "time_steps")):
+            if getattr(self, step) == 0.0:
+                raise ValueError(f"{step} = {length} / {count} = {getattr(self, length)!r} / "
+                                 f"{getattr(self, count)} rounds to 0")
         vmax = max(fd.max_wave_speed for fd in self.diagrams)
         if vmax * self.dt / self.dx > 1.0 + 1e-12:
             raise ValueError(

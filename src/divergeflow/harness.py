@@ -12,7 +12,7 @@ rng.random((block, 8)) (bitwise the sequential rng.uniform draws), and
 checks each property with one array call per rule and block
 (solve_fluxes_batch, solve_batch); the waves of all five rules take one
 batch_waves call per block.  The oracle comparison makes one
-brute_force_batch call per model fixture over its whole grid.
+brute_force_models call for all the model fixtures over its whole grid.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .riemann import (
     solve_fluxes_batch,
     supply_proportional,
 )
-from .oracle import brute_force_batch
+from .oracle import brute_force_models
 from .oracle import brute_force_fluxes  # noqa: F401 -- not called here; perfbench's spans wrap this name
 from .supply_demand import TrafficState, state_of
 
@@ -667,9 +667,9 @@ def _wave_battery(counterexamples, rng, n, diagrams):
 
 def _oracle_battery(counterexamples, grid, diagrams):
     """The brute-force oracle against the closed-form fluxes on a grid^3
-    (D0, S1, S2) cube, for each model fixture: one oracle call and one
-    closed-form call per fixture, over the points in loop order (D0
-    slowest)."""
+    (D0, S1, S2) cube, for each model fixture: one oracle call for all the
+    fixtures and one closed-form call per fixture, over the points in loop
+    order (D0 slowest)."""
     caps = tuple(fd.capacity for fd in diagrams)
     axes = [np.linspace(0.0, c, grid) for c in caps]
     d0, s1, s2 = (g.ravel() for g in np.meshgrid(*axes, indexing="ij"))
@@ -680,8 +680,7 @@ def _oracle_battery(counterexamples, grid, diagrams):
         priority_based((0.6, 0.4)),
         partial_evacuation((0.3, 0.2), (0.55, 0.45)),
     )
-    for model in model_fixtures:
-        results = brute_force_batch(model, d0, s1, s2, caps)
+    for model, results in zip(model_fixtures, brute_force_models(model_fixtures, d0, s1, s2, caps)):
         unique = np.array([r.unique for r in results])
         oracle = np.array([r.fluxes if r.unique else (np.nan,) * 3 for r in results]).T
         gap = _max_flux_gap(oracle, solve_fluxes_batch(model, d0, s1, s2, caps))

@@ -25,14 +25,18 @@ solution.  Everything here is deliberately decoupled from the closed forms
 under test; only the local entropy rules themselves are (independently)
 re-evaluated.
 
-`brute_force_batch` runs the whole procedure as array code over all the
-points (D0[k], S1[k], S2[k]) of a grid: the routed candidates form a
-(points, candidates) array, the three tie patterns with one bound tight
-share one masked array bisection, and each scanned tie pattern evaluates
-the entropy rule on at most _MESH_BUDGET mesh entries at a time, coarse or
-zoom.  Each point takes the same candidates, midpoints, meshes and zoom
-steps it would take alone, so its survivors do not depend on the batch;
-`brute_force_fluxes` is the batch of one.
+`brute_force_models` runs the whole procedure as array code over all the
+points (D0[k], S1[k], S2[k]) of a grid for several models at once: the
+routed candidates of each routed model form a (points, candidates) array,
+and the evacuation models' points are laid end to end in one batch, each
+run of points evaluating the entropy rule with its own model's parameters.
+In that batch the three tie patterns with one bound tight share one masked
+array bisection, and each scanned tie pattern makes one scan, which
+evaluates the entropy rule on at most _MESH_BUDGET mesh entries at a time,
+coarse or zoom.  Each point takes the same candidates, midpoints, meshes
+and zoom steps it would take alone, so its survivors depend neither on the
+batch nor on the other models in it; `brute_force_batch` is
+brute_force_models of one model and `brute_force_fluxes` its batch of one.
 
 `probe_interior_unique_batch` cross-checks the closed-form interior
 uniqueness flags of `riemann.solve_batch` the same way: it scans each tight
@@ -53,6 +57,7 @@ __all__ = [
     "OracleResult",
     "brute_force_batch",
     "brute_force_fluxes",
+    "brute_force_models",
     "probe_interior_unique_batch",
 ]
 
@@ -89,27 +94,68 @@ class OracleResult:
         return self.survivors[0]
 
 
-def _rule_pair(model, d0, s1, s2):
-    """The model's local entropy rule, re-evaluated mechanically (numpy ok).
-    Routed rules are handled by the interval logic instead."""
+def _parameters(model):
+    """An evacuation rule's parameters (proportional, x1, x2, a1, a2) as
+    floats: proportional is 1.0 for the supply-proportional rule and 0.0 for
+    the others, and the priority rule is partial evacuation with xi = 0."""
     kind = model.kind
     if kind is DivergeModelKind.SUPPLY_PROPORTIONAL:
+        return (1.0, 0.0, 0.0, 0.0, 0.0)
+    if kind is DivergeModelKind.PRIORITY_BASED:
+        return (0.0, 0.0, 0.0, *model.alpha)
+    if kind is DivergeModelKind.PARTIAL_EVACUATION:
+        return (0.0, *model.xi, *model.alpha)
+    raise ValueError(f"no evacuation rule for {kind}")
+
+
+def _runs(rule, points):
+    """Per-point evacuation rules as runs of consecutive points: a list of
+    (stop, parameters), run k covering the points from the stop before it
+    (0 for the first) up to its own.  A model's is one run over all the
+    points; a list of runs is returned as given."""
+    return rule if isinstance(rule, list) else [(points, _parameters(rule))]
+
+
+def _take(runs, rows):
+    """The runs of the points `rows` (ascending), renumbered from 0."""
+    stops = np.searchsorted(rows, [stop for stop, _ in runs]).tolist()
+    return [(stop, params) for stop, start, (_, params) in zip(stops, [0] + stops, runs) if stop > start]
+
+
+def _pair(proportional, x1, x2, a1, a2, d0, s1, s2):
+    """One rule's pair (q1, q2), its parameters floats."""
+    if proportional:
         total = np.asarray(s1 + s2, dtype=float)
         # min(1, D0 / total), divided only where total exceeds D0: a quotient
         # above 1 overflows for a subnormal total
         room = total > d0
         scale = np.where(room, d0 / np.where(room, total, 1.0), 1.0)
         return scale * s1, scale * s2
-    if kind not in (DivergeModelKind.PRIORITY_BASED, DivergeModelKind.PARTIAL_EVACUATION):
-        raise ValueError(f"no evacuation rule for {kind}")
-    # the priority rule is partial evacuation with xi = 0: both routed caps are +inf
-    x1, x2 = model.xi if kind is DivergeModelKind.PARTIAL_EVACUATION else (0.0, 0.0)
-    a1, a2 = model.alpha
     cap1 = s2 * (1.0 - x2) / x2 if x2 > 0.0 else np.inf
     cap2 = s1 * (1.0 - x1) / x1 if x1 > 0.0 else np.inf
     q1 = np.minimum(s1, np.minimum(cap1, np.maximum(d0 - s2, a1 * d0)))
     q2 = np.minimum(s2, np.minimum(cap2, np.maximum(d0 - s1, a2 * d0)))
     return q1, q2
+
+
+def _rule_pair(rule, d0, s1, s2):
+    """The local entropy rule, re-evaluated mechanically (numpy ok), of a
+    model, or of per-point runs (see _runs) along the leading axis of the
+    coordinates, each run evaluated with its own parameters.  Routed rules
+    are handled by the interval logic instead."""
+    if not isinstance(rule, list):
+        return _pair(*_parameters(rule), d0, s1, s2)
+    if len(rule) == 1:
+        return _pair(*rule[0][1], d0, s1, s2)
+    shape = np.broadcast_shapes(*(np.shape(v) for v in (d0, s1, s2)))
+    pair = np.empty((2,) + shape)
+    start = 0
+    for stop, params in rule:
+        run = slice(start, stop)
+        coords = (v[run] if np.ndim(v) == len(shape) and len(v) > 1 else v for v in (d0, s1, s2))
+        pair[0, run], pair[1, run] = _pair(*params, *coords)
+        start = stop
+    return pair[0], pair[1]
 
 
 def _linspace_rows(start, stop, n):
@@ -201,9 +247,24 @@ def _axes(lo, hi, specials, n, points):
     return axis, length
 
 
-def _scan_feasible(model, targets, boxes, fixed, specials):
+def _best_three(mesh):
+    """Per row of a (rows, entries) mesh, the indices of its three smallest
+    entries in order, ties in index order: np.argsort(row, kind="stable")[:3]
+    for a row of finite entries, whatever sort kernel numpy picks for the
+    CPU.  np.argmin returns the first of tied minima."""
+    mesh = mesh.copy()
+    row = np.arange(len(mesh))
+    best = []
+    for _ in range(3):
+        best.append(np.argmin(mesh, axis=1))
+        mesh[row, best[-1]] = np.inf
+    return np.stack(best, axis=1)
+
+
+def _scan_feasible(rule, targets, boxes, fixed, specials):
     """Per point, minimize the entropy residual over the free interior
-    coordinates; True where it reaches _FEAS_TOL.
+    coordinates; True where it reaches _FEAS_TOL.  `rule` is a model or
+    per-point runs (see _runs).
 
     `boxes` maps coordinate name (d, s1, s2) to its interval; the remaining
     coordinates are pinned in `fixed`.  The targets (t1, t2) are floats or
@@ -215,17 +276,22 @@ def _scan_feasible(model, targets, boxes, fixed, specials):
     """
     t1, t2 = np.broadcast_arrays(*(np.atleast_1d(np.asarray(t, dtype=float)) for t in targets))
     points = t1.size
+    runs = _runs(rule, points)
     names = list(boxes)
     ndim = len(names)
     axes, lengths = zip(*(_axes(*boxes[name], specials, _SCAN_GRID[ndim], points) for name in names))
+    # each box's ends, and the box index, shaped as zoom's (ndim, rows, 7)
+    lo, hi = np.array(list(boxes.values()), dtype=float).T[:, :, None, None]
+    axis = np.arange(ndim)[:, None]
 
-    def residual(coords, rows):
+    def residual(coords, rows, rules):
         """Residuals on the grids coords[k] (shaped to broadcast against each
-        other), the leading axis running over `rows` of the targets."""
+        other), the leading axis running over `rows` of the targets, whose
+        runs are `rules`."""
         values = dict(fixed)
         values.update(zip(names, coords))
-        q1, q2 = _rule_pair(model, values["d"], values["s1"], values["s2"])
         lead = (-1,) + (1,) * ndim
+        q1, q2 = _rule_pair(rules, values["d"], values["s1"], values["s2"])
         return np.abs(q1 - t1[rows].reshape(lead)) + np.abs(q2 - t2[rows].reshape(lead))
 
     def along(k, values):
@@ -235,46 +301,47 @@ def _scan_feasible(model, targets, boxes, fixed, specials):
     def zoom(rows, centre, width):
         """20 zoom steps from each row's centre, with 7 points per axis
         spanning +-width, a third as wide each step; True where a step's
-        best residual reaches _FEAS_TOL."""
+        best residual reaches _FEAS_TOL.  centre and width are (ndim, rows)."""
         hit = np.zeros(len(rows), dtype=bool)
         pick = np.arange(len(rows))
+        rules = _take(runs, rows)
         for _ in range(20):
-            local = [
-                np.clip(_linspace_rows(c - w, c + w, 7), lo, hi)
-                for c, w, (lo, hi) in zip(centre, width, boxes.values())
-            ]
-            lr = residual([along(k, a) for k, a in enumerate(local)], rows).reshape(len(rows), -1)
+            local = np.clip(_linspace_rows(centre - width, centre + width, 7), lo, hi)
+            lr = residual([along(k, a) for k, a in enumerate(local)], rows, rules).reshape(len(rows), -1)
             best = np.argmin(lr, axis=1)
-            centre = [a[pick, i] for a, i in zip(local, np.unravel_index(best, (7,) * ndim))]
-            width = [w / 3.0 for w in width]
+            centre = local[axis, pick, np.unravel_index(best, (7,) * ndim)]
+            width = width / 3.0
             hit |= lr[pick, best] <= _FEAS_TOL
         return hit
 
     feasible = np.zeros(points, dtype=bool)
-    rows, centres, widths = [], [], []
-    chunk = max(1, _MESH_BUDGET // int(np.prod([a.shape[1] for a in axes])))
+    rows, centres, widths = [np.zeros(0, dtype=int)], [np.zeros((ndim, 0))], [np.zeros((ndim, 0))]
+    shape = tuple(a.shape[1] for a in axes)
+    chunk = max(1, _MESH_BUDGET // int(np.prod(shape)))
     for start in range(0, points, chunk):
         span = np.arange(start, min(start + chunk, points))
-        res = residual([along(k, a[span]) for k, a in enumerate(axes)], span)
+        res = residual([along(k, a[span]) for k, a in enumerate(axes)], span, _take(runs, span))
         best = res.reshape(len(span), -1).min(axis=1)
         feasible[span] = best <= _FEAS_TOL
         # zoom only where the best residual is above _FEAS_TOL but within
-        # 0.08, far above anything a between-grid zero could produce
-        for p in span[~(best <= _FEAS_TOL) & ~(best > 0.08)]:
-            shape = tuple(int(n[p]) for n in lengths)
-            mesh = res[(p - start,) + tuple(slice(n) for n in shape)]
-            # the centres: the point's three best mesh entries, ties broken
-            # as np.argsort breaks them on the point's own mesh
-            for idx in zip(*np.unravel_index(np.argsort(mesh.ravel())[:3], shape)):
-                rows.append(p)
-                centres.append([a[p, i] for a, i in zip(axes, idx)])
-                widths.append([(hi - lo) / (n - 1) for (lo, hi), n in zip(boxes.values(), shape)])
+        # 0.08, far above anything a between-grid zero could produce, around
+        # the point's three best entries of its own mesh: the entries past
+        # its axis lengths repeat its last values and are left out
+        near = ~(best <= _FEAS_TOL) & ~(best > 0.08)
+        if near.any():
+            at = span[near]
+            outside = [along(k, np.arange(m) >= n[at][:, None]) for k, (m, n) in enumerate(zip(shape, lengths))]
+            mesh = np.where(_either(outside), np.inf, res[near])
+            idx = np.unravel_index(_best_three(mesh.reshape(len(at), -1)), shape)
+            rows.append(np.repeat(at, 3))
+            centres.append(np.stack([a[at[:, None], i].ravel() for a, i in zip(axes, idx)]))
+            widths.append(np.repeat((hi - lo)[:, 0] / (np.stack([n[at] for n in lengths]) - 1), 3, axis=1))
 
-    rows, centres, widths = np.array(rows, dtype=int), np.array(centres).T, np.array(widths).T
+    rows, centres, widths = np.concatenate(rows), np.concatenate(centres, axis=1), np.concatenate(widths, axis=1)
     chunk = max(1, _MESH_BUDGET // 7**ndim)
     for start in range(0, len(rows), chunk):
         part = slice(start, start + chunk)
-        hit = zoom(rows[part], list(centres[:, part]), list(widths[:, part]))
+        hit = zoom(rows[part], centres[:, part], widths[:, part])
         feasible[rows[part][hit]] = True
     return feasible
 
@@ -319,21 +386,25 @@ def _scaled_specials(capacities, d0, s1, s2, t1, t2):
     return np.stack(plain + ratios, axis=1)
 
 
-def _one_bound_ties(model, d0, s1, s2, capacities):
+def _one_bound_ties(rule, d0, s1, s2, capacities):
     """The tie patterns with one bound tight alone (q0 = D0, q1 = S1, q2 =
     S2) by one masked bisection: row k frees interior coordinate k (the
     demand, supply 1 or supply 2) over [0, Ck] and holds the other two at
     capacity.  Returns the roots, NaN where a pattern has none, and the
-    rule's pair (q1, q2) at them, each (3, points)."""
+    rule's pair (q1, q2) at them, each (3, points).  `rule` is a model or
+    per-point runs (see _runs)."""
     caps = np.array(capacities, dtype=float)
-    # coords[j, k] is coordinate j of row k: capacity except on the diagonal,
-    # which each call overwrites (the rule returns new arrays)
-    coords = np.broadcast_to(caps[:, None, None], (3, 3, d0.size)).copy()
+    # coords[j, :, k] is coordinate j of row k: capacity except where j = k,
+    # which each call overwrites (the rule returns new arrays); the points
+    # lie along the leading axis of each coordinate, as the runs do
+    coords = np.broadcast_to(caps[:, None, None], (3, d0.size, 3)).copy()
+    runs = _runs(rule, d0.size)
     diagonal = np.arange(3)
 
     def pair(x):
-        coords[diagonal, diagonal] = x
-        return _rule_pair(model, *coords)
+        coords[diagonal, :, diagonal] = x
+        q1, q2 = _rule_pair(runs, *coords)
+        return q1.T, q2.T
 
     def excess(x):
         q1, q2 = pair(x)
@@ -343,19 +414,21 @@ def _one_bound_ties(model, d0, s1, s2, capacities):
     return (root, *pair(root))
 
 
-def _evacuation_survivors(model, d0, s1, s2, capacities):
+def _evacuation_survivors(rule, d0, s1, s2, capacities):
     """Per point, one candidate triple per tie pattern and whether it
-    survives, as (points, patterns) arrays in enumeration order."""
+    survives, as (points, patterns) arrays in enumeration order.  `rule` is
+    a model or per-point runs (see _runs)."""
     c0, c1, c2 = capacities
     eps = _BOUND_TOL
+    runs = _runs(rule, d0.size)
     found = []  # (survives, q0, q1, q2) per tie pattern
 
     # no tight bound: every interior state is pinned
-    q1, q2 = _rule_pair(model, c0, c1, c2)
+    q1, q2 = _rule_pair(runs, *(np.full(d0.shape, c) for c in capacities))
     found.append(((q1 < s1 - eps) & (q2 < s2 - eps) & (q1 + q2 < d0 - eps), q1 + q2, q1, q2))
 
     # one bound tight alone: the two bounds a row does not tie must be strict
-    root, q1, q2 = _one_bound_ties(model, d0, s1, s2, capacities)
+    root, q1, q2 = _one_bound_ties(runs, d0, s1, s2, capacities)
     q0 = q1 + q2
     strict = np.stack([q0 < d0 - eps, q1 < s1 - eps, q2 < s2 - eps]) | np.eye(3, dtype=bool)[:, :, None]
     found += zip(~np.isnan(root) & strict.all(axis=0), q0, q1, q2)
@@ -367,7 +440,7 @@ def _evacuation_survivors(model, d0, s1, s2, capacities):
         if at.size:
             t1, t2 = (np.broadcast_to(t, d0.shape)[at] for t in targets)
             sp = _scaled_specials(capacities, d0[at], s1[at], s2[at], t1, t2)
-            ok[at] = _scan_feasible(model, (t1, t2), boxes, fixed, sp)
+            ok[at] = _scan_feasible(_take(runs, at), (t1, t2), boxes, fixed, sp)
         return ok
 
     # q0 = D0 and one downstream bound tight: fluxes are pinned, scan 2-D
@@ -408,15 +481,39 @@ def _deduplicated(keep, q0, q1, q2):
     return results
 
 
+def brute_force_models(models, d0, s1, s2, capacities):
+    """Enumerate and filter candidate flux triples of each model at the
+    points (d0[k], s1[k], s2[k]) of 1-d arrays; one list of OracleResult per
+    model, one result per point, its survivors plain floats.  `capacities`
+    is (c0, c1, c2); the models' parameters are floats.
+
+    Each routed model takes one pass of its own.  The evacuation models'
+    points are laid end to end, one run of points per model (see _runs),
+    and take one pass together: one bisection and one scan per tie
+    pattern."""
+    d0, s1, s2 = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float)) for v in (d0, s1, s2)))
+    results = {}
+    evacuation = []
+    for k, model in enumerate(models):
+        if model.kind in (DivergeModelKind.DAGANZO_FIFO, DivergeModelKind.LEBACQUE):
+            results[k] = _deduplicated(*_routed_survivors(model, d0, s1, s2, capacities))
+        else:
+            evacuation.append(k)
+    if evacuation:
+        n = d0.size
+        runs = [((j + 1) * n, _parameters(models[k])) for j, k in enumerate(evacuation)]
+        tiled = (np.tile(v, len(evacuation)) for v in (d0, s1, s2))
+        flat = _deduplicated(*_evacuation_survivors(runs, *tiled, capacities))
+        for j, k in enumerate(evacuation):
+            results[k] = flat[j * n:(j + 1) * n]
+    return [results[k] for k in range(len(models))]
+
+
 def brute_force_batch(model, d0, s1, s2, capacities):
     """Enumerate and filter candidate flux triples at the points
-    (d0[k], s1[k], s2[k]) of 1-d arrays; one OracleResult per point, its
-    survivors plain floats.  `capacities` is (c0, c1, c2); the model's
-    parameters are floats."""
-    d0, s1, s2 = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float)) for v in (d0, s1, s2)))
-    routed = model.kind in (DivergeModelKind.DAGANZO_FIFO, DivergeModelKind.LEBACQUE)
-    survivors = _routed_survivors if routed else _evacuation_survivors
-    return _deduplicated(*survivors(model, d0, s1, s2, capacities))
+    (d0[k], s1[k], s2[k]) of 1-d arrays; one OracleResult per point.
+    brute_force_models of one model."""
+    return brute_force_models([model], d0, s1, s2, capacities)[0]
 
 
 def brute_force_fluxes(model, inp: RiemannInput):

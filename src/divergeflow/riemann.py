@@ -309,7 +309,9 @@ def junction_fluxes(model, demand_upstream, supplies, proportions):
 
     `proportions` are the turning proportions seen at the junction; they feed
     the DAGANZO_FIFO and LEBACQUE rules, while the evacuation rules use the
-    model's own parameters.  Returns (q0, q1, q2) with q0 = q1 + q2.
+    model's own parameters.  Returns (q0, q1, q2): q0 = q1 + q2 exactly for
+    every rule but DAGANZO_FIFO, which returns (q0, x1 q0, x2 q0), whose
+    q1 + q2 may miss q0 by an ulp.
     """
     d0 = demand_upstream
     s1, s2 = supplies

@@ -676,6 +676,11 @@ class TestCli:
                 "  - {kind: del_castillo_mainline}\n",
                 "greenshields diagram: capacity 2.5e-311 is not above the flux tolerance 1e-12",
             ),
+            (
+                "riemann-verify", "link_length: 10.0", "link_length: 5.0e-324",
+                "dx = link_length / cells_per_link = 5e-324 / 20 rounds to 0",
+            ),
+            ("riemann-verify", "horizon: 360.0", "horizon: 5.0e-324", "dt = horizon / time_steps = 5e-324 / 800 rounds to 0"),
         ],
         ids=[
             "not-a-mapping", "model-without-kind", "diagram-without-kind", "unknown-diagram-kind",
@@ -684,7 +689,7 @@ class TestCli:
             "supply-above-ramp-capacity", "verify-without-simulation", "verify-one-cell-per-link",
             "converge-without-simulation",
             "flux-map-two-diagrams", "props-two-diagrams", "zero-capacity",
-            "capacity-within-flux-tolerance",
+            "capacity-within-flux-tolerance", "cell-length-rounds-to-zero", "time-step-rounds-to-zero",
         ],
     )
     def test_config_error_exits_two_with_one_line_and_no_output(self, tmp_path, capsys, command, old, new, message):

@@ -749,15 +749,16 @@ class TestPropsCounterexampleLines:
     def test_oracle_survivor_count(self, tmp_path, monkeypatch, trio):
         # the priority oracle's last grid point, (C0, C1, C2), left with its
         # one survivor twice
-        true_oracle = harness.brute_force_batch
+        true_oracle = harness.brute_force_models
 
-        def defective(model, d0, s1, s2, capacities):
-            results = true_oracle(model, d0, s1, s2, capacities)
-            if model.kind is DivergeModelKind.PRIORITY_BASED:
-                results[-1] = OracleResult(results[-1].survivors * 2)
+        def defective(models, d0, s1, s2, capacities):
+            results = true_oracle(models, d0, s1, s2, capacities)
+            for model, per_model in zip(models, results):
+                if model.kind is DivergeModelKind.PRIORITY_BASED:
+                    per_model[-1] = OracleResult(per_model[-1].survivors * 2)
             return results
 
-        monkeypatch.setattr(harness, "brute_force_batch", defective)
+        monkeypatch.setattr(harness, "brute_force_models", defective)
         at = tuple(float(fd.capacity) for fd in trio)
         assert self.fail_lines(tmp_path) == (1, [
             f"check oracle-agreement: FAIL (counterexample: priority_based at {at}: 2 survivors)",

@@ -26,12 +26,14 @@ from divergeflow import (
 )
 from divergeflow.oracle import (
     _FEAS_TOL,
+    _best_three,
     _bisect_monotone,
     _one_bound_ties,
     _rule_pair,
     _scan_feasible,
     brute_force_batch,
     brute_force_fluxes,
+    brute_force_models,
 )
 
 FIXTURES = {
@@ -85,14 +87,19 @@ def test_survivors_are_bitwise_the_pinned_ones(trio, n, kind):
 
 @pytest.mark.parametrize("model", list(FIXTURES.values()), ids=list(FIXTURES))
 def test_a_point_answers_the_same_in_any_batch(trio, model, monkeypatch):
-    """Reversed, one point per scan pass and one row per zoom pass, or alone:
-    every point keeps its survivors, and they are plain floats."""
+    """Reversed, one point per scan pass and one row per zoom pass, alone,
+    or among the points of all five fixtures in one brute_force_models call
+    (in fixture order and reversed): every point keeps its survivors, and
+    they are plain floats."""
     caps = capacities(trio)
     d0, s1, s2 = grid(caps, 5)
     whole = [repr(r) for r in brute_force_batch(model, d0, s1, s2, caps)]
     monkeypatch.setattr(oracle, "_MESH_BUDGET", 7)
     backwards = brute_force_batch(model, d0[::-1], s1[::-1], s2[::-1], caps)
     assert [repr(r) for r in backwards[::-1]] == whole
+    for models in (list(FIXTURES.values()), list(FIXTURES.values())[::-1]):
+        joint = brute_force_models(models, d0, s1, s2, caps)
+        assert [repr(r) for r in joint[models.index(model)]] == whole
     assert all(type(v) is float for r in backwards for trip in r.survivors for v in trip)
     for k in range(0, d0.size, 11):
         inp = RiemannInput(
@@ -191,6 +198,20 @@ def test_zoom_reaches_a_target_the_coarse_mesh_misses(trio, model, monkeypatch):
     for budget in (oracle._MESH_BUDGET, 7):
         monkeypatch.setattr(oracle, "_MESH_BUDGET", budget)
         assert _scan_feasible(model, targets, boxes, {"s2": c2}, np.empty(0)).tolist() == [True, False, True]
+
+
+def test_zoom_centres_take_the_lowest_flat_indices_among_tied_residuals():
+    """The three best entries of a mesh whose third-best residual is tied
+    across several entries, some of them past the ends of a sort kernel's
+    small-array insertion range: the tied entries are taken in flat order,
+    as np.argsort(kind="stable") takes them."""
+    mesh = np.full((2, 441), 0.5)
+    mesh[0, [300, 17]] = [0.1, 0.2]
+    mesh[1, 400] = 0.0
+    mesh[1, [5, 250, 440]] = 0.3
+    mesh[:, [3, 120, 333]] = np.minimum(mesh[:, [3, 120, 333]], 0.4)
+    np.testing.assert_array_equal(_best_three(mesh), [[300, 17, 3], [400, 5, 250]])
+    np.testing.assert_array_equal(_best_three(mesh), np.argsort(mesh, axis=1, kind="stable")[:, :3])
 
 
 def test_oracle_imports_nothing_from_the_closed_forms():

@@ -386,6 +386,26 @@ class TestLocalDiscreteFlux:
         assert q1 == 0.0
         assert q0 == q2 == want
 
+    def test_q0_is_the_in_flux_sum_except_daganzos_split(self):
+        # 20,000 random array draws: q0 == q1 + q2 bit for bit for four
+        # rules; Daganzo's rule splits q0 as (x1 q0, x2 q0), whose sum may
+        # miss q0 by an ulp, and on these draws does
+        rng = np.random.default_rng(0)
+        d0, s1, s2, x1 = rng.random((4, 20_000))
+        proportions = (x1, 1.0 - x1)
+        for model in (
+            lebacque((0.7, 0.3)),
+            supply_proportional(),
+            priority_based((0.6, 0.4)),
+            partial_evacuation((0.3, 0.2), (0.55, 0.45)),
+        ):
+            q0, q1, q2 = junction_fluxes(model, d0, (s1, s2), proportions)
+            np.testing.assert_array_equal(q0, q1 + q2)
+        q0, q1, q2 = junction_fluxes(daganzo_fifo((0.7, 0.3)), d0, (s1, s2), proportions)
+        np.testing.assert_array_equal(q1, x1 * q0)
+        np.testing.assert_array_equal(q2, (1.0 - x1) * q0)
+        assert np.any(q0 != q1 + q2)
+
     def test_daganzo_zero_share_in_arrays(self):
         # S/x reads as +inf where x = 0, also for a zero supply
         d0 = np.array([0.3, 0.3, 0.3])

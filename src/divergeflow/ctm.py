@@ -10,9 +10,10 @@ right cell).  The junction interface evaluates the diverge rule on the last
 upstream cell's demand, the first downstream cells' supplies, and the last
 upstream cell's commodity proportions; the upstream out-flux is the rule's
 q0, which is the sum of the two downstream in-fluxes for every rule but
-DAGANZO_FIFO (its in-fluxes x1 q0 and x2 q0 may sum to an ulp off q0).  Boundary ghost cells copy the adjacent cell's
-demand or supply (Neumann), hold a constant flux, or follow the sinusoid
-a + b * sin(pi * t / c), clamped to [0, capacity].
+DAGANZO_FIFO (its in-fluxes x1 q0 and x2 q0 may sum to an ulp off q0).
+Boundary ghost cells copy the adjacent cell's demand or supply (Neumann),
+hold a constant flux, or follow the sinusoid a + b * sin(pi * t / c),
+clamped to [0, capacity].
 
 Commodity proportions on the upstream link advect with the flow:
 

@@ -147,15 +147,17 @@ def _rule_pair(rule, d0, s1, s2):
         return _pair(*_parameters(rule), d0, s1, s2)
     if len(rule) == 1:
         return _pair(*rule[0][1], d0, s1, s2)
-    shape = np.broadcast_shapes(*(np.shape(v) for v in (d0, s1, s2)))
-    pair = np.empty((2,) + shape)
+    ndim = max(np.ndim(v) for v in (d0, s1, s2))
+    # a coordinate runs along the points when it has their leading axis
+    coords = [(v, np.ndim(v) == ndim and len(v) > 1) for v in (d0, s1, s2)]
+    parts = []
     start = 0
     for stop, params in rule:
         run = slice(start, stop)
-        coords = (v[run] if np.ndim(v) == len(shape) and len(v) > 1 else v for v in (d0, s1, s2))
-        pair[0, run], pair[1, run] = _pair(*params, *coords)
+        parts.append(_pair(*params, *[v[run] if along else v for v, along in coords]))
         start = stop
-    return pair[0], pair[1]
+    q1, q2 = zip(*parts)
+    return np.concatenate(q1), np.concatenate(q2)
 
 
 def _linspace_rows(start, stop, n):
@@ -292,7 +294,11 @@ def _scan_feasible(rule, targets, boxes, fixed, specials):
         values.update(zip(names, coords))
         lead = (-1,) + (1,) * ndim
         q1, q2 = _rule_pair(rules, values["d"], values["s1"], values["s2"])
-        return np.abs(q1 - t1[rows].reshape(lead)) + np.abs(q2 - t2[rows].reshape(lead))
+        # in place, as the rule's pair is two new arrays of the mesh's shape:
+        # fewer mesh-sized temporaries to allocate and free
+        for q, t in ((q1, t1), (q2, t2)):
+            np.abs(np.subtract(q, t[rows].reshape(lead), out=q), out=q)
+        return np.add(q1, q2, out=q1)
 
     def along(k, values):
         """values (rows, m) shaped as mesh axis k."""
@@ -414,13 +420,12 @@ def _one_bound_ties(rule, d0, s1, s2, capacities):
     return (root, *pair(root))
 
 
-def _evacuation_survivors(rule, d0, s1, s2, capacities):
+def _evacuation_survivors(runs, d0, s1, s2, capacities):
     """Per point, one candidate triple per tie pattern and whether it
-    survives, as (points, patterns) arrays in enumeration order.  `rule` is
-    a model or per-point runs (see _runs)."""
+    survives, as (points, patterns) arrays in enumeration order, each point
+    evaluated with the rule of its run (see _runs)."""
     c0, c1, c2 = capacities
     eps = _BOUND_TOL
-    runs = _runs(rule, d0.size)
     found = []  # (survives, q0, q1, q2) per tie pattern
 
     # no tight bound: every interior state is pinned
@@ -468,6 +473,13 @@ def _evacuation_survivors(rule, d0, s1, s2, capacities):
 def _deduplicated(keep, q0, q1, q2):
     """One OracleResult per row: the kept triples in column order, each
     dropped when within _DEDUP_TOL of one kept before it."""
+    # a row's first kept triple always stays, so the later ones near it go
+    # at once, in array code: a routed point with D0 = 0 keeps over 40
+    # copies of (0, 0, 0), and comparing them in Python cost 1.4 ms a model
+    row = np.arange(len(keep))
+    first = np.argmax(keep, axis=1)
+    near = reduce(np.logical_and, [abs(q - q[row, first][:, None]) <= _DEDUP_TOL for q in (q0, q1, q2)])
+    keep = keep & ~(near & (np.arange(keep.shape[1]) > first[:, None]))
     triples = np.stack([q0[keep], q1[keep], q2[keep]], axis=1).tolist()
     results = []
     end = 0

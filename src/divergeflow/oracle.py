@@ -475,7 +475,7 @@ def _deduplicated(keep, q0, q1, q2):
     dropped when within _DEDUP_TOL of one kept before it."""
     # a row's first kept triple always stays, so the later ones near it go
     # at once, in array code: a routed point with D0 = 0 keeps over 40
-    # copies of (0, 0, 0), and comparing them in Python cost 1.4 ms a model
+    # copies of (0, 0, 0), which the loop below would compare one by one
     row = np.arange(len(keep))
     first = np.argmax(keep, axis=1)
     near = reduce(np.logical_and, [abs(q - q[row, first][:, None]) <= _DEDUP_TOL for q in (q0, q1, q2)])

@@ -38,6 +38,15 @@ and zoom steps it would take alone, so its survivors depend neither on the
 batch nor on the other models in it; `brute_force_batch` is
 brute_force_models of one model and `brute_force_fluxes` its batch of one.
 
+Two stop rules skip work that cannot change a survivor.  A zoom row stops
+once its residual reaches _FEAS_TOL or once a slope bound of its rule (see
+_slope_bound) shows that no later step can reach it, and the bisection
+stops calling the rule once every element still moving has a nonnegative
+rule excess at the low end of its bracket, so that each of its steps
+halves toward that end.  Both depend on the point and its rule alone, and
+every root, mesh and zoom step that can still decide a survivor is the one
+taken without them.
+
 `probe_interior_unique_batch` cross-checks the closed-form interior
 uniqueness flags of `riemann.solve_batch` the same way: it scans each tight
 link's interior coordinate over its whole range for a second state the
@@ -120,6 +129,15 @@ def _take(runs, rows):
     """The runs of the points `rows` (ascending), renumbered from 0."""
     stops = np.searchsorted(rows, [stop for stop, _ in runs]).tolist()
     return [(stop, params) for stop, start, (_, params) in zip(stops, [0] + stops, runs) if stop > start]
+
+
+def _slope_bound(proportional, x1, x2, a1, a2):
+    """L with |qi(p) - qi(c)| <= L * sum_k |pk - ck| for both fluxes of a
+    rule at any two interior points p, c: every term of the rule moves at
+    most as fast as a coordinate, except the caps qi <= Sj (1 - xj) / xj,
+    which move (1 - xj) / xj as fast as Sj.  So 1 for the supply-proportional
+    and priority rules."""
+    return max([1.0] + [(1.0 - x) / x for x in (x1, x2) if x > 0.0])
 
 
 def _pair(proportional, x1, x2, a1, a2, d0, s1, s2):
@@ -274,7 +292,10 @@ def _scan_feasible(rule, targets, boxes, fixed, specials):
     shared (m,) or per point (points, m), joined to every box axis.  Each
     axis has _SCAN_GRID[len(boxes)] grid points; each point's coarse mesh is
     refined by zooming around its three best mesh points when its best
-    residual is small but above _FEAS_TOL.
+    residual is small but above _FEAS_TOL.  A zoom row stops once it reaches
+    _FEAS_TOL or once the slope bound of its point's rule rules that out
+    (see zoom), so the rows that stop early are ones that could never reach
+    it, and each point's answer is the one the full 20 steps would give.
     """
     t1, t2 = np.broadcast_arrays(*(np.atleast_1d(np.asarray(t, dtype=float)) for t in targets))
     points = t1.size
@@ -305,19 +326,36 @@ def _scan_feasible(rule, targets, boxes, fixed, specials):
         return values.reshape((len(values),) + tuple(-1 if j == k else 1 for j in range(ndim)))
 
     def zoom(rows, centre, width):
-        """20 zoom steps from each row's centre, with 7 points per axis
+        """Up to 20 zoom steps from each row's centre, with 7 points per axis
         spanning +-width, a third as wide each step; True where a step's
-        best residual reaches _FEAS_TOL.  centre and width are (ndim, rows)."""
-        hit = np.zeros(len(rows), dtype=bool)
-        pick = np.arange(len(rows))
+        best residual reaches _FEAS_TOL.  centre and width are (ndim, rows).
+
+        A row stops once it hits, or once a slope bound rules a hit out:
+        every later zoom point lies within 1.5 * width (the new width) of
+        the new centre along each axis, and each flux moves at most
+        _slope_bound times the l1 distance, so no later step gets the
+        residual r of the new centre below r - 3 * L * sum(width).  A row
+        stops when that exceeds 2 * _FEAS_TOL (one _FEAS_TOL of room for
+        rounding); it could never have hit, and every other row takes the
+        steps it took before, so no answer changes."""
         rules = _take(runs, rows)
+        slope = np.repeat([_slope_bound(*params) for _, params in rules], np.diff([0] + [stop for stop, _ in rules]))
+        hit = np.zeros(len(rows), dtype=bool)
+        live = np.arange(len(rows))
         for _ in range(20):
+            pick = np.arange(len(live))
             local = np.clip(_linspace_rows(centre - width, centre + width, 7), lo, hi)
-            lr = residual([along(k, a) for k, a in enumerate(local)], rows, rules).reshape(len(rows), -1)
+            mesh = [along(k, a) for k, a in enumerate(local)]
+            lr = residual(mesh, rows[live], _take(rules, live)).reshape(len(live), -1)
             best = np.argmin(lr, axis=1)
             centre = local[axis, pick, np.unravel_index(best, (7,) * ndim)]
             width = width / 3.0
-            hit |= lr[pick, best] <= _FEAS_TOL
+            r = lr[pick, best]
+            hit[live] = r <= _FEAS_TOL
+            stay = ~hit[live] & ~(r - 3.0 * slope[live] * width.sum(axis=0) > 2.0 * _FEAS_TOL)
+            if not stay.any():
+                break
+            live, centre, width = live[stay], centre[:, stay], width[:, stay]
         return hit
 
     feasible = np.zeros(points, dtype=bool)
@@ -358,12 +396,16 @@ def _bisect_monotone(fn, lo, hi):
 
     fn maps an array of abscissae to an array of values.  An element stops
     once its midpoint rounds onto an end of its bracket (every later step
-    would return that same midpoint), and fn is called once per step while
-    any element still moves, for at most 100 steps."""
+    would return that same midpoint), for at most 100 steps.  An element
+    with fn(lo) >= 0 has fn(mid) >= 0 at every midpoint, so its bracket
+    halves toward lo whatever fn says: fn is called once per step while an
+    element with fn(lo) < 0 still moves, and the steps after that update
+    the brackets alone, to the same roots."""
     f_lo, f_hi = np.asarray(fn(lo)), np.asarray(fn(hi))
     shape = np.broadcast(lo, hi, f_lo, f_hi).shape
     lo, hi = (np.broadcast_to(np.asarray(v, dtype=float), shape) for v in (lo, hi))
     moving = np.broadcast_to(~(f_hi < -_FEAS_TOL) & ~(f_lo > _FEAS_TOL), shape)
+    settled = np.broadcast_to(f_lo >= 0.0, shape)
     root = np.full(shape, np.nan)
     for _ in range(100):
         mid = 0.5 * (lo + hi)
@@ -372,7 +414,7 @@ def _bisect_monotone(fn, lo, hi):
         moving = moving & ~stalled
         if not moving.any():
             return root
-        below = np.asarray(fn(mid)) < 0.0
+        below = np.asarray(fn(mid)) < 0.0 if (moving & ~settled).any() else False
         lo = np.where(moving & below, mid, lo)
         hi = np.where(moving & ~below, mid, hi)
     return np.where(moving, 0.5 * (lo + hi), root)

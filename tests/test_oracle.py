@@ -2,7 +2,9 @@
 acceptance, dense and props grids, a point's answer independent of the batch
 it comes in, the shared bisection of the one-bound tie patterns against one
 bisection per pattern, the scan's zoom refinement reaching an off-grid
-target, and the oracle's independence from the closed forms it checks."""
+target, the slope bound that lets a zoom row stop early and the work that
+bound and the settled bisection elements save, and the oracle's
+independence from the closed forms it checks."""
 
 import ast
 import hashlib
@@ -11,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import divergeflow.oracle as oracle
 from divergeflow import (
@@ -29,8 +33,10 @@ from divergeflow.oracle import (
     _best_three,
     _bisect_monotone,
     _one_bound_ties,
+    _parameters,
     _rule_pair,
     _scan_feasible,
+    _slope_bound,
     brute_force_batch,
     brute_force_fluxes,
     brute_force_models,
@@ -68,8 +74,19 @@ SURVIVOR_DIGESTS = {
 }
 
 
+EVACUATION = [FIXTURES[kind] for kind in ("supply_proportional", "priority_based", "partial_evacuation")]
+
+
 def capacities(trio):
     return tuple(fd.capacity for fd in trio)
+
+
+def named_trio(trio, diagrams):
+    """The del Castillo trio of the props grid, or two triangular links
+    diverging onto a Greenshields link, as props_triangular.yaml has."""
+    if diagrams == "triangular":
+        return (triangular(1.0, 1.0), triangular(1.0, 1.0), greenshields(1.0, 1.0))
+    return trio
 
 
 def grid(caps, n):
@@ -212,6 +229,110 @@ def test_zoom_centres_take_the_lowest_flat_indices_among_tied_residuals():
     mesh[:, [3, 120, 333]] = np.minimum(mesh[:, [3, 120, 333]], 0.4)
     np.testing.assert_array_equal(_best_three(mesh), [[300, 17, 3], [400, 5, 250]])
     np.testing.assert_array_equal(_best_three(mesh), np.argsort(mesh, axis=1, kind="stable")[:, :3])
+
+
+@st.composite
+def evacuation_models(draw):
+    """The supply-proportional rule, or partial evacuation with each share
+    0 or in [0.05, 0.95] (the priority rule when both are 0) and weights
+    anywhere in their admissible box."""
+    if draw(st.booleans()):
+        return supply_proportional()
+    x1 = draw(st.one_of(st.just(0.0), st.floats(0.05, 0.95)))
+    x2 = draw(st.one_of(st.just(0.0), st.floats(0.05, max(0.05, 1.0 - x1))))
+    a1 = x1 + draw(st.floats(0.0, 1.0)) * (1.0 - x1 - x2)
+    alpha = (a1, 1.0 - a1)
+    return priority_based(alpha) if x1 == x2 == 0.0 else partial_evacuation((x1, x2), alpha)
+
+
+@st.composite
+def interior_points(draw, caps):
+    """An interior point (d, s1, s2) of the capacity box: anywhere, with
+    both supplies below 1e-12 (S1 + S2 near 0), or on the S1 + S2 = D0 kink
+    of the supply-proportional rule."""
+    c0, c1, c2 = caps
+    u = [draw(st.floats(0.0, 1.0)) for _ in range(3)]
+    where = draw(st.sampled_from(("box", "empty", "kink")))
+    if where == "empty":
+        return u[0] * c0, draw(st.floats(0.0, 1e-12)), draw(st.floats(0.0, 1e-12))
+    if where == "kink":
+        d = u[0] * min(c0, c1 + c2)
+        lo, hi = max(0.0, d - c2), min(c1, d)
+        s1 = lo + u[1] * (hi - lo)
+        return d, s1, min(c2, max(0.0, d - s1))
+    return u[0] * c0, u[1] * c1, u[2] * c2
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+@pytest.mark.parametrize("diagrams", ["del-castillo", "triangular"])
+def test_each_flux_moves_at_most_the_slope_bound_times_the_step(trio, diagrams, data):
+    """|qi(p) - qi(c)| <= L * sum_k |pk - ck| for L = _slope_bound of the
+    rule's parameters, up to 8 ulps of L times the largest capacity for the
+    rounding of the rule's few operations.  p is a second drawn point, and
+    c with each one of its coordinates taken from that point (a step along
+    one axis, where a term's slope can be exactly L)."""
+    caps = capacities(named_trio(trio, diagrams))
+    model = data.draw(evacuation_models())
+    c = np.array(data.draw(interior_points(caps)))
+    drawn = np.array(data.draw(interior_points(caps)))
+    p = np.where(np.eye(4, 3, -1, dtype=bool), drawn, c)
+    p[0] = drawn
+    slope = _slope_bound(*_parameters(model))
+    step = np.abs(p - c).sum(axis=1)
+    slack = 8.0 * slope * np.spacing(max(caps))
+    for qp, qc in zip(_rule_pair(model, *p.T), _rule_pair(model, *c)):
+        assert np.all(np.abs(qp - qc) <= slope * step + slack)
+
+
+@pytest.mark.parametrize("diagrams", ["del-castillo", "triangular"])
+def test_zoom_rows_that_stop_early_change_no_answer(trio, diagrams, monkeypatch):
+    """The three evacuation fixtures in one brute_force_models call, on the
+    5^3 and 7^3 grids and on 500 random draws, answer repr-identically with
+    the slope bound and with an infinite one, under which a zoom row stops
+    only once it reaches _FEAS_TOL."""
+    caps = capacities(named_trio(trio, diagrams))
+    rng = np.random.default_rng(7)
+    draws = [rng.uniform(0.0, c, 500) for c in caps]
+    for d0, s1, s2 in (grid(caps, 5), grid(caps, 7), draws):
+        pruned = brute_force_models(EVACUATION, d0, s1, s2, caps)
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "_slope_bound", lambda *params: math.inf)
+            full = brute_force_models(EVACUATION, d0, s1, s2, caps)
+        assert [[repr(r) for r in results] for results in pruned] == [[repr(r) for r in results] for results in full]
+
+
+def test_props_grid_saves_bisection_calls_and_zoom_row_steps(trio, monkeypatch):
+    """On props.yaml's 5^3 grid (its diagrams are the del Castillo trio),
+    one brute_force_models call of the three evacuation fixtures: the shared
+    bisection calls its fn at most 2 + 60 times, as the elements whose root
+    is 0 stop calling it, and the zoom evaluates under a quarter of the
+    20 row-steps of each of its rows (three per zoomed point, each a 7-point
+    mesh per axis)."""
+    caps = capacities(trio)
+    calls, rows, row_steps = [], [], []
+    bisect, best_three, rule_pair = oracle._bisect_monotone, oracle._best_three, oracle._rule_pair
+
+    def counted_bisect(fn, lo, hi):
+        return bisect(lambda x: calls.append(1) or fn(x), lo, hi)
+
+    def counted_best_three(mesh):
+        rows.append(3 * len(mesh))
+        return best_three(mesh)
+
+    def counted_rule_pair(rule, d0, s1, s2):
+        q1, q2 = rule_pair(rule, d0, s1, s2)
+        if q1.ndim >= 3 and set(q1.shape[1:]) == {7}:
+            row_steps.append(len(q1))
+        return q1, q2
+
+    monkeypatch.setattr(oracle, "_bisect_monotone", counted_bisect)
+    monkeypatch.setattr(oracle, "_best_three", counted_best_three)
+    monkeypatch.setattr(oracle, "_rule_pair", counted_rule_pair)
+    brute_force_models(EVACUATION, *grid(caps, 5), caps)
+    assert len(calls) <= 2 + 60
+    assert sum(rows) > 0
+    assert sum(row_steps) < 20 * sum(rows) / 4
 
 
 def test_oracle_imports_nothing_from_the_closed_forms():

@@ -491,6 +491,9 @@ class TestOracleBisection:
         if root >= 0.1:
             # the bracket is one ulp wide after about 55 halvings
             assert len(calls) < 2 + 60
+        elif root == 0.0:
+            # fn(lo) >= 0: the bracket halves toward 0 without calling fn
+            assert len(calls) == 2
         else:
             assert len(calls) == 2 + 100  # a bracket shrinking toward 0 never stalls
 

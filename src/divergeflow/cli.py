@@ -13,7 +13,7 @@ layouts); all numbers use 12 significant digits and reruns with the same
 config are byte-identical.
 Every data file is a table of columns (a dict from CSV header to an
 equal-length array) written by `_write_table` a block of rows at a time.
-It formats each distinct value of a block's column once and gathers the
+It formats each distinct number of a block's column once and gathers the
 text into the rows; the bytes are those of formatting every field alone.
 """
 
@@ -42,10 +42,13 @@ _BLOCK_ROWS = 4096
 
 
 def _block_fields(column):
-    """Text of each field of a block of a column: floats at 12 significant
-    digits and NaN as an empty field, the rest as str.  Each distinct value
-    (a float by its bit pattern, so -0.0 stays -0) is formatted once and
-    gathered into its rows."""
+    """Text of each field of a block of a column: a str column's fields as
+    they are, floats at 12 significant digits and NaN as an empty field, the
+    rest as str.  Each distinct number (a float by its bit pattern, so -0.0
+    stays -0) is formatted once and gathered into its rows; a str column
+    has nothing to format, so keying it would only cost time."""
+    if column.dtype.kind == "U":
+        return column.tolist()
     floats = column.dtype.kind == "f"
     distinct, inverse = np.unique(column.view(f"i{column.itemsize}") if floats else column, return_inverse=True)
     values = distinct.view(column.dtype).tolist()

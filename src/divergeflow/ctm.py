@@ -31,11 +31,13 @@ proportion state, C the tracked-commodity count, which each step updates in
 place.  The members share the diagrams, the boundaries and C, and may differ
 in grid, horizon, model, initial data and inflow mix.  Links whose diagrams
 share a flux-law family share one evaluation of it per step, written into
-work arrays and read through views that are built once per run; every
-constant or sinusoid boundary is evaluated for all of a member's steps
-before the loop.  Only the junction rule runs once per member, and a member
-that has taken its N steps freezes.  run_batch(configs) gives one Trajectory
-per member, each bitwise the trajectory of that config alone, and
+work arrays and read through views that are built once per kernel; every
+constant or sinusoid boundary is evaluated for all of a member's steps once
+per batch, before the loop.  Only the junction rule runs once per member.
+Members that have taken their N steps leave: the others' state moves into a
+kernel laid out on them alone, which takes the batch's boundary series, so
+a step costs only the members still going.  run_batch(configs) gives one
+Trajectory per member, each bitwise the trajectory of that config alone, and
 run(config) is run_batch([config])[0]; a trajectory's last snapshot is the
 state after its step N.  The step records the junction row (q0, q1, q2, D0,
 S1, S2, x1) followed by the boundary in-flux and out-flux.  A frozen
@@ -47,6 +49,7 @@ fails.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 import os
@@ -54,7 +57,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fundamental_diagram import _FLOW_LAWS, FundamentalDiagram
+from .fundamental_diagram import _FLOW_LAWS, FundamentalDiagram, _exponential_flow, _operand
 from .riemann import _FIFO_KINDS, DivergeModel, DivergeModelKind, junction_fluxes
 
 __all__ = [
@@ -75,6 +78,8 @@ __all__ = [
 DENSITY_GUARD = 1e-9
 # Cells emptier than this keep their previous commodity proportion.
 EMPTY_CELL_TOL = 1e-12
+# The clip's and the proportion update's scalar operands, built once.
+_ZERO, _ONE, _EMPTY_CELL = map(_operand, (0.0, 1.0, EMPTY_CELL_TOL))
 
 
 class NumericalStabilityError(RuntimeError):
@@ -323,15 +328,15 @@ def _proportion_update(rho_new, x, x_up, q_in, q_out, dt_over_dx, commodity_outf
     np.not_equal(x_up, x, out=change)
     np.not_equal(commodity_outflux, np.multiply(x, q_out, out=flux), out=split)
     np.logical_or(change, split, out=change)
-    np.logical_and(change, np.greater_equal(rho_new, EMPTY_CELL_TOL, out=full), out=change)
+    np.logical_and(change, np.greater_equal(rho_new, _EMPTY_CELL, out=full), out=change)
     # an empty cell keeps its mix, so its divisor only has to be positive
-    np.maximum(rho_new, EMPTY_CELL_TOL, out=safe_rho)
+    np.maximum(rho_new, _EMPTY_CELL, out=safe_rho)
     np.multiply(q_in, x_up, out=flux)
     np.subtract(flux, commodity_outflux, out=flux)
     np.multiply(dt_over_dx, flux, out=flux)
     np.add(mass, flux, out=mass)
     np.divide(mass, safe_rho, out=mass)
-    np.minimum(np.maximum(mass, 0.0, out=mass), 1.0, out=mass)
+    np.minimum(np.maximum(mass, _ZERO, out=mass), _ONE, out=mass)
     np.copyto(x, mass, where=change)
     return x
 
@@ -341,6 +346,9 @@ _SHARED_FIELDS = ("diagrams", "boundaries", "snapshot_every", "tracked_commoditi
 # Where a step's boundary faces (inflow, outflow 1, outflow 2) split into the
 # record's inflow and outflow columns.
 _INFLOW_OUTFLOWS = np.array([0, 1])
+# The diagram kinds whose law floors the density (the exponential laws, at
+# rho_jam / 1000); the kernel builds their floor once.
+_FLOORED_KINDS = frozenset(kind for kind, law in _FLOW_LAWS.items() if law is _exponential_flow)
 
 
 def _law_passes(diagrams):
@@ -355,12 +363,14 @@ def _law_passes(diagrams):
 
 
 class _Ensemble:
-    """The step kernel of a batch of B configs: its state, its work arrays
-    and the views and index arrays the step reads, all built once, so that a
+    """The step kernel of a batch of configs: its state, its work arrays and
+    the views and index arrays the step reads, all built once, so that a
     step allocates no array of cells outside the flux-law evaluation.
 
-    The members lie end to end on one position axis of P positions, in
-    ascending time_steps (order[b] is the input index of the b-th): each
+    It lays out the members order names (by default all of configs), in
+    ascending time_steps; order[b] is the input index of the b-th, so a
+    kernel laid out on some of a batch's members numbers them as the batch
+    does.  They lie end to end on one position axis of P positions: each
     takes a ghost position and then its M cells, and one trailing ghost
     closes the axis.  The state is a (3, P) density array rho, one row per
     link, and the upstream link's (C, P) proportion array mix, C the
@@ -373,13 +383,13 @@ class _Ensemble:
     The ghost before a member holds its inflow demand on the upstream link,
     the ghost after it its outflow supply on each downstream link.  Every
     per-member read and write is a take or put at flat indices built once.
-    A member that has taken its N steps freezes: its dt/dx becomes 0 and the
-    step drops it from the index arrays.  Members share the diagrams, the
-    boundaries and C; they may differ in grid, horizon, model, initial data
-    and inflow mix.
+    The constant and sinusoid ghost values are evaluated here unless given
+    as boundary, a kernel's (series, columns) for the same configs.  Members
+    share the diagrams, the boundaries and C; they may differ in grid,
+    horizon, model, initial data and inflow mix.
     """
 
-    def __init__(self, configs):
+    def __init__(self, configs, order=None, boundary=None):
         if not configs:
             raise ValueError("a batch needs at least one config")
         first = configs[0]
@@ -387,10 +397,9 @@ class _Ensemble:
             for member, cfg in enumerate(configs[1:], start=1):
                 if getattr(cfg, name) != getattr(first, name):
                     raise ValueError(f"batch members must share {name}; member {member} differs from member 0")
-        self.order = sorted(range(len(configs)), key=lambda b: configs[b].time_steps)
+        self.order = sorted(range(len(configs)), key=lambda b: configs[b].time_steps) if order is None else order
         members = [configs[b] for b in self.order]
         diagrams, c = first.diagrams, first.tracked_commodities
-        self.ends = [cfg.time_steps for cfg in members]
         # each member's ghost position, then the trailing ghost; spans are
         # the members' cells, the same on every link
         ghosts = np.cumsum([0] + [cfg.cells_per_link + 1 for cfg in members]).tolist()
@@ -398,7 +407,8 @@ class _Ensemble:
         p = ghosts[-1] + 1
         n = 3 * p
 
-        self.rho, self.mix, self.ratio = rho, mix, ratio = np.zeros((3, p)), np.zeros((c, p)), np.zeros((3, p))
+        self.rho, self.mix = rho, mix = np.zeros((3, p)), np.zeros((c, p))
+        ratio = np.zeros((3, p))
         for cfg, g, (s, e) in zip(members, ghosts, self.spans):
             rho[:, s:e], mix[:, g:e], ratio[:, s:e] = cfg.initial_state, cfg.initial_mix, cfg.dt / cfg.dx
 
@@ -411,19 +421,23 @@ class _Ensemble:
         self.critical, self.capacity, self.jam = map(per_position, ("critical_density", "capacity", "jam_density"))
         self.jam_guard = [fd.jam_density + DENSITY_GUARD for fd in diagrams]
 
-        # every non-Neumann ghost value of the run, evaluated as a step would,
-        # one column per link and distinct (N, dt); a step copies row k into
-        # the slots that follow the demand and supply in one buffer
+        # every non-Neumann ghost value of the batch's run, evaluated as a
+        # step would, one column per link and distinct (N, dt) of configs;
+        # a step copies row k into the slots that follow the demand and
+        # supply in one buffer
         bcs = (first.boundaries.upstream_demand, *first.boundaries.downstream_supplies)
         neumann = [bc.kind is BoundaryKind.NEUMANN for bc in bcs]
-        columns = {}
-        for cfg in members:
-            for i in range(3):
-                if not neumann[i]:
-                    columns.setdefault((cfg.time_steps, cfg.dt, i), len(columns))
-        self.series = np.zeros((self.ends[-1], len(columns))) if columns else None
-        for (steps, dt, i), column in columns.items():
-            self.series[:steps, column] = [bcs[i].evaluate(k * dt, diagrams[i].capacity) for k in range(steps)]
+        if boundary is None:
+            columns = {}
+            for cfg in configs:
+                for i in range(3):
+                    if not neumann[i]:
+                        columns.setdefault((cfg.time_steps, cfg.dt, i), len(columns))
+            series = np.zeros((max(cfg.time_steps for cfg in configs), len(columns))) if columns else None
+            for (steps, dt, i), column in columns.items():
+                series[:steps, column] = [bcs[i].evaluate(k * dt, diagrams[i].capacity) for k in range(steps)]
+            boundary = series, columns
+        self.boundary = self.series, columns = boundary
         self.flows = np.empty(2 * n + len(columns))
         self.demand, self.supply = (self.flows[i * n:(i + 1) * n].reshape(3, p) for i in (0, 1))
         self.slots = self.flows[2 * n:]
@@ -463,40 +477,39 @@ class _Ensemble:
         self.commodity_out = np.empty_like(self.x)
         self.mass = np.empty_like(self.x)
         self.work = _proportion_work(self.x.shape, self.rho_up.shape)
-        self.row = np.empty((len(configs), 9))
+        self.row = row = np.empty((len(members), 9))
+        # the rows' (q0 .. x1), (q0, q1, q2), q0, q1, (q1, q2), D0 and (inflow, outflow)
+        self.views = row[:, :7], row[:, :3], row[:, :1], row[:, 1:2], row[:, 1:3], row[:, 3:4], row[:, 7:]
         v_f = per_position("free_flow_speed")
+        floor = self.jam / 1000.0
         law_work = np.empty_like(rho)
-        self.passes = [
-            (law, rho[links], v_f[links], self.jam[links], self.demand[links], law_work[links])
-            for law, links in _law_passes(diagrams)
-        ]
-        self._drop(0)
+        self.passes = []
+        for law, links in _law_passes(diagrams):
+            operands = dict(out=self.demand[links], work=law_work[links])
+            if diagrams[links.start].kind in _FLOORED_KINDS:
+                operands["floor"] = floor[links]
+            self.passes.append((law, rho[links], v_f[links], self.jam[links], operands))
 
-    def _drop(self, active):
-        """Freeze the members before active, which have taken their steps,
-        and bind the step's index arrays and row views to the others."""
-        for s, e in self.spans[:active]:
-            self.ratio[:, s:e] = 0.0
-        self.active = active
-        row = self.row[active:]
-        self.live = (
-            self.models[active:], self.fifo[active:], [index[active:] for index in self.index],
-            # the rows' (q0 .. x1), (q0, q1, q2), q0, q1, (q1, q2), D0 and (inflow, outflow)
-            (row[:, :7], row[:, :3], row[:, :1], row[:, 1:2], row[:, 1:3], row[:, 3:4], row[:, 7:]),
-        )
+    def relaid(self, configs, done):
+        """A kernel laid out on this one's members after the first done,
+        which have taken their steps, holding their state and taking this
+        kernel's boundary series: they fill the axis from the ghost of the
+        first of them on, so the state moves as one block."""
+        kernel = type(self)(configs, self.order[done:], self.boundary)
+        g = self.spans[done][0] - 1
+        kernel.rho[...], kernel.mix[...] = self.rho[:, g:], self.mix[:, g:]
+        return kernel
 
     def advance(self, k):
-        """Step k of every member that has not taken its steps, from the
-        current state, which becomes the state after it; returns the rows
-        (B, 9) of (q0, q1, q2, D0, S1, S2, x1, inflow, outflow) in axis order,
-        those from active (as it was before the step) on step k's, a buffer
-        that the next step overwrites.  A member that has now taken its steps
-        freezes."""
+        """Step k of every member, from the current state, which becomes the
+        state after it; returns the rows (B, 9) of (q0, q1, q2, D0, S1, S2,
+        x1, inflow, outflow) in axis order, a buffer that the next step
+        overwrites."""
         rho, mix, flows, faces = self.rho, self.mix, self.flows, self.faces
-        models, fifo, (targets, sources, inputs, junction, ends, last_cells, own_cells), views = self.live
-        junction_row, q012, q0, q1, q12, d0, bounds = views
-        for law, rho_links, v_f, rho_jam, flow, work in self.passes:
-            law(rho_links, v_f, rho_jam, out=flow, work=work)
+        targets, sources, inputs, junction, ends, last_cells, own_cells = self.index
+        junction_row, q012, q0, q1, q12, d0, bounds = self.views
+        for law, rho_links, v_f, rho_jam, operands in self.passes:
+            law(rho_links, v_f, rho_jam, **operands)
         over, under = self.masks
         np.copyto(self.supply, self.demand)
         np.putmask(self.demand, np.greater(rho, self.critical, out=over), self.capacity)
@@ -511,7 +524,7 @@ class _Ensemble:
         last = mix.take(last_cells)
         junction_row[...] = [
             (*junction_fluxes(model, d, (a, b), (x1, 1.0 - x1)), d, a, b, x1)
-            for model, (d, a, b), x1 in zip(models, flows.take(inputs).tolist(), last[:, 0].tolist())
+            for model, (d, a, b), x1 in zip(self.models, flows.take(inputs).tolist(), last[:, 0].tolist())
         ]
         np.minimum(*self.face_inputs, out=faces)
         faces.put(junction, q012)
@@ -531,7 +544,7 @@ class _Ensemble:
             raise NumericalStabilityError(
                 f"density left [0, {self.jam[link, 0]}] in member {member} on link {link} at step {k}"
             )
-        np.minimum(np.maximum(rho, 0.0, out=rho), self.jam, out=rho)
+        np.minimum(np.maximum(rho, _ZERO, out=rho), self.jam, out=rho)
 
         commodity_out, (q_in, q_out) = self.commodity_out, self.upstream_faces
         np.multiply(self.x, q_out, out=commodity_out)
@@ -541,17 +554,12 @@ class _Ensemble:
         else:
             # all flow entering link 1 is routed commodity 1; without routes
             # the one commodity rides along
-            np.copyto(np.multiply(last, q0, out=last), q1, where=fifo)
+            np.copyto(np.multiply(last, q0, out=last), q1, where=self.fifo)
         commodity_out.put(own_cells, last)
         _proportion_update(self.rho_up, self.x, self.x_up, q_in, q_out, self.ratio_up, commodity_out, mass, self.work)
 
         # the inflow face, and the two outflow faces' sum
         np.add.reduceat(faces.take(ends), _INFLOW_OUTFLOWS, axis=1, out=bounds)
-        done = self.active
-        while done < len(self.ends) and self.ends[done] == k + 1:
-            done += 1
-        if done > self.active:
-            self._drop(done)
         return self.row
 
 
@@ -606,7 +614,10 @@ def run_batch(configs):
     bitwise the trajectory the config gives alone.  The members may differ
     in grid and horizon: they lie end to end on the kernel's one position
     axis, each a ghost and its M cells on each link's row, and step together
-    until each has taken its own time_steps.
+    until each has taken its own time_steps.  After a step at which some
+    have taken theirs, the others move to a kernel laid out on them alone,
+    with the boundary series evaluated once for the batch; members keep
+    their input numbering throughout.
 
     Full fields are stored every snapshot_every steps (plus the initial and
     final step); junction quantities are stored every step.  Raises
@@ -617,7 +628,9 @@ def run_batch(configs):
     """
     configs = list(configs)
     kernel = _Ensemble(configs)
-    members = [configs[b] for b in kernel.order]
+    order = kernel.order
+    members = [configs[b] for b in order]
+    ends = [cfg.time_steps for cfg in members]
     schedules, due = [], {}  # each member's snapshot steps; the (member, snapshot) pairs after each step
     for b, cfg in enumerate(members):
         steps = list(range(0, cfg.time_steps + 1, cfg.snapshot_every))
@@ -630,27 +643,34 @@ def run_batch(configs):
     proportions = [
         np.empty((len(steps), cfg.tracked_commodities, cfg.cells_per_link)) for steps, cfg in zip(schedules, members)
     ]
+    # the members before first (in order) have taken their steps and left
+    # the kernel, whose b-th member is the (first + b)-th
+    first = 0
 
     def snapshot(step):
         for b, i in due.get(step, ()):
-            s, e = kernel.spans[b]
+            s, e = kernel.spans[b - first]
             densities[b][i], proportions[b][i] = kernel.rho[:, s:e], kernel.mix[:, s:e]
 
     snapshot(0)
     # member-major: member b's rows start at offsets[b]; cursor holds each
     # member's flat record indices of the next step's row
-    offsets = np.cumsum([0] + kernel.ends)
+    offsets = np.cumsum([0] + ends)
     record = np.empty((offsets[-1], 9))
     cursor = 9 * offsets[:-1, None] + np.arange(9)
-    for k in range(kernel.ends[-1]):
-        active = kernel.active
-        record.put(cursor[active:], kernel.advance(k)[active:])
+    for k in range(ends[-1]):
+        record.put(cursor[first:], kernel.advance(k))
         cursor += 9
         snapshot(k + 1)
+        # the members that have now taken their steps leave; the others move
+        # to a kernel laid out on them alone
+        done = bisect.bisect_right(ends, k + 1, first)
+        if first < done < len(ends):
+            kernel, first = kernel.relaid(configs, done - first), done
 
     trajectories = []
     for member, cfg in enumerate(configs):
-        b = kernel.order.index(member)
+        b = order.index(member)
         rows = record[offsets[b]:offsets[b + 1]]
         # boundary totals summed step by step from zero, as the steps ran
         totals = np.add.accumulate(np.concatenate([np.zeros((1, 2)), rows[:, 7:] * cfg.dt]), axis=0)[-1]

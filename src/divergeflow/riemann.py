@@ -296,8 +296,10 @@ class RiemannSolution:
 
 
 def _per_share(s, x):
-    """s / x, read as +inf where the share x is 0 (the x -> 0 limit)."""
-    if np.ndim(x) == 0:
+    """s / x, read as +inf where the share x is 0 (the x -> 0 limit).  A
+    share that is not an array takes the scalar path (np.ndim would cost
+    a Daganzo call about 1 us per share)."""
+    if not isinstance(x, np.ndarray):
         return s / x if x > 0.0 else math.inf
     shape = np.broadcast_shapes(np.shape(s), np.shape(x))
     return np.divide(s, x, out=np.full(shape, math.inf), where=x > 0.0)

@@ -581,6 +581,20 @@ class TestFiveRuleGolden:
         assert GOLDEN.read_text(encoding="utf-8") == text
 
 
+def recorded_kernels(monkeypatch):
+    """The list into which every step kernel that run_batch builds from now
+    on is appended, the first and each one laid out after members leave."""
+    kernels = []
+
+    class Recorded(ctm._Ensemble):
+        def __init__(self, *args):
+            super().__init__(*args)
+            kernels.append(self)
+
+    monkeypatch.setattr(ctm, "_Ensemble", Recorded)
+    return kernels
+
+
 def assert_same_trajectory(got, want):
     """Every recorded array and total of got equals want's bit for bit."""
     pairs = [
@@ -779,23 +793,57 @@ class TestRunBatch:
         np.testing.assert_array_equal(traj.densities[-1], kernel.rho[:, 1:-1])
         np.testing.assert_array_equal(traj.proportions[-1], kernel.mix[:, 1:-1])
 
-    def test_a_member_that_has_taken_its_steps_stays_frozen(self, trio):
+    def test_a_member_that_has_taken_its_steps_leaves_the_kernel(self, trio, monkeypatch):
         # the short member comes first on the axis; once it has taken its 400
-        # steps its densities stay bitwise as they are while the long one
-        # takes 400 more
+        # steps the long one moves to a kernel laid out on it alone, which
+        # holds its ghost, its 10 cells and the trailing ghost, and takes 400
+        # more; each member's snapshots and record rows are its run's alone
         short, long_ = (
             diverge_config(trio, lebacque((0.7, 0.3)), cells=10, time_steps=n, horizon=0.9 * n) for n in (400, 800)
         )
-        kernel = ctm._Ensemble([long_, short])
-        assert kernel.order == [1, 0]
-        for k in range(400):
-            kernel.advance(k)
-        s, e = kernel.spans[0]
-        frozen = kernel.rho[:, s:e].copy()
-        for k in range(400, 800):
-            kernel.advance(k)
-        assert kernel.rho[:, s:e].tobytes() == frozen.tobytes()
-        assert kernel.rho[:, slice(*kernel.spans[1])].tobytes() == run(long_).densities[-1].tobytes()
+        kernels = recorded_kernels(monkeypatch)
+        trajectories = run_batch([long_, short])
+        monkeypatch.undo()
+        assert [kernel.order for kernel in kernels] == [[1, 0], [0]]
+        assert (kernels[1].rho.shape, kernels[1].mix.shape, kernels[1].spans) == ((3, 12), (1, 12), [(1, 11)])
+        for got, cfg in zip(trajectories, (long_, short), strict=True):
+            assert_same_trajectory(got, run(cfg))
+
+    def test_guard_names_the_input_member_after_others_have_left(self, trio, monkeypatch):
+        # the short member (input 0) takes its 40 steps and leaves; from step
+        # 50 on the long one (input 1), by then the kernel's only member,
+        # floods link 1, and the guard must name it by its input index
+        short, long_ = (
+            diverge_config(trio, model, cells=10, time_steps=n, horizon=0.9 * n)
+            for model, n in ((daganzo_fifo((0.7, 0.3)), 40), (lebacque((0.7, 0.3)), 80))
+        )
+        message = "in member 1 on link 1 at step 50$"
+        with pytest.raises(NumericalStabilityError, match=message):
+            reference_run([short, long_], 80, flooding_junction(long_.model, start=2 * 40 + 10))
+        kernels = recorded_kernels(monkeypatch)
+        monkeypatch.setattr(ctm, "junction_fluxes", flooding_junction(long_.model, start=2 * 40 + 10))
+        with pytest.raises(NumericalStabilityError, match=message):
+            run_batch([short, long_])
+        assert [kernel.order for kernel in kernels] == [[0, 1], [1]]
+
+    def test_the_boundary_series_is_evaluated_once_per_batch(self, monkeypatch):
+        # converge's six members take 1,600, 3,200 and 6,400 steps in pairs
+        # on one dt/dx, so the ramp's sinusoid has one value per step of each
+        # pair, however many kernels the batch is laid out on
+        spec = build_spec(load_config(CONFIGS / "convergence.yaml"), ExperimentKind.CONVERGENCE)
+        members = [cfg for pair in spec.convergence_pairs for cfg in pair]
+        calls = []
+        evaluate = ctm.BoundaryCondition.evaluate
+
+        def counted(bc, time, capacity):
+            calls.append(time)
+            return evaluate(bc, time, capacity)
+
+        kernels = recorded_kernels(monkeypatch)
+        monkeypatch.setattr(ctm.BoundaryCondition, "evaluate", counted)
+        run_batch(members)
+        assert len(calls) == 1600 + 3200 + 6400
+        assert [len(kernel.order) for kernel in kernels] == [6, 4, 2]
 
     def test_conservation_is_checked_per_member(self, trio, monkeypatch):
         members = [diverge_config(trio, model, cells=10) for model in (lebacque((0.7, 0.3)), daganzo_fifo((0.7, 0.3)))]
@@ -1077,15 +1125,16 @@ def assert_matches_reference(traj, ref):
     assert (traj.inflow_total, traj.outflow_total) == (ref["inflow"], ref["outflow"])
 
 
-def flooding_junction(*flooded):
-    """The junction rule, except that from step 5 on, in a batch of two,
-    the flooded models send link 1 ten more than it can take."""
+def flooding_junction(*flooded, start=2 * 5):
+    """The junction rule, except that after its first start calls (from
+    step 5 on in a batch of two, by default) the flooded models send link 1
+    ten more than it can take."""
     calls = []
 
     def flooding(model, *args):
         q0, q1, q2 = junction_fluxes(model, *args)
         calls.append(model)
-        if len(calls) > 2 * 5 and model in flooded:
+        if len(calls) > start and model in flooded:
             return q0, q1 + 10.0, q2
         return q0, q1, q2
 
